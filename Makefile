@@ -31,7 +31,9 @@ bench-quick:
 # sequential q/s at some k >= 4 on every backend, from
 # BENCH_batch.quick.json), and the streaming-update floor (incremental
 # CRT fix-up >= 5x a full rebuild after the byte-identity gate, from
-# BENCH_update.quick.json).
+# BENCH_update.quick.json).  Last, the layered benchmark's smoke run
+# (perfbench/run.py --smoke): it must still build against the library
+# functions it calls, and every workload's answer checks must pass.
 check:
 	dune build @all
 	dune runtest
@@ -40,6 +42,7 @@ check:
 	dune exec bench/main.exe -- serve-guard
 	dune exec bench/main.exe -- batch-guard
 	dune exec bench/main.exe -- update-guard
+	python3 perfbench/run.py --smoke
 
 # Benchmarks run under the release profile (flambda-style optimisation,
 # no assertions stripped that matter here) so timings reflect deployment:

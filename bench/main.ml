@@ -780,7 +780,6 @@ let faults ?(out = "BENCH_faults.json") ?(rates = [ 0.; 0.01; 0.05; 0.1 ])
    BENCH_pir.json. *)
 let pir ?(out = "BENCH_pir.json") ?(count = 225) ?(block_bits = 1024)
     ?(q_bits = 128) trials =
-  let open Lbq_net in
   Format.printf
     "=== PIR stage-2 hot path: engine ablation & domain scaling ===@.@.";
   let gc0 = Counters.gc_words () in
@@ -863,8 +862,10 @@ let pir ?(out = "BENCH_pir.json") ?(count = 225) ?(block_bits = 1024)
   let scaling =
     List.map
       (fun d ->
-        Pool.with_pool ~domains:d (fun pool ->
-            let _, dt = time (fun () -> ignore (Pool.map pool answer queries)) in
+        Lbq_pool.Pool.with_pool ~domains:d (fun pool ->
+            let _, dt =
+              time (fun () -> ignore (Lbq_pool.Pool.map pool answer queries))
+            in
             let qps = float_of_int nq /. dt in
             Format.printf "  %d domain(s): %.2f s  (%.2f q/s, %.2fx)@." d dt qps
               (qps /. seq_qps);

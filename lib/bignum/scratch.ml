@@ -8,8 +8,8 @@
    [Domain.DLS].  A single global key (rather than one key per context)
    keeps the DLS table bounded no matter how many Montgomery/Barrett
    contexts a server creates, and per-domain storage makes the engines
-   safe under [Serve.serve ~pool], which runs responds concurrently on a
-   shared server whose Schnorr context is shared across domains.
+   safe under {!Lbq_net.Service}, whose worker domains run responds
+   concurrently against one shared server.
 
    Slot discipline:
    - Each distinct buffer that can be live at the same moment gets its

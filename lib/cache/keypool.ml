@@ -62,8 +62,7 @@ type t = {
   metrics : Counters.t;
   lock : Mutex.t;
   changed : Condition.t;  (* signalled on refill completion *)
-  workers : Pool.t option;
-  owns_workers : bool;
+  workers : Pool.t option;  (* owned: shut down with the keypool *)
   mutable inflight : int; (* refill jobs queued or running *)
   mutable closed : bool;
   mutable error : (exn * Printexc.raw_backtrace) option;
@@ -114,20 +113,13 @@ let build_reference ?(metrics = Counters.null) ~seed ~plan ~q_bits ~index
 (* Construction                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let create ?(config = default_config) ?workers ?domains
+let create ?(config = default_config) ?domains
     ?(metrics = Counters.null) ?(seed = "lbq-keypool") ~plan ~q_bits () =
   if config.capacity < 1 then invalid_arg "Keypool.create: capacity < 1";
   if config.low_watermark < 0 || config.low_watermark > config.capacity then
     invalid_arg "Keypool.create: low_watermark out of [0, capacity]";
   if q_bits < 16 then invalid_arg "Keypool.create: q_bits too small";
-  let workers, owns_workers =
-    match workers, domains with
-    | Some _, Some _ ->
-      invalid_arg "Keypool.create: pass workers or domains, not both"
-    | Some w, None -> Some w, false
-    | None, Some d -> Some (Pool.create ~domains:d ()), true
-    | None, None -> None, false
-  in
+  let workers = Option.map (fun d -> Pool.create ~domains:d ()) domains in
   {
     plan;
     q_bits;
@@ -143,7 +135,6 @@ let create ?(config = default_config) ?workers ?domains
     lock = Mutex.create ();
     changed = Condition.create ();
     workers;
-    owns_workers;
     inflight = 0;
     closed = false;
     error = None;
@@ -361,8 +352,8 @@ let prewarm t =
     Array.iteri
       (fun index _ -> top_up t ~index ~target:t.config.capacity)
       t.stripes;
-  (* Whatever the workers could not absorb (no pool attached, or the
-     lent pool was shut down) is built right here. *)
+  (* Whatever the workers could not absorb (no pool attached, or a
+     refused submit) is built right here. *)
   fill_inline t;
   while t.inflight > 0 && t.error = None do
     Condition.wait t.changed t.lock
@@ -385,11 +376,10 @@ let shutdown t =
     Condition.wait t.changed t.lock
   done;
   Mutex.unlock t.lock;
-  if t.owns_workers then
-    match t.workers with Some w -> Pool.shutdown w | None -> ()
+  Option.iter Pool.shutdown t.workers
 
-let with_pool ?config ?workers ?domains ?metrics ?seed ~plan ~q_bits f =
-  let t = create ?config ?workers ?domains ?metrics ?seed ~plan ~q_bits () in
+let with_pool ?config ?domains ?metrics ?seed ~plan ~q_bits f =
+  let t = create ?config ?domains ?metrics ?seed ~plan ~q_bits () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* ------------------------------------------------------------------ *)

@@ -24,7 +24,6 @@
 
 open Lbq_bignum
 module Gr = Lbq_pir.Gr
-module Pool = Lbq_pool.Pool
 module Counters = Lbq_metrics.Counters
 
 type t
@@ -43,9 +42,8 @@ val default_config : config
 (** [create ~plan ~q_bits ()] builds an empty pool for one deployment's
     prime-power plan and cofactor width.
 
-    [workers] lends an existing Domains pool for background refill (the
-    pool is not shut down by {!shutdown}); [domains] spawns an owned
-    {!Lbq_pool.Pool} of that many workers instead.  With neither, the
+    [domains] spawns a {!Lbq_pool.Pool} of that many workers for
+    background refill, shut down with the keypool.  Without it, the
     pool never refills in the background: every cold take builds
     synchronously and only {!prewarm} stocks it.
 
@@ -53,7 +51,7 @@ val default_config : config
     {!build_reference}); [metrics] receives pool and prime-search
     counters. *)
 val create :
-  ?config:config -> ?workers:Pool.t -> ?domains:int ->
+  ?config:config -> ?domains:int ->
   ?metrics:Counters.t -> ?seed:string -> plan:Gr.plan -> q_bits:int ->
   unit -> t
 
@@ -93,15 +91,15 @@ val take : t -> index:int -> Gr.Client.state * (Z.t * Z.t)
 (** Wait until no refill job is queued or running. *)
 val drain : t -> unit
 
-(** Stop serving, wait for in-flight refills, and shut down an owned
-    worker pool (a lent [workers] pool is left running).  Idempotent;
+(** Stop serving, wait for in-flight refills, and shut down the worker
+    pool.  Idempotent;
     {!take} and {!prewarm} raise afterwards. *)
 val shutdown : t -> unit
 
 (** [with_pool ... f] runs [f] over a fresh pool and always shuts it
     down. *)
 val with_pool :
-  ?config:config -> ?workers:Pool.t -> ?domains:int ->
+  ?config:config -> ?domains:int ->
   ?metrics:Counters.t -> ?seed:string -> plan:Gr.plan -> q_bits:int ->
   (t -> 'a) -> 'a
 

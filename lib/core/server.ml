@@ -190,23 +190,47 @@ let ot_respond_checked ?rand t (q : Ot.query) : (Ot.response, rejection) result 
 let pir_respond t ~(n : Z.t) ~(g : Z.t) : Z.t =
   Gr.Server.respond ~max_n_bits:(pir_max_modulus_bits t) t.pir ~n ~g
 
-(* Validated stage-2 handler: bound-check |N| both ways, insist N is odd
-   (a product of two odd primes always is), and refuse the degenerate
-   bases 0, 1 and N-1 (orders 0, 1 and 2 — each would make the answer
-   g^e mod N independent of nearly all of e). *)
-let pir_respond_checked t ~(n : Z.t) ~(g : Z.t) : (Z.t, rejection) result =
-  let bits = Z.numbits n in
+(* The stage-2 query check: bound-check |N| both ways (the modulus width
+   a legitimate query needs does not depend on which shard answers),
+   insist N is odd (a product of two odd primes always is), and refuse
+   the degenerate bases 0, 1 and N-1 (orders 0, 1 and 2 — each would
+   make the answer g^e mod N independent of nearly all of e). *)
+let pir_query_rejection t =
   let limit = pir_max_modulus_bits t in
   let floor = pir_min_modulus_bits t in
-  if bits > limit then reject t (Pir_modulus_oversized { bits; limit })
-  else if bits < floor then reject t (Pir_modulus_undersized { bits; floor })
-  else if Z.is_even n then
-    reject t (Pir_query_malformed "modulus is even")
-  else if Z.leq g Z.one then
-    reject t (Pir_base_degenerate "g <= 1")
-  else if Z.geq g (Z.pred n) then
-    reject t (Pir_base_degenerate "g >= N - 1")
-  else Ok (Gr.Server.respond t.pir ~n ~g)
+  fun ((n : Z.t), (g : Z.t)) ->
+    let bits = Z.numbits n in
+    if bits > limit then Some (Pir_modulus_oversized { bits; limit })
+    else if bits < floor then Some (Pir_modulus_undersized { bits; floor })
+    else if Z.is_even n then Some (Pir_query_malformed "modulus is even")
+    else if Z.leq g Z.one then Some (Pir_base_degenerate "g <= 1")
+    else if Z.geq g (Z.pred n) then Some (Pir_base_degenerate "g >= N - 1")
+    else None
+
+(* Validated, batched stage-2 handler against [pir] (the main database
+   or one shard of {!pir_shards}): check every query (invalid ones become
+   typed rejections, with [rejects] bumped per query), then serve all
+   the valid ones through ONE walk of the cached schedule
+   ({!Gr.Server.respond_batch}).  Results are positional. *)
+let pir_respond_shard_checked_batch t (pir : Gr.Server.t)
+    (queries : (Z.t * Z.t) array) : (Z.t, rejection) result array =
+  let verdicts = Array.map (pir_query_rejection t) queries in
+  let valid =
+    List.filter (fun i -> verdicts.(i) = None)
+      (List.init (Array.length queries) Fun.id)
+    |> Array.of_list
+  in
+  let answers =
+    Gr.Server.respond_batch pir (Array.map (fun i -> queries.(i)) valid)
+  in
+  let out =
+    Array.map (function Some r -> reject t r | None -> Ok Z.zero) verdicts
+  in
+  Array.iteri (fun j i -> out.(i) <- Ok answers.(j)) valid;
+  out
+
+let pir_respond_checked t ~(n : Z.t) ~(g : Z.t) : (Z.t, rejection) result =
+  (pir_respond_shard_checked_batch t t.pir [| (n, g) |]).(0)
 
 (* The CRT database integer (diagnostics; |e| drives the stage-2 cost). *)
 let pir_e_bits t = Gr.Server.e_bits t.pir
@@ -251,63 +275,6 @@ let pir_shards t ~count : Gr.Server.t array =
       in
       Gr.Server.create ~metrics:t.metrics sub_plan records)
 
-(* Validated stage-2 handler against one shard's sub-server: the same
-   deployment-wide bounds as {!pir_respond_checked} (the modulus width a
-   legitimate query needs does not depend on which shard answers), then
-   g^{e_d} mod N on the shard's cached schedule. *)
-let pir_respond_shard_checked t (shard : Gr.Server.t) ~(n : Z.t) ~(g : Z.t) :
-    (Z.t, rejection) result =
-  let bits = Z.numbits n in
-  let limit = pir_max_modulus_bits t in
-  let floor = pir_min_modulus_bits t in
-  if bits > limit then reject t (Pir_modulus_oversized { bits; limit })
-  else if bits < floor then reject t (Pir_modulus_undersized { bits; floor })
-  else if Z.is_even n then
-    reject t (Pir_query_malformed "modulus is even")
-  else if Z.leq g Z.one then
-    reject t (Pir_base_degenerate "g <= 1")
-  else if Z.geq g (Z.pred n) then
-    reject t (Pir_base_degenerate "g >= N - 1")
-  else Ok (Gr.Server.respond shard ~n ~g)
-
-(* Batched variant of {!pir_respond_shard_checked}: validate every query
-   under the same deployment bounds (invalid ones become the same typed
-   rejections, with [rejects] bumped per query), then serve all the
-   valid ones through ONE walk of the shard's cached schedule
-   ({!Gr.Server.respond_batch}).  Results are positionally identical to
-   mapping {!pir_respond_shard_checked} over the queries. *)
-let pir_respond_shard_checked_batch t (shard : Gr.Server.t)
-    (queries : (Z.t * Z.t) array) : (Z.t, rejection) result array =
-  let limit = pir_max_modulus_bits t in
-  let floor = pir_min_modulus_bits t in
-  let verdict ((n : Z.t), (g : Z.t)) : rejection option =
-    let bits = Z.numbits n in
-    if bits > limit then Some (Pir_modulus_oversized { bits; limit })
-    else if bits < floor then Some (Pir_modulus_undersized { bits; floor })
-    else if Z.is_even n then Some (Pir_query_malformed "modulus is even")
-    else if Z.leq g Z.one then Some (Pir_base_degenerate "g <= 1")
-    else if Z.geq g (Z.pred n) then Some (Pir_base_degenerate "g >= N - 1")
-    else None
-  in
-  let verdicts = Array.map verdict queries in
-  let valid = ref [] in
-  Array.iteri
-    (fun i v -> if v = None then valid := i :: !valid)
-    verdicts;
-  let valid = Array.of_list (List.rev !valid) in
-  let answers =
-    Gr.Server.respond_batch shard (Array.map (fun i -> queries.(i)) valid)
-  in
-  let out =
-    Array.map
-      (function
-        | Some r -> reject t r
-        | None -> Ok Z.zero)
-      verdicts
-  in
-  Array.iteri (fun j i -> out.(i) <- Ok answers.(j)) valid;
-  out
-
 (* ------------------------------------------------------------------ *)
 (* Streaming POI updates                                                *)
 (* ------------------------------------------------------------------ *)
@@ -338,21 +305,6 @@ let cell_ciphertext t idq =
   if idq < 0 || idq >= Array.length t.ciphertexts then
     invalid_arg "Server.cell_ciphertext: idq out of range";
   t.ciphertexts.(idq)
-
-(* Propagate cell [idq]'s current ciphertext into the shard that serves
-   it: under [pir_shards ~count] striping, cell i lives in sub-server
-   [i mod count] at slot position [i / count] (its rank among the
-   shard's ascending indices).  Returns the shard index touched so the
-   serving layer can fence that shard's in-flight plans. *)
-let update_shards t (shards : Gr.Server.t array) ~idq : int =
-  let count = Array.length shards in
-  if count = 0 then invalid_arg "Server.update_shards: no shards";
-  if idq < 0 || idq >= Array.length t.ciphertexts then
-    invalid_arg "Server.update_shards: idq out of range";
-  let d = shard_of_cell ~shards:count idq in
-  Gr.Server.update_block shards.(d) ~idx:(idq / count)
-    ~block:(Z.of_bytes_be t.ciphertexts.(idq));
-  d
 
 (* Introspection used by tests and examples; a real deployment would keep
    these private, which is why they sit behind explicit "trusted" names. *)

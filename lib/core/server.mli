@@ -88,6 +88,15 @@ val pir_respond : t -> n:Z.t -> g:Z.t -> Z.t
     odd, and refuses the degenerate bases g ∈ {0, 1, N−1}. *)
 val pir_respond_checked : t -> n:Z.t -> g:Z.t -> (Z.t, rejection) result
 
+(** Batched validated handler against the given sub-server (one shard
+    of {!pir_shards}): every [(N, g)] is checked exactly as in
+    {!pir_respond_checked} (invalid queries yield the same typed
+    rejections, each bumping [rejects]), then all valid ones are
+    answered [g{^e_d} mod N] through one walk of the shard's cached
+    schedule ({!Gr.Server.respond_batch}).  Results are positional. *)
+val pir_respond_shard_checked_batch :
+  t -> Gr.Server.t -> (Z.t * Z.t) array -> (Z.t, rejection) result array
+
 (** Width of the CRT database integer (drives stage-2 server cost). *)
 val pir_e_bits : t -> int
 
@@ -105,20 +114,6 @@ val pir_e_bits : t -> int
 val shard_of_cell : shards:int -> int -> int
 
 val pir_shards : t -> count:int -> Gr.Server.t array
-
-(** Validated stage-2 handler against one shard from {!pir_shards}:
-    identical bounds to {!pir_respond_checked}, answering
-    [g{^e_d} mod N] on the shard's cached schedule. *)
-val pir_respond_shard_checked :
-  t -> Gr.Server.t -> n:Z.t -> g:Z.t -> (Z.t, rejection) result
-
-(** Batched variant: validate every [(N, g)] under the same bounds
-    (invalid queries yield the same typed rejections), then answer all
-    valid ones through one walk of the shard's cached schedule
-    ({!Gr.Server.respond_batch}).  Positionally identical to mapping
-    {!pir_respond_shard_checked} over the queries. *)
-val pir_respond_shard_checked_batch :
-  t -> Gr.Server.t -> (Z.t * Z.t) array -> (Z.t, rejection) result array
 
 (** {2 Streaming POI updates}
 
@@ -139,12 +134,6 @@ val pir_epoch : t -> int
 (** Current encrypted block of cell [idq] (an immutable snapshot:
     later updates replace, never mutate, the stored string). *)
 val cell_ciphertext : t -> int -> string
-
-(** Propagate cell [idq]'s current ciphertext into the owning shard of
-    a {!pir_shards} array (cell [i] → sub-server [i mod count], slot
-    [i / count]); returns the shard index touched.  Call after
-    {!update_cell} so shards track the main database. *)
-val update_shards : t -> Gr.Server.t array -> idq:int -> int
 
 (** Trusted introspection for tests and examples only. *)
 val trusted_cell_key : t -> int -> string

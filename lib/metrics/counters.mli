@@ -4,7 +4,7 @@
     harness compares the totals with the paper's closed forms.
 
     Counters are domain-safe: cells are [Atomic.t], so handlers running
-    on the {!Lbq_net.Pool} Domains pool can share one record without
+    on the {!Lbq_pool.Pool} Domains pool can share one record without
     losing increments.  Readers take a {!snapshot}. *)
 
 type t

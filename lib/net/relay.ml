@@ -90,15 +90,6 @@ let forward_opt t ~(direction : direction) (bytes : string) : string option =
      | Some _ -> ());
     v.Chaos.delivered
 
-exception Dropped
-
-(* Legacy synchronous forward: raises {!Dropped} when the fault model
-   swallows the frame. *)
-let forward t ~direction bytes =
-  match forward_opt t ~direction bytes with
-  | Some b -> b
-  | None -> raise Dropped
-
 let observations t = List.rev t.log
 let network_time_s t = t.clock_s
 

@@ -29,12 +29,6 @@ val chaos : t -> Chaos.t option
     receiver's CRC is what catches them. *)
 val forward_opt : t -> direction:direction -> string -> string option
 
-(** Raised by {!forward} when the fault model swallows a frame. *)
-exception Dropped
-
-(** Legacy synchronous forward; raises {!Dropped} on a chaos drop. *)
-val forward : t -> direction:direction -> string -> string
-
 (** Flip one payload byte of the next forwarded frame (tests). *)
 val corrupt_next_frame : t -> unit
 

@@ -1,5 +1,6 @@
 (* Multi-tenant service layer: the LS as a long-running server under
-   sustained traffic, rather than the one-shot batch serving of {!Serve}.
+   sustained traffic — the one path that answers concurrent stage-1 and
+   stage-2 queries (the paper's §VI parallel-serving remedy).
 
    Three mechanisms, composed:
 
@@ -42,6 +43,7 @@ module Gr = Lbq_pir.Gr
 module Drbg = Lbq_crypto.Drbg
 module Counters = Lbq_metrics.Counters
 module Histogram = Lbq_metrics.Histogram
+module Pool = Lbq_pool.Pool
 
 type request =
   | Ot_query of Ot.query
@@ -120,15 +122,18 @@ let shard_latency t d =
 
 let shard_latencies t = Array.to_list t.shard_latency
 
+(* Requests waiting on shard [d]'s queue, update fences excluded.
+   Caller holds the lock. *)
+let backlog t d =
+  Queue.fold
+    (fun n -> function Ticket _ -> n + 1 | Apply _ -> n)
+    0 t.queues.(d)
+
 let queue_length t d =
   if d < 0 || d >= Array.length t.queues then
     invalid_arg "Service.queue_length: shard out of range";
   Mutex.lock t.lock;
-  let n =
-    Queue.fold
-      (fun n -> function Ticket _ -> n + 1 | Apply _ -> n)
-      0 t.queues.(d)
-  in
+  let n = backlog t d in
   Mutex.unlock t.lock;
   n
 
@@ -161,7 +166,9 @@ let handle t ~tenant ~seq = function
     in
     Ot_reply (Server.ot_respond_checked ~rand:(Drbg.rand child) t.server q)
   | Pir_query { shard; n; g } ->
-    Pir_reply (Server.pir_respond_shard_checked t.server t.shards.(shard) ~n ~g)
+    Pir_reply
+      (Server.pir_respond_shard_checked_batch t.server t.shards.(shard)
+         [| (n, g) |]).(0)
 
 (* The sequential oracle: what the service must answer for this
    (tenant, seq, request), computed inline with no queue, no workers.
@@ -281,20 +288,30 @@ let complete_batch t d (tks : ticket array) =
       tks
   end
 
+(* One dispatch on shard [d], shared by the worker domains and {!pump}:
+   take the leading fences and up to [batch] tickets under the lock,
+   land the fences, serve the tickets.  [None] when the queue was
+   empty, else the number of tickets served. *)
+let drain_step t d =
+  Mutex.lock t.lock;
+  let applies, tks = take_dispatch t.batch t.queues.(d) in
+  Mutex.unlock t.lock;
+  if applies = [] && Array.length tks = 0 then None
+  else begin
+    List.iter (apply_updates t d) applies;
+    complete_batch t d tks;
+    Some (Array.length tks)
+  end
+
 let rec worker_loop t d =
   Mutex.lock t.lock;
   while Queue.is_empty t.queues.(d) && not t.stop do
     Condition.wait t.work t.lock
   done;
-  let applies, tks = take_dispatch t.batch t.queues.(d) in
   Mutex.unlock t.lock;
-  if applies = [] && Array.length tks = 0 then ()
-    (* stop requested and this shard's backlog is drained *)
-  else begin
-    List.iter (apply_updates t d) applies;
-    complete_batch t d tks;
-    worker_loop t d
-  end
+  match drain_step t d with
+  | None -> () (* stop requested and this shard's backlog is drained *)
+  | Some _ -> worker_loop t d
 
 let create ?ot_seed ?metrics ?clock ?(queue_depth = 64) ?(batch = 1)
     ?(spawn = true) ~shards server =
@@ -362,11 +379,7 @@ let submit t ~tenant ~seq request =
     Mutex.unlock t.lock;
     invalid_arg "Service.submit: after shutdown"
   end;
-  let backlog =
-    Queue.fold
-      (fun n -> function Ticket _ -> n + 1 | Apply _ -> n)
-      0 t.queues.(d)
-  in
+  let backlog = backlog t d in
   if backlog >= t.queue_depth then begin
     (* High watermark: shed with a hint — long enough for the present
        backlog to clear at the shard's smoothed service rate.  Before
@@ -424,7 +437,7 @@ let submit_update t (batch : (int * Lbq_geo.Poi.t list) list) : int =
   let per_shard = Array.make count [] in
   List.iter
     (fun (idq, block) ->
-      let d = idq mod count in
+      let d = Server.shard_of_cell ~shards:count idq in
       per_shard.(d) <- ((idq / count, block) :: per_shard.(d)))
     staged;
   let affected =
@@ -455,15 +468,9 @@ let submit_update t (batch : (int * Lbq_geo.Poi.t list) list) : int =
 let pump t =
   let n = ref 0 in
   let rec drain d =
-    Mutex.lock t.lock;
-    let applies, tks = take_dispatch t.batch t.queues.(d) in
-    Mutex.unlock t.lock;
-    if applies <> [] || Array.length tks > 0 then begin
-      List.iter (apply_updates t d) applies;
-      complete_batch t d tks;
-      n := !n + Array.length tks;
-      drain d
-    end
+    match drain_step t d with
+    | None -> ()
+    | Some k -> n := !n + k; drain d
   in
   for d = 0 to Array.length t.queues - 1 do
     drain d

@@ -204,11 +204,8 @@ let run_round ?(reuse = false) ?(retry = Retry.none)
           tick server_cpu (fun () ->
               match Wire.ot_query_decode group payload with
               | exception Wire.Malformed m ->
-                (match
-                   Server.reject server (Server.Ot_query_malformed m)
-                 with
-                 | Error r -> Error (Server.rejection_message r)
-                 | Ok _ -> assert false)
+                Result.map_error Server.rejection_message
+                  (Server.reject server (Server.Ot_query_malformed m))
               | q ->
                 (match Server.ot_respond_checked server q with
                  | Ok r ->
@@ -239,19 +236,13 @@ let run_round ?(reuse = false) ?(retry = Retry.none)
           tick server_cpu (fun () ->
               match unpad payload with
               | Error m ->
-                (match
-                   Server.reject server (Server.Pir_query_malformed m)
-                 with
-                 | Error r -> Error (Server.rejection_message r)
-                 | Ok _ -> assert false)
+                Result.map_error Server.rejection_message
+                  (Server.reject server (Server.Pir_query_malformed m))
               | Ok payload ->
                 (match Wire.pir_query_decode payload with
                  | exception Wire.Malformed m ->
-                   (match
-                      Server.reject server (Server.Pir_query_malformed m)
-                    with
-                    | Error r -> Error (Server.rejection_message r)
-                    | Ok _ -> assert false)
+                   Result.map_error Server.rejection_message
+                     (Server.reject server (Server.Pir_query_malformed m))
                  | n, g ->
                    (match Server.pir_respond_checked server ~n ~g with
                     | Ok ge ->

@@ -163,46 +163,18 @@ module Server = struct
     Array.iter (fun s -> worst := max !worst (Z.numbits s.pi)) t.plan.slots;
     !worst + (2 * (q_bits + 2)) + 8
 
-  (* Answer a query (N, g): g^e mod N, replaying the schedule recoded at
-     creation.  Honest moduli N = Q0*Q1 are odd, so the default engine is
-     Montgomery — the fused CIOS sweeps put it ~3x ahead of the
-     pre-rewrite engines on this workload (bench powm) — with Barrett as
-     the fallback for even/edge moduli, which only hostile traffic
-     produces.  The measured multiplication count is attached to the
-     metrics (Table II server cost). *)
-  let respond ?max_n_bits t ~(n : Z.t) ~(g : Z.t) : Z.t =
-    if Z.leq n Z.one then invalid_arg "Gr.Server.respond: bad modulus";
-    (match max_n_bits with
-     | Some bound when Z.numbits n > bound ->
-       invalid_arg "Gr.Server.respond: modulus exceeds the deployment bound"
-     | _ -> ());
-    if Z.leq g Z.one || Z.geq g n then
-      invalid_arg "Gr.Server.respond: generator out of range";
-    let mults = ref 0 in
-    let ge =
-      if Z.is_odd n then begin
-        let ctx = Montgomery.create n in
-        Montgomery.counting ctx mults (fun () ->
-            Montgomery.powm_sched ctx g t.e_sched)
-      end
-      else begin
-        let ctx = Barrett.create n in
-        Barrett.counting ctx mults (fun () ->
-            Barrett.powm_sched ctx g t.e_sched)
-      end
-    in
-    Counters.server_mult t.metrics !mults;
-    Counters.server_bytes t.metrics ((Z.numbits n + 7) / 8);
-    ge
-
-  (* Answer k queries through ONE walk of the cached schedule: the odd
-     (honest) moduli go through {!Montgomery.powm_sched_batch} with a
-     per-query context and counter — results and per-query mult counts
-     are identical to k sequential [respond]s, but the ops tape and the
-     window-digit dispatch are paid once per digit rather than once per
-     (digit, query).  Even/edge moduli (hostile traffic only) fall back
-     to the sequential Barrett path.  Validation mirrors [respond]
-     exactly and runs before any work. *)
+  (* Answer k queries (N, g) with g^e mod N through ONE walk of the
+     schedule recoded at creation.  Honest moduli N = Q0*Q1 are odd, so
+     they go through {!Montgomery.powm_sched_batch} — the fused CIOS
+     sweeps put Montgomery ~3x ahead of the pre-rewrite engines on this
+     workload (bench powm) — with a per-query context and counter:
+     results and per-query mult counts are those of k separate ladders,
+     but the ops tape and the window-digit dispatch are paid once per
+     digit rather than once per (digit, query).  Even/edge moduli
+     (hostile traffic only) fall back to the sequential Barrett path.
+     Every query is validated before any work; the measured
+     multiplication count is attached to the metrics (Table II server
+     cost). *)
   let respond_batch ?max_n_bits t (queries : (Z.t * Z.t) array) : Z.t array =
     Array.iter
       (fun ((n : Z.t), (g : Z.t)) ->
@@ -250,6 +222,12 @@ module Server = struct
         odd
     end;
     out
+
+  (* One query is a batch of one: below {!Montgomery.interleave_min_ke}
+     limbs the batch kernel runs the plain [powm_sched] ladder, above it
+     a one-query interleaved group with the same result and tick count. *)
+  let respond ?max_n_bits t ~(n : Z.t) ~(g : Z.t) : Z.t =
+    (respond_batch ?max_n_bits t [| (n, g) |]).(0)
 end
 
 (* ------------------------------------------------------------------ *)

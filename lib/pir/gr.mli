@@ -78,21 +78,18 @@ module Server : sig
       cofactor primes of [q_bits] bits (resource-exhaustion guard). *)
   val max_modulus_bits : t -> q_bits:int -> int
 
-  (** Answer a query: [g^e mod N], replaying the cached schedule — the
-      Table II server cost, measured through the engine counter.  Honest
-      moduli [N = Q0·Q1] are odd and served by Montgomery REDC; Barrett
-      remains the fallback for even/edge moduli.  Rejects [g] out of
-      range and, when [max_n_bits] is given, oversized moduli. *)
-  val respond : ?max_n_bits:int -> t -> n:Z.t -> g:Z.t -> Z.t
-
-  (** Answer k queries [(N, g)] through one walk of the cached schedule
-      ({!Lbq_bignum.Montgomery.powm_sched_batch}): responses and
-      per-query measured multiplications are identical to k sequential
-      {!respond} calls, but the schedule tape is traversed once per
-      window digit for the whole batch.  Even/edge moduli fall back to
-      the sequential Barrett path; validation mirrors {!respond} and
-      runs before any work. *)
+  (** Answer k queries [(N, g)] with [g^e mod N] through one walk of
+      the cached schedule ({!Lbq_bignum.Montgomery.powm_sched_batch}) —
+      the Table II server cost, measured per query through the engine
+      counter.  Honest moduli [N = Q0·Q1] are odd and served by
+      Montgomery REDC; even/edge moduli fall back to the sequential
+      Barrett path.  Every query is validated before any work: [g] out
+      of range and, when [max_n_bits] is given, oversized moduli raise
+      [Invalid_argument]. *)
   val respond_batch : ?max_n_bits:int -> t -> (Z.t * Z.t) array -> Z.t array
+
+  (** Answer one query: [respond_batch] on [[| (n, g) |]]. *)
+  val respond : ?max_n_bits:int -> t -> n:Z.t -> g:Z.t -> Z.t
 end
 
 module Client : sig

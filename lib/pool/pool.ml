@@ -112,11 +112,6 @@ let map t (f : 'a -> 'b) (inputs : 'a array) : 'b array =
       results
   end
 
-(* Index-aware [map]: workers see each input's position (the Serve layer
-   keys per-request DRBG forks on it). *)
-let mapi t (f : int -> 'a -> 'b) (inputs : 'a array) : 'b array =
-  map t (fun (i, x) -> f i x) (Array.mapi (fun i x -> (i, x)) inputs)
-
 let shutdown t =
   Mutex.lock t.lock;
   if not t.stopped then begin

@@ -2,7 +2,9 @@
 
     Stage-2 queries are independent single exponentiations, so the
     paper's §VI throughput remedy — parallel processing — maps onto one
-    worker domain per in-flight query (see {!Serve}). *)
+    worker domain per in-flight query: {!Lbq_net.Service} runs one
+    long-lived worker per shard on it, and {!Lbq_cache.Keypool} its
+    background refills. *)
 
 type t
 
@@ -22,10 +24,6 @@ val submit : t -> (unit -> unit) -> unit
     fail; the first exception raised by a job is re-raised (with its
     backtrace) once all jobs have finished, so the pool stays usable. *)
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [map] with the input's index passed to [f] (per-request DRBG forks
-    are keyed on it). *)
-val mapi : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
 
 (** Drain outstanding jobs, then stop and join the workers.  Idempotent. *)
 val shutdown : t -> unit

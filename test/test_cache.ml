@@ -2,12 +2,11 @@
    and the Drbg.split contract it builds on: property tests for stream
    independence, refill determinism against the sequential reference
    oracle under any worker count and interleaving, and pool mechanics
-   (hit/miss/steal counters, capacity, shutdown, lent worker pools). *)
+   (hit/miss/steal counters, capacity, shutdown). *)
 
 open Lbq_bignum
 module Keypool = Lbq_cache.Keypool
 module Gr = Lbq_pir.Gr
-module Pool = Lbq_pool.Pool
 module Drbg = Lbq_crypto.Drbg
 module Counters = Lbq_metrics.Counters
 
@@ -259,16 +258,6 @@ let test_with_pool_cleans_up () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "with_pool must shut the pool down"
 
-let test_lent_workers_survive_shutdown () =
-  Pool.with_pool ~domains:2 (fun workers ->
-      Keypool.with_pool ~workers ~seed:"cache-lent" ~plan ~q_bits (fun pool ->
-          Keypool.prewarm pool;
-          ignore (Keypool.take pool ~index:0));
-      (* Shutting the keypool down must not kill a lent worker pool. *)
-      Alcotest.(check (array int))
-        "lent pool still serves" [| 1; 2; 3 |]
-        (Pool.map workers succ [| 0; 1; 2 |]))
-
 let () =
   Alcotest.run "lbq_cache"
     [ ("drbg-split",
@@ -291,6 +280,4 @@ let () =
          Alcotest.test_case "stale epochs evict on take" `Quick
            test_epoch_stale_eviction;
          Alcotest.test_case "with_pool cleans up" `Quick
-           test_with_pool_cleans_up;
-         Alcotest.test_case "lent workers survive" `Quick
-           test_lent_workers_survive_shutdown ]) ]
+           test_with_pool_cleans_up ]) ]

@@ -715,23 +715,42 @@ let test_server_validation_rejections () =
   let pir_malformed = function Server.Pir_query_malformed _ -> true | _ -> false in
   let degenerate = function Server.Pir_base_degenerate _ -> true | _ -> false in
   let ot_malformed = function Server.Ot_query_malformed _ -> true | _ -> false in
+  (* Every hostile (N, g) goes through both stage-2 entry points: the
+     single-query handler, and the batched shard handler between two
+     honest queries — positional results, the same constructor, one
+     reject per hostile query, honest neighbours answered in full. *)
+  let shard = (Server.pir_shards vserver ~count:1).(0) in
+  let honest = Server.pir_respond vserver ~n ~g in
+  let expect_pir_reject name check (bad_n, bad_g) =
+    expect_reject name check
+      (Server.pir_respond_checked vserver ~n:bad_n ~g:bad_g);
+    let replies =
+      Server.pir_respond_shard_checked_batch vserver shard
+        [| (n, g); (bad_n, bad_g); (n, g) |]
+    in
+    Alcotest.(check int) (name ^ ": batch length") 3 (Array.length replies);
+    List.iter
+      (fun i ->
+        match replies.(i) with
+        | Ok ge ->
+          Alcotest.check (Alcotest.testable Z.pp Z.equal)
+            (Printf.sprintf "%s: honest neighbour %d" name i) honest ge
+        | Error r ->
+          Alcotest.failf "%s: honest neighbour %d rejected: %s" name i
+            (Server.rejection_message r))
+      [ 0; 2 ];
+    expect_reject (name ^ " (batched)") check replies.(1)
+  in
   (* |N| out of bounds, both directions. *)
-  expect_reject "oversized N" oversized
-    (Server.pir_respond_checked vserver ~n:(Z.shift_left n 512) ~g);
-  expect_reject "undersized N" undersized
-    (Server.pir_respond_checked vserver ~n:(Z.of_int 15) ~g:(Z.of_int 4));
+  expect_pir_reject "oversized N" oversized (Z.shift_left n 512, g);
+  expect_pir_reject "undersized N" undersized (Z.of_int 15, Z.of_int 4);
   (* Even N cannot be a product of two odd primes. *)
-  expect_reject "even N" pir_malformed
-    (Server.pir_respond_checked vserver ~n:(Z.succ n) ~g);
+  expect_pir_reject "even N" pir_malformed (Z.succ n, g);
   (* Degenerate bases: g in {0, 1, N-1} (orders 0, 1, 2). *)
-  expect_reject "g = 0" degenerate
-    (Server.pir_respond_checked vserver ~n ~g:Z.zero);
-  expect_reject "g = 1" degenerate
-    (Server.pir_respond_checked vserver ~n ~g:Z.one);
-  expect_reject "g = N-1" degenerate
-    (Server.pir_respond_checked vserver ~n ~g:(Z.pred n));
-  expect_reject "g >= N" degenerate
-    (Server.pir_respond_checked vserver ~n ~g:(Z.add n (Z.of_int 5)));
+  expect_pir_reject "g = 0" degenerate (n, Z.zero);
+  expect_pir_reject "g = 1" degenerate (n, Z.one);
+  expect_pir_reject "g = N-1" degenerate (n, Z.pred n);
+  expect_pir_reject "g >= N" degenerate (n, Z.add n (Z.of_int 5));
   (* OT ciphertext components outside (1, p). *)
   let p = Lbq_group.Schnorr.p params.Params.group in
   List.iter

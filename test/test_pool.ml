@@ -1,16 +1,8 @@
-(* Tests for the Domains worker pool (lib/net/pool.ml) and the parallel
-   query server (lib/net/serve.ml): ordering, exception propagation,
-   byte-identical parallel vs sequential PIR serving, and a mixed OT+PIR
-   batch answered through the pool. *)
+(* Tests for the Domains worker pool (lib/pool/pool.ml): ordering,
+   exception propagation, reuse and shutdown.  Concurrent serving on top
+   of it is tested against the sequential oracle in test_serve. *)
 
-open Lbq_bignum
-open Lbq_geo
-open Lbq_core
-module Pool = Lbq_net.Pool
-module Serve = Lbq_net.Serve
-module Gr = Lbq_pir.Gr
-module Drbg = Lbq_crypto.Drbg
-module Ot = Lbq_ot.Ot
+module Pool = Lbq_pool.Pool
 
 (* ------------------------------------------------------------------ *)
 (* Pool mechanics                                                       *)
@@ -70,193 +62,6 @@ let test_shutdown_idempotent () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "submit after shutdown must raise")
 
-(* ------------------------------------------------------------------ *)
-(* Parallel serving                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let params = Params.test ()
-
-let area =
-  Coord.Rect.make ~min:(Coord.make ~x:0. ~y:0.)
-    ~max:(Coord.make ~x:3000. ~y:3000.)
-
-let pois =
-  List.init 9 (fun idx ->
-      let row = idx / 3 and col = idx mod 3 in
-      Poi.make ~id:idx
-        ~position:
-          (Coord.make
-             ~x:((float_of_int col *. 1000.) +. 150.)
-             ~y:((float_of_int row *. 1000.) +. 250.))
-        ~category:"cafe"
-        ~name:(Printf.sprintf "poi-%02d" idx))
-
-let core_server = Server.create params ~area pois
-let public = Server.public_info core_server
-
-let pir_z = function
-  | Serve.Pir_reply (Ok z) -> z
-  | Serve.Pir_reply (Error r) ->
-    Alcotest.failf "PIR rejected: %s" (Server.rejection_message r)
-  | Serve.Ot_reply _ -> Alcotest.fail "expected a PIR reply"
-
-let test_pool_matches_sequential () =
-  (* The ISSUE's determinism requirement: for the same query batch the
-     pooled server must return byte-identical PIR responses to the
-     sequential path, in the same order. *)
-  let serve = Serve.create core_server in
-  let rand = Drbg.rand (Drbg.create ~seed:"pool-determinism" ()) in
-  let cells = Params.private_cells params in
-  let states = ref [] in
-  let requests =
-    Array.init 10 (fun k ->
-        let st, (n, g) =
-          Gr.Client.query ~plan:public.Server.plan ~index:(k mod cells)
-            ~q_bits:params.Params.q_bits rand
-        in
-        states := st :: !states;
-        Serve.Pir_query { n; g })
-  in
-  let sequential = Serve.serve serve requests in
-  let pooled =
-    Pool.with_pool ~domains:3 (fun pool -> Serve.serve ~pool serve requests)
-  in
-  Array.iteri
-    (fun k seq ->
-      Alcotest.(check bool)
-        (Printf.sprintf "reply %d byte-identical" k)
-        true
-        (Z.equal (pir_z seq) (pir_z pooled.(k))))
-    sequential;
-  (* And the replies are real: each decodes under its query state. *)
-  List.iteri
-    (fun k st ->
-      let reply = pir_z pooled.(Array.length pooled - 1 - k) in
-      ignore (Gr.Client.decode st reply))
-    !states
-
-let ot_resp = function
-  | Serve.Ot_reply (Ok r) -> r
-  | Serve.Ot_reply (Error r) ->
-    Alcotest.failf "OT rejected: %s" (Server.rejection_message r)
-  | Serve.Pir_reply _ -> Alcotest.fail "expected an OT reply"
-
-let ot_responses_equal (a : Ot.response) (b : Ot.response) =
-  let pairs_equal x y =
-    Array.length x = Array.length y
-    && Array.for_all2 (fun (u, v) (u', v') -> Z.equal u u' && Z.equal v v') x y
-  in
-  pairs_equal a.Ot.rows b.Ot.rows && pairs_equal a.Ot.cols b.Ot.cols
-
-let test_ot_pool_matches_sequential () =
-  (* OT blinding exponents come from per-request DRBG forks keyed by
-     (serve seed, batch, index), so a pooled batch must be byte-identical
-     to the same batch served sequentially from a fresh instance with the
-     same seed — no matter which domain answered which request. *)
-  let client = Client.create public in
-  let positions =
-    [| Coord.make ~x:100. ~y:100.; Coord.make ~x:1500. ~y:1500.;
-       Coord.make ~x:2900. ~y:400.; Coord.make ~x:600. ~y:2600.;
-       Coord.make ~x:2200. ~y:2200.; Coord.make ~x:400. ~y:1700. |]
-  in
-  let states_and_requests =
-    Array.map
-      (fun pos ->
-        let st, q = Client.stage1_query client (Client.locate client pos) in
-        (st, Serve.Ot_query q))
-      positions
-  in
-  let requests = Array.map snd states_and_requests in
-  let serve_a = Serve.create ~ot_seed:"ot-pool-oracle" core_server in
-  let serve_b = Serve.create ~ot_seed:"ot-pool-oracle" core_server in
-  let sequential = Serve.serve serve_a requests in
-  let pooled =
-    Pool.with_pool ~domains:3 (fun pool -> Serve.serve ~pool serve_b requests)
-  in
-  Array.iteri
-    (fun k seq ->
-      Alcotest.(check bool)
-        (Printf.sprintf "OT reply %d byte-identical" k)
-        true
-        (ot_responses_equal (ot_resp seq) (ot_resp pooled.(k))))
-    sequential;
-  (* The replies are real: each decodes to the right cell key. *)
-  Array.iteri
-    (fun k reply ->
-      let st, _ = states_and_requests.(k) in
-      let cred = Client.stage1_decode client st (ot_resp reply) in
-      Alcotest.(check string)
-        (Printf.sprintf "pooled OT reply %d decodes" k)
-        (Server.trusted_cell_key core_server (Client.credential_idq cred))
-        (Client.credential_key cred))
-    pooled;
-  (* A second batch on the same instance draws a fresh batch id, hence
-     fresh blinding: responses must NOT repeat. *)
-  let again = Serve.serve serve_a requests in
-  Alcotest.(check bool) "blinding is fresh across batches" false
-    (ot_responses_equal (ot_resp sequential.(0)) (ot_resp again.(0)))
-
-let test_mixed_batch () =
-  (* OT and PIR requests interleaved through the pool: every OT reply
-     must decode to the right credential — blinding comes from the
-     request's own (batch, index) DRBG fork, independent of worker
-     scheduling — and every PIR reply must match a directly computed
-     response. *)
-  let serve = Serve.create core_server in
-  let client = Client.create public in
-  let positions =
-    [| Coord.make ~x:100. ~y:100.; Coord.make ~x:1500. ~y:1500.;
-       Coord.make ~x:2900. ~y:400.; Coord.make ~x:600. ~y:2600. |]
-  in
-  let ot_states = Array.map (fun _ -> None) positions in
-  let rand = Drbg.rand (Drbg.create ~seed:"pool-mixed" ()) in
-  let pir_inputs =
-    Array.init 4 (fun k ->
-        let _, (n, g) =
-          Gr.Client.query ~plan:public.Server.plan ~index:k
-            ~q_bits:params.Params.q_bits rand
-        in
-        (n, g))
-  in
-  let requests =
-    Array.init 8 (fun k ->
-        if k mod 2 = 0 then begin
-          let idx = k / 2 in
-          let cell = Client.locate client positions.(idx) in
-          let st, q = Client.stage1_query client cell in
-          ot_states.(idx) <- Some st;
-          Serve.Ot_query q
-        end
-        else
-          let n, g = pir_inputs.(k / 2) in
-          Serve.Pir_query { n; g })
-  in
-  let replies =
-    Pool.with_pool ~domains:4 (fun pool -> Serve.serve ~pool serve requests)
-  in
-  Array.iteri
-    (fun k reply ->
-      if k mod 2 = 0 then begin
-        let idx = k / 2 in
-        match reply, ot_states.(idx) with
-        | Serve.Ot_reply (Ok resp), Some st ->
-          let cred = Client.stage1_decode client st resp in
-          Alcotest.(check string)
-            (Printf.sprintf "OT reply %d yields the right credential" idx)
-            (Server.trusted_cell_key core_server (Client.credential_idq cred))
-            (Client.credential_key cred)
-        | Serve.Ot_reply (Error r), _ ->
-          Alcotest.failf "OT rejected: %s" (Server.rejection_message r)
-        | _ -> Alcotest.fail "reply order scrambled"
-      end
-      else
-        let n, g = pir_inputs.(k / 2) in
-        Alcotest.(check bool)
-          (Printf.sprintf "PIR reply %d matches direct respond" (k / 2))
-          true
-          (Z.equal (pir_z reply) (Server.pir_respond core_server ~n ~g)))
-    replies
-
 let () =
   Alcotest.run "lbq_pool"
     [ ("pool",
@@ -265,10 +70,4 @@ let () =
            test_map_empty_and_reuse;
          Alcotest.test_case "exception propagation" `Quick test_map_exception;
          Alcotest.test_case "shutdown idempotent" `Quick
-           test_shutdown_idempotent ]);
-      ("serve",
-       [ Alcotest.test_case "pool = sequential (PIR bytes)" `Quick
-           test_pool_matches_sequential;
-         Alcotest.test_case "pool = sequential (OT bytes)" `Quick
-           test_ot_pool_matches_sequential;
-         Alcotest.test_case "mixed OT+PIR batch" `Quick test_mixed_batch ]) ]
+           test_shutdown_idempotent ]) ]

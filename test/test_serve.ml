@@ -161,7 +161,8 @@ let test_shard_decode_equivalence () =
         let d = Server.shard_of_cell ~shards:count index in
         let sharded =
           match
-            Server.pir_respond_shard_checked core_server shards.(d) ~n ~g
+            (Server.pir_respond_shard_checked_batch core_server shards.(d)
+               [| (n, g) |]).(0)
           with
           | Ok z -> z
           | Error r -> Alcotest.failf "shard respond rejected: %s"
@@ -230,6 +231,24 @@ let test_admission_control () =
       | Service.Shed _ -> Alcotest.fail "drained queue must accept");
       Alcotest.(check int) "latency histogram sampled" 3
         (Histogram.count (Service.latency svc));
+      (* a hostile PIR query (even N) is served as the same typed
+         rejection the oracle gives *)
+      let _, (n, g) =
+        Gr.Client.query ~plan:public.Server.plan ~index:0
+          ~q_bits:params.Params.q_bits
+          (Drbg.rand (Drbg.create ~seed:"svc-hostile" ()))
+      in
+      let hostile = Service.Pir_query { shard = 0; n = Z.succ n; g } in
+      let expected = Service.respond_reference svc ~tenant:1 ~seq:0 hostile in
+      (match expected with
+       | Service.Pir_reply (Error (Server.Pir_query_malformed _)) -> ()
+       | _ -> Alcotest.fail "oracle must reject an even modulus");
+      (match Service.submit svc ~tenant:1 ~seq:0 hostile with
+       | Service.Accepted tk ->
+         Alcotest.(check bool) "hostile PIR: same rejection as the oracle"
+           true
+           (Service.await svc tk = expected)
+       | Service.Shed _ -> Alcotest.fail "hostile PIR query shed");
       (* out-of-range PIR shard is a caller bug, not a shed *)
       match
         Service.submit svc ~tenant:0 ~seq:5
