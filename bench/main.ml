@@ -19,14 +19,17 @@
      powm            Limb-engine microbenchmark: fused CIOS Montgomery
                      kernels (mul/sqr/powm) vs the pre-rewrite reference
                      engine — ns/op, speedup and minor words/op per
-                     modulus size; emits BENCH_powm.json
+                     modulus size — plus the stage-1 table kernels
+                     (comb, Straus, table replay) vs Barrett powm on the
+                     group moduli (own JSON key); emits BENCH_powm.json
      powm-guard      make-check gate: asserts BENCH_powm.quick.json's
                      worst powm speedup >= 1.5x and kernel allocation
                      within budget
      pir             Stage-2 hot path: powm engine ablation (fixed-window
                      Barrett / sliding Barrett / Montgomery + cached
                      recoding), updated Table II closed-form assertion,
-                     and queries/sec vs domain count; emits BENCH_pir.json
+                     client decode time (fresh vs cached tables), and
+                     queries/sec vs domain count; emits BENCH_pir.json
      ot              Stage-1 hot path: comb/Straus respond vs the generic
                      square-and-multiply reference (byte-identity and
                      closed-form mult count asserted), grid-size sweep,
@@ -496,9 +499,10 @@ let ablate_mulengine trials =
         (tm *. 1e3) (tb /. tm))
     [ 512; 1024; 2048 ];
   Format.printf
-    "@.  Montgomery backs the primality tests (uncounted work); Barrett backs@.";
+    "@.  Montgomery runs every ladder over an odd protocol modulus (both@.";
   Format.printf
-    "  the counted protocol operations so Tables I-II measure real op counts.@.@."
+    "  stages, both sides; its counter keeps Tables I-II exact); Barrett@.";
+  Format.printf "  keeps even moduli, qr_pir, Paillier and the test oracles.@.@."
 
 let ablate_reuse trials =
   Format.printf
@@ -849,6 +853,28 @@ let pir ?(out = "BENCH_pir.json") ?(count = 225) ?(block_bits = 1024)
   assert (measured = predicted);
   assert (measured <= bound);
   assert (measured >= ebits - w);
+  (* --- Client decode: a fresh instance builds its Pohlig-Hellman
+     tables on the first decode; a later decode (or one after
+     [prepare]) pays only the phi/pi exponentiation and the solve. --- *)
+  let fresh = ref 0. and warm = ref 0. and decode_mults = ref 0 in
+  for _ = 1 to reps do
+    let metrics = Counters.create () in
+    let st, (n, g) = Gr.Client.query ~metrics ~plan ~index ~q_bits rand in
+    let ge = Gr.Server.respond server ~n ~g in
+    Counters.reset metrics;
+    let v, dt = time (fun () -> Gr.Client.decode st ge) in
+    decode_mults := (Counters.snapshot metrics).Counters.user_mult;
+    let v', dt' = time (fun () -> Gr.Client.decode st ge) in
+    assert (Z.equal v records.(index) && Z.equal v' v);
+    fresh := !fresh +. dt;
+    warm := !warm +. dt'
+  done;
+  let t_decode = !fresh /. float_of_int reps in
+  let t_decode_warm = !warm /. float_of_int reps in
+  Format.printf
+    "@.  client decode (mean of %d): fresh %.4f s (%d mults), tables \
+     cached %.4f s@."
+    reps t_decode !decode_mults t_decode_warm;
   (* --- Queries/sec vs domain count on the worker pool. --- *)
   let nq = max 4 (min trials 8) in
   (* One pre-built query answered nq times: server cost is identical per
@@ -895,6 +921,10 @@ let pir ?(out = "BENCH_pir.json") ?(count = 225) ?(block_bits = 1024)
             J.Obj
               [ "width", J.Int w; "measured_mults", J.Int measured;
                 "predicted_mults", J.Int predicted; "bound", J.Int bound ] );
+          ( "decode",
+            J.Obj
+              [ "fresh_s", J.Float t_decode; "cached_s", J.Float t_decode_warm;
+                "fresh_user_mults", J.Int !decode_mults ] );
           ( "scaling",
             J.Obj
               ([ "queries", J.Int nq; "sequential_qps", J.Float seq_qps ]
@@ -1387,7 +1417,10 @@ let backends_bench ?(out = "BENCH_backends.json")
    timing.  Emits a summary block plus per-(size, op) rows;
    [powm_guard] (make check) gates on the quick artifact's summary. *)
 let powm_bench ?(out = "BENCH_powm.json") ?(sizes = [ 512; 1024; 1331; 2048 ])
-    ?(powm_iters = 3) ?(kernel_iters = 400) trials =
+    ?(powm_iters = 3) ?(kernel_iters = 400)
+    ?(stage1_groups =
+      [ Schnorr.test_group; Schnorr.mid_group; Schnorr.paper_group ])
+    ?(stage1_iters = 20) trials =
   Format.printf
     "=== powm kernel: fused CIOS engine vs pre-rewrite reference (%d trials) ===@.@."
     trials;
@@ -1474,6 +1507,81 @@ let powm_bench ?(out = "BENCH_powm.json") ?(sizes = [ 512; 1024; 1331; 2048 ])
             :: !rows)
         ops)
     sizes;
+  (* Stage-1 table kernels on the Schnorr group moduli with exponents
+     below q, each against the Barrett sliding-window powm of the same
+     result (the engine the group ran on before).  Tables are prebuilt,
+     as the group and the OT server hold them; the Straus row builds its
+     second table per call, as [Schnorr.pow2_g] does.  These rows stay
+     out of the summary [powm-guard] reads. *)
+  Format.printf "@.  stage-1 kernels (Montgomery tables vs Barrett powm)@.";
+  Format.printf "  %-5s | %-7s | %12s | %12s | %8s | %10s@." "bits" "op"
+    "barrett (ns)" "mont (ns)" "speedup" "mont w/op";
+  Format.printf "  %s@." (String.make 66 '-');
+  let stage1_rows =
+    List.concat_map
+      (fun group ->
+        let group = group () in
+        let p = Schnorr.p group and q = Schnorr.q group in
+        let bits = Z.numbits p in
+        let ctx = Montgomery.create p and bctx = Barrett.create p in
+        let b1 = Z.erem (Z.random_bits ~bits rand) p in
+        let b2 = Z.erem (Z.random_bits ~bits rand) p in
+        let e1 = Z.random_below ~bound:q rand in
+        let e2 = Z.random_below ~bound:q rand in
+        let qb = Z.numbits q in
+        let w = Wexp.width_for qb in
+        let fb =
+          Montgomery.fixed_base ctx b1
+            (Wexp.make_comb ~bits:qb ~teeth:(Wexp.teeth_for qb))
+        in
+        let tbl1 = Montgomery.odd_powers ctx b1 ~max_odd:((1 lsl w) - 1) in
+        let s1 = Wexp.recode ~width:w (Z.to_nat e1) in
+        let ws1 = Wexp.windows ~width:w (Z.to_nat e1) in
+        let ws2 = Wexp.windows (Z.to_nat e2) in
+        let straus () =
+          let tbl2 =
+            Montgomery.odd_powers ctx b2 ~max_odd:(Wexp.windows_max_odd ws2)
+          in
+          Montgomery.powm2_tbl ctx tbl1 ws1 tbl2 ws2
+        in
+        let want1 = Barrett.powm bctx b1 e1 in
+        let want2 = Barrett.mulmod bctx want1 (Barrett.powm bctx b2 e2) in
+        if
+          not
+            (Z.equal want1 (Montgomery.powm_fixed_base ctx fb (Z.to_nat e1))
+            && Z.equal want1 (Montgomery.powm_tbl ctx tbl1 s1)
+            && Z.equal want2 (straus ()))
+        then failwith "bench powm: stage-1 kernels disagree with Barrett";
+        let ops =
+          [ ("comb",
+             (fun () -> ignore (Montgomery.powm_fixed_base ctx fb (Z.to_nat e1))),
+             fun () -> ignore (Barrett.powm bctx b1 e1));
+            ("straus", (fun () -> ignore (straus ())),
+             fun () ->
+               ignore
+                 (Barrett.mulmod bctx (Barrett.powm bctx b1 e1)
+                    (Barrett.powm bctx b2 e2)));
+            ("replay",
+             (fun () -> ignore (Montgomery.powm_tbl ctx tbl1 s1)),
+             fun () -> ignore (Barrett.powm bctx b1 e1)) ]
+        in
+        List.map
+          (fun (op, fmont, fbar) ->
+            let m_ns, m_words = measure stage1_iters fmont in
+            let b_ns, b_words = measure stage1_iters fbar in
+            Format.printf "  %-5d | %-7s | %12.1f | %12.1f | %7.2fx | %10.1f@."
+              bits op b_ns m_ns (b_ns /. m_ns) m_words;
+            J.Obj
+              [ "bits", J.Int bits; "op", J.Str op;
+                "iters", J.Int stage1_iters;
+                "barrett_ns_per_op", J.Float b_ns;
+                "montgomery_ns_per_op", J.Float m_ns;
+                "speedup", J.Float (b_ns /. m_ns);
+                "barrett_minor_words_per_op", J.Float b_words;
+                "montgomery_minor_words_per_op", J.Float m_words ])
+          ops)
+      stage1_groups
+  in
   J.write ~path:out
     (J.Obj
        [ ("summary",
@@ -1481,7 +1589,8 @@ let powm_bench ?(out = "BENCH_powm.json") ?(sizes = [ 512; 1024; 1331; 2048 ])
             [ "min_powm_speedup", J.Float !min_powm_speedup;
               "max_kernel_minor_words_per_op", J.Float !max_kernel_words;
               "trials", J.Int trials ]);
-         "rows", J.List (List.rev !rows) ]);
+         "rows", J.List (List.rev !rows);
+         "stage1_rows", J.List stage1_rows ]);
   Format.printf
     "@.  Wrote %s.  Worst powm speedup %.2fx; kernel allocation@." out
     !min_powm_speedup;
@@ -2332,7 +2441,9 @@ let update_guard ?(path = "BENCH_update.quick.json") () =
    paper-scale run times. *)
 let quick trials =
   powm_bench ~out:"BENCH_powm.quick.json" ~sizes:[ 512; 1024 ] ~powm_iters:2
-    ~kernel_iters:200 trials;
+    ~kernel_iters:200
+    ~stage1_groups:[ Schnorr.test_group; Schnorr.mid_group ] ~stage1_iters:4
+    trials;
   faults ~out:"BENCH_faults.quick.json" ~rates:[ 0.; 0.1 ] trials;
   pir ~out:"BENCH_pir.quick.json" ~count:16 ~block_bits:256 ~q_bits:48 trials;
   ot ~out:"BENCH_ot.quick.json" ~group:(Schnorr.test_group ()) ~n:8
@@ -2358,16 +2469,14 @@ let micro _trials =
   let rand = Drbg.rand drbg in
   let group = Schnorr.paper_group () in
   let p = Schnorr.p group in
-  let ctx = Schnorr.ctx group in
   let a = Z.erem (Z.random_bits ~bits:1024 rand) p in
   let e160 = Z.random_bits ~bits:160 rand in
-  let an = Z.to_nat a in
   let msg = Drbg.bytes drbg 1024 in
   let tests =
     [ Test.make ~name:"mulmod-1024" (Staged.stage (fun () ->
-          ignore (Barrett.mulmod_nat ctx an an)));
+          ignore (Schnorr.mul group a a)));
       Test.make ~name:"powm-1024/160" (Staged.stage (fun () ->
-          ignore (Barrett.powm ctx a e160)));
+          ignore (Schnorr.pow group a e160)));
       Test.make ~name:"sha1-1KiB" (Staged.stage (fun () ->
           ignore (Lbq_crypto.Sha1.digest msg)));
       Test.make ~name:"ot-query" (Staged.stage (fun () ->

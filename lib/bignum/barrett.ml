@@ -2,8 +2,9 @@
 
    For a fixed modulus m of k limbs, we precompute mu = floor(B^(2k) / m)
    once; reducing any x < B^(2k) then costs two multiplications instead of a
-   full division (HAC 14.42).  This context backs all hot modular
-   exponentiation in the protocol. *)
+   full division (HAC 14.42).  Every ladder over an odd protocol modulus
+   runs on {!Montgomery}; this context serves the rest (even and
+   arbitrary moduli, single products, test oracles). *)
 
 type t = {
   modulus : Z.t;
@@ -173,29 +174,21 @@ let sqrmod t a =
 (* 1 mod m as a residue (0 when m = 1). *)
 let one_nat t = if Nat.compare Nat.one t.m_nat < 0 then Nat.one else Nat.zero
 
-(* Odd-powers table base^1, base^3, ..., base^max_odd: tbl.(j) holds
-   base^(2j+1).  Built once per (context, base) and shared by every
-   schedule replay and interleaved ladder over that base. *)
-let odd_powers_nat t (base_ : Nat.t) ~max_odd : Nat.t array =
-  if max_odd < 1 || max_odd land 1 = 0 then
-    invalid_arg "Barrett.odd_powers_nat: max_odd must be odd and >= 1";
-  let b = reduce_nat t base_ in
-  let tbl = Array.make (((max_odd - 1) / 2) + 1) b in
-  if max_odd >= 3 then begin
-    let b2 = sqrmod_nat t b in
-    for j = 1 to (max_odd - 1) / 2 do
-      tbl.(j) <- mulmod_nat t tbl.(j - 1) b2
-    done
-  end;
-  tbl
-
-(* Replay a precomputed schedule against an already-built odd-powers
-   table — the fixed-base fast path: no per-call table cost. *)
-let powm_nat_tbl t (tbl : Nat.t array) (s : Wexp.t) : Nat.t =
+(* Execute a precomputed sliding-window schedule (see {!Wexp}): tabulate
+   the odd powers base^1, base^3, ..., base^max_odd (tbl.(j) holds
+   base^(2j+1)), then replay the schedule as squarings and table
+   multiplications. *)
+let powm_nat_sched t (base_ : Nat.t) (s : Wexp.t) : Nat.t =
   if s.Wexp.first = 0 then one_nat t
   else begin
-    if (s.Wexp.max_odd - 1) / 2 >= Array.length tbl then
-      invalid_arg "Barrett.powm_nat_tbl: odd-powers table too small";
+    let b = reduce_nat t base_ in
+    let tbl = Array.make (((s.Wexp.max_odd - 1) / 2) + 1) b in
+    if s.Wexp.max_odd >= 3 then begin
+      let b2 = sqrmod_nat t b in
+      for j = 1 to (s.Wexp.max_odd - 1) / 2 do
+        tbl.(j) <- mulmod_nat t tbl.(j - 1) b2
+      done
+    end;
     let r = ref tbl.(s.Wexp.first lsr 1) in
     Array.iter
       (fun op ->
@@ -203,117 +196,6 @@ let powm_nat_tbl t (tbl : Nat.t array) (s : Wexp.t) : Nat.t =
         else r := mulmod_nat t !r tbl.(op lsr 1))
       s.Wexp.ops;
     !r
-  end
-
-(* Execute a precomputed sliding-window schedule (see {!Wexp}): tabulate
-   the odd powers base^1, base^3, ..., base^max_odd, then replay the
-   schedule as squarings and table multiplications. *)
-let powm_nat_sched t (base_ : Nat.t) (s : Wexp.t) : Nat.t =
-  if s.Wexp.first = 0 then one_nat t
-  else powm_nat_tbl t (odd_powers_nat t base_ ~max_odd:s.Wexp.max_odd) s
-
-(* Straus/Shamir interleaved double exponentiation over prebuilt tables:
-   b1^e1 * b2^e2 for the exponents encoded by the two window streams,
-   on ONE shared squaring ladder.  The ladder starts at the higher of
-   the two leading-window positions and taps each stream's odd-powers
-   table as its windows come due; total cost is max(pos1, pos2)
-   squarings plus one multiplication per window beyond the first —
-   exactly {!Wexp.straus_cost}. *)
-let powm2_nat t (tbl1 : Nat.t array) (ws1 : (int * int) array)
-    (tbl2 : Nat.t array) (ws2 : (int * int) array) : Nat.t =
-  let n1 = Array.length ws1 and n2 = Array.length ws2 in
-  if n1 = 0 && n2 = 0 then one_nat t
-  else begin
-    let p0 =
-      max
-        (if n1 = 0 then -1 else fst ws1.(0))
-        (if n2 = 0 then -1 else fst ws2.(0))
-    in
-    let acc = ref None in
-    let i1 = ref 0 and i2 = ref 0 in
-    let tap (tbl : Nat.t array) (ws : (int * int) array) idx i =
-      if !idx < Array.length ws && fst ws.(!idx) = i then begin
-        let _, v = ws.(!idx) in
-        incr idx;
-        match !acc with
-        | None -> acc := Some tbl.(v lsr 1)
-        | Some a -> acc := Some (mulmod_nat t a tbl.(v lsr 1))
-      end
-    in
-    for i = p0 downto 0 do
-      (match !acc with
-      | None -> ()
-      | Some a -> acc := Some (sqrmod_nat t a));
-      tap tbl1 ws1 i1 i;
-      tap tbl2 ws2 i2 i
-    done;
-    match !acc with Some a -> a | None -> assert false
-  end
-
-(* Convenience wrapper building both tables from scratch (tests,
-   callers without cached material). *)
-let powm2 t b1 e1 b2 e2 =
-  if Z.sign e1 < 0 || Z.sign e2 < 0 then
-    invalid_arg "Barrett.powm2: negative exponent";
-  let ws1 = Wexp.windows (Z.to_nat e1) in
-  let ws2 = Wexp.windows (Z.to_nat e2) in
-  let tbl1 = odd_powers_nat t (to_nat t b1) ~max_odd:(Wexp.windows_max_odd ws1) in
-  let tbl2 = odd_powers_nat t (to_nat t b2) ~max_odd:(Wexp.windows_max_odd ws2) in
-  of_nat (powm2_nat t tbl1 ws1 tbl2 ws2)
-
-(* ------------------------------------------------------------------ *)
-(* Lim-Lee fixed-base comb exponentiation.                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Precomputed comb table for one (context, base) pair: table.(u) =
-   base^(sum_i u_i * 2^(i * cols)) for every tooth pattern u.  Built
-   once per Schnorr group; every subsequent base exponentiation costs
-   only ~cols squarings plus table multiplications. *)
-type fixed_base = { comb : Wexp.comb; table : Nat.t array }
-
-let fixed_base_comb fb = fb.comb
-
-let fixed_base t (base_ : Nat.t) (c : Wexp.comb) : fixed_base =
-  let b = reduce_nat t base_ in
-  let h = c.Wexp.teeth in
-  (* basis.(i) = base^(2^(i * cols)), by repeated squaring. *)
-  let basis = Array.make h b in
-  for i = 1 to h - 1 do
-    let x = ref basis.(i - 1) in
-    for _ = 1 to c.Wexp.cols do
-      x := sqrmod_nat t !x
-    done;
-    basis.(i) <- !x
-  done;
-  let size = 1 lsl h in
-  let tbl = Array.make size (one_nat t) in
-  let rec log2 v = if v <= 1 then 0 else 1 + log2 (v lsr 1) in
-  for u = 1 to size - 1 do
-    let lsb = u land -u in
-    let rest = u lxor lsb in
-    if rest = 0 then tbl.(u) <- basis.(log2 lsb)
-    else tbl.(u) <- mulmod_nat t tbl.(rest) basis.(log2 lsb)
-  done;
-  { comb = c; table = tbl }
-
-(* Comb exponentiation: scan the digit vector from its highest nonzero
-   column, squaring once per lower column and multiplying by the table
-   entry of each nonzero digit — {!Wexp.comb_cost} multiplications
-   exactly. *)
-let powm_fixed_base t (fb : fixed_base) (e : Nat.t) : Nat.t =
-  let d = Wexp.comb_digits fb.comb e in
-  let topj = ref (-1) in
-  for j = Array.length d - 1 downto 0 do
-    if !topj < 0 && d.(j) <> 0 then topj := j
-  done;
-  if !topj < 0 then one_nat t
-  else begin
-    let acc = ref fb.table.(d.(!topj)) in
-    for j = !topj - 1 downto 0 do
-      acc := sqrmod_nat t !acc;
-      if d.(j) <> 0 then acc := mulmod_nat t !acc fb.table.(d.(j))
-    done;
-    !acc
   end
 
 (* Sliding-window modular exponentiation: recode once, then replay. *)

@@ -1,8 +1,11 @@
 (** Barrett modular reduction with a precomputed reciprocal.
 
     Create one context per modulus and reuse it: reduction then costs two
-    multiplications instead of a division.  This backs every hot modular
-    exponentiation in the protocol. *)
+    multiplications instead of a division.  Works for any modulus, so it
+    serves where {!Montgomery} cannot or need not: even moduli (the
+    stage-2 hostile-input fallback), the quadratic-residuosity PIR and
+    Paillier, isolated single products (the Schnorr group's [mul]), and
+    the independent test oracles that check the Montgomery ladders. *)
 
 type t
 
@@ -42,47 +45,9 @@ val powm_sched : t -> Z.t -> Wexp.t -> Z.t
     [Z.testbit]).  Ablation baseline for [bench pir] only. *)
 val powm_fixed4 : t -> Z.t -> Z.t -> Z.t
 
-(** [powm2 t b1 e1 b2 e2] is [b1{^e1} * b2{^e2} mod m] on one shared
-    Straus/Shamir squaring ladder — roughly the squarings of a single
-    exponentiation instead of two.  Builds both window tables; use the
-    [_nat] form with cached tables on hot paths. *)
-val powm2 : t -> Z.t -> Z.t -> Z.t -> Z.t -> Z.t
-
 (** Limb-level variants for callers already holding residues. *)
 val reduce_nat : t -> Nat.t -> Nat.t
 val mulmod_nat : t -> Nat.t -> Nat.t -> Nat.t
 val sqrmod_nat : t -> Nat.t -> Nat.t
 val powm_nat : t -> Nat.t -> Z.t -> Nat.t
 val powm_nat_sched : t -> Nat.t -> Wexp.t -> Nat.t
-
-(** {2 Precomputed-table fast paths (stage-1 engine)} *)
-
-(** Odd-powers table [base^1, base^3, ..., base^max_odd] ([tbl.(j)] is
-    [base^(2j+1)]); [max_odd] must be odd.  Build once per base, replay
-    with {!powm_nat_tbl} / {!powm2_nat}. *)
-val odd_powers_nat : t -> Nat.t -> max_odd:int -> Nat.t array
-
-(** Replay a {!Wexp.recode} schedule against a prebuilt odd-powers
-    table: {!Wexp.replay_cost} multiplications, no table cost.  Raises
-    [Invalid_argument] when the table is too small for the schedule. *)
-val powm_nat_tbl : t -> Nat.t array -> Wexp.t -> Nat.t
-
-(** [powm2_nat t tbl1 ws1 tbl2 ws2] interleaves two {!Wexp.windows}
-    streams over their odd-powers tables on one squaring ladder:
-    exactly {!Wexp.straus_cost}[ ws1 ws2] multiplications. *)
-val powm2_nat :
-  t -> Nat.t array -> (int * int) array -> Nat.t array -> (int * int) array -> Nat.t
-
-(** Lim-Lee fixed-base comb table (see {!Wexp.make_comb}): built once
-    per (context, base), it turns every exponentiation of that base
-    into ~[cols] squarings plus table lookups. *)
-type fixed_base
-
-val fixed_base : t -> Nat.t -> Wexp.comb -> fixed_base
-val fixed_base_comb : fixed_base -> Wexp.comb
-
-(** Comb exponentiation against a prebuilt table:
-    {!Wexp.comb_cost} multiplications exactly.  Raises
-    [Invalid_argument] when the exponent exceeds the comb's bit
-    capacity. *)
-val powm_fixed_base : t -> fixed_base -> Nat.t -> Nat.t

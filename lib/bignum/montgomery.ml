@@ -61,6 +61,7 @@ type t = {
   ne : int array;     (* modulus as ke 29-bit digits (may have zero top) *)
   n'e : int;          (* -n^{-1} mod 2^29 *)
   r2e : int array;    (* Re^2 mod n as a ke-digit window *)
+  one_e : int array;  (* Re mod n: the Montgomery form of 1 *)
   mutable tick : int ref option;
     (* optional modular-multiplication counter, mirroring {!Barrett} *)
 }
@@ -176,10 +177,11 @@ let create (modulus : Z.t) : t =
   let ne = Array.make ke 0 in
   repack ~src:n ~src_len:k ~src_lb:limb_bits ~dst:ne ~dst_len:ke ~dst_lb:elb;
   let n'e = (ebase - inv_digit ~dmask:emask ne.(0)) land emask in
-  let r2e =
-    if Z.equal modulus Z.one then Array.make ke 0
+  let one_e, r2e =
+    if Z.equal modulus Z.one then (Array.make ke 0, Array.make ke 0)
     else begin
       (* Start from 2^(bits-1) < n (n odd, n >= 3) and double up to
+         Re = 2^(29 * ke) mod n (the Montgomery form of 1), then on to
          Re^2 = 2^(2 * 29 * ke) mod n. *)
       let e = 29 * ke in
       let buf = Array.make (ke + 1) 0 in
@@ -201,7 +203,7 @@ let create (modulus : Z.t) : t =
         done;
         buf.(ke) <- buf.(ke) - !borrow
       in
-      for _ = 1 to (2 * e) - (bits - 1) do
+      let double_mod () =
         let carry = ref 0 in
         for i = 0 to ke do
           let t = (buf.(i) lsl 1) lor !carry in
@@ -209,11 +211,14 @@ let create (modulus : Z.t) : t =
           carry := t lsr elb
         done;
         if ge_n () then sub_n ()
-      done;
-      Array.sub buf 0 ke
+      in
+      for _ = 1 to e - (bits - 1) do double_mod () done;
+      let one_e = Array.sub buf 0 ke in
+      for _ = 1 to e do double_mod () done;
+      (one_e, Array.sub buf 0 ke)
     end
   in
-  { modulus; n; k; n'; r2; one_m; ke; ne; n'e; r2e; tick = None }
+  { modulus; n; k; n'; r2; one_m; ke; ne; n'e; r2e; one_e; tick = None }
 
 let modulus t = t.modulus
 let k_limbs t = t.ke
@@ -542,6 +547,71 @@ let of_mont t (m : Nat.t) : Z.t =
   widen_into t w m;
   Z.of_nat (redc_e t w)
 
+(* ------------------------------------------------------------------ *)
+(* Montgomery-form windows                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A residue in Montgomery form held as one fresh ke-digit engine
+   window.  Windows are canonical (< n), so two windows of one context
+   are equal exactly when their residues are; a window is never mutated
+   once returned, so tables of them can be shared across domains. *)
+type window = int array
+
+(* Entry conversion x -> x*Re mod n: one ticked sweep against Re^2. *)
+let to_window t (z : Z.t) : window =
+  let w = widen t (Z.to_nat (Z.erem z t.modulus)) in
+  tick t;
+  cios2_into t w w t.r2e;
+  w
+
+(* Exit conversion (one REDC, untickled, as in [powm_sched]). *)
+let of_window t (w : window) : Z.t = Z.of_nat (redc_e t w)
+
+let one_window t : window = Array.copy t.one_e
+
+let mul_window t (a : window) (b : window) : window =
+  let d = Array.make t.ke 0 in
+  tick t;
+  cios2_into t d a b;
+  d
+
+(* 1 as a canonical Z (0 in the trivial ring). *)
+let one_z t = if Z.equal t.modulus Z.one then Z.zero else Z.one
+
+(* Odd powers b^1, b^3, ..., b^max_odd of a converted base: tbl.(j)
+   holds b^(2j+1), every entry its own window ({!Wexp.table_cost}
+   ticks). *)
+let odd_powers_w t (bm : window) ~max_odd : window array =
+  let tbl = Array.make (((max_odd - 1) / 2) + 1) bm in
+  if max_odd >= 3 then begin
+    let b2 = Array.make t.ke 0 in
+    tick t;
+    sqr2_into t b2 bm;
+    for j = 1 to (max_odd - 1) / 2 do
+      tbl.(j) <- mul_window t tbl.(j - 1) b2
+    done
+  end;
+  tbl
+
+(* Replay a schedule's ops tape against a built table into a fresh
+   accumulator ({!Wexp.replay_cost} ticks); the sweeps update the
+   accumulator in place and never write the table. *)
+let replay t (tbl : window array) (s : Wexp.t) : window =
+  let acc = Array.copy tbl.(s.Wexp.first lsr 1) in
+  Array.iter
+    (fun op ->
+      tick t;
+      if op < 0 then sqr2_into t acc acc
+      else cios2_into t acc acc tbl.(op lsr 1))
+    s.Wexp.ops;
+  acc
+
+(* [b^e] for a window base and a recoded exponent: {!Wexp.cost} ticks
+   (table plus replay), no conversions. *)
+let pow_window t (b : window) (s : Wexp.t) : window =
+  if s.Wexp.first = 0 then one_window t
+  else replay t (odd_powers_w t b ~max_odd:s.Wexp.max_odd) s
+
 (* Execute a precomputed sliding-window schedule (see {!Wexp}),
    mirroring {!Barrett.powm_sched}.  Everything between the one [erem]
    on entry and the one [redc_e] on exit runs on fixed ke-digit engine
@@ -549,34 +619,8 @@ let of_mont t (m : Nat.t) : Z.t =
    updated in place (the sweeps consume their inputs before writing),
    and each of the {!Wexp.cost}+1 ticked operations allocates nothing. *)
 let powm_sched t (base_ : Z.t) (s : Wexp.t) : Z.t =
-  if s.Wexp.first = 0 then
-    (if Z.equal t.modulus Z.one then Z.zero else Z.one)
-  else begin
-    let reduced = Z.to_nat (Z.erem base_ t.modulus) in
-    let bm = widen t reduced in
-    tick t;
-    cios2_into t bm bm t.r2e;
-    let tbl = Array.make (((s.Wexp.max_odd - 1) / 2) + 1) bm in
-    if s.Wexp.max_odd >= 3 then begin
-      let b2 = Array.make t.ke 0 in
-      tick t;
-      sqr2_into t b2 bm;
-      for j = 1 to (s.Wexp.max_odd - 1) / 2 do
-        let e = Array.make t.ke 0 in
-        tick t;
-        cios2_into t e tbl.(j - 1) b2;
-        tbl.(j) <- e
-      done
-    end;
-    let acc = Array.copy tbl.(s.Wexp.first lsr 1) in
-    Array.iter
-      (fun op ->
-        tick t;
-        if op < 0 then sqr2_into t acc acc
-        else cios2_into t acc acc tbl.(op lsr 1))
-      s.Wexp.ops;
-    Z.of_nat (redc_e t acc)
-  end
+  if s.Wexp.first = 0 then one_z t
+  else of_window t (pow_window t (to_window t base_) s)
 
 (* Multi-powm: serve k bases — each with its OWN context/modulus — through
    ONE shared schedule, walking the ops tape once per window digit
@@ -732,8 +776,142 @@ let powm t (base_ : Z.t) (e : Z.t) : Z.t =
   if Z.sign e < 0 then invalid_arg "Montgomery.powm: negative exponent";
   powm_sched t base_ (Wexp.recode (Z.to_nat e))
 
-(* Plain modular multiplication convenience (converts in and out; for a
-   single product Barrett is cheaper — this exists for completeness). *)
+(* One-off product a*b mod n on two sweeps and no exit REDC:
+   (a * b * Re^-1) * Re^2 * Re^-1 = a*b.  Two ticks. *)
 let mulmod t a b =
-  let am = to_mont t a and bm = to_mont t b in
-  of_mont t (mont_mul t am bm)
+  let aw = widen t (Z.to_nat (Z.erem a t.modulus)) in
+  let bw = Scratch.get ~slot:Scratch.mont_op_b t.ke in
+  widen_into t bw (Z.to_nat (Z.erem b t.modulus));
+  tick t;
+  cios2_into t aw aw bw;
+  tick t;
+  cios2_into t aw aw t.r2e;
+  Z.of_nat (narrow t aw)
+
+(* ------------------------------------------------------------------ *)
+(* Precomputed-table kernels (the stage-1 engine)                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Fixed-base material lives in Montgomery form: a base is converted
+   once (one tick) when its table is built, every table entry is a
+   window, and each exponentiation against the table converts out once
+   (one untickled REDC).  Ticks therefore match the {!Wexp} closed
+   forms exactly, plus one per table build. *)
+
+type table = window array
+
+let odd_powers t (base_ : Z.t) ~max_odd : table =
+  if max_odd < 1 || max_odd land 1 = 0 then
+    invalid_arg "Montgomery.odd_powers: max_odd must be odd and >= 1";
+  odd_powers_w t (to_window t base_) ~max_odd
+
+(* Replay a schedule against an already-built odd-powers table — the
+   fixed-base fast path: no per-call table cost. *)
+let powm_tbl t (tbl : table) (s : Wexp.t) : Z.t =
+  if s.Wexp.first = 0 then one_z t
+  else begin
+    if (s.Wexp.max_odd - 1) / 2 >= Array.length tbl then
+      invalid_arg "Montgomery.powm_tbl: odd-powers table too small";
+    of_window t (replay t tbl s)
+  end
+
+(* Straus/Shamir interleaved double exponentiation over prebuilt tables:
+   b1^e1 * b2^e2 for the exponents encoded by the two window streams,
+   on ONE shared squaring ladder.  The ladder starts at the higher of
+   the two leading-window positions and taps each stream's odd-powers
+   table as its windows come due; total cost is max(pos1, pos2)
+   squarings plus one multiplication per window beyond the first —
+   exactly {!Wexp.straus_cost}. *)
+let powm2_tbl t (tbl1 : table) (ws1 : (int * int) array) (tbl2 : table)
+    (ws2 : (int * int) array) : Z.t =
+  let n1 = Array.length ws1 and n2 = Array.length ws2 in
+  if n1 = 0 && n2 = 0 then one_z t
+  else begin
+    let p0 =
+      max
+        (if n1 = 0 then -1 else fst ws1.(0))
+        (if n2 = 0 then -1 else fst ws2.(0))
+    in
+    let acc = Array.make t.ke 0 in
+    let started = ref false in
+    let i1 = ref 0 and i2 = ref 0 in
+    let tap (tbl : table) (ws : (int * int) array) idx i =
+      if !idx < Array.length ws && fst ws.(!idx) = i then begin
+        let e = tbl.(snd ws.(!idx) lsr 1) in
+        incr idx;
+        if !started then begin
+          tick t;
+          cios2_into t acc acc e
+        end
+        else begin
+          Array.blit e 0 acc 0 t.ke;
+          started := true
+        end
+      end
+    in
+    for i = p0 downto 0 do
+      if !started then begin
+        tick t;
+        sqr2_into t acc acc
+      end;
+      tap tbl1 ws1 i1 i;
+      tap tbl2 ws2 i2 i
+    done;
+    of_window t acc
+  end
+
+(* Lim-Lee fixed-base comb: table.(u) = base^(sum_i u_i * 2^(i * cols))
+   for every tooth pattern u, in Montgomery form.  Built once per
+   (context, base); every exponentiation of that base then costs only
+   ~cols squarings plus table multiplications. *)
+type fixed_base = { comb : Wexp.comb; ctable : window array }
+
+let fixed_base_comb fb = fb.comb
+
+let fixed_base t (base_ : Z.t) (c : Wexp.comb) : fixed_base =
+  let b = to_window t base_ in
+  let h = c.Wexp.teeth in
+  (* basis.(i) = base^(2^(i * cols)), by repeated squaring. *)
+  let basis = Array.make h b in
+  for i = 1 to h - 1 do
+    let x = Array.copy basis.(i - 1) in
+    for _ = 1 to c.Wexp.cols do
+      tick t;
+      sqr2_into t x x
+    done;
+    basis.(i) <- x
+  done;
+  let size = 1 lsl h in
+  (* Entry 0 is never read: a zero digit skips its multiplication. *)
+  let tbl = Array.make size b in
+  let rec log2 v = if v <= 1 then 0 else 1 + log2 (v lsr 1) in
+  for u = 1 to size - 1 do
+    let lsb = u land -u in
+    let rest = u lxor lsb in
+    if rest = 0 then tbl.(u) <- basis.(log2 lsb)
+    else tbl.(u) <- mul_window t tbl.(rest) basis.(log2 lsb)
+  done;
+  { comb = c; ctable = tbl }
+
+(* Comb exponentiation: scan the digit vector from its highest nonzero
+   column, squaring once per lower column and multiplying by the table
+   entry of each nonzero digit — {!Wexp.comb_cost} ticks exactly. *)
+let powm_fixed_base t (fb : fixed_base) (e : Nat.t) : Z.t =
+  let d = Wexp.comb_digits fb.comb e in
+  let topj = ref (-1) in
+  for j = Array.length d - 1 downto 0 do
+    if !topj < 0 && d.(j) <> 0 then topj := j
+  done;
+  if !topj < 0 then one_z t
+  else begin
+    let acc = Array.copy fb.ctable.(d.(!topj)) in
+    for j = !topj - 1 downto 0 do
+      tick t;
+      sqr2_into t acc acc;
+      if d.(j) <> 0 then begin
+        tick t;
+        cios2_into t acc acc fb.ctable.(d.(j))
+      end
+    done;
+    of_window t acc
+  end

@@ -1,7 +1,9 @@
-(** Montgomery modular arithmetic (REDC) for odd moduli — the alternative
-    reduction engine to {!Barrett}, compared by
-    [bench/main.exe ablate-mulengine] and used by default for the
-    stage-2 server exponentiation (honest moduli N = Q0·Q1 are odd).
+(** Montgomery modular arithmetic (REDC) for odd moduli — the engine
+    behind every exponentiation ladder over an odd modulus in the
+    protocol: the stage-2 server ({!powm_sched_batch}; honest moduli
+    N = Q0·Q1 are odd), the stage-2 client decode (Pohlig–Hellman on
+    {!window}s), the stage-1 Schnorr group (the table kernels below) and
+    Miller–Rabin.  {!Barrett} keeps the even and arbitrary moduli.
 
     The hot core is a fused word-level CIOS sweep at an internal radix
     of 2{^29} (multiply and REDC reduction in one pass, two operand
@@ -45,9 +47,78 @@ val powm_sched : t -> Z.t -> Wexp.t -> Z.t
     [Invalid_argument] when [ts] and [bases] differ in length. *)
 val powm_sched_batch : t array -> Z.t array -> Wexp.t -> Z.t array
 
-(** One-shot modular product (converts in and out of Montgomery form;
-    prefer {!Barrett.mulmod} for isolated products). *)
+(** One-shot modular product [a * b mod n] on two sweeps (the second
+    against [R{^2}] cancels the first's [R{^-1}], so no exit REDC).
+    Ticks twice. *)
 val mulmod : t -> Z.t -> Z.t -> Z.t
+
+(** {1 Montgomery-form windows}
+
+    A residue [x] held as [x·R mod n] in one engine window of
+    {!k_limbs} digits.  Windows are canonical, so two windows of one
+    context are equal (structurally, and under [Hashtbl.hash]) exactly
+    when their residues are.  Every function here returns a fresh window
+    and never mutates its arguments, so tables of windows can be shared
+    across domains. *)
+
+type window = private int array
+
+(** Entry conversion of any integer (reduced first).  Ticks once. *)
+val to_window : t -> Z.t -> window
+
+(** Exit conversion (one REDC).  Does not tick. *)
+val of_window : t -> window -> Z.t
+
+(** The Montgomery form of 1 (precomputed at {!create}; no tick). *)
+val one_window : t -> window
+
+(** Product of two windows.  Ticks once. *)
+val mul_window : t -> window -> window -> window
+
+(** [pow_window t b s] is [b{^e}] for the exponent [e] recoded in [s]:
+    exactly {!Wexp.cost}[ s] ticks (odd-powers table plus replay), no
+    conversions. *)
+val pow_window : t -> window -> Wexp.t -> window
+
+(** {1 Precomputed-table kernels (stage-1 engine)}
+
+    Fixed-base material in Montgomery form: building a table converts
+    its base in once (one tick on top of the {!Wexp} table cost), and
+    each exponentiation against it converts out once (untickled), so
+    every kernel ticks exactly its {!Wexp} closed form. *)
+
+type table
+
+(** Odd-powers table [base{^1}, base{^3}, ..., base{^max_odd}]
+    ([max_odd] odd): {!Wexp.table_cost}[ ~max_odd + 1] ticks.  Replay
+    with {!powm_tbl} / {!powm2_tbl}. *)
+val odd_powers : t -> Z.t -> max_odd:int -> table
+
+(** Replay a {!Wexp.recode} schedule against a prebuilt odd-powers
+    table: {!Wexp.replay_cost} ticks, no table cost.  Raises
+    [Invalid_argument] when the table is too small for the schedule. *)
+val powm_tbl : t -> table -> Wexp.t -> Z.t
+
+(** [powm2_tbl t tbl1 ws1 tbl2 ws2] is [b1{^e1} * b2{^e2}] for the
+    exponents encoded by the two {!Wexp.windows} streams over their
+    bases' odd-powers tables, interleaved on one shared Straus/Shamir
+    squaring ladder: exactly {!Wexp.straus_cost}[ ws1 ws2] ticks. *)
+val powm2_tbl :
+  t -> table -> (int * int) array -> table -> (int * int) array -> Z.t
+
+(** Lim–Lee fixed-base comb table (see {!Wexp.make_comb}): built once
+    per (context, base) in {!Wexp.comb_table_cost}[ + 1] ticks, it turns
+    every exponentiation of that base into ~[cols] squarings plus table
+    lookups. *)
+type fixed_base
+
+val fixed_base : t -> Z.t -> Wexp.comb -> fixed_base
+val fixed_base_comb : fixed_base -> Wexp.comb
+
+(** Comb exponentiation against a prebuilt table: {!Wexp.comb_cost}
+    ticks exactly.  Raises [Invalid_argument] when the exponent exceeds
+    the comb's bit capacity. *)
+val powm_fixed_base : t -> fixed_base -> Nat.t -> Z.t
 
 (** {1 Montgomery-form internals} (exposed for tests) *)
 

@@ -10,11 +10,12 @@ type t = {
   p : Z.t;            (* field modulus, prime *)
   q : Z.t;            (* subgroup order, prime, q | p - 1 *)
   g : Z.t;            (* generator of the order-q subgroup *)
-  ctx : Barrett.t;    (* reduction context for p *)
-  g_comb : Barrett.fixed_base;
+  mont : Montgomery.t;
+    (* the engine for p (odd): every ladder, table and product below *)
+  g_comb : Montgomery.fixed_base;
     (* Lim-Lee comb table for g, sized for exponents < q: every
        [pow_g] is ~q_bits/teeth squarings plus table lookups *)
-  g_tbl : Nat.t array;
+  g_tbl : Montgomery.table;
     (* odd-powers table g^1, g^3, ..., for the Straus g-stream of
        [pow2_g] *)
   g_width : int;      (* window width the cached tables cover *)
@@ -23,42 +24,50 @@ type t = {
 let p t = t.p
 let q t = t.q
 let g t = t.g
-let ctx t = t.ctx
 
 let p_bits t = Z.numbits t.p
 let q_bits t = Z.numbits t.q
 let win_width t = t.g_width
 
-(* Group operations in the subgroup. *)
-let mul t a b = Barrett.mulmod t.ctx a b
-let pow t base_ e = Barrett.powm t.ctx base_ (Z.erem e t.q)
+(* Count the engine's modular multiplications over [f].  The context is
+   shared by every user of the group, so single-threaded callers only. *)
+let counting t r f = Montgomery.counting t.mont r f
+
+(* Group operations in the subgroup.  A one-off product is two
+   Montgomery sweeps and no conversion REDC, which measures faster than
+   one Barrett multiply-and-reduce at 256 to 1024 bits. *)
+let mul t a b = Montgomery.mulmod t.mont a b
+let pow t base_ e = Montgomery.powm t.mont base_ (Z.erem e t.q)
 let inv t a = Z.invert a t.p
 let div t a b = mul t a (inv t b)
+
+(* Exact multiplications of [mul]: see {!Montgomery.mulmod}. *)
+let mul_cost = 2
 
 (* Fixed-base fast path: all tables were built at group construction, so
    one generator exponentiation is just a comb ladder. *)
 let pow_g t e =
-  Z.of_nat (Barrett.powm_fixed_base t.ctx t.g_comb (Z.to_nat (Z.erem e t.q)))
+  Montgomery.powm_fixed_base t.mont t.g_comb (Z.to_nat (Z.erem e t.q))
 
 (* Exact multiplication count of [pow_g t e] (closed-form oracle). *)
 let pow_g_cost t e =
-  Wexp.comb_cost (Barrett.fixed_base_comb t.g_comb) (Z.to_nat (Z.erem e t.q))
+  Wexp.comb_cost (Montgomery.fixed_base_comb t.g_comb)
+    (Z.to_nat (Z.erem e t.q))
 
 (* g^e1 * b2^e2 on one Straus/Shamir ladder: the g-stream replays the
-   cached odd-powers table, the b2-stream builds its own.  Cost =
-   table build for b2 + one shared squaring ladder + window taps.  The
-   [_counted] form also returns the exact multiplication count (pure
-   window combinatorics — independent of the Barrett tick counter, so
-   the two can be asserted against each other). *)
+   cached odd-powers table, the b2-stream builds its own (one entry
+   conversion plus the table).  Cost = that table + one shared squaring
+   ladder + window taps.  The [_counted] form also returns the exact
+   multiplication count (pure window combinatorics — independent of
+   the engine's tick counter, so the two can be asserted against each
+   other). *)
 let pow2_g_counted t e1 b2 e2 =
   let ws1 = Wexp.windows ~width:t.g_width (Z.to_nat (Z.erem e1 t.q)) in
   let ws2 = Wexp.windows (Z.to_nat (Z.erem e2 t.q)) in
   let max_odd2 = Wexp.windows_max_odd ws2 in
-  let tbl2 =
-    Barrett.odd_powers_nat t.ctx (Z.to_nat (Z.erem b2 t.p)) ~max_odd:max_odd2
-  in
-  ( Z.of_nat (Barrett.powm2_nat t.ctx t.g_tbl ws1 tbl2 ws2),
-    Wexp.table_cost ~max_odd:max_odd2 + Wexp.straus_cost ws1 ws2 )
+  let tbl2 = Montgomery.odd_powers t.mont b2 ~max_odd:max_odd2 in
+  ( Montgomery.powm2_tbl t.mont t.g_tbl ws1 tbl2 ws2,
+    1 + Wexp.table_cost ~max_odd:max_odd2 + Wexp.straus_cost ws1 ws2 )
 
 let pow2_g t e1 b2 e2 = fst (pow2_g_counted t e1 b2 e2)
 
@@ -67,33 +76,29 @@ let pow2_g t e1 b2 e2 = fst (pow2_g_counted t e1 b2 e2)
 let pow2_g_cost t e1 e2 =
   let ws1 = Wexp.windows ~width:t.g_width (Z.to_nat (Z.erem e1 t.q)) in
   let ws2 = Wexp.windows (Z.to_nat (Z.erem e2 t.q)) in
-  Wexp.table_cost ~max_odd:(Wexp.windows_max_odd ws2)
+  1 + Wexp.table_cost ~max_odd:(Wexp.windows_max_odd ws2)
   + Wexp.straus_cost ws1 ws2
 
 (* Per-query fixed-base material: an odd-powers table for an arbitrary
    group element reused across many exponentiations (the OT server
    raises the SAME ciphertext component c.a to a fresh exponent on
    every row of an axis). *)
-type base_tbl = { tbl : Nat.t array; bwidth : int }
+type base_tbl = { tbl : Montgomery.table; bwidth : int }
 
 let base_tbl t b =
   let w = t.g_width in
-  { tbl =
-      Barrett.odd_powers_nat t.ctx
-        (Z.to_nat (Z.erem b t.p))
-        ~max_odd:((1 lsl w) - 1);
-    bwidth = w;
-  }
+  { tbl = Montgomery.odd_powers t.mont b ~max_odd:((1 lsl w) - 1);
+    bwidth = w }
 
 let pow_tbl_counted t bt e =
   let s = Wexp.recode ~width:bt.bwidth (Z.to_nat (Z.erem e t.q)) in
-  (Z.of_nat (Barrett.powm_nat_tbl t.ctx bt.tbl s), Wexp.replay_cost s)
+  (Montgomery.powm_tbl t.mont bt.tbl s, Wexp.replay_cost s)
 
 let pow_tbl t bt e = fst (pow_tbl_counted t bt e)
 
-(* One-time multiplications of [base_tbl] (full table for the cached
-   window width). *)
-let base_tbl_cost t = Wexp.table_cost ~max_odd:((1 lsl t.g_width) - 1)
+(* One-time multiplications of [base_tbl]: the entry conversion plus the
+   full table for the cached window width. *)
+let base_tbl_cost t = 1 + Wexp.table_cost ~max_odd:((1 lsl t.g_width) - 1)
 
 (* Per-call multiplications of [pow_tbl] (table already paid for). *)
 let pow_tbl_cost t e =
@@ -105,56 +110,56 @@ let pow_tbl_cost t e =
    [base_tbl] but each exponentiation is ~q_bits/teeth squarings, so it
    wins once the same base is raised to a handful of fresh exponents —
    exactly the OT server's per-axis c.a. *)
-type base_comb = Barrett.fixed_base
+type base_comb = Montgomery.fixed_base
 
 let base_comb t b =
-  Barrett.fixed_base t.ctx
-    (Z.to_nat (Z.erem b t.p))
-    (Barrett.fixed_base_comb t.g_comb)
+  Montgomery.fixed_base t.mont b (Montgomery.fixed_base_comb t.g_comb)
 
-(* One-time multiplications of [base_comb] (comb table build). *)
+(* One-time multiplications of [base_comb]: the entry conversion plus
+   the comb table build. *)
 let base_comb_cost t =
-  Wexp.comb_table_cost (Barrett.fixed_base_comb t.g_comb)
+  1 + Wexp.comb_table_cost (Montgomery.fixed_base_comb t.g_comb)
 
 let pow_comb_counted t fb e =
   let en = Z.to_nat (Z.erem e t.q) in
-  ( Z.of_nat (Barrett.powm_fixed_base t.ctx fb en),
-    Wexp.comb_cost (Barrett.fixed_base_comb fb) en )
+  ( Montgomery.powm_fixed_base t.mont fb en,
+    Wexp.comb_cost (Montgomery.fixed_base_comb fb) en )
 
 let pow_comb t fb e = fst (pow_comb_counted t fb e)
 
 (* Membership check: x in [1, p) and x^q = 1. *)
-let mem t x =
-  Z.sign x > 0 && Z.lt x t.p && Z.equal (Barrett.powm t.ctx x t.q) Z.one
+let mem_in mont ~p ~q x =
+  Z.sign x > 0 && Z.lt x p && Z.equal (Montgomery.powm mont x q) Z.one
+
+let mem t x = mem_in t.mont ~p:t.p ~q:t.q x
 
 (* Build the cached generator tables.  Eager (at group construction)
    rather than lazy so group values can be shared across domains without
-   racy memoisation. *)
-let precompute ~p ~q ~g ctx =
+   racy memoisation: the only mutable state a group holds is the
+   engine's counter hook. *)
+let precompute ~p ~q ~g mont =
   let qb = Z.numbits q in
   let comb = Wexp.make_comb ~bits:qb ~teeth:(Wexp.teeth_for qb) in
-  let g_nat = Z.to_nat g in
   let w = Wexp.width_for qb in
   {
     p;
     q;
     g;
-    ctx;
-    g_comb = Barrett.fixed_base ctx g_nat comb;
-    g_tbl = Barrett.odd_powers_nat ctx g_nat ~max_odd:((1 lsl w) - 1);
+    mont;
+    g_comb = Montgomery.fixed_base mont g comb;
+    g_tbl = Montgomery.odd_powers mont g ~max_odd:((1 lsl w) - 1);
     g_width = w;
   }
 
 let of_params ~p ~q ~g =
-  let ctx = Barrett.create p in
+  if Z.leq p Z.two || Z.is_even p then
+    invalid_arg "Schnorr.of_params: p must be an odd prime";
+  let mont = Montgomery.create p in
   if not (Z.is_zero (Z.erem (Z.pred p) q)) then
     invalid_arg "Schnorr.of_params: q does not divide p - 1";
-  let mem_bare x =
-    Z.sign x > 0 && Z.lt x p && Z.equal (Barrett.powm ctx x q) Z.one
-  in
-  if not (mem_bare g) || Z.equal g Z.one then
+  if not (mem_in mont ~p ~q g) || Z.equal g Z.one then
     invalid_arg "Schnorr.of_params: g does not generate the order-q subgroup";
-  precompute ~p ~q ~g ctx
+  precompute ~p ~q ~g mont
 
 (* Generate a fresh group: prime q, prime p = 2kq + 1, and g = a^((p-1)/q)
    for the first a making g <> 1 (the paper finds a generator a and sets
@@ -162,15 +167,15 @@ let of_params ~p ~q ~g =
 let generate ~p_bits ~q_bits rand =
   let q = Primegen.random_prime ~bits:q_bits rand in
   let _k, p = Primegen.schnorr_modulus ~p_bits ~q rand in
-  let ctx = Barrett.create p in
+  let mont = Montgomery.create p in
   let cofactor = Z.div (Z.pred p) q in
   let rec find_g () =
     let a = Z.add Z.two (Z.random_below ~bound:(Z.sub p (Z.of_int 3)) rand) in
-    let g = Barrett.powm ctx a cofactor in
+    let g = Montgomery.powm mont a cofactor in
     if Z.equal g Z.one then find_g () else g
   in
   let g = find_g () in
-  precompute ~p ~q ~g ctx
+  precompute ~p ~q ~g mont
 
 (* Pre-generated parameter sets (produced by [generate] with this library;
    fixed so tests and benches do not pay generation cost, exactly as the

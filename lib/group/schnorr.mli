@@ -1,7 +1,8 @@
 (** Schnorr groups: the prime-order-q subgroup of F{_p}{^*}.
 
     The paper fixes |p| = 1024 and |q| = 160 with q | (p - 1), publishes
-    (G, g, p, q), and works in the subgroup generated by [g]. *)
+    (G, g, p, q), and works in the subgroup generated by [g].  All
+    arithmetic runs on one {!Montgomery} context for the odd prime [p]. *)
 
 open Lbq_bignum
 
@@ -11,15 +12,23 @@ val p : t -> Z.t
 val q : t -> Z.t
 val g : t -> Z.t
 
-(** Barrett context for the field modulus [p]. *)
-val ctx : t -> Barrett.t
+(** [counting t r f] runs [f ()] with [r] counting every modular
+    multiplication the group's engine (the {!Montgomery} context for
+    [p]) performs, restoring the previous counter afterwards.  The
+    context is shared by every user of the group: single-threaded
+    callers only. *)
+val counting : t -> int ref -> (unit -> 'a) -> 'a
 
 val p_bits : t -> int
 val q_bits : t -> int
 
 (** {1 Group operations} *)
 
+(** One-off product, two Montgomery sweeps ({!Montgomery.mulmod}). *)
 val mul : t -> Z.t -> Z.t -> Z.t
+
+(** Exact multiplications one {!mul} performs (2). *)
+val mul_cost : int
 
 (** [pow t b e] is [b^(e mod q) mod p]. *)
 val pow : t -> Z.t -> Z.t -> Z.t
@@ -38,7 +47,8 @@ val pow_g_cost : t -> Z.t -> int
     odd-powers table for the [g] stream. *)
 val pow2_g : t -> Z.t -> Z.t -> Z.t -> Z.t
 
-(** Exact multiplications of [pow2_g t e1 _ e2] (base-independent). *)
+(** Exact multiplications of [pow2_g t e1 _ e2] (base-independent):
+    the [b2] table with its entry conversion, plus the shared ladder. *)
 val pow2_g_cost : t -> Z.t -> Z.t -> int
 
 (** [pow2_g] plus its exact multiplication count in one call (avoids
@@ -63,7 +73,8 @@ val pow_tbl : t -> base_tbl -> Z.t -> Z.t
 (** [pow_tbl] plus its exact multiplication count. *)
 val pow_tbl_counted : t -> base_tbl -> Z.t -> Z.t * int
 
-(** One-time multiplications of {!base_tbl}. *)
+(** One-time multiplications of {!base_tbl} (entry conversion plus
+    table). *)
 val base_tbl_cost : t -> int
 
 (** Per-call multiplications of {!pow_tbl} on this exponent. *)
@@ -84,7 +95,8 @@ val pow_comb : t -> base_comb -> Z.t -> Z.t
 (** [pow_comb] plus its exact multiplication count. *)
 val pow_comb_counted : t -> base_comb -> Z.t -> Z.t * int
 
-(** One-time multiplications of {!base_comb}. *)
+(** One-time multiplications of {!base_comb} (entry conversion plus
+    comb table). *)
 val base_comb_cost : t -> int
 
 val inv : t -> Z.t -> Z.t

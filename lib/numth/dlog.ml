@@ -56,37 +56,60 @@ let bsgs ctx ~base ~target ~order : Z.t option =
    digit-by-digit schoolbook loop — the difference between milliseconds
    and seconds at the paper's c = 647.
 
-   Everything that depends only on (ctx, base, p, c) — the p^k-th powers
-   of the base and its inverse, and the baby-step table of the order-p
-   subgroup shared by every leaf digit-solve — lives in a reusable
-   solver, so a client decoding many responses against one PIR instance
-   builds those once; the lazy pieces are only paid on the first
-   [solve]. *)
+   The modulus is odd (the PIR client's N = Q0*Q1), so the solver runs
+   on a Montgomery context: the target is converted in once, every
+   intermediate residue, inverse power and baby-step key stays in
+   Montgomery form, and nothing converts out (the answer is an
+   exponent).  Canonical windows make the baby-step table's keys exact.
+
+   Everything that depends only on (ctx, base, p, c) — the inverse
+   powers base^(-p^k), the recoded p^c2 exponents of the recursion, and
+   the baby-step table of the order-p subgroup shared by every leaf
+   digit-solve — lives in a reusable solver, so a client decoding many
+   responses against one PIR instance builds those once; the lazy
+   pieces are only paid on the first [solve]. *)
 module Prime_power_solver = struct
   type t = {
-    ctx : Barrett.t;
+    ctx : Montgomery.t;
     p : Z.t;
     c : int;
-    inv_powers : Z.t array Lazy.t;
+    low_scheds : Wexp.t option array;
+      (* low_scheds.(c2) = p^c2 recoded, for every split size c2 the
+         recursion on c reaches (immutable after [make]) *)
+    inv_powers : Montgomery.window array Lazy.t;
       (* inv_powers.(k) = base^(-p^k), k in [0, c) *)
-    digit_log : (Z.t -> Z.t option) Lazy.t;
+    digit_log : (Montgomery.window -> Z.t option) Lazy.t;
       (* shared BSGS over gamma = base^(p^(c-1)), order p *)
   }
 
   let make ctx ~base ~p ~c : t =
     if c <= 0 then invalid_arg "Dlog.Prime_power_solver.make: c <= 0";
-    let modulus = Barrett.modulus ctx in
-    (* Every subproblem's base is one of these powers. *)
-    let powers = Array.make c (Barrett.reduce ctx base) in
-    for k = 1 to c - 1 do
-      powers.(k) <- Barrett.powm ctx powers.(k - 1) p
-    done;
+    let modulus = Montgomery.modulus ctx in
+    let recode e = Wexp.recode (Z.to_nat e) in
+    let sched_p = recode p in
+    let gamma =
+      Montgomery.pow_window ctx (Montgomery.to_window ctx base)
+        (recode (Z.pow p (c - 1)))
+    in
+    let low_scheds = Array.make (c + 1) None in
+    let rec splits size =
+      if size > 1 then begin
+        let c1 = size / 2 in
+        let c2 = size - c1 in
+        if low_scheds.(c2) = None then
+          low_scheds.(c2) <- Some (recode (Z.pow p c2));
+        splits c1;
+        splits c2
+      end
+    in
+    splits c;
     let inv_powers =
       lazy begin
-        let inv0 = Z.invert base modulus in
-        let a = Array.make c (Barrett.reduce ctx inv0) in
+        let a =
+          Array.make c (Montgomery.to_window ctx (Z.invert base modulus))
+        in
         for k = 1 to c - 1 do
-          a.(k) <- Barrett.powm ctx a.(k - 1) p
+          a.(k) <- Montgomery.pow_window ctx a.(k - 1) sched_p
         done;
         a
       end
@@ -95,69 +118,72 @@ module Prime_power_solver = struct
       lazy begin
         (* gamma generates the order-p subgroup; one baby-step table
            serves every leaf digit-solve of every [solve] call. *)
-        let gamma = powers.(c - 1) in
         let m = Z.to_int (Z.succ (Z.sqrt (Z.pred p))) in
         let table = Hashtbl.create (2 * m) in
-        let acc = ref (Barrett.reduce ctx Z.one) in
+        let acc = ref (Montgomery.one_window ctx) in
         for j = 0 to m - 1 do
-          if not (Hashtbl.mem table (Z.to_bytes_be !acc)) then
-            Hashtbl.add table (Z.to_bytes_be !acc) j;
-          acc := Barrett.mulmod ctx !acc gamma
+          if not (Hashtbl.mem table !acc) then Hashtbl.add table !acc j;
+          acc := Montgomery.mul_window ctx !acc gamma
         done;
+        let gamma_m = Montgomery.pow_window ctx gamma (recode (Z.of_int m)) in
         let gamma_m_inv =
-          Z.invert (Barrett.powm ctx gamma (Z.of_int m)) modulus
+          Montgomery.to_window ctx
+            (Z.invert (Montgomery.of_window ctx gamma_m) modulus)
         in
         fun delta ->
           let rec go i y =
             if i > m then None
             else
-              match Hashtbl.find_opt table (Z.to_bytes_be y) with
+              match Hashtbl.find_opt table y with
               | Some j ->
                 let d = (i * m) + j in
                 if Z.lt (Z.of_int d) p then Some (Z.of_int d) else None
-              | None -> go (i + 1) (Barrett.mulmod ctx y gamma_m_inv)
+              | None -> go (i + 1) (Montgomery.mul_window ctx y gamma_m_inv)
           in
           go 0 delta
       end
     in
-    { ctx; p; c; inv_powers; digit_log }
+    { ctx; p; c; low_scheds; inv_powers; digit_log }
 
   (* Pay the lazy pieces — inverse powers and the shared baby-step table
      — now instead of on the first [solve].  An offline instance builder
      (the keypool) calls this so a pooled instance is decode-ready. *)
   let force t =
     ignore (Lazy.force t.inv_powers);
-    let (_ : Z.t -> Z.t option) = Lazy.force t.digit_log in
+    let (_ : Montgomery.window -> Z.t option) = Lazy.force t.digit_log in
     ()
 
   let solve t target : Z.t option =
     let ctx = t.ctx and p = t.p in
-    let target = Barrett.reduce ctx target in
     let digit_log = Lazy.force t.digit_log in
-    (* Solve powers.(k)^x = tgt for x in [0, p^size); requires
-       k + size = c (so powers.(k) has order exactly p^size). *)
+    (* Solve (base^(p^k))^x = tgt for x in [0, p^size); requires
+       k + size = c (so base^(p^k) has order exactly p^size). *)
     let rec go k size tgt =
       if size = 1 then digit_log tgt
       else begin
         let c1 = size / 2 in
         let c2 = size - c1 in
         (* Low half: tgt^(p^c2) = (base_k^(p^c2))^x = base_{k+c2}^(x mod p^c1). *)
-        let t_low = Barrett.powm ctx tgt (Z.pow p c2) in
+        let sched =
+          match t.low_scheds.(c2) with Some s -> s | None -> assert false
+        in
+        let t_low = Montgomery.pow_window ctx tgt sched in
         match go (k + c2) c1 t_low with
         | None -> None
         | Some x_low ->
           (* Peel the low digits: tgt' = tgt * base_k^(-x_low)
              = base_{k+c1}^x_high. *)
           let tgt' =
-            Barrett.mulmod ctx tgt
-              (Barrett.powm ctx (Lazy.force t.inv_powers).(k) x_low)
+            Montgomery.mul_window ctx tgt
+              (Montgomery.pow_window ctx (Lazy.force t.inv_powers).(k)
+                 (Wexp.recode (Z.to_nat x_low)))
           in
           (match go (k + c1) c2 tgt' with
            | None -> None
            | Some x_high -> Some (Z.add x_low (Z.mul (Z.pow p c1) x_high)))
       end
     in
-    go 0 t.c target
+    go 0 t.c (Montgomery.to_window ctx target)
 end
 
 let pohlig_hellman_prime_power ctx ~base ~target ~p ~c : Z.t option =
@@ -176,8 +202,8 @@ let pohlig_hellman ctx ~base ~target ~factors : Z.t option =
     | (p, c) :: rest ->
       let q = Z.pow p c in
       let cofactor = Z.div order q in
-      let base_i = Barrett.powm ctx base cofactor in
-      let target_i = Barrett.powm ctx target cofactor in
+      let base_i = Montgomery.powm ctx base cofactor in
+      let target_i = Montgomery.powm ctx target cofactor in
       (match pohlig_hellman_prime_power ctx ~base:base_i ~target:target_i ~p ~c with
        | None -> None
        | Some x -> go ((x, q) :: acc) rest)

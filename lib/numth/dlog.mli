@@ -1,8 +1,11 @@
 (** Discrete logarithms in (Z/NZ)*.
 
-    All functions take a {!Lbq_bignum.Barrett.t} context for the modulus and
-    return [Some x] with [base^x = target], or [None] when [target] is not
-    in the searched range/subgroup. *)
+    Every function returns [Some x] with [base^x = target], or [None]
+    when [target] is not in the searched range/subgroup.  The
+    Pohlig–Hellman solvers (the PIR decode) run on a
+    {!Lbq_bignum.Montgomery.t} context, so their modulus must be odd;
+    {!brute} and {!bsgs} take a {!Lbq_bignum.Barrett.t} context, any
+    modulus, and serve as independent test oracles for them. *)
 
 open Lbq_bignum
 
@@ -15,15 +18,17 @@ val bsgs : Barrett.t -> base:Z.t -> target:Z.t -> order:Z.t -> Z.t option
 
 (** Reusable Pohlig–Hellman solver for a subgroup of prime-power order
     [p{^c}].  [make] precomputes everything that depends only on the
-    instance — the [p{^k}]-th powers of the base (and, lazily, their
-    inverses and the baby-step table of the order-[p] subgroup shared by
-    all [c] leaf digit-solves) — so a PIR client decoding many responses
-    against one instance pays for them once. *)
+    instance — the order-[p] generator [base{^p{^(c-1)}}] and the recoded
+    [p{^k}] exponents of the recursion (and, lazily, the inverse powers
+    [base{^-p{^k}}] and the baby-step table of the order-[p] subgroup
+    shared by all [c] leaf digit-solves) — so a PIR client decoding many
+    responses against one instance pays for them once.  Residues and
+    table keys stay in Montgomery form throughout. *)
 module Prime_power_solver : sig
   type t
 
   (** [base] must have order exactly [p{^c}] modulo the context. *)
-  val make : Barrett.t -> base:Z.t -> p:Z.t -> c:int -> t
+  val make : Montgomery.t -> base:Z.t -> p:Z.t -> c:int -> t
 
   (** Force the lazily-built tables (inverse powers, shared baby-step
       table) now, so the first {!solve} pays nothing instance-dependent.
@@ -41,9 +46,10 @@ end
     step: cost O(c (lg p^c + sqrt p)) group operations, matching
     Table II. *)
 val pohlig_hellman_prime_power :
-  Barrett.t -> base:Z.t -> target:Z.t -> p:Z.t -> c:int -> Z.t option
+  Montgomery.t -> base:Z.t -> target:Z.t -> p:Z.t -> c:int -> Z.t option
 
 (** General Pohlig–Hellman given the factorisation of the order of [base]
     as [(prime, exponent)] pairs. *)
 val pohlig_hellman :
-  Barrett.t -> base:Z.t -> target:Z.t -> factors:(Z.t * int) list -> Z.t option
+  Montgomery.t -> base:Z.t -> target:Z.t -> factors:(Z.t * int) list ->
+  Z.t option

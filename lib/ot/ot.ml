@@ -156,9 +156,11 @@ module Server = struct
      - v = g^{R_alpha} * shifted^{r_a} runs both exponents on a single
        Straus ladder ([Schnorr.pow2_g]), the g stream replaying the
        group's cached table.
-     [predicted] accumulates the closed-form multiplication count of
-     exactly these operations (window/comb combinatorics, no Barrett
-     ticks) so benches can assert it against the measured counter. *)
+     All of it runs on the group's Montgomery engine.  [predicted]
+     accumulates the closed-form multiplication count of exactly these
+     operations (window/comb combinatorics plus the engine's entry
+     conversions, no ticks read) so benches can assert it against the
+     measured counter. *)
   let check_membership t (q : query) =
     let group = t.group in
     let check c =
@@ -187,7 +189,7 @@ module Server = struct
     for alpha = 0 to k - 1 do
       if alpha > 0 then begin
         shifted := Schnorr.mul group (Schnorr.g group) !shifted;
-        incr predicted
+        predicted := !predicted + Schnorr.mul_cost
       end;
       let r_a = Z.random_unit ~bound:qord rand in
       let u, cu = pow_a r_a in
@@ -211,7 +213,7 @@ module Server = struct
   let respond ?rand t (q : query) : response = fst (respond_with ?rand t q)
 
   (* [respond] plus its cost cross-check: the closed-form predicted
-     multiplication count and the count the Barrett context actually
+     multiplication count and the count the group's engine actually
      ticked over the answer arithmetic (membership checks excluded).
      Attaches a counter to the group's shared context — call it from
      single-threaded benches and tests only. *)
@@ -221,7 +223,7 @@ module Server = struct
     let predicted = ref 0 in
     let measured = ref 0 in
     let resp =
-      Barrett.counting (Schnorr.ctx t.group) measured (fun () ->
+      Schnorr.counting t.group measured (fun () ->
           let rows = answer_axis t rand predicted q.c1 t.r_exps t.rows in
           let cols = answer_axis t rand predicted q.c2 t.c_exps t.cols in
           { rows; cols })
@@ -229,29 +231,26 @@ module Server = struct
     Counters.server_bytes t.metrics (response_bytes t.group resp);
     (resp, !predicted, !measured)
 
-  (* The seed-revision answer path, verbatim: generic square-and-multiply
-     for all three per-row exponentiations (g through [Schnorr.pow], not
-     the comb, to preserve the seed's cost profile).  Byte-identity
-     oracle for [respond] under a fixed DRBG, and the `bench ot`
-     baseline. *)
+  (* The seed-revision answer path: generic square-and-multiply for all
+     three per-row exponentiations, on a Barrett context for p built
+     here — an engine independent of the group's Montgomery one.
+     Byte-identity oracle for [respond] under a fixed DRBG, and the
+     `bench ot` baseline. *)
   let respond_reference ?rand t (q : query) : response =
     check_membership t q;
     let rand = Option.value rand ~default:t.rand in
     let group = t.group in
     let qord = Schnorr.q group in
     let gen = Schnorr.g group in
+    let ctx = Barrett.create (Schnorr.p group) in
+    let pow b e = Barrett.powm ctx b (Z.erem e qord) in
+    let mul = Barrett.mulmod ctx in
     let answer_axis (c : Elgamal.ciphertext) exps k =
       Array.init k (fun alpha ->
           let r_a = Z.random_unit ~bound:qord rand in
-          let u = Schnorr.pow group c.Elgamal.a r_a in
-          let shifted =
-            Schnorr.mul group (Schnorr.pow group gen (Z.of_int alpha)) c.Elgamal.b
-          in
-          let v =
-            Schnorr.mul group
-              (Schnorr.pow group gen exps.(alpha))
-              (Schnorr.pow group shifted r_a)
-          in
+          let u = pow c.Elgamal.a r_a in
+          let shifted = mul (pow gen (Z.of_int alpha)) c.Elgamal.b in
+          let v = mul (pow gen exps.(alpha)) (pow shifted r_a) in
           Counters.server_exp t.metrics 3;
           (u, v))
     in

@@ -64,16 +64,17 @@ module Server : sig
 
   (** [respond] plus [(predicted, measured)]: the closed-form
       multiplication count of the engine's schedule and the count the
-      Barrett context ticked over the answer arithmetic (membership
-      checks excluded).  The two are equal by construction; benches
+      group's engine ticked ({!Schnorr.counting}) over the answer
+      arithmetic (membership checks excluded).  The two are equal by construction; benches
       assert it.  Attaches a counter to the group's shared context —
       single-threaded callers only. *)
   val respond_counted :
     ?rand:(int -> string) -> t -> query -> response * int * int
 
-  (** The seed-revision generic square-and-multiply path, kept verbatim:
-      byte-identity oracle for [respond] under a fixed DRBG and the
-      [bench ot] ablation baseline. *)
+  (** The seed-revision generic square-and-multiply path, run on its
+      own {!Lbq_bignum.Barrett} context for [p] (an engine independent
+      of the group's): byte-identity oracle for [respond] under a fixed
+      DRBG and the [bench ot] ablation baseline. *)
   val respond_reference : ?rand:(int -> string) -> t -> query -> response
 end
 

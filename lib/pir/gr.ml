@@ -242,11 +242,10 @@ module Client = struct
     phi : Z.t;          (* phi(N) = 4 * q0 * q1 * pi *)
     qq0 : Z.t;          (* Q0 = 2 q0 pi + 1: the trapdoor, kept client-side *)
     qq1 : Z.t;          (* Q1 = 2 q1 + 1 *)
-    ctx : Barrett.t;
     mont : Montgomery.t;
-      (* N is odd (product of two odd primes), so the two decode
-         exponentiations to phi/pi run under Montgomery REDC; the Barrett
-         context keeps serving the Pohlig–Hellman solver *)
+      (* N is odd (product of two odd primes): the quasi-generator
+         check, both decode exponentiations to phi/pi and the
+         Pohlig–Hellman solver all run on this one context *)
     metrics : Counters.t;
     mutable solver : Dlog.Prime_power_solver.t option;
       (* h = g^(phi/pi) and the Pohlig–Hellman tables depend only on the
@@ -268,21 +267,20 @@ module Client = struct
     let _q1, qq1 = distinct_q1 () in
     let n = Z.mul qq0 qq1 in
     let phi = Z.mul (Z.pred qq0) (Z.pred qq1) in
-    let ctx = Barrett.create n in
+    let mont = Montgomery.create n in
     (* Quasi-generator: order of g must retain the full pi = p^c factor,
        i.e. g^(phi/p) <> 1. *)
     let cofactor_p = Z.div phi slot.p in
     let rec find_g () =
       let g = Z.add Z.two (Z.random_below ~bound:(Z.sub n (Z.of_int 3)) rand) in
       if Z.equal (Z.gcd g n) Z.one
-         && not (Z.equal (Barrett.powm ctx g cofactor_p) Z.one)
+         && not (Z.equal (Montgomery.powm mont g cofactor_p) Z.one)
       then g
       else find_g ()
     in
     let g = find_g () in
     let st =
-      { slot; n; g; phi; qq0; qq1; ctx; mont = Montgomery.create n; metrics;
-        solver = None }
+      { slot; n; g; phi; qq0; qq1; mont; metrics; solver = None }
     in
     Counters.user_bytes metrics (2 * ((Z.numbits n + 7) / 8));
     st, (n, g)
@@ -302,13 +300,10 @@ module Client = struct
     | Some s -> s
     | None ->
       let exponent = Z.div st.phi st.slot.pi in
-      let h =
-        Montgomery.counting st.mont mults (fun () ->
-            Montgomery.powm st.mont st.g exponent)
-      in
       let s =
-        Barrett.counting st.ctx mults (fun () ->
-            Dlog.Prime_power_solver.make st.ctx ~base:h ~p:st.slot.p
+        Montgomery.counting st.mont mults (fun () ->
+            let h = Montgomery.powm st.mont st.g exponent in
+            Dlog.Prime_power_solver.make st.mont ~base:h ~p:st.slot.p
               ~c:st.slot.c)
       in
       st.solver <- Some s;
@@ -322,7 +317,7 @@ module Client = struct
   let prepare st =
     let mults = ref 0 in
     let s = solver_of st ~mults in
-    Barrett.counting st.ctx mults (fun () ->
+    Montgomery.counting st.mont mults (fun () ->
         Dlog.Prime_power_solver.force s);
     Counters.user_mult st.metrics !mults
 
@@ -337,12 +332,9 @@ module Client = struct
     let exponent = Z.div st.phi st.slot.pi in
     let mults = ref 0 in
     let solver = solver_of st ~mults in
-    let he =
-      Montgomery.counting st.mont mults (fun () ->
-          Montgomery.powm st.mont ge exponent)
-    in
     let result =
-      Barrett.counting st.ctx mults (fun () ->
+      Montgomery.counting st.mont mults (fun () ->
+          let he = Montgomery.powm st.mont ge exponent in
           Dlog.Prime_power_solver.solve solver he)
     in
     Counters.user_mult st.metrics !mults;

@@ -364,54 +364,112 @@ let test_wexp_edges () =
         [ 1; 7; 26; 27; 100 ])
     [ 1; 2; 3; 4; 5; 6; 7 ]
 
+(* Odd moduli for the stage-1 kernel crosschecks: engine widths on both
+   sides of the Montgomery window's even-[k_limbs] padding (a 67-bit
+   modulus is 3 digits of 29 bits padded to 4, 145 bits is 5 -> 6, 174
+   bits is 6 unpadded, 203 bits is 7 -> 8) and the 256-, 512- and
+   1024-bit Schnorr group moduli (9 -> 10, 18 and 36 digits). *)
+let stage1_moduli =
+  let odd_of_bits bits = Z.add (Z.pow Z.two (bits - 1)) (Z.of_int 12345) in
+  [ Z.of_string "100000000000000000763"; odd_of_bits 145; odd_of_bits 174;
+    odd_of_bits 203;
+    Lbq_group.Schnorr.p (Lbq_group.Schnorr.test_group ());
+    Lbq_group.Schnorr.p (Lbq_group.Schnorr.mid_group ());
+    Lbq_group.Schnorr.p (Lbq_group.Schnorr.paper_group ()) ]
+
+(* b1^e1 * b2^e2 through the Straus kernel, both tables built here. *)
+let powm2 ctx b1 e1 b2 e2 =
+  let ws1 = Wexp.windows (Z.to_nat e1) and ws2 = Wexp.windows (Z.to_nat e2) in
+  let tbl b ws = Montgomery.odd_powers ctx b ~max_odd:(Wexp.windows_max_odd ws) in
+  Montgomery.powm2_tbl ctx (tbl b1 ws1) ws1 (tbl b2 ws2) ws2
+
 let test_comb_straus_edges () =
-  let m = Z.of_string "100000000000000000763" in
-  let ctx = Barrett.create m in
-  let qlike = Z.pred m in
-  (* Edge exponents 0, 1, 2^k, and a q-1 analogue, across tooth counts. *)
+  (* Every Montgomery stage-1 kernel against Barrett.powm, an
+     independent engine, with ticks against the closed forms. *)
   List.iter
-    (fun teeth ->
-      let comb = Wexp.make_comb ~bits:(Z.numbits qlike) ~teeth in
-      let fb = Barrett.fixed_base ctx (Z.to_nat (Z.of_int 3)) comb in
-      List.iter
-        (fun e ->
-          let en = Z.to_nat e in
-          Alcotest.check z
-            (Printf.sprintf "comb digits replay t=%d" teeth)
-            e
-            (Wexp.comb_to_exponent comb (Wexp.comb_digits comb en));
-          Alcotest.check z
-            (Printf.sprintf "comb powm t=%d" teeth)
-            (Z.mod_pow_naive (Z.of_int 3) e m)
-            (Z.of_nat (Barrett.powm_fixed_base ctx fb en));
-          (* Measured engine multiplications match the closed form. *)
-          let r = ref 0 in
-          ignore (Barrett.counting ctx r (fun () -> Barrett.powm_fixed_base ctx fb en));
-          Alcotest.(check int)
-            (Printf.sprintf "comb cost t=%d" teeth)
-            (Wexp.comb_cost comb en) !r)
-        [ Z.zero; Z.one; Z.two; Z.pow Z.two 26; Z.succ (Z.pow Z.two 40); qlike ];
-      (* Table build cost, measured. *)
-      let r = ref 0 in
-      ignore
-        (Barrett.counting ctx r (fun () ->
-             Barrett.fixed_base ctx (Z.to_nat (Z.of_int 5)) comb));
-      Alcotest.(check int)
-        (Printf.sprintf "comb table cost t=%d" teeth)
-        (Wexp.comb_table_cost comb) !r)
-    [ 1; 2; 3; 5; 8 ];
-  (* Straus two-stream edges, including zero streams on either side. *)
-  List.iter
-    (fun (e1, e2) ->
-      let expect =
-        Z.erem
-          (Z.mul (Z.mod_pow_naive (Z.of_int 3) e1 m) (Z.mod_pow_naive (Z.of_int 7) e2 m))
-          m
+    (fun m ->
+      let ctx = Montgomery.create m in
+      let bctx = Barrett.create m in
+      let bits = Z.numbits m in
+      let label what = Printf.sprintf "%s (%d bits, %d digits)" what bits
+          (Montgomery.k_limbs ctx) in
+      let qlike = Z.pred m in
+      let b3 = Z.pred (Z.pred m) in
+      let edges =
+        [ Z.zero; Z.one; Z.two; Z.pow Z.two 26; Z.succ (Z.pow Z.two 40);
+          qlike ]
       in
-      Alcotest.check z "powm2 edge" expect
-        (Barrett.powm2 ctx (Z.of_int 3) e1 (Z.of_int 7) e2))
-    [ (Z.zero, Z.zero); (Z.zero, qlike); (qlike, Z.zero); (Z.one, Z.one);
-      (qlike, qlike); (Z.one, qlike) ]
+      (* Edge exponents 0, 1, 2^k, and a q-1 analogue, across tooth
+         counts. *)
+      List.iter
+        (fun teeth ->
+          let comb = Wexp.make_comb ~bits:(Z.numbits qlike) ~teeth in
+          let r = ref 0 in
+          let fb =
+            Montgomery.counting ctx r (fun () ->
+                Montgomery.fixed_base ctx b3 comb)
+          in
+          Alcotest.(check int)
+            (label (Printf.sprintf "comb table cost t=%d" teeth))
+            (Wexp.comb_table_cost comb + 1) !r;
+          List.iter
+            (fun e ->
+              let en = Z.to_nat e in
+              Alcotest.check z
+                (Printf.sprintf "comb digits replay t=%d" teeth)
+                e
+                (Wexp.comb_to_exponent comb (Wexp.comb_digits comb en));
+              let r = ref 0 in
+              let v =
+                Montgomery.counting ctx r (fun () ->
+                    Montgomery.powm_fixed_base ctx fb en)
+              in
+              Alcotest.check z
+                (label (Printf.sprintf "comb powm t=%d" teeth))
+                (Barrett.powm bctx b3 e) v;
+              Alcotest.(check int)
+                (label (Printf.sprintf "comb cost t=%d" teeth))
+                (Wexp.comb_cost comb en) !r)
+            edges)
+        [ 1; 2; 3; 5; 8 ];
+      (* Odd-powers table replay at every window width. *)
+      List.iter
+        (fun width ->
+          let max_odd = (1 lsl width) - 1 in
+          let r = ref 0 in
+          let tbl =
+            Montgomery.counting ctx r (fun () ->
+                Montgomery.odd_powers ctx b3 ~max_odd)
+          in
+          Alcotest.(check int) (label "table cost")
+            (Wexp.table_cost ~max_odd + 1) !r;
+          List.iter
+            (fun e ->
+              let s = Wexp.recode ~width (Z.to_nat e) in
+              let r = ref 0 in
+              let v =
+                Montgomery.counting ctx r (fun () ->
+                    Montgomery.powm_tbl ctx tbl s)
+              in
+              Alcotest.check z (label (Printf.sprintf "replay w=%d" width))
+                (Barrett.powm bctx b3 e) v;
+              Alcotest.(check int) (label "replay cost") (Wexp.replay_cost s)
+                !r)
+            edges)
+        [ 1; 3; 5; 7 ];
+      (* Straus two-stream edges, including zero streams on either
+         side. *)
+      List.iter
+        (fun (e1, e2) ->
+          let expect =
+            Barrett.mulmod bctx (Barrett.powm bctx (Z.of_int 3) e1)
+              (Barrett.powm bctx b3 e2)
+          in
+          Alcotest.check z (label "powm2 edge") expect
+            (powm2 ctx (Z.of_int 3) e1 b3 e2))
+        [ (Z.zero, Z.zero); (Z.zero, qlike); (qlike, Z.zero); (Z.one, Z.one);
+          (qlike, qlike); (Z.one, qlike) ])
+    stage1_moduli
 
 (* ------------------------------------------------------------------ *)
 (* Property tests                                                      *)
@@ -629,30 +687,31 @@ let props =
          QCheck.Gen.(quad gen_big gen_big gen_big (int_range 1 8)))
       (fun (b_, e, m, teeth) ->
         QCheck.assume (Z.gt m Z.one);
+        let m = if Z.is_even m then Z.succ m else m in
         let e = Z.abs e in
-        let ctx = Barrett.create m in
+        let ctx = Montgomery.create m in
         let comb = Wexp.make_comb ~bits:(max 1 (Z.numbits e)) ~teeth in
-        let fb = Barrett.fixed_base ctx (Z.to_nat b_) comb in
-        Z.equal
-          (Z.of_nat (Barrett.powm_fixed_base ctx fb (Z.to_nat e)))
-          (Z.mod_pow_naive b_ e m));
+        let fb = Montgomery.fixed_base ctx b_ comb in
+        let v = Montgomery.powm_fixed_base ctx fb (Z.to_nat e) in
+        Z.equal v (Z.mod_pow_naive b_ e m)
+        && Z.equal v (Barrett.powm (Barrett.create m) b_ e));
     prop "comb engine cost = closed form" 100
       (QCheck.make QCheck.Gen.(pair gen_big (int_range 1 8)))
       (fun (e, teeth) ->
         let m = Z.of_string "100000000000000000763" in
-        let ctx = Barrett.create m in
+        let ctx = Montgomery.create m in
         let e = Z.abs e in
         let comb = Wexp.make_comb ~bits:(max 1 (Z.numbits e)) ~teeth in
         let r = ref 0 in
         let fb =
-          Barrett.counting ctx r (fun () ->
-              Barrett.fixed_base ctx (Z.to_nat (Z.of_int 3)) comb)
+          Montgomery.counting ctx r (fun () ->
+              Montgomery.fixed_base ctx (Z.of_int 3) comb)
         in
-        let build_ok = !r = Wexp.comb_table_cost comb in
+        let build_ok = !r = Wexp.comb_table_cost comb + 1 in
         let r = ref 0 in
         ignore
-          (Barrett.counting ctx r (fun () ->
-               Barrett.powm_fixed_base ctx fb (Z.to_nat e)));
+          (Montgomery.counting ctx r (fun () ->
+               Montgomery.powm_fixed_base ctx fb (Z.to_nat e)));
         build_ok && !r = Wexp.comb_cost comb (Z.to_nat e));
     prop "windows replay the exponent" 300
       (QCheck.make QCheck.Gen.(pair gen_big (int_range 1 7)))
@@ -666,18 +725,22 @@ let props =
            pair (triple gen_big gen_big gen_big) (pair gen_big gen_big)))
       (fun ((b1, e1, m), (b2, e2)) ->
         QCheck.assume (Z.gt m Z.one);
+        let m = if Z.is_even m then Z.succ m else m in
         let e1 = Z.abs e1 and e2 = Z.abs e2 in
-        let ctx = Barrett.create m in
-        Z.equal
-          (Barrett.powm2 ctx b1 e1 b2 e2)
+        let v = powm2 (Montgomery.create m) b1 e1 b2 e2 in
+        let bctx = Barrett.create m in
+        Z.equal v
           (Z.erem
              (Z.mul (Z.mod_pow_naive b1 e1 m) (Z.mod_pow_naive b2 e2 m))
-             m));
+             m)
+        && Z.equal v
+             (Barrett.mulmod bctx (Barrett.powm bctx b1 e1)
+                (Barrett.powm bctx b2 e2)));
     prop "straus ladder cost = closed form" 60
       (QCheck.make QCheck.Gen.(triple gen_big gen_big gen_big))
       (fun (b1, e1, e2) ->
         let m = Z.of_string "100000000000000000763" in
-        let ctx = Barrett.create m in
+        let ctx = Montgomery.create m in
         let b2 = Z.succ b1 in
         let e1 = Z.abs e1 and e2 = Z.abs e2 in
         let ws1 = Wexp.windows (Z.to_nat e1)
@@ -686,21 +749,21 @@ let props =
           let mo = Wexp.windows_max_odd ws in
           let r = ref 0 in
           let tbl =
-            Barrett.counting ctx r (fun () ->
-                Barrett.odd_powers_nat ctx (Z.to_nat b) ~max_odd:mo)
+            Montgomery.counting ctx r (fun () ->
+                Montgomery.odd_powers ctx b ~max_odd:mo)
           in
-          (tbl, !r = Wexp.table_cost ~max_odd:mo)
+          (tbl, !r = Wexp.table_cost ~max_odd:mo + 1)
         in
         let tbl1, ok1 = table b1 ws1 in
         let tbl2, ok2 = table b2 ws2 in
         let r = ref 0 in
         let v =
-          Barrett.counting ctx r (fun () ->
-              Barrett.powm2_nat ctx tbl1 ws1 tbl2 ws2)
+          Montgomery.counting ctx r (fun () ->
+              Montgomery.powm2_tbl ctx tbl1 ws1 tbl2 ws2)
         in
         ok1 && ok2
         && !r = Wexp.straus_cost ws1 ws2
-        && Z.equal (Z.of_nat v)
+        && Z.equal v
              (Z.erem
                 (Z.mul (Z.mod_pow_naive b1 e1 m) (Z.mod_pow_naive b2 e2 m))
                 m));
@@ -708,18 +771,40 @@ let props =
       (QCheck.make QCheck.Gen.(pair gen_big gen_big))
       (fun (b_, e) ->
         let m = Z.of_string "100000000000000000763" in
-        let ctx = Barrett.create m in
+        let ctx = Montgomery.create m in
         let e = Z.abs e in
         let s = Wexp.recode (Z.to_nat e) in
-        let tbl =
-          Barrett.odd_powers_nat ctx (Z.to_nat b_) ~max_odd:s.Wexp.max_odd
-        in
+        let tbl = Montgomery.odd_powers ctx b_ ~max_odd:s.Wexp.max_odd in
         let r = ref 0 in
         let v =
-          Barrett.counting ctx r (fun () -> Barrett.powm_nat_tbl ctx tbl s)
+          Montgomery.counting ctx r (fun () -> Montgomery.powm_tbl ctx tbl s)
         in
         !r = Wexp.replay_cost s
-        && Z.equal (Z.of_nat v) (Z.mod_pow_naive b_ e m));
+        && Z.equal v (Barrett.powm (Barrett.create m) b_ e));
+    prop "stage-1 kernels = barrett powm at group widths" 30
+      (QCheck.make
+         QCheck.Gen.(
+           pair (int_range 0 (List.length stage1_moduli - 1))
+             (quad gen_huge gen_huge gen_huge (int_range 1 8))))
+      (fun (mi, (b_, e1, e2, teeth)) ->
+        (* Full-width operands on every modulus of [stage1_moduli], so
+           the padded and unpadded engine windows both see random
+           residues; exponents are reduced below the modulus the way
+           the group reduces them below q. *)
+        let m = List.nth stage1_moduli mi in
+        let e1 = Z.erem e1 m and e2 = Z.erem e2 m in
+        let ctx = Montgomery.create m and bctx = Barrett.create m in
+        let b2 = Z.succ b_ in
+        let want1 = Barrett.powm bctx b_ e1 in
+        let comb = Wexp.make_comb ~bits:(Z.numbits m) ~teeth in
+        let fb = Montgomery.fixed_base ctx b_ comb in
+        let s = Wexp.recode (Z.to_nat e1) in
+        let tbl = Montgomery.odd_powers ctx b_ ~max_odd:s.Wexp.max_odd in
+        Z.equal want1 (Montgomery.powm_fixed_base ctx fb (Z.to_nat e1))
+        && Z.equal want1 (Montgomery.powm_tbl ctx tbl s)
+        && Z.equal
+             (Barrett.mulmod bctx want1 (Barrett.powm bctx b2 e2))
+             (powm2 ctx b_ e1 b2 e2));
     prop "barrett = montgomery on odd moduli" 60
       (QCheck.make QCheck.Gen.(triple gen_big gen_big gen_big))
       (fun (b_, e, m) ->

@@ -102,13 +102,12 @@ let test_stage1_engine () =
 let test_stage1_costs_measured () =
   (* The closed-form cost oracles must match the engine's real
      multiplication count tick for tick. *)
-  let ctx = Schnorr.ctx grp in
   let q = Schnorr.q grp in
   let b2 = Schnorr.pow_g grp (Z.of_int 31337) in
   List.iter
     (fun e ->
       let r = ref 0 in
-      ignore (Barrett.counting ctx r (fun () -> Schnorr.pow_g grp e));
+      ignore (Schnorr.counting grp r (fun () -> Schnorr.pow_g grp e));
       Alcotest.(check int)
         ("pow_g cost for " ^ Z.to_string e)
         (Schnorr.pow_g_cost grp e) !r)
@@ -117,7 +116,7 @@ let test_stage1_costs_measured () =
     (fun (e1, e2) ->
       let r = ref 0 in
       let v, predicted =
-        Barrett.counting ctx r (fun () -> Schnorr.pow2_g_counted grp e1 b2 e2)
+        Schnorr.counting grp r (fun () -> Schnorr.pow2_g_counted grp e1 b2 e2)
       in
       Alcotest.(check int) "pow2_g predicted = measured" predicted !r;
       Alcotest.(check int) "pow2_g_cost agrees"
@@ -126,26 +125,26 @@ let test_stage1_costs_measured () =
     [ (Z.zero, Z.zero); (Z.one, Z.pred q);
       (Z.random_below ~bound:q rand, Z.random_below ~bound:q rand) ];
   let r = ref 0 in
-  let bt = Barrett.counting ctx r (fun () -> Schnorr.base_tbl grp b2) in
+  let bt = Schnorr.counting grp r (fun () -> Schnorr.base_tbl grp b2) in
   Alcotest.(check int) "base_tbl cost" (Schnorr.base_tbl_cost grp) !r;
   List.iter
     (fun e ->
       let r = ref 0 in
       let v, c =
-        Barrett.counting ctx r (fun () -> Schnorr.pow_tbl_counted grp bt e)
+        Schnorr.counting grp r (fun () -> Schnorr.pow_tbl_counted grp bt e)
       in
       Alcotest.(check int) "pow_tbl predicted = measured" c !r;
       Alcotest.(check int) "pow_tbl_cost agrees" (Schnorr.pow_tbl_cost grp e) c;
       Alcotest.check z "pow_tbl counted value" (Schnorr.pow grp b2 e) v)
     [ Z.zero; Z.one; Z.pred q; Z.random_below ~bound:q rand ];
   let r = ref 0 in
-  let fb = Barrett.counting ctx r (fun () -> Schnorr.base_comb grp b2) in
+  let fb = Schnorr.counting grp r (fun () -> Schnorr.base_comb grp b2) in
   Alcotest.(check int) "base_comb cost" (Schnorr.base_comb_cost grp) !r;
   List.iter
     (fun e ->
       let r = ref 0 in
       let v, c =
-        Barrett.counting ctx r (fun () -> Schnorr.pow_comb_counted grp fb e)
+        Schnorr.counting grp r (fun () -> Schnorr.pow_comb_counted grp fb e)
       in
       Alcotest.(check int) "pow_comb predicted = measured" c !r;
       Alcotest.check z "pow_comb counted value" (Schnorr.pow grp b2 e) v)

@@ -235,13 +235,14 @@ let test_jacobi_vs_legendre () =
 let test_appendix_b_dlog () =
   let n = Z.of_int 555229357 in
   let ctx = Barrett.create n in
+  let mctx = Montgomery.create n in
   let alpha = Z.of_int 474959247 and beta = Z.of_int 65281917 in
   Alcotest.check zopt "brute" (Some (Z.of_int 31))
     (Dlog.brute ctx ~base:alpha ~target:beta ~bound:(Z.of_int 49));
   Alcotest.check zopt "bsgs" (Some (Z.of_int 31))
     (Dlog.bsgs ctx ~base:alpha ~target:beta ~order:(Z.of_int 49));
   Alcotest.check zopt "pohlig-hellman" (Some (Z.of_int 31))
-    (Dlog.pohlig_hellman_prime_power ctx ~base:alpha ~target:beta
+    (Dlog.pohlig_hellman_prime_power mctx ~base:alpha ~target:beta
        ~p:(Z.of_int 7) ~c:2)
 
 let test_table_v () =
@@ -290,6 +291,7 @@ let test_dlog_prime_power_big () =
   let _, q1 = Primegen.semi_safe ~q_bits:24 ~multiple:Z.one rand in
   let n = Z.mul q0 q1 in
   let ctx = Barrett.create n in
+  let mctx = Montgomery.create n in
   let phi = Z.mul (Z.pred q0) (Z.pred q1) in
   (* h = g^(phi/pi) has order dividing pi; retry until order is exactly pi. *)
   let rec find_h g =
@@ -302,7 +304,7 @@ let test_dlog_prime_power_big () =
   let secret = Z.erem secret pi in
   let target = Barrett.powm ctx h secret in
   Alcotest.check zopt "recovers secret" (Some secret)
-    (Dlog.pohlig_hellman_prime_power ctx ~base:h ~target ~p:(Z.of_int 3) ~c:20)
+    (Dlog.pohlig_hellman_prime_power mctx ~base:h ~target ~p:(Z.of_int 3) ~c:20)
 
 let test_dlog_solver_reuse () =
   (* One Prime_power_solver must serve many targets (the PIR client
@@ -313,6 +315,7 @@ let test_dlog_solver_reuse () =
   let _, q1 = Primegen.semi_safe ~q_bits:20 ~multiple:Z.one rand in
   let n = Z.mul q0 q1 in
   let ctx = Barrett.create n in
+  let mctx = Montgomery.create n in
   let phi = Z.mul (Z.pred q0) (Z.pred q1) in
   let rec find_h g =
     let h = Barrett.powm ctx g (Z.div phi pi) in
@@ -320,7 +323,7 @@ let test_dlog_solver_reuse () =
     if Z.equal h3 Z.one then find_h (Z.succ g) else h
   in
   let h = find_h Z.two in
-  let solver = Dlog.Prime_power_solver.make ctx ~base:h ~p:(Z.of_int 3) ~c:12 in
+  let solver = Dlog.Prime_power_solver.make mctx ~base:h ~p:(Z.of_int 3) ~c:12 in
   List.iter
     (fun secret ->
       let secret = Z.erem (Z.of_int secret) pi in
@@ -330,7 +333,7 @@ let test_dlog_solver_reuse () =
         (Some secret)
         (Dlog.Prime_power_solver.solve solver target);
       Alcotest.check zopt "matches one-shot" (Some secret)
-        (Dlog.pohlig_hellman_prime_power ctx ~base:h ~target ~p:(Z.of_int 3)
+        (Dlog.pohlig_hellman_prime_power mctx ~base:h ~target ~p:(Z.of_int 3)
            ~c:12))
     [ 0; 1; 2; 531440; 265720; 77777; 300000 ]
 
@@ -338,22 +341,23 @@ let test_dlog_composite_order () =
   (* Full Pohlig-Hellman with CRT combine: group (Z/pZ)* with smooth p-1. *)
   let p = Z.of_int 8101 in (* 8101 - 1 = 2^2 * 3^4 * 5^2 *)
   let ctx = Barrett.create p in
+  let mctx = Montgomery.create p in
   let g = Z.of_int 6 in (* 6 is a primitive root mod 8101 *)
   let factors = [ Z.two, 2; Z.of_int 3, 4; Z.of_int 5, 2 ] in
   List.iter
     (fun x ->
       let target = Barrett.powm ctx g (Z.of_int x) in
       Alcotest.check zopt (Printf.sprintf "x=%d" x) (Some (Z.of_int x))
-        (Dlog.pohlig_hellman ctx ~base:g ~target ~factors))
+        (Dlog.pohlig_hellman mctx ~base:g ~target ~factors))
     [ 0; 1; 2; 100; 4097; 8099 ]
 
 let test_dlog_not_in_subgroup () =
   (* A target outside the subgroup must yield None, not a wrong answer. *)
   let n = Z.of_int 555229357 in
-  let ctx = Barrett.create n in
+  let mctx = Montgomery.create n in
   let alpha = Z.of_int 474959247 in
   Alcotest.check zopt "outside subgroup" None
-    (Dlog.pohlig_hellman_prime_power ctx ~base:alpha ~target:(Z.of_int 2)
+    (Dlog.pohlig_hellman_prime_power mctx ~base:alpha ~target:(Z.of_int 2)
        ~p:(Z.of_int 7) ~c:2)
 
 (* Edge cases of the PIR decode: exponent-1 prime powers (c = 1 slots of
@@ -363,6 +367,7 @@ let test_dlog_exponent_one () =
   (* alpha1 = alpha^7 generates the order-7 subgroup: a c = 1 instance. *)
   let n = Z.of_int 555229357 in
   let ctx = Barrett.create n in
+  let mctx = Montgomery.create n in
   let alpha1 = Z.of_int 98589017 in
   List.iter
     (fun x ->
@@ -370,12 +375,12 @@ let test_dlog_exponent_one () =
       Alcotest.check zopt
         (Printf.sprintf "c=1, x=%d" x)
         (Some (Z.of_int x))
-        (Dlog.pohlig_hellman_prime_power ctx ~base:alpha1 ~target
+        (Dlog.pohlig_hellman_prime_power mctx ~base:alpha1 ~target
            ~p:(Z.of_int 7) ~c:1))
     [ 0; 1; 3; 6 ];
   (* Outside the subgroup: None even for c = 1. *)
   Alcotest.check zopt "c=1 outside subgroup" None
-    (Dlog.pohlig_hellman_prime_power ctx ~base:alpha1 ~target:Z.two
+    (Dlog.pohlig_hellman_prime_power mctx ~base:alpha1 ~target:Z.two
        ~p:(Z.of_int 7) ~c:1)
 
 let test_dlog_extreme_residues () =
@@ -383,9 +388,10 @@ let test_dlog_extreme_residues () =
      subgroup of the Appendix B group. *)
   let n = Z.of_int 555229357 in
   let ctx = Barrett.create n in
+  let mctx = Montgomery.create n in
   let alpha = Z.of_int 474959247 in
   let solve target =
-    Dlog.pohlig_hellman_prime_power ctx ~base:alpha ~target ~p:(Z.of_int 7)
+    Dlog.pohlig_hellman_prime_power mctx ~base:alpha ~target ~p:(Z.of_int 7)
       ~c:2
   in
   Alcotest.check zopt "residue 0" (Some Z.zero) (solve Z.one);
@@ -491,10 +497,11 @@ let test_factor_enables_dlog () =
   let p = Z.of_int 8101 in
   let factors = Factor.factor ~rand (Z.pred p) in
   let ctx = Barrett.create p in
+  let mctx = Montgomery.create p in
   let g = Z.of_int 6 in
   let target = Barrett.powm ctx g (Z.of_int 1234) in
   Alcotest.check zopt "solved" (Some (Z.of_int 1234))
-    (Dlog.pohlig_hellman ctx ~base:g ~target ~factors)
+    (Dlog.pohlig_hellman mctx ~base:g ~target ~factors)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -583,6 +590,55 @@ let props =
         match Dlog.bsgs ctx ~base:g ~target ~order:(Z.pred p) with
         | None -> false
         | Some x' -> Z.equal target (Barrett.powm ctx g x'));
+    prop "montgomery PH solver = barrett bsgs/brute" 25
+      (QCheck.make
+         QCheck.Gen.(triple (int_range 0 5) (int_range 1 5)
+                       (int_range 0 1000000)))
+      (fun (pi_idx, c, salt) ->
+        (* A random PIR-shaped prime-power subgroup: pi = p^c divides
+           phi(N) for N = Q0 * Q1 with Q0 = 2 q0 pi + 1.  The solver runs
+           on Montgomery windows; the oracles on an independent Barrett
+           context. *)
+        let p = Z.of_int [| 3; 5; 7; 11; 13; 101 |].(pi_idx) in
+        let pi = Z.pow p c in
+        let rand =
+          Drbg.rand (Drbg.create ~seed:(Printf.sprintf "ph-%d" salt) ())
+        in
+        let _, q0 = Primegen.semi_safe ~q_bits:16 ~multiple:pi rand in
+        let rec other () =
+          let _, q1 = Primegen.semi_safe ~q_bits:16 ~multiple:Z.one rand in
+          if Z.equal q1 q0 then other () else q1
+        in
+        let n = Z.mul q0 (other ()) in
+        let ctx = Barrett.create n in
+        let phi = Z.mul (Z.pred q0) (Z.pred (Z.div n q0)) in
+        let rec find_h g =
+          let h = Barrett.powm ctx g (Z.div phi pi) in
+          if Z.equal (Barrett.powm ctx h (Z.div pi p)) Z.one then
+            find_h (Z.succ g)
+          else h
+        in
+        let h = find_h (Z.add Z.two (Z.random_below ~bound:(Z.of_int 1000) rand)) in
+        let solver =
+          Dlog.Prime_power_solver.make (Montgomery.create n) ~base:h ~p ~c
+        in
+        let agrees target =
+          let got = Dlog.Prime_power_solver.solve solver target in
+          let bsgs = Dlog.bsgs ctx ~base:h ~target ~order:pi in
+          let brute =
+            if Z.leq pi (Z.of_int 2000) then
+              Dlog.brute ctx ~base:h ~target ~bound:pi
+            else bsgs
+          in
+          Option.equal Z.equal got bsgs && Option.equal Z.equal got brute
+        in
+        let x = Z.random_below ~bound:pi rand in
+        (* in-subgroup targets (random, both extremes) and one random
+           unit that is almost surely outside the subgroup *)
+        agrees (Barrett.powm ctx h x)
+        && agrees Z.one
+        && agrees (Barrett.powm ctx h (Z.pred pi))
+        && agrees (Z.add Z.two (Z.random_below ~bound:(Z.sub n (Z.of_int 4)) rand)));
     prop "generated primes pass fermat" 10
       (QCheck.make QCheck.Gen.(int_range 20 80))
       (fun bits ->

@@ -46,6 +46,7 @@ let test_appendix_b () =
   Alcotest.check z "phi" (Z.of_int 554894620) phi;
   Alcotest.check z "pi | phi" Z.zero (Z.erem phi (Z.of_int pi));
   let ctx = Barrett.create n in
+  let mctx = Montgomery.create n in
   let g = Z.of_int 3 in
   (* |g| = 138723655 as stated; q = |g| / pi. *)
   let order_g = Z.of_int 138723655 in
@@ -64,7 +65,7 @@ let test_appendix_b () =
     (Dlog.brute ctx ~base:h ~target:he ~bound:(Z.of_int pi));
   Alcotest.(check (option (Alcotest.testable Z.pp Z.equal))) "pohlig-hellman"
     (Some (Z.of_int 31))
-    (Dlog.pohlig_hellman_prime_power ctx ~base:h ~target:he ~p:(Z.of_int 7) ~c:2)
+    (Dlog.pohlig_hellman_prime_power mctx ~base:h ~target:he ~p:(Z.of_int 7) ~c:2)
 
 (* ------------------------------------------------------------------ *)
 (* Plan                                                                 *)
@@ -113,6 +114,36 @@ let test_gr_roundtrip () =
   for index = 0 to count - 1 do
     let v = Gr.fetch ~server ~index ~q_bits:24 rand in
     Alcotest.check z (Printf.sprintf "record %d" index) records.(index) v
+  done
+
+let test_gr_decode_every_slot () =
+  (* Every slot of a 64-slot, 640-bit plan (p = 3 .. 313, c = 404 .. 78)
+     decodes through the Montgomery Pohlig-Hellman solver: once on a
+     fresh instance (tables built on first decode) and once on an
+     instance whose tables were built offline by [prepare]. *)
+  let count = 64 and block_bits = 640 in
+  let plan = Gr.make_plan ~count ~block_bits () in
+  let first = Gr.plan_slot plan 0 and last = Gr.plan_slot plan (count - 1) in
+  Alcotest.(check (pair int int)) "first slot" (3, 404)
+    (Z.to_int first.Gr.p, first.Gr.c);
+  Alcotest.(check (pair int int)) "last slot" (313, 78)
+    (Z.to_int last.Gr.p, last.Gr.c);
+  let records =
+    Array.init count (fun i ->
+        Z.erem (Z.random_bits ~bits:block_bits rand) (Gr.plan_slot plan i).Gr.pi)
+  in
+  let server = Gr.Server.create plan records in
+  for index = 0 to count - 1 do
+    List.iter
+      (fun prepared ->
+        let st, (n, g) = Gr.Client.query ~plan ~index ~q_bits:16 rand in
+        if prepared then Gr.Client.prepare st;
+        Alcotest.check z
+          (Printf.sprintf "slot %d (%s)" index
+             (if prepared then "prepared" else "fresh"))
+          records.(index)
+          (Gr.Client.decode st (Gr.Server.respond server ~n ~g)))
+      [ false; true ]
   done
 
 let test_gr_large_records () =
@@ -265,6 +296,8 @@ let () =
       ("gentry-ramzan",
        [ Alcotest.test_case "roundtrip" `Quick test_gr_roundtrip;
          Alcotest.test_case "large records" `Quick test_gr_large_records;
+         Alcotest.test_case "decode every slot (64 x 640-bit)" `Quick
+           test_gr_decode_every_slot;
          Alcotest.test_case "capacity check" `Quick test_gr_capacity_check;
          Alcotest.test_case "e satisfies congruences" `Quick
            test_gr_e_satisfies_congruences;
