@@ -46,10 +46,13 @@ check:
 
 # Benchmarks run under the release profile (flambda-style optimisation,
 # no assertions stripped that matter here) so timings reflect deployment:
-# the transport fault sweep plus the stage-1, stage-2, offline/online,
-# backend-arena, batched-respond and serving-layer suites that emit
-# BENCH_ot.json, BENCH_pir.json, BENCH_keypool.json,
-# BENCH_backends.json, BENCH_batch.json and BENCH_serve.json.
+# the limb-engine suite (fused vs reference Montgomery kernels, stage-1
+# table kernels checked against Z.mod_pow_naive; BENCH_powm.json), the
+# transport fault sweep, and the stage-1, stage-2, offline/online,
+# backend-arena, batched-respond, serving-layer and streaming-update
+# suites that emit BENCH_ot.json, BENCH_pir.json, BENCH_keypool.json,
+# BENCH_backends.json, BENCH_batch.json, BENCH_serve.json and
+# BENCH_update.json.
 bench:
 	dune build --profile release bench/main.exe
 	dune exec --profile release bench/main.exe -- powm 5

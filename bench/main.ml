@@ -20,14 +20,15 @@
                      kernels (mul/sqr/powm) vs the pre-rewrite reference
                      engine — ns/op, speedup and minor words/op per
                      modulus size — plus the stage-1 table kernels
-                     (comb, Straus, table replay) vs Barrett powm on the
-                     group moduli (own JSON key); emits BENCH_powm.json
+                     (comb, Straus, table replay) vs plain Montgomery
+                     powm on the group moduli, checked against
+                     Z.mod_pow_naive (own JSON key); emits BENCH_powm.json
      powm-guard      make-check gate: asserts BENCH_powm.quick.json's
                      worst powm speedup >= 1.5x and kernel allocation
                      within budget
-     pir             Stage-2 hot path: powm engine ablation (fixed-window
-                     Barrett / sliding Barrett / Montgomery + cached
-                     recoding), updated Table II closed-form assertion,
+     pir             Stage-2 hot path: powm engine ablation (reference
+                     Montgomery ladder / fused CIOS + cached recoding),
+                     updated Table II closed-form assertion,
                      client decode time (fresh vs cached tables), and
                      queries/sec vs domain count; emits BENCH_pir.json
      ot              Stage-1 hot path: comb/Straus respond vs the generic
@@ -467,43 +468,6 @@ let ablate_modsize trials =
       "1024", Schnorr.paper_group () ];
   Format.printf "@.  Cost scales ~cubically with |p| (schoolbook modmult).@.@."
 
-let ablate_mulengine trials =
-  Format.printf
-    "=== Ablation: Barrett vs Montgomery exponentiation (160-bit exponents) ===@.@.";
-  let drbg = Drbg.create ~seed:"bench-engine" () in
-  let rand = Drbg.rand drbg in
-  Format.printf "  %-8s | %-14s | %-14s | %s@." "|m|" "barrett (ms)"
-    "montgomery (ms)" "speedup";
-  Format.printf "  %s@." (String.make 55 '-');
-  List.iter
-    (fun bits ->
-      let m = Z.random_bits ~bits rand in
-      let m = Z.add m (Z.shift_left Z.one (bits - 1)) in
-      let m = if Z.is_even m then Z.succ m else m in
-      let bar = Barrett.create m in
-      let mont = Montgomery.create m in
-      let a = Z.erem (Z.random_bits ~bits rand) m in
-      let e = Z.random_bits ~bits:160 rand in
-      assert (Z.equal (Barrett.powm bar a e) (Montgomery.powm mont a e));
-      let reps = max 20 (trials * 10) in
-      let tb =
-        snd (time (fun () -> for _ = 1 to reps do ignore (Barrett.powm bar a e) done))
-        /. float_of_int reps
-      in
-      let tm =
-        snd (time (fun () ->
-            for _ = 1 to reps do ignore (Montgomery.powm mont a e) done))
-        /. float_of_int reps
-      in
-      Format.printf "  %-8d | %14.4f | %14.4f | %.2fx@." bits (tb *. 1e3)
-        (tm *. 1e3) (tb /. tm))
-    [ 512; 1024; 2048 ];
-  Format.printf
-    "@.  Montgomery runs every ladder over an odd protocol modulus (both@.";
-  Format.printf
-    "  stages, both sides; its counter keeps Tables I-II exact); Barrett@.";
-  Format.printf "  keeps even moduli, qr_pir, Paillier and the test oracles.@.@."
-
 let ablate_reuse trials =
   Format.printf
     "=== Ablation: per-cell PIR instance reuse across rounds (S VI) ===@.@.";
@@ -777,8 +741,8 @@ let faults ?(out = "BENCH_faults.json") ?(rates = [ 0.; 0.01; 0.05; 0.1 ])
 
 (* Stage-2 server hot path at the paper's parameters (225 records,
    1024-bit blocks, 128-bit q): wall time of one respond under the
-   pre-PR engine (Barrett, fixed 4-bit window) vs the sliding-window
-   Barrett vs the production path (Montgomery + cached recoding); the
+   pre-CIOS Montgomery ladder ({!Montgomery.powm_sched_reference}) vs
+   the production path (fused CIOS sweeps + cached recoding); the
    updated Table II closed form asserted against the measured multiply
    counter; and queries/sec vs domain count on the worker pool.  Emits
    BENCH_pir.json. *)
@@ -796,7 +760,6 @@ let pir ?(out = "BENCH_pir.json") ?(count = 225) ?(block_bits = 1024)
   in
   let metrics = Counters.create () in
   let server = Gr.Server.create ~metrics plan records in
-  let e = Gr.Server.e server in
   let ebits = Gr.Server.e_bits server in
   let index = count / 2 in
   let st, (n, g) = Gr.Client.query ~plan ~index ~q_bits rand in
@@ -815,28 +778,20 @@ let pir ?(out = "BENCH_pir.json") ?(count = 225) ?(block_bits = 1024)
     done;
     (!out, !acc /. float_of_int reps)
   in
+  let sched = Gr.Server.schedule server in
   let r_old, t_old =
     sample (fun () ->
-        let ctx = Barrett.create n in
-        Barrett.powm_fixed4 ctx g e)
-  in
-  let sched = Gr.Server.schedule server in
-  let r_slide, t_slide =
-    sample (fun () ->
-        let ctx = Barrett.create n in
-        Barrett.powm_sched ctx g sched)
+        let ctx = Montgomery.create n in
+        Montgomery.powm_sched_reference ctx g sched)
   in
   let r_mont, t_mont = sample (fun () -> Gr.Server.respond server ~n ~g) in
-  assert (Z.equal r_old r_slide);
   assert (Z.equal r_old r_mont);
   let speedup = t_old /. t_mont in
   Format.printf
     "  one respond at paper params: |e| = %d bits, |N| = %d bits (mean of %d)@."
     ebits (Z.numbits n) reps;
-  Format.printf "    barrett, fixed 4-bit window (pre-PR): %8.3f s@." t_old;
-  Format.printf "    barrett, sliding window:              %8.3f s  (%.2fx)@."
-    t_slide (t_old /. t_slide);
-  Format.printf "    montgomery, sliding + cached recode:  %8.3f s  (%.2fx)@."
+  Format.printf "    montgomery reference ladder (pre-CIOS): %8.3f s@." t_old;
+  Format.printf "    montgomery fused CIOS + cached recode:  %8.3f s  (%.2fx)@."
     t_mont speedup;
   (* --- Updated Table II closed form, asserted exactly. --- *)
   Counters.reset metrics;
@@ -913,10 +868,9 @@ let pir ?(out = "BENCH_pir.json") ?(count = 225) ?(block_bits = 1024)
                 "n_bits", J.Int (Z.numbits n) ] );
           ( "ablation",
             J.Obj
-              [ "barrett_fixed4_s", J.Float t_old;
-                "barrett_sliding_s", J.Float t_slide;
+              [ "reference_sched_s", J.Float t_old;
                 "montgomery_sched_s", J.Float t_mont;
-                "speedup_vs_fixed4", J.Float speedup ] );
+                "speedup_vs_reference", J.Float speedup ] );
           ( "closed_form",
             J.Obj
               [ "width", J.Int w; "measured_mults", J.Int measured;
@@ -1508,14 +1462,15 @@ let powm_bench ?(out = "BENCH_powm.json") ?(sizes = [ 512; 1024; 1331; 2048 ])
         ops)
     sizes;
   (* Stage-1 table kernels on the Schnorr group moduli with exponents
-     below q, each against the Barrett sliding-window powm of the same
-     result (the engine the group ran on before).  Tables are prebuilt,
-     as the group and the OT server hold them; the Straus row builds its
-     second table per call, as [Schnorr.pow2_g] does.  These rows stay
-     out of the summary [powm-guard] reads. *)
-  Format.printf "@.  stage-1 kernels (Montgomery tables vs Barrett powm)@.";
+     below q, each checked against Z.mod_pow_naive (no code shared with
+     the engine) and timed against a plain Montgomery.powm of the same
+     result, which builds its odd-powers table per call.  Tables are
+     prebuilt, as the group and the OT server hold them; the Straus row
+     builds its second table per call, as [Schnorr.pow2_g] does.  These
+     rows stay out of the summary [powm-guard] reads. *)
+  Format.printf "@.  stage-1 kernels (prebuilt tables vs plain powm)@.";
   Format.printf "  %-5s | %-7s | %12s | %12s | %8s | %10s@." "bits" "op"
-    "barrett (ns)" "mont (ns)" "speedup" "mont w/op";
+    "powm (ns)" "kernel (ns)" "speedup" "kernel w/op";
   Format.printf "  %s@." (String.make 66 '-');
   let stage1_rows =
     List.concat_map
@@ -1523,7 +1478,7 @@ let powm_bench ?(out = "BENCH_powm.json") ?(sizes = [ 512; 1024; 1331; 2048 ])
         let group = group () in
         let p = Schnorr.p group and q = Schnorr.q group in
         let bits = Z.numbits p in
-        let ctx = Montgomery.create p and bctx = Barrett.create p in
+        let ctx = Montgomery.create p in
         let b1 = Z.erem (Z.random_bits ~bits rand) p in
         let b2 = Z.erem (Z.random_bits ~bits rand) p in
         let e1 = Z.random_below ~bound:q rand in
@@ -1544,41 +1499,41 @@ let powm_bench ?(out = "BENCH_powm.json") ?(sizes = [ 512; 1024; 1331; 2048 ])
           in
           Montgomery.powm2_tbl ctx tbl1 ws1 tbl2 ws2
         in
-        let want1 = Barrett.powm bctx b1 e1 in
-        let want2 = Barrett.mulmod bctx want1 (Barrett.powm bctx b2 e2) in
+        let want1 = Z.mod_pow_naive b1 e1 p in
+        let want2 = Z.erem (Z.mul want1 (Z.mod_pow_naive b2 e2 p)) p in
         if
           not
             (Z.equal want1 (Montgomery.powm_fixed_base ctx fb (Z.to_nat e1))
             && Z.equal want1 (Montgomery.powm_tbl ctx tbl1 s1)
             && Z.equal want2 (straus ()))
-        then failwith "bench powm: stage-1 kernels disagree with Barrett";
+        then failwith "bench powm: stage-1 kernels disagree with Z.mod_pow_naive";
         let ops =
           [ ("comb",
              (fun () -> ignore (Montgomery.powm_fixed_base ctx fb (Z.to_nat e1))),
-             fun () -> ignore (Barrett.powm bctx b1 e1));
+             fun () -> ignore (Montgomery.powm ctx b1 e1));
             ("straus", (fun () -> ignore (straus ())),
              fun () ->
                ignore
-                 (Barrett.mulmod bctx (Barrett.powm bctx b1 e1)
-                    (Barrett.powm bctx b2 e2)));
+                 (Montgomery.mulmod ctx (Montgomery.powm ctx b1 e1)
+                    (Montgomery.powm ctx b2 e2)));
             ("replay",
              (fun () -> ignore (Montgomery.powm_tbl ctx tbl1 s1)),
-             fun () -> ignore (Barrett.powm bctx b1 e1)) ]
+             fun () -> ignore (Montgomery.powm ctx b1 e1)) ]
         in
         List.map
-          (fun (op, fmont, fbar) ->
-            let m_ns, m_words = measure stage1_iters fmont in
-            let b_ns, b_words = measure stage1_iters fbar in
+          (fun (op, fkernel, fpowm) ->
+            let k_ns, k_words = measure stage1_iters fkernel in
+            let p_ns, p_words = measure stage1_iters fpowm in
             Format.printf "  %-5d | %-7s | %12.1f | %12.1f | %7.2fx | %10.1f@."
-              bits op b_ns m_ns (b_ns /. m_ns) m_words;
+              bits op p_ns k_ns (p_ns /. k_ns) k_words;
             J.Obj
               [ "bits", J.Int bits; "op", J.Str op;
                 "iters", J.Int stage1_iters;
-                "barrett_ns_per_op", J.Float b_ns;
-                "montgomery_ns_per_op", J.Float m_ns;
-                "speedup", J.Float (b_ns /. m_ns);
-                "barrett_minor_words_per_op", J.Float b_words;
-                "montgomery_minor_words_per_op", J.Float m_words ])
+                "powm_ns_per_op", J.Float p_ns;
+                "kernel_ns_per_op", J.Float k_ns;
+                "speedup", J.Float (p_ns /. k_ns);
+                "powm_minor_words_per_op", J.Float p_words;
+                "kernel_minor_words_per_op", J.Float k_words ])
           ops)
       stage1_groups
   in
@@ -2275,7 +2230,7 @@ let update_bench ?(out = "BENCH_update.json")
                     Char.chr (((r * 131) + (c * 29) + (k * 7)) land 0xff))))
       in
       let backend_cells =
-        List.filter_map
+        List.map
           (fun backend ->
             let module M = (val backend : Pb.S) in
             let enc_seed =
@@ -2287,52 +2242,48 @@ let update_bench ?(out = "BENCH_update.json")
                 backend blocks
             in
             let inst = encode () in
-            if not (Instance.can_update inst) then None
-            else begin
-              let patch_s = ref infinity in
-              for i = 1 to reps do
-                let r = Drbg.int drbg rows and c = Drbg.int drbg cols in
-                let b =
-                  String.init len (fun k ->
-                      Char.chr (((i * 37) + (k * 11) + r + c) land 0xff))
-                in
-                blocks.(r).(c) <- b;
-                let ok, s =
-                  time (fun () -> Instance.update inst ~row:r ~col:c ~block:b)
-                in
-                assert ok;
-                patch_s := Float.min !patch_s s
-              done;
-              let oracle = encode () in
-              for i = 1 to 2 do
-                let r = Drbg.int drbg rows and c = Drbg.int drbg cols in
-                let fetch inst' =
-                  Instance.fetch
-                    ~rand:
-                      (Drbg.rand
-                         (Drbg.create
-                            ~seed:
-                              (Printf.sprintf "bench-update-q-%s-%d-%d" M.name
-                                 count i)
-                            ()))
-                    ~row:r ~col:c inst'
-                in
-                let a = fetch inst and b = fetch oracle in
-                assert (
-                  String.equal a.Instance.query_wire b.Instance.query_wire);
-                assert (
-                  String.equal a.Instance.response_wire
-                    b.Instance.response_wire);
-                assert (String.equal a.Instance.block blocks.(r).(c));
-                assert (String.equal b.Instance.block blocks.(r).(c))
-              done;
-              let reencode_s = ref infinity in
-              for _ = 1 to max 2 (reps / 2) do
-                let _, s = time (fun () -> encode ()) in
-                reencode_s := Float.min !reencode_s s
-              done;
-              Some (M.name, !patch_s, !reencode_s)
-            end)
+            let patch_s = ref infinity in
+            for i = 1 to reps do
+              let r = Drbg.int drbg rows and c = Drbg.int drbg cols in
+              let b =
+                String.init len (fun k ->
+                    Char.chr (((i * 37) + (k * 11) + r + c) land 0xff))
+              in
+              blocks.(r).(c) <- b;
+              let (), s =
+                time (fun () -> Instance.update inst ~row:r ~col:c ~block:b)
+              in
+              patch_s := Float.min !patch_s s
+            done;
+            let oracle = encode () in
+            for i = 1 to 2 do
+              let r = Drbg.int drbg rows and c = Drbg.int drbg cols in
+              let fetch inst' =
+                Instance.fetch
+                  ~rand:
+                    (Drbg.rand
+                       (Drbg.create
+                          ~seed:
+                            (Printf.sprintf "bench-update-q-%s-%d-%d" M.name
+                               count i)
+                          ()))
+                  ~row:r ~col:c inst'
+              in
+              let a = fetch inst and b = fetch oracle in
+              assert (
+                String.equal a.Instance.query_wire b.Instance.query_wire);
+              assert (
+                String.equal a.Instance.response_wire
+                  b.Instance.response_wire);
+              assert (String.equal a.Instance.block blocks.(r).(c));
+              assert (String.equal b.Instance.block blocks.(r).(c))
+            done;
+            let reencode_s = ref infinity in
+            for _ = 1 to max 2 (reps / 2) do
+              let _, s = time (fun () -> encode ()) in
+              reencode_s := Float.min !reencode_s s
+            done;
+            (M.name, !patch_s, !reencode_s))
           (Registry.all ())
       in
       Format.printf "  %3dx%-3d %5db | %12.6f | %12.6f | %7.1fx | %s@." rows
@@ -2524,7 +2475,6 @@ let () =
   | "ablate-grid" -> ablate_grid trials
   | "ablate-block" -> ablate_block trials
   | "ablate-modsize" -> ablate_modsize trials
-  | "ablate-mulengine" -> ablate_mulengine trials
   | "ablate-reuse" -> ablate_reuse trials
   | "ablate-network" -> ablate_network trials
   | "throughput" -> throughput trials
@@ -2552,7 +2502,6 @@ let () =
     ablate_grid (max 3 (trials / 2));
     ablate_block (max 2 (trials / 3));
     ablate_modsize (max 3 (trials / 2));
-    ablate_mulengine (max 2 (trials / 2));
     ablate_reuse (max 3 (trials / 2));
     ablate_network (max 2 (trials / 2));
     throughput (max 8 trials);
@@ -2569,6 +2518,6 @@ let () =
     micro trials
   | other ->
     Format.eprintf
-      "unknown command %S (try table1..table4, ablate-grid, ablate-block, ablate-modsize, ablate-mulengine, ablate-reuse, comms, faults, powm, powm-guard, pir, ot, keypool, backends, batch, batch-guard, update, update-guard, quick, micro, all)@."
+      "unknown command %S (try table1..table4, ablate-grid, ablate-block, ablate-modsize, ablate-reuse, ablate-network, throughput, comms, faults, powm, powm-guard, serve, serve-guard, pir, ot, keypool, backends, batch, batch-guard, update, update-guard, quick, micro, all)@."
       other;
     exit 2

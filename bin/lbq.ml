@@ -252,11 +252,6 @@ let serve preset seed db prewarm clients domains duration queue_depth batch
                   while Service.applied_epoch svc < Service.epoch svc do
                     Unix.sleepf 0.001
                   done;
-                  (* re-pin a prewarmed pool: instances stocked under
-                     epoch 0 are evicted on take, never silently served *)
-                  Option.iter
-                    (fun pool -> Keypool.set_epoch pool (Service.epoch svc))
-                    pool;
                   Format.printf
                     "Applied %d churn update(s); database at epoch %d.@.@."
                     churn (Service.epoch svc)
@@ -300,9 +295,9 @@ let serve preset seed db prewarm clients domains duration queue_depth batch
           if sc.Counters.epoch_bumps > 0 || sc.Counters.update_blocks > 0 then
             Format.printf
               "updates: %d cell(s) applied across %d epoch bump(s), %d block \
-               write(s), %d stale pool eviction(s)@."
+               write(s)@."
               sc.Counters.update_applied sc.Counters.epoch_bumps
-              sc.Counters.update_blocks sc.Counters.pool_stale_evictions;
+              sc.Counters.update_blocks;
           Format.printf "%a@." Histogram.pp h;
           `Ok ())
     end

@@ -1,7 +1,7 @@
-(* Montgomery modular arithmetic for odd moduli, an alternative reduction
-   engine to {!Barrett}.  Operands live in Montgomery form (a * R mod n);
-   {!Gr.Server.respond} uses this engine by default since honest stage-2
-   moduli N = Q0*Q1 are odd.
+(* Montgomery modular arithmetic for odd moduli: the one reduction engine
+   of the codebase.  Every modulus it meets is odd — the Schnorr prime p,
+   the Gentry–Ramzan N = Q0*Q1, the Blum modulus of the QR baseline and
+   Paillier's n^2.  Operands live in Montgomery form (a * R mod n).
 
    The hot core is word-level CIOS (coarsely integrated operand
    scanning) at an internal radix of 2^29, wider than {!Nat}'s global
@@ -63,7 +63,7 @@ type t = {
   r2e : int array;    (* Re^2 mod n as a ke-digit window *)
   one_e : int array;  (* Re mod n: the Montgomery form of 1 *)
   mutable tick : int ref option;
-    (* optional modular-multiplication counter, mirroring {!Barrett} *)
+    (* optional modular-multiplication counter *)
 }
 
 (* Inverse of an odd digit modulo 2^bits (bits <= 32), by Hensel lifting:
@@ -223,7 +223,7 @@ let create (modulus : Z.t) : t =
 let modulus t = t.modulus
 let k_limbs t = t.ke
 
-(* Attach or detach a per-multiplication counter, as in {!Barrett}. *)
+(* Attach or detach a per-multiplication counter. *)
 let set_counter t c = t.tick <- c
 
 let counting t r f =
@@ -612,12 +612,12 @@ let pow_window t (b : window) (s : Wexp.t) : window =
   if s.Wexp.first = 0 then one_window t
   else replay t (odd_powers_w t b ~max_odd:s.Wexp.max_odd) s
 
-(* Execute a precomputed sliding-window schedule (see {!Wexp}),
-   mirroring {!Barrett.powm_sched}.  Everything between the one [erem]
-   on entry and the one [redc_e] on exit runs on fixed ke-digit engine
-   windows: the odd-powers table is window-width, the accumulator is
-   updated in place (the sweeps consume their inputs before writing),
-   and each of the {!Wexp.cost}+1 ticked operations allocates nothing. *)
+(* Execute a precomputed sliding-window schedule (see {!Wexp}).
+   Everything between the one [erem] on entry and the one [redc_e] on
+   exit runs on fixed ke-digit engine windows: the odd-powers table is
+   window-width, the accumulator is updated in place (the sweeps consume
+   their inputs before writing), and each of the {!Wexp.cost}+1 ticked
+   operations allocates nothing. *)
 let powm_sched t (base_ : Z.t) (s : Wexp.t) : Z.t =
   if s.Wexp.first = 0 then one_z t
   else of_window t (pow_window t (to_window t base_) s)

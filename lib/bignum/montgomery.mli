@@ -1,9 +1,11 @@
-(** Montgomery modular arithmetic (REDC) for odd moduli — the engine
-    behind every exponentiation ladder over an odd modulus in the
-    protocol: the stage-2 server ({!powm_sched_batch}; honest moduli
-    N = Q0·Q1 are odd), the stage-2 client decode (Pohlig–Hellman on
-    {!window}s), the stage-1 Schnorr group (the table kernels below) and
-    Miller–Rabin.  {!Barrett} keeps the even and arbitrary moduli.
+(** Montgomery modular arithmetic (REDC) for odd moduli — the one
+    modular-arithmetic engine of the codebase, since every modulus it
+    works with is odd: the stage-2 server ({!powm_sched_batch}; honest
+    moduli N = Q0·Q1 are odd, even ones are refused before any work),
+    the stage-2 client decode (Pohlig–Hellman on {!window}s), the
+    stage-1 Schnorr group (the table kernels below), Miller–Rabin, and
+    the baseline's QR-PIR (Blum modulus) and Paillier ([n{^2}]).
+    {!Z.mod_pow_naive} is the independent oracle its crosschecks use.
 
     The hot core is a fused word-level CIOS sweep at an internal radix
     of 2{^29} (multiply and REDC reduction in one pass, two operand

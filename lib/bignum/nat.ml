@@ -145,143 +145,6 @@ let addmul_1 (r : int array) (off : int) (a : t) (m : int) =
     done
   end
 
-(* Like [addmul_1] but never writes at or beyond limb index [cut] of [r]
-   (absolute index, not relative to [off]): the low-product building
-   block for Barrett reduction. *)
-let addmul_1_trunc (r : int array) (off : int) (a : t) (m : int) ~(cut : int) =
-  if m <> 0 && off < cut then begin
-    let carry = ref 0 in
-    let la = min (Array.length a) (cut - off) in
-    for i = 0 to la - 1 do
-      let t =
-        Array.unsafe_get r (off + i)
-        + (Array.unsafe_get a i * m)
-        + !carry
-      in
-      Array.unsafe_set r (off + i) (t land mask);
-      carry := t lsr limb_bits
-    done;
-    let i = ref (off + la) in
-    while !carry <> 0 && !i < cut do
-      let t = r.(!i) + !carry in
-      r.(!i) <- t land mask;
-      carry := t lsr limb_bits;
-      incr i
-    done
-  end
-
-(* Offset variant of [addmul_1]: r.(roff ..) += a[aoff .. aoff+alen-1] * m.
-   Lets the engines multiply a *window* of a larger buffer (Barrett's q1
-   and q3 are limb-aligned views of intermediate products) without
-   slicing it into a fresh array first. *)
-let addmul_off (r : int array) (roff : int) (a : int array) (aoff : int)
-    (alen : int) (m : int) =
-  if m <> 0 then begin
-    let carry = ref 0 in
-    for i = 0 to alen - 1 do
-      let t =
-        Array.unsafe_get r (roff + i)
-        + (Array.unsafe_get a (aoff + i) * m)
-        + !carry
-      in
-      Array.unsafe_set r (roff + i) (t land mask);
-      carry := t lsr limb_bits
-    done;
-    let i = ref (roff + alen) in
-    while !carry <> 0 do
-      let t = r.(!i) + !carry in
-      r.(!i) <- t land mask;
-      carry := t lsr limb_bits;
-      incr i
-    done
-  end
-
-(* Offset + truncated: never writes at or beyond limb [cut] of [r]. *)
-let addmul_off_trunc (r : int array) (roff : int) (a : int array) (aoff : int)
-    (alen : int) (m : int) ~(cut : int) =
-  if m <> 0 && roff < cut then begin
-    let carry = ref 0 in
-    let alen = min alen (cut - roff) in
-    for i = 0 to alen - 1 do
-      let t =
-        Array.unsafe_get r (roff + i)
-        + (Array.unsafe_get a (aoff + i) * m)
-        + !carry
-      in
-      Array.unsafe_set r (roff + i) (t land mask);
-      carry := t lsr limb_bits
-    done;
-    let i = ref (roff + alen) in
-    while !carry <> 0 && !i < cut do
-      let t = r.(!i) + !carry in
-      r.(!i) <- t land mask;
-      carry := t lsr limb_bits;
-      incr i
-    done
-  end
-
-(* [mul_into dst a la b lb] overwrites dst[0 .. la+lb-1] with the
-   product a[0..la-1] * b[0..lb-1].  Inputs are fixed-width windows —
-   trailing zero limbs are fine, canonical form is NOT required — which
-   is what the scratch-buffer engines trade in.  [dst] must not alias
-   [a] or [b] and needs length >= la + lb. *)
-let mul_into (dst : int array) (a : int array) (la : int) (b : int array)
-    (lb : int) =
-  Array.fill dst 0 (la + lb) 0;
-  for j = 0 to lb - 1 do
-    addmul_off dst j a 0 la (Array.unsafe_get b j)
-  done
-
-(* [sqr_into dst a n] overwrites dst[0 .. 2n-1] with the square of
-   a[0..n-1]: the same half-product scheme as [sqr_schoolbook] (each
-   symmetric cross product once, doubled in place, diagonal folded in
-   last), but into a caller-owned buffer.  Same contract as
-   [mul_into]. *)
-let sqr_into (dst : int array) (a : int array) (n : int) =
-  Array.fill dst 0 (2 * n) 0;
-  for i = 0 to n - 2 do
-    let m = Array.unsafe_get a i in
-    if m <> 0 then begin
-      let carry = ref 0 in
-      for j = i + 1 to n - 1 do
-        let t =
-          Array.unsafe_get dst (i + j)
-          + (Array.unsafe_get a j * m)
-          + !carry
-        in
-        Array.unsafe_set dst (i + j) (t land mask);
-        carry := t lsr limb_bits
-      done;
-      let k = ref (i + n) in
-      while !carry <> 0 do
-        let t = dst.(!k) + !carry in
-        dst.(!k) <- t land mask;
-        carry := t lsr limb_bits;
-        incr k
-      done
-    end
-  done;
-  let carry = ref 0 in
-  for i = 0 to (2 * n) - 1 do
-    let t = (Array.unsafe_get dst i lsl 1) lor !carry in
-    Array.unsafe_set dst i (t land mask);
-    carry := t lsr limb_bits
-  done;
-  let carry = ref 0 in
-  for i = 0 to n - 1 do
-    let ai = Array.unsafe_get a i in
-    let sq = ai * ai in
-    let t0 = Array.unsafe_get dst (2 * i) + (sq land mask) + !carry in
-    Array.unsafe_set dst (2 * i) (t0 land mask);
-    let t1 =
-      Array.unsafe_get dst ((2 * i) + 1)
-      + (sq lsr limb_bits)
-      + (t0 lsr limb_bits)
-    in
-    Array.unsafe_set dst ((2 * i) + 1) (t1 land mask);
-    carry := t1 lsr limb_bits
-  done
-
 let mul_schoolbook (a : t) (b : t) : t =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then zero
@@ -289,21 +152,6 @@ let mul_schoolbook (a : t) (b : t) : t =
     let r = Array.make (la + lb) 0 in
     for j = 0 to lb - 1 do
       addmul_1 r j a b.(j)
-    done;
-    normalize r
-  end
-
-(* [mul_low a b limbs] = (a * b) mod B^limbs: computes only the columns
-   below [limbs].  Used by Barrett reduction, where the high half of one
-   product is discarded anyway. *)
-let mul_low (a : t) (b : t) (limbs : int) : t =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 || lb = 0 || limbs <= 0 then zero
-  else begin
-    let r = Array.make limbs 0 in
-    let jmax = min (lb - 1) (limbs - 1) in
-    for j = 0 to jmax do
-      addmul_1_trunc r j a b.(j) ~cut:limbs
     done;
     normalize r
   end

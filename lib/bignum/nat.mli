@@ -46,28 +46,6 @@ val sub_int : t -> int -> t
     building block of multiplication and Montgomery's REDC sweep. *)
 val addmul_1 : int array -> int -> t -> int -> unit
 
-(** [addmul_off r roff a aoff alen m] adds [m * a[aoff..aoff+alen-1]]
-    into [r] at limb [roff]: the window form of {!addmul_1}, letting the
-    engines multiply views of larger scratch buffers in place. *)
-val addmul_off : int array -> int -> int array -> int -> int -> int -> unit
-
-(** Like {!addmul_off} but never writes at or beyond limb [cut] of [r]
-    (absolute index): the low-product building block of Barrett's
-    windowed reduction. *)
-val addmul_off_trunc :
-  int array -> int -> int array -> int -> int -> int -> cut:int -> unit
-
-(** [mul_into dst a la b lb] overwrites [dst[0..la+lb-1]] with
-    [a[0..la-1] * b[0..lb-1]].  Fixed-width windows: trailing zero limbs
-    are accepted (no canonical-form requirement), which is the currency
-    of the scratch-buffer engines.  [dst] must not alias the inputs. *)
-val mul_into : int array -> int array -> int -> int array -> int -> unit
-
-(** [sqr_into dst a n] overwrites [dst[0..2n-1]] with the square of
-    [a[0..n-1]] using the half-product scheme of {!sqr_schoolbook};
-    same contract as {!mul_into}. *)
-val sqr_into : int array -> int array -> int -> unit
-
 (** Size ladder: schoolbook below [karatsuba_threshold] limbs, Karatsuba
     2-way up to [toom3_threshold], Toom-Cook 3-way above.  Exposed so
     tests can pin the tuning and exercise the cutoff boundaries. *)
@@ -82,15 +60,12 @@ val mul_schoolbook : t -> t -> t
 
 (** [sqr a = mul a a], but each symmetric cross product is computed once
     and doubled (about half the limb products); Karatsuba squaring above
-    the multiplication threshold.  The modular engines route all their
-    squarings here. *)
+    the multiplication threshold.  The Montgomery reference engine's
+    squarings route here. *)
 val sqr : t -> t
 
 val sqr_schoolbook : t -> t
 
-(** [mul_low a b limbs] is [(a * b) mod base^limbs], computing only the
-    low columns (Barrett's discarded-high-half product). *)
-val mul_low : t -> t -> int -> t
 val mul_int : t -> int -> t
 
 val shift_left : t -> int -> t

@@ -1,10 +1,9 @@
-(** Per-domain reusable limb workspaces for the bignum engines.
+(** Per-domain reusable limb workspaces for the bignum engine.
 
     One global [Domain.DLS] key holds a small pool of growable
-    [int array] slots per domain, so the steady-state hot paths
-    (CIOS Montgomery, Barrett reduction, Wexp recoding) run without
-    per-operation allocation while staying safe under the Domains
-    worker pool.
+    [int array] slots per domain, so the steady-state hot paths (CIOS
+    Montgomery, Wexp recoding) run without per-operation allocation
+    while staying safe under the Domains worker pool.
 
     Discipline: a borrow is valid until the next {!get} of the same
     slot on the same domain; distinct simultaneously-live buffers use
@@ -20,9 +19,6 @@ val mont_acc : int
 val mont_prod : int
 val mont_op_a : int
 val mont_op_b : int
-val barrett_prod : int
-val barrett_qmu : int
-val barrett_r : int
 val wexp_bits : int
 val wexp_ops : int
 

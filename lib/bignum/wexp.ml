@@ -1,5 +1,5 @@
-(* Sliding-window exponent recoding, shared by the Barrett and Montgomery
-   exponentiation engines.
+(* Sliding-window exponent recoding for the Montgomery exponentiation
+   ladders.
 
    A schedule is computed once from the exponent's limbs — a single pass
    builds an explicit bit table, so the scan never pays the per-bit

@@ -1,5 +1,5 @@
-(** Sliding-window exponent recoding (HAC 14.85), shared by the
-    {!Barrett} and {!Montgomery} exponentiation engines.
+(** Sliding-window exponent recoding (HAC 14.85) for the {!Montgomery}
+    exponentiation ladders.
 
     [recode] turns an exponent into a straight-line schedule of modular
     squarings and multiplications by odd powers of the base.  Recoding is

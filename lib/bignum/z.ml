@@ -149,7 +149,7 @@ let of_hex s =
 
 let of_bytes_be s = mk 1 (Nat.of_bytes_be s)
 
-(* Zero-copy bridges to the limb level (used by Barrett). *)
+(* Zero-copy bridges to the limb level (used by the Montgomery engine). *)
 let of_nat n = mk 1 n
 
 let to_nat z =
@@ -244,12 +244,13 @@ let random_unit ~bound rand =
   go ()
 
 let mod_pow_naive b e m =
-  (* Square-and-multiply without Barrett; used as a test oracle. *)
+  (* Square-and-multiply on plain [mul]/[erem]: the engine-independent
+     oracle the Montgomery crosschecks compare against. *)
   if m.sign <= 0 then invalid_arg "Z.mod_pow: modulus <= 0";
   if e.sign < 0 then invalid_arg "Z.mod_pow: negative exponent";
   let b = erem b m in
   let nb = numbits e in
-  let r = ref one in
+  let r = ref (erem one m) in
   for i = nb - 1 downto 0 do
     r := erem (mul !r !r) m;
     if testbit e i then r := erem (mul !r b) m

@@ -38,7 +38,7 @@ val to_bytes_be : t -> string
 val to_bytes_be_padded : t -> len:int -> string
 
 (** Bridges to the internal limb representation; [to_nat] requires a
-    non-negative value.  Used by {!Barrett}. *)
+    non-negative value.  Used by {!Montgomery}. *)
 val of_nat : Nat.t -> t
 val to_nat : t -> Nat.t
 
@@ -100,9 +100,9 @@ val gcdext : t -> t -> t * t * t
     raises [Invalid_argument] when [gcd a m <> 1]. *)
 val invert : t -> t -> t
 
-(** Plain square-and-multiply modular exponentiation.  Slower than
-    {!Barrett.powm}; kept as an independent oracle for tests and for
-    one-shot exponentiations. *)
+(** Plain square-and-multiply modular exponentiation on {!mul} and
+    {!erem}.  Slower than {!Montgomery.powm}; kept as the oracle
+    independent of the engine, for tests and the bench crosschecks. *)
 val mod_pow_naive : t -> t -> t -> t
 
 (** {1 Bit operations} *)

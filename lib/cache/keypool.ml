@@ -42,10 +42,10 @@ type config = { capacity : int; low_watermark : int }
 let default_config = { capacity = 2; low_watermark = 1 }
 
 type stripe = {
-  slots : (int * Gr.Client.state) option array;
-    (* (pinned epoch, instance); ring keyed by generation mod capacity —
-       generation g lives in slot g mod capacity, and at most [capacity]
-       generations are ever outstanding, so slots never collide *)
+  slots : Gr.Client.state option array;
+    (* ring keyed by generation mod capacity — generation g lives in
+       slot g mod capacity, and at most [capacity] generations are ever
+       outstanding, so slots never collide *)
   mutable next_take : int;   (* generation the next take hands out *)
   mutable next_build : int;  (* next unclaimed build ticket *)
   mutable count : int;       (* prebuilt instances currently stored *)
@@ -67,14 +67,10 @@ type t = {
   mutable closed : bool;
   mutable error : (exn * Printexc.raw_backtrace) option;
     (* first refill failure, re-raised to the next caller *)
-  mutable epoch : int;
-    (* deployment epoch the pool is pinned to; instances stocked under
-       an older pin are evicted on take, never silently served *)
   mutable hits : int;
   mutable misses : int;
   mutable refills : int;
   mutable steals : int;
-  mutable stale_evictions : int;
 }
 
 type stats = {
@@ -82,7 +78,6 @@ type stats = {
   misses : int;
   refills : int;
   steals : int;
-  stale_evictions : int;
   depth : int array;
 }
 
@@ -138,57 +133,33 @@ let create ?(config = default_config) ?domains
     inflight = 0;
     closed = false;
     error = None;
-    epoch = 0;
     hits = 0;
     misses = 0;
     refills = 0;
     steals = 0;
-    stale_evictions = 0;
   }
 
 let plan t = t.plan
 let q_bits t = t.q_bits
 let capacity t = t.config.capacity
 
-let epoch t =
-  Mutex.lock t.lock;
-  let e = t.epoch in
-  Mutex.unlock t.lock;
-  e
-
-(* Re-pin the pool to a new deployment epoch (the serving layer calls
-   this when it invalidates issued instances, e.g. on a plan-changing
-   rebuild).  Already-stocked instances keep their old pin and are
-   evicted lazily by the next take that reaches them — routed to a
-   foreground rebuild instead of being silently served. *)
-let set_epoch t e =
-  if e < 0 then invalid_arg "Keypool.set_epoch: negative epoch";
-  Mutex.lock t.lock;
-  if e < t.epoch then begin
-    Mutex.unlock t.lock;
-    invalid_arg "Keypool.set_epoch: epoch may not move backwards"
-  end;
-  t.epoch <- e;
-  Mutex.unlock t.lock
-
 (* ------------------------------------------------------------------ *)
 (* Refill machinery (all helpers expect [t.lock] held)                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Store a finished build, pinned to the epoch its ticket was claimed
-   under.  Stale tickets — generations the foreground already served
-   past while this build was in flight — are discarded: the foreground
-   produced the identical bytes itself. *)
-let insert t ~index ~generation ~epoch st =
+(* Store a finished build.  Stale tickets — generations the foreground
+   already served past while this build was in flight — are discarded:
+   the foreground produced the identical bytes itself. *)
+let insert t ~index ~generation st =
   let s = t.stripes.(index) in
   if (not t.closed) && generation >= s.next_take then begin
-    s.slots.(generation mod t.config.capacity) <- Some (epoch, st);
+    s.slots.(generation mod t.config.capacity) <- Some st;
     s.count <- s.count + 1;
     t.refills <- t.refills + 1;
     Counters.pool_refills t.metrics 1
   end
 
-let refill_job t ~index ~generation ~epoch () =
+let refill_job t ~index ~generation () =
   (match
      build_instance ~metrics:t.metrics ~base:t.base ~plan:t.plan
        ~q_bits:t.q_bits ~index ~generation
@@ -196,7 +167,7 @@ let refill_job t ~index ~generation ~epoch () =
   | st, _wire ->
     Mutex.lock t.lock;
     t.inflight <- t.inflight - 1;
-    insert t ~index ~generation ~epoch st
+    insert t ~index ~generation st
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
     Mutex.lock t.lock;
@@ -205,19 +176,16 @@ let refill_job t ~index ~generation ~epoch () =
   Condition.broadcast t.changed;
   Mutex.unlock t.lock
 
-(* Claim ticket [generation] for stripe [index] and hand it to a worker,
-   pinned to the current epoch (captured at claim time, so an epoch bump
-   racing an in-flight build invalidates that build rather than letting
-   it be stocked as fresh); on a dead/shut-down worker pool the ticket
-   is released and scheduling stops (the synchronous fallback still
-   serves takes). *)
+(* Claim ticket [generation] for stripe [index] and hand it to a worker;
+   on a dead/shut-down worker pool the ticket is released and scheduling
+   stops (the synchronous fallback still serves takes). *)
 let schedule_one t ~index ~generation =
   match t.workers with
   | None -> false
   | Some w ->
     t.inflight <- t.inflight + 1;
     (try
-       Pool.submit w (refill_job t ~index ~generation ~epoch:t.epoch);
+       Pool.submit w (refill_job t ~index ~generation);
        true
      with _ ->
        t.inflight <- t.inflight - 1;
@@ -270,18 +238,8 @@ let take t ~index =
   end;
   let s = t.stripes.(index) in
   let g = s.next_take in
-  (* An instance stocked under an older epoch pin must never be served:
-     evict it (counted) and fall through to the cold path, which
-     rebuilds generation g in the foreground under the current epoch. *)
-  (match s.slots.(g mod t.config.capacity) with
-  | Some (ep, _) when ep <> t.epoch ->
-    s.slots.(g mod t.config.capacity) <- None;
-    s.count <- s.count - 1;
-    t.stale_evictions <- t.stale_evictions + 1;
-    Counters.pool_stale_evictions t.metrics 1
-  | _ -> ());
   match s.slots.(g mod t.config.capacity) with
-  | Some (_, st) ->
+  | Some st ->
     (* Warm: pop generation g and sweep the watermarks. *)
     s.slots.(g mod t.config.capacity) <- None;
     s.count <- s.count - 1;
@@ -331,14 +289,13 @@ let rec fill_inline t =
   match !pending with
   | None -> ()
   | Some (index, generation) ->
-    let epoch = t.epoch in
     Mutex.unlock t.lock;
     let st, _ =
       build_instance ~metrics:t.metrics ~base:t.base ~plan:t.plan
         ~q_bits:t.q_bits ~index ~generation
     in
     Mutex.lock t.lock;
-    insert t ~index ~generation ~epoch st;
+    insert t ~index ~generation st;
     if not t.closed then fill_inline t
 
 let prewarm t =
@@ -394,7 +351,6 @@ let stats t : stats =
       misses = t.misses;
       refills = t.refills;
       steals = t.steals;
-      stale_evictions = t.stale_evictions;
       depth = Array.map (fun (s : stripe) -> s.count) t.stripes;
     }
   in
@@ -404,10 +360,9 @@ let stats t : stats =
 let pp_stats fmt (s : stats) =
   let total = Array.fold_left ( + ) 0 s.depth in
   Format.fprintf fmt
-    "@[keypool: %d hits, %d misses (%d steals), %d refills, %d stale \
-     eviction(s); %d instance(s) warm across %d stripe(s), depth min %d max \
-     %d@]"
-    s.hits s.misses s.steals s.refills s.stale_evictions total
+    "@[keypool: %d hits, %d misses (%d steals), %d refills; %d instance(s) \
+     warm across %d stripe(s), depth min %d max %d@]"
+    s.hits s.misses s.steals s.refills total
     (Array.length s.depth)
     (Array.fold_left min max_int s.depth)
     (Array.fold_left max 0 s.depth)

@@ -19,8 +19,13 @@
     [Drbg.split ~label:"i<i>/g<k>"], so any interleaving of workers —
     or the synchronous fallback racing them — produces byte-identical
     instances to a sequential reference run ({!build_reference}), and
-    {!take} hands instances out in generation order.  The same pattern
-    PR 3 used for parallel OT serving. *)
+    {!take} hands instances out in generation order, the pattern
+    parallel OT serving uses.
+
+    {b Updates.}  An instance depends only on the plan, [q_bits] and the
+    seed, never on the database contents, so instances built before a
+    POI update decode the updated cells after it: the pool needs no
+    invalidation when the database changes. *)
 
 open Lbq_bignum
 module Gr = Lbq_pir.Gr
@@ -59,22 +64,6 @@ val plan : t -> Gr.plan
 val q_bits : t -> int
 val capacity : t -> int
 
-(** {2 Epoch pinning}
-
-    Every stocked instance is pinned to the deployment epoch its build
-    ticket was claimed under (0 until {!set_epoch}).  A {!take} that
-    reaches an instance pinned to an older epoch evicts it — counted in
-    [stale_evictions] and [Counters.pool_stale_evictions] — and rebuilds
-    that generation in the foreground under the current epoch, so a
-    dead-epoch instance is never silently served. *)
-
-val epoch : t -> int
-
-(** Re-pin the pool; stocked instances with older pins are lazily
-    evicted by the takes that reach them.  Raises [Invalid_argument] on
-    a negative or backwards epoch. *)
-val set_epoch : t -> int -> unit
-
 (** Fill every stripe to capacity and wait for it; on the worker pool
     when one is attached, otherwise inline.  Idempotent. *)
 val prewarm : t -> unit
@@ -109,8 +98,6 @@ type stats = {
   misses : int;      (** takes that found their stripe empty *)
   refills : int;     (** instances stored by background workers *)
   steals : int;      (** tickets the foreground claimed and built itself *)
-  stale_evictions : int;
-    (** stocked instances discarded on take for carrying a dead epoch *)
   depth : int array; (** prebuilt instances currently held, per index *)
 }
 

@@ -32,11 +32,7 @@ let deployment_backends (params : Params.t) : B.backend list =
 
 type t = {
   server : Server.t;
-  metrics : Counters.t;
-  seed : string;
-  backends : (string * B.backend) list;    (* for fallback re-encodes *)
-  mutable instances : (string * Instance.t) list;  (* registration order *)
-  mutable rebuilds : int;                  (* fallback re-encodes so far *)
+  instances : (string * Instance.t) list;  (* registration order *)
 }
 
 let create ?(metrics = Counters.null) ?(seed = "lbq-arena") ?backends
@@ -48,24 +44,17 @@ let create ?(metrics = Counters.null) ?(seed = "lbq-arena") ?backends
   in
   let blocks = Server.cipher_blocks server in
   let drbg = Drbg.create ~domain:"lbq-arena" ~seed () in
-  let named =
+  let instances =
     List.map
       (fun backend ->
         let module M = (val backend : B.S) in
-        (M.name, backend))
+        (M.name, Instance.create ~metrics ~rand:(Drbg.rand drbg) backend blocks))
       backends
   in
-  let instances =
-    List.map
-      (fun (name, backend) ->
-        (name, Instance.create ~metrics ~rand:(Drbg.rand drbg) backend blocks))
-      named
-  in
-  { server; metrics; seed; backends = named; instances; rebuilds = 0 }
+  { server; instances }
 
 let server t = t.server
 let names t = List.map fst t.instances
-let rebuilds t = t.rebuilds
 
 let instance t ~backend : Instance.t =
   match List.assoc_opt backend t.instances with
@@ -74,42 +63,6 @@ let instance t ~backend : Instance.t =
     invalid_arg
       (Printf.sprintf "Arena.instance: unknown backend %S (have: %s)" backend
          (String.concat ", " (names t)))
-
-(* Propagate one cell replacement through the master database and every
-   registered instance.  The master takes the localized fix-up
-   ({!Server.update_cell}); each backend then either patches the touched
-   block in place through its optional update capability, or — when the
-   scheme cannot update — is re-encoded from scratch over the current
-   cipher grid (a fresh DRBG per rebuild: encode randomness is server
-   internal, so responses stay correct, though a rebuilt instance
-   publishes fresh public parameters).  Returns the names that took the
-   fallback re-encode ([] when every backend patched incrementally). *)
-let update_cell t ~idq (pois : Poi.t list) : string list =
-  Server.update_cell t.server ~idq pois;
-  let block = Server.cell_ciphertext t.server idq in
-  let rebuilt = ref [] in
-  t.instances <-
-    List.map
-      (fun (name, inst) ->
-        let cols = Instance.cols inst in
-        if Instance.update inst ~row:(idq / cols) ~col:(idq mod cols) ~block
-        then (name, inst)
-        else begin
-          rebuilt := name :: !rebuilt;
-          t.rebuilds <- t.rebuilds + 1;
-          let backend = List.assoc name t.backends in
-          let drbg =
-            Drbg.create ~domain:"lbq-arena-rebuild"
-              ~seed:
-                (Printf.sprintf "%s/%s#%d" t.seed name t.rebuilds)
-              ()
-          in
-          ( name,
-            Instance.create ~metrics:t.metrics ~rand:(Drbg.rand drbg) backend
-              (Server.cipher_blocks t.server) )
-        end)
-      t.instances;
-  List.rev !rebuilt
 
 (* Fetch the credential's cell through [backend] and decrypt it, exactly
    as stage 2 proper would: PIR-retrieve the ciphertext block, decrypt

@@ -33,18 +33,6 @@ val names : t -> string list
     unknown name. *)
 val instance : t -> backend:string -> Instance.t
 
-(** Replace cell [idq]'s POIs in the master database and propagate the
-    new encrypted block into every instance — in place through the
-    backend's update capability where it exists, otherwise by a full
-    re-encode of that instance (which refreshes its public parameters).
-    Returns the backend names that took the fallback re-encode.  Raises
-    like {!Server.update_cell} on invalid input. *)
-val update_cell : t -> idq:int -> Poi.t list -> string list
-
-(** Fallback re-encodes performed so far (0 while every registered
-    backend patches incrementally). *)
-val rebuilds : t -> int
-
 (** PIR-fetch the credential's cell through [backend], decrypt it under
     the stage-1 cell key, and return the real POIs plus the full wire
     round (frame sizes, predicted vs measured cost, timings).  Raises

@@ -8,7 +8,7 @@ open Lbq_numth
 type public_key = {
   n : Z.t;                 (* modulus n = p*q *)
   n2 : Z.t;                (* n^2 *)
-  ctx : Barrett.t;         (* reduction mod n^2 *)
+  ctx : Montgomery.t;      (* arithmetic mod n^2 (odd: n = p*q) *)
 }
 
 type private_key = {
@@ -23,7 +23,7 @@ let modulus_squared pk = pk.n2
 
 let make_public n =
   let n2 = Z.mul n n in
-  { n; n2; ctx = Barrett.create n2 }
+  { n; n2; ctx = Montgomery.create n2 }
 
 (* g = n + 1 (standard simplification): L(g^lambda) = lambda mod n, so
    mu = lambda^-1 mod n. *)
@@ -47,28 +47,28 @@ let keygen ~bits rand =
 let encrypt pk ~rand (m : Z.t) : Z.t =
   let m = Z.erem m pk.n in
   let r = Z.random_unit ~bound:pk.n rand in
-  let gm = Barrett.reduce pk.ctx (Z.succ (Z.mul m pk.n)) in
-  Barrett.mulmod pk.ctx gm (Barrett.powm pk.ctx r pk.n)
+  let gm = Z.succ (Z.mul m pk.n) in
+  Montgomery.mulmod pk.ctx gm (Montgomery.powm pk.ctx r pk.n)
 
 let l_function pk x = Z.div (Z.pred x) pk.n
 
 let decrypt sk (c : Z.t) : Z.t =
   let pk = sk.pub in
-  let u = Barrett.powm pk.ctx c sk.lambda in
+  let u = Montgomery.powm pk.ctx c sk.lambda in
   Z.erem (Z.mul (l_function pk u) sk.mu) pk.n
 
 (* Homomorphic addition of plaintexts: E(a) * E(b) = E(a + b). *)
-let add pk c1 c2 = Barrett.mulmod pk.ctx c1 c2
+let add pk c1 c2 = Montgomery.mulmod pk.ctx c1 c2
 
 (* Homomorphic scaling by a plaintext constant: E(a)^k = E(k * a). *)
-let scale pk c k = Barrett.powm pk.ctx c (Z.erem k pk.n)
+let scale pk c k = Montgomery.powm pk.ctx c (Z.erem k pk.n)
 
 (* E(a) * (1+n)^b = E(a + b) without encrypting b (cheaper). *)
 let add_plain pk c b =
   let b = Z.erem b pk.n in
-  Barrett.mulmod pk.ctx c (Barrett.reduce pk.ctx (Z.succ (Z.mul b pk.n)))
+  Montgomery.mulmod pk.ctx c (Z.succ (Z.mul b pk.n))
 
 (* Fresh randomness so a transformed ciphertext is unlinkable. *)
 let rerandomize pk ~rand c =
   let r = Z.random_unit ~bound:pk.n rand in
-  Barrett.mulmod pk.ctx c (Barrett.powm pk.ctx r pk.n)
+  Montgomery.mulmod pk.ctx c (Montgomery.powm pk.ctx r pk.n)

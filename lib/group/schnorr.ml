@@ -34,8 +34,7 @@ let win_width t = t.g_width
 let counting t r f = Montgomery.counting t.mont r f
 
 (* Group operations in the subgroup.  A one-off product is two
-   Montgomery sweeps and no conversion REDC, which measures faster than
-   one Barrett multiply-and-reduce at 256 to 1024 bits. *)
+   Montgomery sweeps and no conversion REDC. *)
 let mul t a b = Montgomery.mulmod t.mont a b
 let pow t base_ e = Montgomery.powm t.mont base_ (Z.erem e t.q)
 let inv t a = Z.invert a t.p

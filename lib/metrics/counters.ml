@@ -40,8 +40,6 @@ type t = {
   update_applied : int Atomic.t; (* update batches applied to a live server *)
   update_blocks : int Atomic.t;  (* individual blocks rewritten by updates *)
   epoch_bumps : int Atomic.t;    (* database epoch advances observed *)
-  pool_stale_evictions : int Atomic.t;
-    (* pooled instances discarded on take because their epoch was dead *)
 }
 
 (* Plain-integer view for readers (tests, bench, reporting). *)
@@ -72,7 +70,6 @@ type snapshot = {
   update_applied : int;
   update_blocks : int;
   epoch_bumps : int;
-  pool_stale_evictions : int;
 }
 
 let create () : t =
@@ -103,7 +100,6 @@ let create () : t =
     update_applied = Atomic.make 0;
     update_blocks = Atomic.make 0;
     epoch_bumps = Atomic.make 0;
-    pool_stale_evictions = Atomic.make 0;
   }
 
 (* A shared do-nothing sink for callers that don't measure.  The bump
@@ -140,7 +136,6 @@ let snapshot (t : t) : snapshot =
     update_applied = Atomic.get t.update_applied;
     update_blocks = Atomic.get t.update_blocks;
     epoch_bumps = Atomic.get t.epoch_bumps;
-    pool_stale_evictions = Atomic.get t.pool_stale_evictions;
   }
 
 let reset (t : t) =
@@ -169,8 +164,7 @@ let reset (t : t) =
   Atomic.set t.batch_size_sum 0;
   Atomic.set t.update_applied 0;
   Atomic.set t.update_blocks 0;
-  Atomic.set t.epoch_bumps 0;
-  Atomic.set t.pool_stale_evictions 0
+  Atomic.set t.epoch_bumps 0
 
 let copy (t : t) : t =
   let s = snapshot t in
@@ -201,7 +195,6 @@ let copy (t : t) : t =
     update_applied = Atomic.make s.update_applied;
     update_blocks = Atomic.make s.update_blocks;
     epoch_bumps = Atomic.make s.epoch_bumps;
-    pool_stale_evictions = Atomic.make s.pool_stale_evictions;
   }
 
 let bump (t : t) (cell : int Atomic.t) (n : int) =
@@ -233,7 +226,6 @@ let batch_size_sum (t : t) n = bump t t.batch_size_sum n
 let update_applied (t : t) n = bump t t.update_applied n
 let update_blocks (t : t) n = bump t t.update_blocks n
 let epoch_bumps (t : t) n = bump t t.epoch_bumps n
-let pool_stale_evictions (t : t) n = bump t t.pool_stale_evictions n
 
 let pp fmt (t : t) =
   let s = snapshot t in
@@ -243,13 +235,13 @@ let pp fmt (t : t) =
      candidates, %d sieved out, %d MR-tested; keypool: %d hits, %d misses, \
      %d refills, %d steals; instance cache: %d hits, %d misses, %d \
      evictions; service: %d served, %d shed, %d batches (%d requests); \
-     updates: %d applied, %d blocks, %d epoch bumps, %d stale evictions@]"
+     updates: %d applied, %d blocks, %d epoch bumps@]"
     s.user_exp s.user_mult s.user_bytes s.server_exp s.server_mult
     s.server_bytes s.retries s.drops s.rejects s.prime_attempts
     s.sieve_rejects s.mr_calls s.pool_hits s.pool_misses s.pool_refills
     s.pool_steals s.cache_hits s.cache_misses s.cache_evictions s.served
     s.sheds s.batch_served s.batch_size_sum s.update_applied s.update_blocks
-    s.epoch_bumps s.pool_stale_evictions
+    s.epoch_bumps
 
 (* ------------------------------------------------------------------ *)
 (* GC pressure                                                          *)

@@ -39,7 +39,6 @@ type snapshot = {
   update_applied : int;
   update_blocks : int;
   epoch_bumps : int;
-  pool_stale_evictions : int;
 }
 
 val create : unit -> t
@@ -103,14 +102,12 @@ val batch_served : t -> int -> unit
 val batch_size_sum : t -> int -> unit
 
 (** Live-update counters: update batches applied to a serving database,
-    individual blocks those batches rewrote, epoch advances they caused,
-    and pooled instances discarded on take because they were pinned to a
-    dead epoch (routed to a foreground rebuild instead). *)
+    individual blocks those batches rewrote, and epoch advances they
+    caused. *)
 val update_applied : t -> int -> unit
 
 val update_blocks : t -> int -> unit
 val epoch_bumps : t -> int -> unit
-val pool_stale_evictions : t -> int -> unit
 
 val pp : Format.formatter -> t -> unit
 

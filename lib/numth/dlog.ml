@@ -7,33 +7,38 @@
 
 open Lbq_bignum
 
-(* Exhaustive search for x in [0, bound) with base^x = target.  Used in
-   tests and as the paper's "brute force" reference (Appendix B). *)
-let brute ctx ~base ~target ~bound : Z.t option =
-  let target = Barrett.reduce ctx target in
+(* Exhaustive search for x in [0, bound) with base^x = target modulo
+   [m].  Used in tests and as the paper's "brute force" reference
+   (Appendix B).  Plain [Z] arithmetic, so the oracle shares no code
+   with the Montgomery engine the Pohlig–Hellman solvers run on. *)
+let brute m ~base ~target ~bound : Z.t option =
+  let mulmod a b = Z.erem (Z.mul a b) m in
+  let target = Z.erem target m in
   let rec go x acc =
     if Z.geq x bound then None
     else if Z.equal acc target then Some x
-    else go (Z.succ x) (Barrett.mulmod ctx acc base)
+    else go (Z.succ x) (mulmod acc base)
   in
-  go Z.zero (Barrett.reduce ctx Z.one)
+  go Z.zero (Z.erem Z.one m)
 
 (* Baby-step/giant-step in the cyclic group generated by [base] of order
-   [order]: O(sqrt order) time and space. *)
-let bsgs ctx ~base ~target ~order : Z.t option =
+   [order] modulo [modulus]: O(sqrt order) time and space, plain [Z]
+   arithmetic like {!brute}. *)
+let bsgs modulus ~base ~target ~order : Z.t option =
   if Z.sign order <= 0 then invalid_arg "Dlog.bsgs: order <= 0";
-  let target = Barrett.reduce ctx target in
+  let mulmod a b = Z.erem (Z.mul a b) modulus in
+  let target = Z.erem target modulus in
   let m = Z.to_int (Z.succ (Z.sqrt (Z.pred order))) in
   let table = Hashtbl.create (2 * m) in
-  let acc = ref (Barrett.reduce ctx Z.one) in
+  let acc = ref (Z.erem Z.one modulus) in
   for j = 0 to m - 1 do
     if not (Hashtbl.mem table (Z.to_bytes_be !acc)) then
       Hashtbl.add table (Z.to_bytes_be !acc) j;
-    acc := Barrett.mulmod ctx !acc base
+    acc := mulmod !acc base
   done;
   (* giant step factor: base^(-m) *)
-  let base_m = Barrett.powm ctx base (Z.of_int m) in
-  let factor = Z.invert base_m (Barrett.modulus ctx) in
+  let base_m = Z.mod_pow_naive base (Z.of_int m) modulus in
+  let factor = Z.invert base_m modulus in
   let rec go i y =
     if i > m then None
     else
@@ -41,7 +46,7 @@ let bsgs ctx ~base ~target ~order : Z.t option =
       | Some j ->
         let x = Z.add (Z.mul_int (Z.of_int i) m) (Z.of_int j) in
         if Z.lt x order then Some x else None
-      | None -> go (i + 1) (Barrett.mulmod ctx y factor)
+      | None -> go (i + 1) (mulmod y factor)
   in
   go 0 target
 

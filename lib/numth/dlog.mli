@@ -4,17 +4,17 @@
     when [target] is not in the searched range/subgroup.  The
     Pohlig–Hellman solvers (the PIR decode) run on a
     {!Lbq_bignum.Montgomery.t} context, so their modulus must be odd;
-    {!brute} and {!bsgs} take a {!Lbq_bignum.Barrett.t} context, any
-    modulus, and serve as independent test oracles for them. *)
+    {!brute} and {!bsgs} take the modulus itself, any modulus, and run
+    on plain [Z] arithmetic: independent test oracles for them. *)
 
 open Lbq_bignum
 
-(** Exhaustive search over [x in \[0, bound)]. *)
-val brute : Barrett.t -> base:Z.t -> target:Z.t -> bound:Z.t -> Z.t option
+(** Exhaustive search over [x in \[0, bound)] modulo the first argument. *)
+val brute : Z.t -> base:Z.t -> target:Z.t -> bound:Z.t -> Z.t option
 
 (** Baby-step/giant-step: O(sqrt order) time and space; [order] is the
-    order of [base]. *)
-val bsgs : Barrett.t -> base:Z.t -> target:Z.t -> order:Z.t -> Z.t option
+    order of [base]; the first argument is the modulus. *)
+val bsgs : Z.t -> base:Z.t -> target:Z.t -> order:Z.t -> Z.t option
 
 (** Reusable Pohlig–Hellman solver for a subgroup of prime-power order
     [p{^c}].  [make] precomputes everything that depends only on the

@@ -9,9 +9,9 @@ open Lbq_bignum
    a non-trivial factor of composite odd n, or None if the bounded walk
    fails for this seed (try another). *)
 let rho_once ?(max_iters = 1 lsl 18) (n : Z.t) ~(seed : int) : Z.t option =
-  let ctx = Barrett.create n in
+  let ctx = Montgomery.create n in
   let c = Z.of_int (1 + seed) in
-  let f x = Barrett.reduce ctx (Z.add (Z.mul x x) c) in
+  let f x = Z.erem (Z.add (Montgomery.mulmod ctx x x) c) n in
   let batch = 64 in
   let y = ref (Z.of_int (2 + seed)) in
   let g = ref Z.one in
@@ -31,7 +31,7 @@ let rho_once ?(max_iters = 1 lsl 18) (n : Z.t) ~(seed : int) : Z.t option =
          let steps = min batch (!r - !k) in
          for _ = 1 to steps do
            y := f !y;
-           q := Barrett.mulmod ctx !q (Z.abs (Z.sub !x !y))
+           q := Montgomery.mulmod ctx !q (Z.abs (Z.sub !x !y))
          done;
          g := Z.gcd !q n;
          k := !k + steps

@@ -4,7 +4,8 @@
 open Lbq_bignum
 
 (** One bounded rho walk; [Some d] is a non-trivial factor of odd
-    composite [n]. *)
+    composite [n] (runs on a {!Lbq_bignum.Montgomery} context, so an
+    even [n] raises [Invalid_argument]). *)
 val rho_once : ?max_iters:int -> Z.t -> seed:int -> Z.t option
 
 (** Full factorisation as sorted [(prime, exponent)] pairs.  Raises

@@ -30,9 +30,9 @@ let rec symbol (a : Z.t) (n : Z.t) : int =
 
 (* Legendre symbol via Euler's criterion; [p] must be an odd prime. *)
 let legendre (a : Z.t) (p : Z.t) : int =
-  let ctx = Barrett.create p in
+  let ctx = Montgomery.create p in
   let e = Z.shift_right (Z.pred p) 1 in
-  let v = Barrett.powm ctx a e in
+  let v = Montgomery.powm ctx a e in
   if Z.is_zero v then 0
   else if Z.equal v Z.one then 1
   else -1

@@ -18,8 +18,8 @@ type result = Prime | Composite | Probably_prime
 (* One Miller–Rabin round with base [a] (1 < a < n - 1), n odd > 3.
    [sched] is the window schedule of the odd part d of n - 1, recoded
    ONCE per candidate and replayed for every base; [ctx] is a Montgomery
-   context for n (n is odd here; Montgomery exponentiation is faster
-   than Barrett, and this loop dominates the PIR query time).  The
+   context for n (n is odd here, and this loop dominates the PIR query
+   time).  The
    squaring chain x <- x^2 runs in Montgomery form — one [to_mont]
    instead of a form round-trip per squaring — comparing against
    [n1_m], the Montgomery form of n - 1. *)
@@ -116,12 +116,13 @@ let is_prime ?rounds ?trial ?metrics ?rand n =
   | Prime | Probably_prime -> true
   | Composite -> false
 
-(* Fermat test (base-a compositeness check); kept because the paper cites
-   it as an alternative to Miller–Rabin for the semi-safe prime search. *)
+(* Fermat test (base-a compositeness check) for odd [n]; kept because
+   the paper cites it as an alternative to Miller–Rabin for the
+   semi-safe prime search. *)
 let fermat_witness n a =
   if Z.leq n (Z.of_int 3) then invalid_arg "Primality.fermat_witness: n <= 3";
-  let ctx = Barrett.create n in
-  Z.equal (Barrett.powm ctx a (Z.pred n)) Z.one
+  let ctx = Montgomery.create n in
+  Z.equal (Montgomery.powm ctx a (Z.pred n)) Z.one
 
 let fermat ?(rounds = 10) ~rand n =
   if Z.lt n Z.two then false

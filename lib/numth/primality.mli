@@ -31,7 +31,8 @@ val is_prime :
   bool
 
 (** One Fermat check with an explicit base (paper mentions the Fermat test
-    as an alternative for the semi-safe prime search). *)
+    as an alternative for the semi-safe prime search).  [n] must be odd
+    and greater than 3; raises [Invalid_argument] otherwise. *)
 val fermat_witness : Z.t -> Z.t -> bool
 
 (** Probabilistic Fermat test with random bases. *)

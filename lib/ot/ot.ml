@@ -231,9 +231,10 @@ module Server = struct
     Counters.server_bytes t.metrics (response_bytes t.group resp);
     (resp, !predicted, !measured)
 
-  (* The seed-revision answer path: generic square-and-multiply for all
-     three per-row exponentiations, on a Barrett context for p built
-     here — an engine independent of the group's Montgomery one.
+  (* The seed-revision answer path: plain square-and-multiply
+     ({!Z.mod_pow_naive}) for all three per-row exponentiations and
+     [Z.mul] + [Z.erem] for the products — no reduction engine at all,
+     so it shares no code with the group's Montgomery kernels.
      Byte-identity oracle for [respond] under a fixed DRBG, and the
      `bench ot` baseline. *)
   let respond_reference ?rand t (q : query) : response =
@@ -242,9 +243,9 @@ module Server = struct
     let group = t.group in
     let qord = Schnorr.q group in
     let gen = Schnorr.g group in
-    let ctx = Barrett.create (Schnorr.p group) in
-    let pow b e = Barrett.powm ctx b (Z.erem e qord) in
-    let mul = Barrett.mulmod ctx in
+    let p = Schnorr.p group in
+    let pow b e = Z.mod_pow_naive b (Z.erem e qord) p in
+    let mul a b = Z.erem (Z.mul a b) p in
     let answer_axis (c : Elgamal.ciphertext) exps k =
       Array.init k (fun alpha ->
           let r_a = Z.random_unit ~bound:qord rand in

@@ -71,10 +71,11 @@ module Server : sig
   val respond_counted :
     ?rand:(int -> string) -> t -> query -> response * int * int
 
-  (** The seed-revision generic square-and-multiply path, run on its
-      own {!Lbq_bignum.Barrett} context for [p] (an engine independent
-      of the group's): byte-identity oracle for [respond] under a fixed
-      DRBG and the [bench ot] ablation baseline. *)
+  (** The seed-revision generic square-and-multiply path, on plain
+      {!Lbq_bignum.Z.mod_pow_naive} and [Z.mul] + [Z.erem] modulo [p]
+      (no code shared with the group's Montgomery engine):
+      byte-identity oracle for [respond] under a fixed DRBG and the
+      [bench ot] ablation baseline. *)
   val respond_reference : ?rand:(int -> string) -> t -> query -> response
 end
 

@@ -165,20 +165,20 @@ module Server = struct
 
   (* Answer k queries (N, g) with g^e mod N through ONE walk of the
      schedule recoded at creation.  Honest moduli N = Q0*Q1 are odd, so
-     they go through {!Montgomery.powm_sched_batch} — the fused CIOS
-     sweeps put Montgomery ~3x ahead of the pre-rewrite engines on this
-     workload (bench powm) — with a per-query context and counter:
+     every query goes through {!Montgomery.powm_sched_batch} — the fused
+     CIOS sweeps put Montgomery ~3x ahead of the pre-rewrite engines on
+     this workload (bench powm) — with a per-query context and counter:
      results and per-query mult counts are those of k separate ladders,
      but the ops tape and the window-digit dispatch are paid once per
-     digit rather than once per (digit, query).  Even/edge moduli
-     (hostile traffic only) fall back to the sequential Barrett path.
-     Every query is validated before any work; the measured
-     multiplication count is attached to the metrics (Table II server
-     cost). *)
+     digit rather than once per (digit, query).  Every query is
+     validated before any work (an even or [<= 1] modulus, an oversized
+     one, [g] out of range); the measured multiplication count is
+     attached to the metrics (Table II server cost). *)
   let respond_batch ?max_n_bits t (queries : (Z.t * Z.t) array) : Z.t array =
     Array.iter
       (fun ((n : Z.t), (g : Z.t)) ->
-        if Z.leq n Z.one then invalid_arg "Gr.Server.respond: bad modulus";
+        if Z.leq n Z.one || Z.is_even n then
+          invalid_arg "Gr.Server.respond: bad modulus";
         (match max_n_bits with
          | Some bound when Z.numbits n > bound ->
            invalid_arg "Gr.Server.respond: modulus exceeds the deployment bound"
@@ -186,41 +186,19 @@ module Server = struct
         if Z.leq g Z.one || Z.geq g n then
           invalid_arg "Gr.Server.respond: generator out of range")
       queries;
-    let k = Array.length queries in
-    let out = Array.make k Z.zero in
-    let odd = ref [] in
-    for q = k - 1 downto 0 do
-      let n, g = queries.(q) in
-      if Z.is_odd n then odd := q :: !odd
-      else begin
-        let mults = ref 0 in
-        let ctx = Barrett.create n in
-        out.(q) <-
-          Barrett.counting ctx mults (fun () ->
-              Barrett.powm_sched ctx g t.e_sched);
-        Counters.server_mult t.metrics !mults;
-        Counters.server_bytes t.metrics ((Z.numbits n + 7) / 8)
-      end
-    done;
-    let odd = Array.of_list !odd in
-    if Array.length odd > 0 then begin
-      let ctxs =
-        Array.map (fun q -> Montgomery.create (fst queries.(q))) odd
-      in
-      let bases = Array.map (fun q -> snd queries.(q)) odd in
-      let counts = Array.map (fun _ -> ref 0) ctxs in
-      Array.iteri
-        (fun i ctx -> Montgomery.set_counter ctx (Some counts.(i)))
-        ctxs;
-      let ges = Montgomery.powm_sched_batch ctxs bases t.e_sched in
-      Array.iteri
-        (fun i q ->
-          out.(q) <- ges.(i);
-          Counters.server_mult t.metrics !(counts.(i));
-          Counters.server_bytes t.metrics
-            ((Z.numbits (fst queries.(q)) + 7) / 8))
-        odd
-    end;
+    let ctxs = Array.map (fun (n, _) -> Montgomery.create n) queries in
+    let counts = Array.map (fun _ -> ref 0) ctxs in
+    Array.iteri
+      (fun i ctx -> Montgomery.set_counter ctx (Some counts.(i)))
+      ctxs;
+    let out =
+      Montgomery.powm_sched_batch ctxs (Array.map snd queries) t.e_sched
+    in
+    Array.iteri
+      (fun i (n, _) ->
+        Counters.server_mult t.metrics !(counts.(i));
+        Counters.server_bytes t.metrics ((Z.numbits n + 7) / 8))
+      queries;
     out
 
   (* One query is a batch of one: below {!Montgomery.interleave_min_ke}

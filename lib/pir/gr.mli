@@ -82,10 +82,9 @@ module Server : sig
       the cached schedule ({!Lbq_bignum.Montgomery.powm_sched_batch}) —
       the Table II server cost, measured per query through the engine
       counter.  Honest moduli [N = Q0·Q1] are odd and served by
-      Montgomery REDC; even/edge moduli fall back to the sequential
-      Barrett path.  Every query is validated before any work: [g] out
-      of range and, when [max_n_bits] is given, oversized moduli raise
-      [Invalid_argument]. *)
+      Montgomery REDC.  Every query is validated before any work: an
+      even or [<= 1] modulus, [g] out of range and, when [max_n_bits]
+      is given, an oversized modulus raise [Invalid_argument]. *)
   val respond_batch : ?max_n_bits:int -> t -> (Z.t * Z.t) array -> Z.t array
 
   (** Answer one query: [respond_batch] on [[| (n, g) |]]. *)

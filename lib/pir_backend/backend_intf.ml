@@ -110,19 +110,19 @@ module type S = sig
      {!respond_batch_sequential}. *)
   val respond_batch : server -> query array -> response array
 
-  (* ---- live updates (optional capability) ---- *)
+  (* ---- live updates ---- *)
 
-  (* In-place single-block update: [f server ~row ~col ~block] replaces
-     the block at (row, col) with [block] (same length as every other
-     block) and repairs the server state incrementally — a localized
-     fix-up, never a re-encode.  [None] for backends that can only
-     rebuild.  Contract: after any update sequence, [respond] and
+  (* In-place single-block update: [update server ~row ~col ~block]
+     replaces the block at (row, col) with [block] (same length as every
+     other block) and repairs the server state incrementally — a
+     localized fix-up, never a re-encode.  Contract: after any update
+     sequence, [respond] and
      [respond_batch] must be byte-identical to a fresh [encode] over
      the updated grid (same setup randomness), and [predicted_cost]
      must stay exact.  Raises [Invalid_argument] on an out-of-range
      target, a wrong-length block, or a block the backend cannot
      represent. *)
-  val update : (server -> row:int -> col:int -> block:string -> unit) option
+  val update : server -> row:int -> col:int -> block:string -> unit
 
   (* ---- wire codecs ---- *)
 

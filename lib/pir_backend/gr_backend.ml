@@ -118,15 +118,13 @@ module Make (C : CONFIG) : B.S = struct
      plus a schedule refresh, never a full re-encode.  The record value
      equals what a fresh [encode] would compute, so responses are
      byte-identical to a rebuilt server's. *)
-  let update =
-    Some
-      (fun (t : server) ~row ~col ~(block : string) ->
-        if row < 0 || row >= t.rows || col < 0 || col >= t.cols then
-          invalid_arg "Gr_backend.update: target out of range";
-        if String.length block <> t.block_len then
-          invalid_arg "Gr_backend.update: block length";
-        Gr.Server.update_block t.gr ~idx:((row * t.cols) + col)
-          ~block:(Z.of_bytes_be block))
+  let update (t : server) ~row ~col ~(block : string) =
+    if row < 0 || row >= t.rows || col < 0 || col >= t.cols then
+      invalid_arg "Gr_backend.update: target out of range";
+    if String.length block <> t.block_len then
+      invalid_arg "Gr_backend.update: block length";
+    Gr.Server.update_block t.gr ~idx:((row * t.cols) + col)
+      ~block:(Z.of_bytes_be block)
 
   (* ---- wire: the (N, g) pair with explicit lengths, as in
      [Wire.pir_query_encode]; the response is the answer padded to the

@@ -445,42 +445,40 @@ module Make (C : CONFIG) : B.S = struct
      the first update; the cached-hint array is copied before the first
      in-place patch because the encode-time cache may share it with
      other servers (and its key digests M, which just changed). *)
-  let update =
-    Some
-      (fun (t : server) ~row ~col ~(block : string) ->
-        if row < 0 || row >= t.rows || col < 0 || col >= t.cols then
-          invalid_arg "Lwe_backend.update: target out of range";
-        if String.length block <> t.block_len then
-          invalid_arg "Lwe_backend.update: block length";
-        let a =
-          match t.a with
-          | Some a -> a
-          | None ->
-            let a = expand_a ~a_seed:t.a_seed ~cols:t.cols in
-            t.a <- Some a;
-            a
-        in
-        if not t.hint_owned then begin
-          t.hint <- Array.copy t.hint;
-          t.hint_owned <- true
-        end;
-        let hint = t.hint in
-        for k = 0 to t.block_len - 1 do
-          let i = (row * t.block_len) + k in
-          let old = Char.code (Bytes.get t.m ((i * t.cols) + col)) in
-          let nv = Char.code block.[k] in
-          if nv <> old then begin
-            let d = nv - old in
-            Bytes.set t.m ((i * t.cols) + col) block.[k];
-            for k' = 0 to n - 1 do
-              let idx = (i * n) + k' in
-              Array.unsafe_set hint idx
-                ((Array.unsafe_get hint idx
-                  + (d * Array.unsafe_get a ((col * n) + k')))
-                 land q_mask)
-            done
-          end
-        done)
+  let update (t : server) ~row ~col ~(block : string) =
+    if row < 0 || row >= t.rows || col < 0 || col >= t.cols then
+      invalid_arg "Lwe_backend.update: target out of range";
+    if String.length block <> t.block_len then
+      invalid_arg "Lwe_backend.update: block length";
+    let a =
+      match t.a with
+      | Some a -> a
+      | None ->
+        let a = expand_a ~a_seed:t.a_seed ~cols:t.cols in
+        t.a <- Some a;
+        a
+    in
+    if not t.hint_owned then begin
+      t.hint <- Array.copy t.hint;
+      t.hint_owned <- true
+    end;
+    let hint = t.hint in
+    for k = 0 to t.block_len - 1 do
+      let i = (row * t.block_len) + k in
+      let old = Char.code (Bytes.get t.m ((i * t.cols) + col)) in
+      let nv = Char.code block.[k] in
+      if nv <> old then begin
+        let d = nv - old in
+        Bytes.set t.m ((i * t.cols) + col) block.[k];
+        for k' = 0 to n - 1 do
+          let idx = (i * n) + k' in
+          Array.unsafe_set hint idx
+            ((Array.unsafe_get hint idx
+              + (d * Array.unsafe_get a ((col * n) + k')))
+             land q_mask)
+        done
+      end
+    done
 
   (* ---- wire: a u32 count followed by count u64 torus words ---- *)
 

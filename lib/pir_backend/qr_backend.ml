@@ -100,7 +100,7 @@ module Make (C : CONFIG) : B.S = struct
 
   let respond (t : server) (q : query) : response =
     if Array.length q.ys <> t.cols then B.malformed "qr query width";
-    if Z.leq q.n Z.one then B.malformed "qr modulus";
+    if Z.leq q.n Z.one || Z.is_even q.n then B.malformed "qr modulus";
     Array.iter
       (fun y ->
         if Z.sign y <= 0 || Z.geq y q.n then B.malformed "qr element out of range")
@@ -120,7 +120,7 @@ module Make (C : CONFIG) : B.S = struct
     Array.iter
       (fun q ->
         if Array.length q.ys <> t.cols then B.malformed "qr query width";
-        if Z.leq q.n Z.one then B.malformed "qr modulus";
+        if Z.leq q.n Z.one || Z.is_even q.n then B.malformed "qr modulus";
         Array.iter
           (fun y ->
             if Z.sign y <= 0 || Z.geq y q.n then
@@ -142,17 +142,15 @@ module Make (C : CONFIG) : B.S = struct
      is one store ({!Qr_pir.Server.set_block}); the only derived state is
      the popcount-based multiplication oracle, repaired from the old and
      new blocks' bit counts alone. *)
-  let update =
-    Some
-      (fun (t : server) ~row ~col ~(block : string) ->
-        if row < 0 || row >= t.rows || col < 0 || col >= t.cols then
-          invalid_arg "Qr_backend.update: target out of range";
-        if String.length block <> t.block_len then
-          invalid_arg "Qr_backend.update: block length";
-        let old = Qr_pir.Server.block t.qr ~row ~col in
-        Qr_pir.Server.set_block t.qr ~row ~col block;
-        t.mults_per_respond <-
-          t.mults_per_respond + popcount_str old - popcount_str block)
+  let update (t : server) ~row ~col ~(block : string) =
+    if row < 0 || row >= t.rows || col < 0 || col >= t.cols then
+      invalid_arg "Qr_backend.update: target out of range";
+    if String.length block <> t.block_len then
+      invalid_arg "Qr_backend.update: block length";
+    let old = Qr_pir.Server.block t.qr ~row ~col in
+    Qr_pir.Server.set_block t.qr ~row ~col block;
+    t.mults_per_respond <-
+      t.mults_per_respond + popcount_str old - popcount_str block
 
   (* ---- wire: fixed-width elements under an (el, count) header ---- *)
 

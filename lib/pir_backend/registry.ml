@@ -50,20 +50,11 @@ module Instance = struct
   let block_len (Pack ((module M), s, _)) = M.block_len s
   let public (Pack ((module M), s, _)) = M.public s
 
-  (* Does the packed backend support in-place updates? *)
-  let can_update (Pack ((module M), _, _)) = Option.is_some M.update
-
-  (* Apply a single-block update through the backend's optional
-     capability; [false] when the backend can only re-encode (the
-     caller decides whether to rebuild).  Bumps the instance metrics'
-     [update_blocks] on success. *)
-  let update (Pack ((module M), s, metrics) : t) ~row ~col ~block : bool =
-    match M.update with
-    | None -> false
-    | Some f ->
-      f s ~row ~col ~block;
-      Counters.update_blocks metrics 1;
-      true
+  (* Apply a single-block update in place through the backend's
+     [update].  Bumps the instance metrics' [update_blocks]. *)
+  let update (Pack ((module M), s, metrics) : t) ~row ~col ~block : unit =
+    M.update s ~row ~col ~block;
+    Counters.update_blocks metrics 1
 
   (* Everything one wire-framed round produced: the block, the measured
      frame sizes, the oracle's prediction, the measured server

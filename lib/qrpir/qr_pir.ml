@@ -22,7 +22,7 @@ module Counters = Lbq_metrics.Counters
 (* Keys                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type public_key = { n : Z.t; ctx : Barrett.t }
+type public_key = { n : Z.t; ctx : Montgomery.t }
 
 type private_key = { pub : public_key; p : Z.t; q : Z.t }
 
@@ -44,7 +44,7 @@ let keygen ~bits rand =
   in
   let q = distinct () in
   let n = Z.mul p q in
-  { pub = { n; ctx = Barrett.create n }; p; q }
+  { pub = { n; ctx = Montgomery.create n }; p; q }
 
 (* Is x a quadratic residue mod N?  Requires the factorisation. *)
 let is_qr sk (x : Z.t) : bool =
@@ -54,7 +54,7 @@ let is_qr sk (x : Z.t) : bool =
 let random_qr pk rand =
   let rec go () =
     let r = Z.random_unit ~bound:pk.n rand in
-    if Z.equal (Z.gcd r pk.n) Z.one then Barrett.mulmod pk.ctx r r else go ()
+    if Z.equal (Z.gcd r pk.n) Z.one then Montgomery.mulmod pk.ctx r r else go ()
   in
   go ()
 
@@ -168,87 +168,61 @@ module Server = struct
     let byte = plane / 8 and off = plane mod 8 in
     (Char.code t.blocks.(row).(col).[byte] lsr (7 - off)) land 1 = 1
 
-  (* One bit-plane: z_r = prod_j (y_j if bit else y_j^2); a*b mults
-     (plus squarings), the Table II server cost.  [ctx] reduces modulo
-     the modulus that came with the query. *)
-  let respond_plane t ~(ctx : Barrett.t) (query : Z.t array) ~plane
-    : Z.t array =
-    if Array.length query <> t.cols then
-      invalid_arg "Qr_pir.Server.respond_plane: query width mismatch";
-    let mults = ref 0 in
-    let z =
-      Barrett.counting ctx mults (fun () ->
-          Array.init t.rows (fun r ->
-              let acc = ref Z.one in
-              for j = 0 to t.cols - 1 do
-                let y = query.(j) in
-                let factor =
-                  if bit t ~row:r ~col:j ~plane then y
-                  else Barrett.mulmod ctx y y
-                in
-                acc := Barrett.mulmod ctx !acc factor
-              done;
-              !acc))
-    in
-    Counters.server_mult t.metrics !mults;
-    z
-
-  (* All bit-planes of the blocks: the full a x (8*block_len) answer. *)
-  let respond t ~(n : Z.t) (query : Z.t array) : Z.t array array =
-    if Z.leq n Z.one then invalid_arg "Qr_pir.Server.respond: bad modulus";
-    let ctx = Barrett.create n in
-    let nbits = 8 * t.block_len in
-    let planes =
-      Array.init nbits (fun plane -> respond_plane t ~ctx query ~plane)
-    in
-    Counters.server_bytes t.metrics (t.rows * nbits * ((Z.numbits n + 7) / 8));
-    planes
-
   (* Answer k queries — each carrying its own modulus — with ONE
      traversal of the database bits: every (plane, row, col) bit is read
      and branched on once and applied to all k accumulators, instead of
-     once per query.  Each query keeps its own Barrett context and its
-     own multiplication ORDER (acc_q picks up exactly the factors, in
-     exactly the sequence, a sequential [respond] would give it), so the
-     answers and per-query measured mults are byte-identical to k
-     sequential calls.  Validation mirrors [respond]/[respond_plane]
-     and runs before any work. *)
+     once per query.  Each query runs on its own Montgomery context (a
+     Blum modulus is odd), its elements converted to windows once,
+     before the counter is attached; from there every modular product
+     is one ticked window product: per (plane, row, col) one accumulate
+     plus one squaring when the bit is 0, the Table II server cost.
+     Each accumulator picks up exactly the factors, in exactly the
+     sequence, a one-query call would give it, so answers and per-query
+     measured mults are identical to k sequential [respond]s.  Every
+     query is validated before any work. *)
   let respond_batch t (queries : (Z.t * Z.t array) array)
     : Z.t array array array =
     Array.iter
       (fun ((n : Z.t), (q : Z.t array)) ->
-        if Z.leq n Z.one then invalid_arg "Qr_pir.Server.respond: bad modulus";
+        if Z.leq n Z.one || Z.is_even n then
+          invalid_arg "Qr_pir.Server.respond: bad modulus";
         if Array.length q <> t.cols then
-          invalid_arg "Qr_pir.Server.respond_plane: query width mismatch")
+          invalid_arg "Qr_pir.Server.respond: query width mismatch")
       queries;
     let k = Array.length queries in
-    let ctxs = Array.map (fun (n, _) -> Barrett.create n) queries in
+    let ctxs = Array.map (fun (n, _) -> Montgomery.create n) queries in
+    let ys =
+      Array.mapi
+        (fun q (_, y) -> Array.map (Montgomery.to_window ctxs.(q)) y)
+        queries
+    in
     let counts = Array.map (fun _ -> ref 0) queries in
-    Array.iteri (fun i ctx -> Barrett.set_counter ctx (Some counts.(i))) ctxs;
+    Array.iteri (fun i ctx -> Montgomery.set_counter ctx (Some counts.(i))) ctxs;
     let nbits = 8 * t.block_len in
     let out =
       Array.init k (fun _ ->
-          Array.init nbits (fun _ -> Array.make t.rows Z.one))
+          Array.init nbits (fun _ -> Array.make t.rows Z.zero))
     in
-    let accs = Array.make k Z.one in
+    let accs = Array.map Montgomery.one_window ctxs in
     for plane = 0 to nbits - 1 do
       for r = 0 to t.rows - 1 do
-        Array.fill accs 0 k Z.one;
+        for q = 0 to k - 1 do
+          accs.(q) <- Montgomery.one_window ctxs.(q)
+        done;
         for j = 0 to t.cols - 1 do
           let b = bit t ~row:r ~col:j ~plane in
           for q = 0 to k - 1 do
             let ctx = ctxs.(q) in
-            let y = (snd queries.(q)).(j) in
-            let factor = if b then y else Barrett.mulmod ctx y y in
-            accs.(q) <- Barrett.mulmod ctx accs.(q) factor
+            let y = ys.(q).(j) in
+            let factor = if b then y else Montgomery.mul_window ctx y y in
+            accs.(q) <- Montgomery.mul_window ctx accs.(q) factor
           done
         done;
         for q = 0 to k - 1 do
-          out.(q).(plane).(r) <- accs.(q)
+          out.(q).(plane).(r) <- Montgomery.of_window ctxs.(q) accs.(q)
         done
       done
     done;
-    Array.iter (fun ctx -> Barrett.set_counter ctx None) ctxs;
     Array.iteri
       (fun q (n, _) ->
         Counters.server_mult t.metrics !(counts.(q));
@@ -256,6 +230,11 @@ module Server = struct
           (t.rows * nbits * ((Z.numbits n + 7) / 8)))
       queries;
     out
+
+  (* All bit-planes of the blocks for one query: the full
+     a x (8*block_len) answer, as a batch of one. *)
+  let respond t ~(n : Z.t) (query : Z.t array) : Z.t array array =
+    (respond_batch t [| (n, query) |]).(0)
 end
 
 (* One full block fetch. *)

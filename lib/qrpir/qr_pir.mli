@@ -66,19 +66,21 @@ module Server : sig
       Raises [Invalid_argument] on a bad target or block length. *)
   val set_block : t -> row:int -> col:int -> string -> unit
 
-  (** One bit-plane answer: a row-product per row, reduced through [ctx]. *)
-  val respond_plane :
-    t -> ctx:Lbq_bignum.Barrett.t -> Z.t array -> plane:int -> Z.t array
-
   (** All bit-planes (the full matrix answer the baseline ships),
-      modulo the query's [n]. *)
+      modulo the query's [n]: {!respond_batch} on one query.  Raises
+      [Invalid_argument] on an even or [<= 1] modulus or a query whose
+      width is not [cols]. *)
   val respond : t -> n:Z.t -> Z.t array -> Z.t array array
 
   (** Answer k queries [(n, ys)] with one traversal of the database bits
       (each bit read and branched on once, applied to all k per-query
-      accumulators).  Per-query multiplication order is preserved, so
-      answers and measured mults are identical to k sequential
-      {!respond} calls. *)
+      accumulators), each query on its own
+      {!Lbq_bignum.Montgomery} context: one tick per window product,
+      the entry conversion of the query elements outside the count.
+      Per-query multiplication order is preserved, so answers and
+      measured mults are identical to k sequential {!respond} calls.
+      Every query is validated before any work, with the errors of
+      {!respond}. *)
   val respond_batch : t -> (Z.t * Z.t array) array -> Z.t array array array
 end
 

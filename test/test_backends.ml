@@ -348,6 +348,45 @@ let test_lwe_malformed_frames (_ : Counters.t) =
       check_malformed "response word range" (fun () ->
           M.response_decode (u32 1 ^ u64 ((1 lsl 35) - 1))))
 
+(* Every modulus the bignum engine serves is odd, so an even query
+   modulus is hostile input: gr and qr must refuse it with Malformed
+   before any work, alone and behind an honest query in a batch — no
+   server multiplication is ever counted.  The even modulus is the
+   honest one with its low bit cleared, so parity is the only fault. *)
+let test_even_modulus (_ : Counters.t) =
+  List.iter
+    (fun (name, modulus_last_byte, want) ->
+      let module M = (val Registry.find_exn name) in
+      Fixture.with_metrics (fun metrics ->
+          let rows = 2 and cols = 3 and len = 2 in
+          let blocks = oracle_blocks ~rows ~cols ~len () in
+          let rand = rand_for ~name:(name ^ "-even") ~rows ~cols ~len in
+          let server = M.encode ~metrics ~rand blocks in
+          let _, query =
+            M.query ~metrics ~rand ~public:(M.public server) ~row:1 ~col:2 ()
+          in
+          let honest = M.query_encode query in
+          let even =
+            let b = Bytes.of_string honest in
+            let i = modulus_last_byte honest in
+            Bytes.set b i (Char.chr (Char.code honest.[i] land 0xfe));
+            M.query_decode (Bytes.to_string b)
+          in
+          let refused label f =
+            match f () with
+            | exception B.Malformed m -> Alcotest.(check string) label want m
+            | _ -> Alcotest.failf "%s: even modulus answered" label
+          in
+          refused (name ^ " respond") (fun () -> M.respond server even);
+          refused (name ^ " batch, honest query first") (fun () ->
+              M.respond_batch server [| M.query_decode honest; even |]);
+          Alcotest.(check int) (name ^ " refused before any work") 0
+            (Counters.snapshot metrics).Counters.server_mult))
+    [ (* gr: lp(N) ^ lp(g) *)
+      ("gr", (fun w -> 4 + B.read_u32 w 0 - 1), "Gr.Server.respond: bad modulus");
+      (* qr: u32 el ^ u32 cols ^ N ^ ys, N padded to el bytes *)
+      ("qr", (fun w -> 8 + B.read_u32 w 0 - 1), "qr modulus") ]
+
 (* The hint H = M * A is the dominant cost of [encode]; re-encoding the
    same grid under a replayed randomness stream (same a_seed, same M)
    must be served from the bounded cache, a different grid must miss,
@@ -458,46 +497,44 @@ let props =
         let len = 3 in
         List.for_all
           (fun (module M : B.S) ->
-            match M.update with
-            | None -> true
-            | Some patch ->
-              Fixture.with_metrics (fun metrics ->
-                  let blocks = oracle_blocks ~tag:seed ~rows ~cols ~len () in
-                  let enc_seed = Printf.sprintf "upd-prop-%s-%d" M.name seed in
-                  let fresh_rand () =
-                    Drbg.rand (Drbg.create ~seed:enc_seed ())
+            let patch = M.update in
+            Fixture.with_metrics (fun metrics ->
+                let blocks = oracle_blocks ~tag:seed ~rows ~cols ~len () in
+                let enc_seed = Printf.sprintf "upd-prop-%s-%d" M.name seed in
+                let fresh_rand () =
+                  Drbg.rand (Drbg.create ~seed:enc_seed ())
+                in
+                let live = M.encode ~metrics ~rand:(fresh_rand ()) blocks in
+                let drbg =
+                  Drbg.create ~seed:(Printf.sprintf "upd-walk-%d" seed) ()
+                in
+                for _ = 1 to n do
+                  let row = Drbg.int drbg rows and col = Drbg.int drbg cols in
+                  let block =
+                    String.init len (fun _ -> Char.chr (Drbg.int drbg 256))
                   in
-                  let live = M.encode ~metrics ~rand:(fresh_rand ()) blocks in
-                  let drbg =
-                    Drbg.create ~seed:(Printf.sprintf "upd-walk-%d" seed) ()
-                  in
-                  for _ = 1 to n do
-                    let row = Drbg.int drbg rows and col = Drbg.int drbg cols in
-                    let block =
-                      String.init len (fun _ -> Char.chr (Drbg.int drbg 256))
-                    in
-                    blocks.(row).(col) <- block;
-                    patch live ~row ~col ~block
-                  done;
-                  let oracle = M.encode ~metrics ~rand:(fresh_rand ()) blocks in
-                  let public_ok = String.equal (M.public live) (M.public oracle) in
-                  let qrand = rand_for ~name:(M.name ^ "-upd") ~rows ~cols ~len in
-                  let wires_ok =
-                    List.for_all
-                      (fun (row, col) ->
-                        let client, q =
-                          M.query ~metrics ~rand:qrand ~public:(M.public live)
-                            ~row ~col ()
-                        in
-                        let r_live = M.respond live q in
-                        let r_oracle = M.respond oracle q in
-                        String.equal (M.response_encode r_live)
-                          (M.response_encode r_oracle)
-                        && String.equal blocks.(row).(col)
-                             (M.decode client r_live))
-                      (query_plan ~rows ~cols ~count:3)
-                  in
-                  public_ok && wires_ok))
+                  blocks.(row).(col) <- block;
+                  patch live ~row ~col ~block
+                done;
+                let oracle = M.encode ~metrics ~rand:(fresh_rand ()) blocks in
+                let public_ok = String.equal (M.public live) (M.public oracle) in
+                let qrand = rand_for ~name:(M.name ^ "-upd") ~rows ~cols ~len in
+                let wires_ok =
+                  List.for_all
+                    (fun (row, col) ->
+                      let client, q =
+                        M.query ~metrics ~rand:qrand ~public:(M.public live)
+                          ~row ~col ()
+                      in
+                      let r_live = M.respond live q in
+                      let r_oracle = M.respond oracle q in
+                      String.equal (M.response_encode r_live)
+                        (M.response_encode r_oracle)
+                      && String.equal blocks.(row).(col)
+                           (M.decode client r_live))
+                    (query_plan ~rows ~cols ~count:3)
+                in
+                public_ok && wires_ok))
           backends);
     prop "arena: all backends agree on random cells" 4
       (QCheck.make QCheck.Gen.(pair (int_range 1 3) (int_range 1 3)))
@@ -529,7 +566,8 @@ let () =
            test_fixture_hygiene ]);
       ("adversarial",
        [ Fixture.case "garbage frames" test_garbage_frames;
-         Fixture.case "lwe malformed frames" test_lwe_malformed_frames ]);
+         Fixture.case "lwe malformed frames" test_lwe_malformed_frames;
+         Fixture.case "even modulus refused" test_even_modulus ]);
       ("hint-cache", [ Fixture.case "lwe hint cache" test_lwe_hint_cache ]);
       ("boundary",
        [ Fixture.case "lwe max_cols ceiling" test_lwe_max_cols_boundary ]);

@@ -146,16 +146,6 @@ let test_numbits () =
   Alcotest.(check int) "256" 9 (Z.numbits (Z.of_int 256));
   Alcotest.(check int) "2^100" 101 (Z.numbits (Z.pow Z.two 100))
 
-let test_barrett_basic () =
-  let m = Z.of_string "1000000007" in
-  let b = Barrett.create m in
-  Alcotest.check z "reduce" (Z.of_int 999999993)
-    (Barrett.reduce b (Z.of_int (-14)));
-  Alcotest.check z "mulmod"
-    (Z.erem (Z.mul (Z.of_int 123456789) (Z.of_int 987654321)) m)
-    (Barrett.mulmod b (Z.of_int 123456789) (Z.of_int 987654321));
-  Alcotest.check z "powm 0" Z.one (Barrett.powm b (Z.of_int 5) Z.zero)
-
 let test_sqr_shapes () =
   let nat = Alcotest.testable
       (fun fmt a -> Format.pp_print_string fmt (Nat.to_string a))
@@ -224,38 +214,6 @@ let test_mul_ladder () =
 
 (* Into-buffer primitives: fixed-width windows with non-canonical
    (zero-padded) inputs match the canonical product. *)
-let test_into_buffer () =
-  let nat = Alcotest.testable
-      (fun fmt a -> Format.pp_print_string fmt (Nat.to_string a))
-      Nat.equal
-  in
-  List.iter
-    (fun (la, lb) ->
-      let a = Array.init la (fun i -> ((i * 131) + 7) land Nat.mask) in
-      let b = Array.init lb (fun i -> ((i * 257) + 3) land Nat.mask) in
-      (* zero-pad to model fixed-width residues *)
-      let aw = Array.append a (Array.make 4 0) in
-      let bw = Array.append b (Array.make 2 0) in
-      let dst = Array.make (la + lb + 16) (-1) in
-      Nat.mul_into dst aw la bw lb;
-      Alcotest.check nat
-        (Printf.sprintf "mul_into %dx%d" la lb)
-        (Nat.mul_schoolbook (Nat.normalize a) (Nat.normalize b))
-        (Nat.normalize (Array.sub dst 0 (la + lb)));
-      let dst2 = Array.make (2 * la) (-1) in
-      Nat.sqr_into dst2 aw la;
-      Alcotest.check nat
-        (Printf.sprintf "sqr_into %d" la)
-        (Nat.mul_schoolbook (Nat.normalize a) (Nat.normalize a))
-        (Nat.normalize dst2))
-    [ (1, 1); (1, 5); (5, 1); (2, 2); (13, 7); (40, 40); (52, 52); (64, 33) ];
-  (* zero-width windows *)
-  let dst = Array.make 4 9 in
-  Nat.mul_into dst [| 5 |] 1 [| 0 |] 1;
-  Alcotest.(check int) "mul_into by zero" 0 dst.(0);
-  Nat.sqr_into dst [||] 0;
-  Alcotest.(check bool) "sqr_into zero width ok" true true
-
 (* The fused CIOS engine at its edges: aliased destinations, zero and
    single-limb residues, and the trivial modulus n = 1.  The engine's
    Montgomery form uses its own internal radix, so correctness is
@@ -322,7 +280,12 @@ let test_cios_edges () =
           (Printf.sprintf "%s sqr alias" name)
           (Array.to_list (Montgomery.widen ctx (Montgomery.mont_sqr ctx am)))
           (Array.to_list aw))
-      residues
+      residues;
+    (* the engine and its oracle agree on x^0 = 1 mod n, even in the
+       trivial ring n = 1 *)
+    Alcotest.check zt (name ^ " powm e=0 = naive")
+      (Z.mod_pow_naive (Z.of_int 7) Z.zero m)
+      (Montgomery.powm ctx (Z.of_int 7) Z.zero)
   in
   check_ctx "n=1" Z.one;
   check_ctx "n=3" (Z.of_int 3);
@@ -340,10 +303,10 @@ let test_wexp_edges () =
   Alcotest.(check int) "e=0 cost" 0 (Wexp.cost s0);
   Alcotest.check z "e=0 replay" Z.zero (Wexp.to_exponent s0);
   let m = Z.of_string "100000000000000000763" in
-  let ctx = Barrett.create m in
-  Alcotest.check z "powm e=0" Z.one (Barrett.powm ctx (Z.of_int 7) Z.zero);
+  let ctx = Montgomery.create m in
+  Alcotest.check z "powm e=0" Z.one (Montgomery.powm ctx (Z.of_int 7) Z.zero);
   Alcotest.check z "powm e=1" (Z.of_int 7)
-    (Barrett.powm ctx (Z.of_int 7) Z.one);
+    (Montgomery.powm ctx (Z.of_int 7) Z.one);
   (* Long zero runs: 2^k and 2^k + 1 at every width. *)
   List.iter
     (fun width ->
@@ -359,7 +322,7 @@ let test_wexp_edges () =
               Alcotest.check z
                 (Printf.sprintf "powm_sched w=%d k=%d" width k)
                 (Z.mod_pow_naive (Z.of_int 3) e m)
-                (Barrett.powm_sched ctx (Z.of_int 3) s))
+                (Montgomery.powm_sched ctx (Z.of_int 3) s))
             [ e; Z.succ e ])
         [ 1; 7; 26; 27; 100 ])
     [ 1; 2; 3; 4; 5; 6; 7 ]
@@ -384,12 +347,12 @@ let powm2 ctx b1 e1 b2 e2 =
   Montgomery.powm2_tbl ctx (tbl b1 ws1) ws1 (tbl b2 ws2) ws2
 
 let test_comb_straus_edges () =
-  (* Every Montgomery stage-1 kernel against Barrett.powm, an
-     independent engine, with ticks against the closed forms. *)
+  (* Every Montgomery stage-1 kernel against Z.mod_pow_naive, which
+     shares no code with the engine, with ticks against the closed
+     forms. *)
   List.iter
     (fun m ->
       let ctx = Montgomery.create m in
-      let bctx = Barrett.create m in
       let bits = Z.numbits m in
       let label what = Printf.sprintf "%s (%d bits, %d digits)" what bits
           (Montgomery.k_limbs ctx) in
@@ -426,7 +389,7 @@ let test_comb_straus_edges () =
               in
               Alcotest.check z
                 (label (Printf.sprintf "comb powm t=%d" teeth))
-                (Barrett.powm bctx b3 e) v;
+                (Z.mod_pow_naive b3 e m) v;
               Alcotest.(check int)
                 (label (Printf.sprintf "comb cost t=%d" teeth))
                 (Wexp.comb_cost comb en) !r)
@@ -452,7 +415,7 @@ let test_comb_straus_edges () =
                     Montgomery.powm_tbl ctx tbl s)
               in
               Alcotest.check z (label (Printf.sprintf "replay w=%d" width))
-                (Barrett.powm bctx b3 e) v;
+                (Z.mod_pow_naive b3 e m) v;
               Alcotest.(check int) (label "replay cost") (Wexp.replay_cost s)
                 !r)
             edges)
@@ -462,8 +425,10 @@ let test_comb_straus_edges () =
       List.iter
         (fun (e1, e2) ->
           let expect =
-            Barrett.mulmod bctx (Barrett.powm bctx (Z.of_int 3) e1)
-              (Barrett.powm bctx b3 e2)
+            Z.erem
+              (Z.mul (Z.mod_pow_naive (Z.of_int 3) e1 m)
+                 (Z.mod_pow_naive b3 e2 m))
+              m
           in
           Alcotest.check z (label "powm2 edge") expect
             (powm2 ctx (Z.of_int 3) e1 b3 e2))
@@ -545,16 +510,6 @@ let props =
         let a = Z.erem a p in
         QCheck.assume (not (Z.is_zero a));
         Z.equal Z.one (Z.erem (Z.mul a (Z.invert a p)) p));
-    prop "barrett reduce = erem" 200 arb_pair (fun (a, m) ->
-        QCheck.assume (Z.sign m > 0 && Z.gt m Z.one);
-        let b = Barrett.create m in
-        Z.equal (Barrett.reduce b a) (Z.erem a m));
-    prop "barrett powm = naive" 60
-      (QCheck.make QCheck.Gen.(triple gen_big gen_big gen_big))
-      (fun (b_, e, m) ->
-        QCheck.assume (Z.gt m Z.one);
-        let ctx = Barrett.create m in
-        Z.equal (Barrett.powm ctx b_ e) (Z.mod_pow_naive b_ e m));
     prop "montgomery powm = naive" 40
       (QCheck.make QCheck.Gen.(triple gen_big gen_big gen_big))
       (fun (b_, e, m) ->
@@ -562,6 +517,17 @@ let props =
         let m = if Z.is_even m then Z.succ m else m in
         let ctx = Montgomery.create m in
         Z.equal (Montgomery.powm ctx b_ e) (Z.mod_pow_naive b_ e m));
+    (* two engines on one odd modulus: the fused powm against the
+       radix-2^26 reference ladder, which shares none of its REDC code *)
+    prop "powm = reference ladder, odd moduli" 60
+      (QCheck.make QCheck.Gen.(triple gen_big gen_big gen_big))
+      (fun (b_, e, m) ->
+        QCheck.assume (Z.gt m Z.one);
+        let e = Z.abs e in
+        let m = if Z.is_even m then Z.succ m else m in
+        let ctx = Montgomery.create m in
+        Z.equal (Montgomery.powm ctx b_ e)
+          (Montgomery.powm_sched_reference ctx b_ (Wexp.recode (Z.to_nat e))));
     prop "montgomery mulmod = erem" 100 arb_pair (fun (a, b) ->
         let m = Z.of_string "170141183460469231731687303715884105727" in
         let ctx = Montgomery.create m in
@@ -665,16 +631,10 @@ let props =
       (fun (b_, e, m, width) ->
         QCheck.assume (Z.gt m Z.one);
         let e = Z.abs e in
-        let ctx = Barrett.create m in
+        let m = if Z.is_even m then Z.succ m else m in
+        let ctx = Montgomery.create m in
         let s = Wexp.recode ~width (Z.to_nat e) in
-        Z.equal (Barrett.powm_sched ctx b_ s) (Z.mod_pow_naive b_ e m));
-    prop "fixed4 engine = sliding engine" 60
-      (QCheck.make QCheck.Gen.(triple gen_big gen_big gen_big))
-      (fun (b_, e, m) ->
-        QCheck.assume (Z.gt m Z.one);
-        let e = Z.abs e in
-        let ctx = Barrett.create m in
-        Z.equal (Barrett.powm_fixed4 ctx b_ e) (Barrett.powm ctx b_ e));
+        Z.equal (Montgomery.powm_sched ctx b_ s) (Z.mod_pow_naive b_ e m));
     prop "comb digits replay the exponent" 300
       (QCheck.make QCheck.Gen.(pair gen_big (int_range 1 10)))
       (fun (e, teeth) ->
@@ -693,8 +653,7 @@ let props =
         let comb = Wexp.make_comb ~bits:(max 1 (Z.numbits e)) ~teeth in
         let fb = Montgomery.fixed_base ctx b_ comb in
         let v = Montgomery.powm_fixed_base ctx fb (Z.to_nat e) in
-        Z.equal v (Z.mod_pow_naive b_ e m)
-        && Z.equal v (Barrett.powm (Barrett.create m) b_ e));
+        Z.equal v (Z.mod_pow_naive b_ e m));
     prop "comb engine cost = closed form" 100
       (QCheck.make QCheck.Gen.(pair gen_big (int_range 1 8)))
       (fun (e, teeth) ->
@@ -728,14 +687,10 @@ let props =
         let m = if Z.is_even m then Z.succ m else m in
         let e1 = Z.abs e1 and e2 = Z.abs e2 in
         let v = powm2 (Montgomery.create m) b1 e1 b2 e2 in
-        let bctx = Barrett.create m in
         Z.equal v
           (Z.erem
              (Z.mul (Z.mod_pow_naive b1 e1 m) (Z.mod_pow_naive b2 e2 m))
-             m)
-        && Z.equal v
-             (Barrett.mulmod bctx (Barrett.powm bctx b1 e1)
-                (Barrett.powm bctx b2 e2)));
+             m));
     prop "straus ladder cost = closed form" 60
       (QCheck.make QCheck.Gen.(triple gen_big gen_big gen_big))
       (fun (b1, e1, e2) ->
@@ -780,8 +735,8 @@ let props =
           Montgomery.counting ctx r (fun () -> Montgomery.powm_tbl ctx tbl s)
         in
         !r = Wexp.replay_cost s
-        && Z.equal v (Barrett.powm (Barrett.create m) b_ e));
-    prop "stage-1 kernels = barrett powm at group widths" 30
+        && Z.equal v (Z.mod_pow_naive b_ e m));
+    prop "stage-1 kernels = naive powm at group widths" 30
       (QCheck.make
          QCheck.Gen.(
            pair (int_range 0 (List.length stage1_moduli - 1))
@@ -793,9 +748,9 @@ let props =
            the group reduces them below q. *)
         let m = List.nth stage1_moduli mi in
         let e1 = Z.erem e1 m and e2 = Z.erem e2 m in
-        let ctx = Montgomery.create m and bctx = Barrett.create m in
+        let ctx = Montgomery.create m in
         let b2 = Z.succ b_ in
-        let want1 = Barrett.powm bctx b_ e1 in
+        let want1 = Z.mod_pow_naive b_ e1 m in
         let comb = Wexp.make_comb ~bits:(Z.numbits m) ~teeth in
         let fb = Montgomery.fixed_base ctx b_ comb in
         let s = Wexp.recode (Z.to_nat e1) in
@@ -803,27 +758,8 @@ let props =
         Z.equal want1 (Montgomery.powm_fixed_base ctx fb (Z.to_nat e1))
         && Z.equal want1 (Montgomery.powm_tbl ctx tbl s)
         && Z.equal
-             (Barrett.mulmod bctx want1 (Barrett.powm bctx b2 e2))
+             (Z.erem (Z.mul want1 (Z.mod_pow_naive b2 e2 m)) m)
              (powm2 ctx b_ e1 b2 e2));
-    prop "barrett = montgomery on odd moduli" 60
-      (QCheck.make QCheck.Gen.(triple gen_big gen_big gen_big))
-      (fun (b_, e, m) ->
-        QCheck.assume (Z.gt m Z.one);
-        let e = Z.abs e in
-        let m = if Z.is_even m then Z.succ m else m in
-        let bctx = Barrett.create m in
-        let mctx = Montgomery.create m in
-        Z.equal (Barrett.powm bctx b_ e) (Montgomery.powm mctx b_ e));
-    prop "mul_low = mul mod base^k" 300
-      (QCheck.make QCheck.Gen.(triple gen_big gen_big (int_range 0 20)))
-      (fun (a, b, k) ->
-        let open Lbq_bignum in
-        let full = Nat.mul (Z.to_nat a) (Z.to_nat b) in
-        let reference =
-          if Array.length full <= k then full
-          else Nat.normalize (Array.sub full 0 k)
-        in
-        Nat.equal reference (Nat.mul_low (Z.to_nat a) (Z.to_nat b) k));
     prop "random_below in range" 100
       (QCheck.make QCheck.Gen.(pair gen_big (int_range 0 1000000)))
       (fun (seed, salt) ->
@@ -847,10 +783,8 @@ let () =
          Alcotest.test_case "knuth adversarial" `Quick test_knuth_adversarial;
          Alcotest.test_case "shift" `Quick test_shift;
          Alcotest.test_case "numbits" `Quick test_numbits;
-         Alcotest.test_case "barrett basic" `Quick test_barrett_basic;
          Alcotest.test_case "sqr shapes" `Quick test_sqr_shapes;
          Alcotest.test_case "mul ladder (toom3 boundaries)" `Quick test_mul_ladder;
-         Alcotest.test_case "into-buffer primitives" `Quick test_into_buffer;
          Alcotest.test_case "cios edges (alias/zero/n=1)" `Quick test_cios_edges;
          Alcotest.test_case "wexp edges" `Quick test_wexp_edges;
          Alcotest.test_case "comb/straus edges" `Quick test_comb_straus_edges ]);

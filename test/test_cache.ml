@@ -204,54 +204,6 @@ let test_errors_and_shutdown () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "take after shutdown must raise")
 
-let test_epoch_stale_eviction () =
-  let seed = "cache-epoch" in
-  let metrics = Counters.create () in
-  Keypool.with_pool ~metrics
-    ~config:{ Keypool.capacity = 1; low_watermark = 0 }
-    ~seed ~plan ~q_bits
-    (fun pool ->
-      Alcotest.(check int) "starts at epoch 0" 0 (Keypool.epoch pool);
-      Keypool.prewarm pool;
-      (* A database epoch bump makes every stocked instance stale. *)
-      Keypool.set_epoch pool 1;
-      Alcotest.(check int) "epoch moved" 1 (Keypool.epoch pool);
-      let got = snd (Keypool.take pool ~index:2) in
-      (* The stale instance is evicted and the SAME generation rebuilt in
-         the foreground: bytes stay pinned to the sequential reference. *)
-      check_wire "rebuilt generation 0 = reference" got
-        (reference ~seed ~index:2 ~generation:0);
-      let s = Keypool.stats pool in
-      Alcotest.(check int) "stale eviction counted" 1 s.Keypool.stale_evictions;
-      Alcotest.(check int) "evicted take is a miss" 1 s.Keypool.misses;
-      (* prewarm already claimed generation 0's build ticket, so the
-         foreground rebuild duplicates work rather than stealing it *)
-      Alcotest.(check int) "rebuild is not a steal" 0 s.Keypool.steals;
-      Alcotest.(check int) "Counters.pool_stale_evictions" 1
-        (Counters.snapshot metrics).Counters.pool_stale_evictions;
-      (* Stripes the bump never touched evict lazily, on their own takes. *)
-      let got = snd (Keypool.take pool ~index:0) in
-      check_wire "other stripe evicts lazily" got
-        (reference ~seed ~index:0 ~generation:0);
-      Alcotest.(check int) "second eviction" 2
-        (Keypool.stats pool).Keypool.stale_evictions;
-      (* Instances built under the current epoch are served warm. *)
-      Keypool.prewarm pool;
-      let got = snd (Keypool.take pool ~index:2) in
-      check_wire "current-epoch instance served" got
-        (reference ~seed ~index:2 ~generation:1);
-      Alcotest.(check int) "no further eviction" 2
-        (Keypool.stats pool).Keypool.stale_evictions;
-      Alcotest.(check int) "warm hit after restock" 1
-        (Keypool.stats pool).Keypool.hits;
-      (* Validation: epochs only move forward. *)
-      (match Keypool.set_epoch pool 0 with
-       | exception Invalid_argument _ -> ()
-       | _ -> Alcotest.fail "backwards epoch must raise");
-      (match Keypool.set_epoch pool (-1) with
-       | exception Invalid_argument _ -> ()
-       | _ -> Alcotest.fail "negative epoch must raise"))
-
 let test_with_pool_cleans_up () =
   let escaped = Keypool.with_pool ~seed:"cache-escape" ~plan ~q_bits Fun.id in
   match Keypool.take escaped ~index:0 with
@@ -277,7 +229,5 @@ let () =
            test_prewarm_hit_and_depth;
          Alcotest.test_case "errors and shutdown" `Quick
            test_errors_and_shutdown;
-         Alcotest.test_case "stale epochs evict on take" `Quick
-           test_epoch_stale_eviction;
          Alcotest.test_case "with_pool cleans up" `Quick
            test_with_pool_cleans_up ]) ]

@@ -234,13 +234,12 @@ let test_jacobi_vs_legendre () =
    alpha_1 = alpha^(49/7). *)
 let test_appendix_b_dlog () =
   let n = Z.of_int 555229357 in
-  let ctx = Barrett.create n in
   let mctx = Montgomery.create n in
   let alpha = Z.of_int 474959247 and beta = Z.of_int 65281917 in
   Alcotest.check zopt "brute" (Some (Z.of_int 31))
-    (Dlog.brute ctx ~base:alpha ~target:beta ~bound:(Z.of_int 49));
+    (Dlog.brute n ~base:alpha ~target:beta ~bound:(Z.of_int 49));
   Alcotest.check zopt "bsgs" (Some (Z.of_int 31))
-    (Dlog.bsgs ctx ~base:alpha ~target:beta ~order:(Z.of_int 49));
+    (Dlog.bsgs n ~base:alpha ~target:beta ~order:(Z.of_int 49));
   Alcotest.check zopt "pohlig-hellman" (Some (Z.of_int 31))
     (Dlog.pohlig_hellman_prime_power mctx ~base:alpha ~target:beta
        ~p:(Z.of_int 7) ~c:2)
@@ -248,9 +247,9 @@ let test_appendix_b_dlog () =
 let test_table_v () =
   (* Table V: all powers of alpha_1 = alpha^7 mod N. *)
   let n = Z.of_int 555229357 in
-  let ctx = Barrett.create n in
+  let ctx = Montgomery.create n in
   let alpha = Z.of_int 474959247 in
-  let alpha1 = Barrett.powm ctx alpha (Z.of_int 7) in
+  let alpha1 = Montgomery.powm ctx alpha (Z.of_int 7) in
   Alcotest.check z "alpha1" (Z.of_int 98589017) alpha1;
   let expected =
     [ 1, 98589017; 2, 230485133; 3, 466965543; 4, 543238802;
@@ -261,26 +260,26 @@ let test_table_v () =
       Alcotest.check z
         (Printf.sprintf "alpha1^%d" x)
         (Z.of_int v)
-        (Barrett.powm ctx alpha1 (Z.of_int x)))
+        (Montgomery.powm ctx alpha1 (Z.of_int x)))
     expected;
   (* The two digit lookups of the worked example: c0 = 3, c1 = 4, x = 31. *)
   let beta = Z.of_int 65281917 in
-  let beta0 = Barrett.powm ctx beta (Z.of_int 7) in
+  let beta0 = Montgomery.powm ctx beta (Z.of_int 7) in
   Alcotest.check z "beta0 = alpha1^3" (Z.of_int 466965543) beta0
 
 let test_dlog_random_small () =
   (* base = primitive-ish element mod a prime; verify bsgs on random x. *)
   let p = Z.of_int 1000003 in
-  let ctx = Barrett.create p in
+  let ctx = Montgomery.create p in
   let g = Z.of_int 2 in
   for x = 0 to 20 do
     let x = x * 41 in
-    let target = Barrett.powm ctx g (Z.of_int x) in
-    match Dlog.bsgs ctx ~base:g ~target ~order:(Z.pred p) with
+    let target = Montgomery.powm ctx g (Z.of_int x) in
+    match Dlog.bsgs p ~base:g ~target ~order:(Z.pred p) with
     | None -> Alcotest.failf "bsgs failed for x=%d" x
     | Some x' ->
       (* g may not be primitive; check g^x' = target instead of x = x'. *)
-      Alcotest.check z "reproduces target" target (Barrett.powm ctx g x')
+      Alcotest.check z "reproduces target" target (Montgomery.powm ctx g x')
   done
 
 let test_dlog_prime_power_big () =
@@ -290,19 +289,18 @@ let test_dlog_prime_power_big () =
   let _, q0 = Primegen.semi_safe ~q_bits:24 ~multiple:pi rand in
   let _, q1 = Primegen.semi_safe ~q_bits:24 ~multiple:Z.one rand in
   let n = Z.mul q0 q1 in
-  let ctx = Barrett.create n in
   let mctx = Montgomery.create n in
   let phi = Z.mul (Z.pred q0) (Z.pred q1) in
   (* h = g^(phi/pi) has order dividing pi; retry until order is exactly pi. *)
   let rec find_h g =
-    let h = Barrett.powm ctx g (Z.div phi pi) in
-    let h3 = Barrett.powm ctx h (Z.div pi (Z.of_int 3)) in
+    let h = Montgomery.powm mctx g (Z.div phi pi) in
+    let h3 = Montgomery.powm mctx h (Z.div pi (Z.of_int 3)) in
     if Z.equal h3 Z.one then find_h (Z.succ g) else h
   in
   let h = find_h Z.two in
   let secret = Z.of_string "2259436191676" in
   let secret = Z.erem secret pi in
-  let target = Barrett.powm ctx h secret in
+  let target = Montgomery.powm mctx h secret in
   Alcotest.check zopt "recovers secret" (Some secret)
     (Dlog.pohlig_hellman_prime_power mctx ~base:h ~target ~p:(Z.of_int 3) ~c:20)
 
@@ -314,12 +312,11 @@ let test_dlog_solver_reuse () =
   let _, q0 = Primegen.semi_safe ~q_bits:20 ~multiple:pi rand in
   let _, q1 = Primegen.semi_safe ~q_bits:20 ~multiple:Z.one rand in
   let n = Z.mul q0 q1 in
-  let ctx = Barrett.create n in
   let mctx = Montgomery.create n in
   let phi = Z.mul (Z.pred q0) (Z.pred q1) in
   let rec find_h g =
-    let h = Barrett.powm ctx g (Z.div phi pi) in
-    let h3 = Barrett.powm ctx h (Z.div pi (Z.of_int 3)) in
+    let h = Montgomery.powm mctx g (Z.div phi pi) in
+    let h3 = Montgomery.powm mctx h (Z.div pi (Z.of_int 3)) in
     if Z.equal h3 Z.one then find_h (Z.succ g) else h
   in
   let h = find_h Z.two in
@@ -327,7 +324,7 @@ let test_dlog_solver_reuse () =
   List.iter
     (fun secret ->
       let secret = Z.erem (Z.of_int secret) pi in
-      let target = Barrett.powm ctx h secret in
+      let target = Montgomery.powm mctx h secret in
       Alcotest.check zopt
         (Printf.sprintf "solver reuse x=%s" (Z.to_string secret))
         (Some secret)
@@ -340,13 +337,12 @@ let test_dlog_solver_reuse () =
 let test_dlog_composite_order () =
   (* Full Pohlig-Hellman with CRT combine: group (Z/pZ)* with smooth p-1. *)
   let p = Z.of_int 8101 in (* 8101 - 1 = 2^2 * 3^4 * 5^2 *)
-  let ctx = Barrett.create p in
   let mctx = Montgomery.create p in
   let g = Z.of_int 6 in (* 6 is a primitive root mod 8101 *)
   let factors = [ Z.two, 2; Z.of_int 3, 4; Z.of_int 5, 2 ] in
   List.iter
     (fun x ->
-      let target = Barrett.powm ctx g (Z.of_int x) in
+      let target = Montgomery.powm mctx g (Z.of_int x) in
       Alcotest.check zopt (Printf.sprintf "x=%d" x) (Some (Z.of_int x))
         (Dlog.pohlig_hellman mctx ~base:g ~target ~factors))
     [ 0; 1; 2; 100; 4097; 8099 ]
@@ -366,12 +362,11 @@ let test_dlog_not_in_subgroup () =
 let test_dlog_exponent_one () =
   (* alpha1 = alpha^7 generates the order-7 subgroup: a c = 1 instance. *)
   let n = Z.of_int 555229357 in
-  let ctx = Barrett.create n in
   let mctx = Montgomery.create n in
   let alpha1 = Z.of_int 98589017 in
   List.iter
     (fun x ->
-      let target = Barrett.powm ctx alpha1 (Z.of_int x) in
+      let target = Montgomery.powm mctx alpha1 (Z.of_int x) in
       Alcotest.check zopt
         (Printf.sprintf "c=1, x=%d" x)
         (Some (Z.of_int x))
@@ -387,7 +382,6 @@ let test_dlog_extreme_residues () =
   (* Residue 0 (target = 1) and residue pi - 1 at both ends of the order-49
      subgroup of the Appendix B group. *)
   let n = Z.of_int 555229357 in
-  let ctx = Barrett.create n in
   let mctx = Montgomery.create n in
   let alpha = Z.of_int 474959247 in
   let solve target =
@@ -397,12 +391,12 @@ let test_dlog_extreme_residues () =
   Alcotest.check zopt "residue 0" (Some Z.zero) (solve Z.one);
   let last = Z.of_int 48 in
   Alcotest.check zopt "residue pi-1" (Some last)
-    (solve (Barrett.powm ctx alpha last));
+    (solve (Montgomery.powm mctx alpha last));
   (* bsgs agrees at both extremes. *)
   Alcotest.check zopt "bsgs residue 0" (Some Z.zero)
-    (Dlog.bsgs ctx ~base:alpha ~target:Z.one ~order:(Z.of_int 49));
+    (Dlog.bsgs n ~base:alpha ~target:Z.one ~order:(Z.of_int 49));
   Alcotest.check zopt "bsgs residue pi-1" (Some last)
-    (Dlog.bsgs ctx ~base:alpha ~target:(Barrett.powm ctx alpha last)
+    (Dlog.bsgs n ~base:alpha ~target:(Montgomery.powm mctx alpha last)
        ~order:(Z.of_int 49))
 
 let test_crt_edge_cases () =
@@ -425,9 +419,9 @@ let test_crt_edge_cases () =
 (* Modular exponentiation oracles                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Barrett.powm, Montgomery.powm and the naive square-and-multiply over Z
-   must agree on random odd moduli — the PIR server answer and the OT
-   exponentiations both lean on these kernels. *)
+(* Montgomery.powm and the naive square-and-multiply over Z must agree on
+   random odd moduli — the PIR server answer and the OT exponentiations
+   both lean on the engine. *)
 let test_powm_cross_check () =
   for i = 0 to 49 do
     let bits = 16 + (i * 7 mod 200) in
@@ -437,21 +431,17 @@ let test_powm_cross_check () =
     let base = Z.erem (Z.random_bits ~bits:(bits + 13) rand) m in
     let e = Z.random_bits ~bits:(1 + (i * 11 mod 160)) rand in
     let naive = Z.mod_pow_naive base e m in
-    let barrett = Barrett.powm (Barrett.create m) base e in
     let mont = Montgomery.powm (Montgomery.create m) base e in
-    if not (Z.equal naive barrett) then
-      Alcotest.failf "case %d: barrett disagrees with naive" i;
     if not (Z.equal naive mont) then
       Alcotest.failf "case %d: montgomery disagrees with naive" i
   done;
   (* Exponent edge cases: 0, 1, and base 0/1 on a fixed modulus. *)
   let m = Z.of_int 1000003 in
-  let bctx = Barrett.create m and mctx = Montgomery.create m in
+  let mctx = Montgomery.create m in
   List.iter
     (fun (b, e) ->
       let b = Z.of_int b and e = Z.of_int e in
       let expect = Z.mod_pow_naive b e m in
-      Alcotest.check z "barrett edge" expect (Barrett.powm bctx b e);
       Alcotest.check z "montgomery edge" expect (Montgomery.powm mctx b e))
     [ (0, 0); (0, 5); (1, 0); (1, 12345); (2, 0); (2, 1); (999999, 999999) ]
 
@@ -496,10 +486,9 @@ let test_factor_enables_dlog () =
      the two modules compose. *)
   let p = Z.of_int 8101 in
   let factors = Factor.factor ~rand (Z.pred p) in
-  let ctx = Barrett.create p in
   let mctx = Montgomery.create p in
   let g = Z.of_int 6 in
-  let target = Barrett.powm ctx g (Z.of_int 1234) in
+  let target = Montgomery.powm mctx g (Z.of_int 1234) in
   Alcotest.check zopt "solved" (Some (Z.of_int 1234))
     (Dlog.pohlig_hellman mctx ~base:g ~target ~factors)
 
@@ -584,21 +573,19 @@ let props =
       (QCheck.make QCheck.Gen.(int_range 0 10000))
       (fun x ->
         let p = Z.of_int 100003 in
-        let ctx = Barrett.create p in
         let g = Z.of_int 5 in
-        let target = Barrett.powm ctx g (Z.of_int x) in
-        match Dlog.bsgs ctx ~base:g ~target ~order:(Z.pred p) with
+        let target = Z.mod_pow_naive g (Z.of_int x) p in
+        match Dlog.bsgs p ~base:g ~target ~order:(Z.pred p) with
         | None -> false
-        | Some x' -> Z.equal target (Barrett.powm ctx g x'));
-    prop "montgomery PH solver = barrett bsgs/brute" 25
+        | Some x' -> Z.equal target (Z.mod_pow_naive g x' p));
+    prop "montgomery PH solver = plain-Z bsgs/brute" 25
       (QCheck.make
          QCheck.Gen.(triple (int_range 0 5) (int_range 1 5)
                        (int_range 0 1000000)))
       (fun (pi_idx, c, salt) ->
         (* A random PIR-shaped prime-power subgroup: pi = p^c divides
            phi(N) for N = Q0 * Q1 with Q0 = 2 q0 pi + 1.  The solver runs
-           on Montgomery windows; the oracles on an independent Barrett
-           context. *)
+           on Montgomery windows; the oracles on plain Z arithmetic. *)
         let p = Z.of_int [| 3; 5; 7; 11; 13; 101 |].(pi_idx) in
         let pi = Z.pow p c in
         let rand =
@@ -610,24 +597,24 @@ let props =
           if Z.equal q1 q0 then other () else q1
         in
         let n = Z.mul q0 (other ()) in
-        let ctx = Barrett.create n in
+        let ctx = Montgomery.create n in
         let phi = Z.mul (Z.pred q0) (Z.pred (Z.div n q0)) in
         let rec find_h g =
-          let h = Barrett.powm ctx g (Z.div phi pi) in
-          if Z.equal (Barrett.powm ctx h (Z.div pi p)) Z.one then
+          let h = Montgomery.powm ctx g (Z.div phi pi) in
+          if Z.equal (Montgomery.powm ctx h (Z.div pi p)) Z.one then
             find_h (Z.succ g)
           else h
         in
         let h = find_h (Z.add Z.two (Z.random_below ~bound:(Z.of_int 1000) rand)) in
         let solver =
-          Dlog.Prime_power_solver.make (Montgomery.create n) ~base:h ~p ~c
+          Dlog.Prime_power_solver.make ctx ~base:h ~p ~c
         in
         let agrees target =
           let got = Dlog.Prime_power_solver.solve solver target in
-          let bsgs = Dlog.bsgs ctx ~base:h ~target ~order:pi in
+          let bsgs = Dlog.bsgs n ~base:h ~target ~order:pi in
           let brute =
             if Z.leq pi (Z.of_int 2000) then
-              Dlog.brute ctx ~base:h ~target ~bound:pi
+              Dlog.brute n ~base:h ~target ~bound:pi
             else bsgs
           in
           Option.equal Z.equal got bsgs && Option.equal Z.equal got brute
@@ -635,9 +622,9 @@ let props =
         let x = Z.random_below ~bound:pi rand in
         (* in-subgroup targets (random, both extremes) and one random
            unit that is almost surely outside the subgroup *)
-        agrees (Barrett.powm ctx h x)
+        agrees (Montgomery.powm ctx h x)
         && agrees Z.one
-        && agrees (Barrett.powm ctx h (Z.pred pi))
+        && agrees (Montgomery.powm ctx h (Z.pred pi))
         && agrees (Z.add Z.two (Z.random_below ~bound:(Z.sub n (Z.of_int 4)) rand)));
     prop "generated primes pass fermat" 10
       (QCheck.make QCheck.Gen.(int_range 20 80))
@@ -680,7 +667,7 @@ let () =
       ("crt-edges",
        [ Alcotest.test_case "degenerate shapes" `Quick test_crt_edge_cases ]);
       ("powm",
-       [ Alcotest.test_case "barrett/montgomery/naive agree" `Quick
+       [ Alcotest.test_case "montgomery/naive agree" `Quick
          test_powm_cross_check ]);
       ("factor",
        [ Alcotest.test_case "appendix phi" `Quick test_factor_appendix_phi;

@@ -45,24 +45,23 @@ let test_appendix_b () =
   let phi = Z.mul (Z.pred qq0) (Z.pred qq1) in
   Alcotest.check z "phi" (Z.of_int 554894620) phi;
   Alcotest.check z "pi | phi" Z.zero (Z.erem phi (Z.of_int pi));
-  let ctx = Barrett.create n in
   let mctx = Montgomery.create n in
   let g = Z.of_int 3 in
   (* |g| = 138723655 as stated; q = |g| / pi. *)
   let order_g = Z.of_int 138723655 in
-  Alcotest.check z "g^|g| = 1" Z.one (Barrett.powm ctx g order_g);
+  Alcotest.check z "g^|g| = 1" Z.one (Montgomery.powm mctx g order_g);
   let q = Z.div order_g (Z.of_int pi) in
   Alcotest.check z "q" (Z.of_int 2831095) q;
-  let ge = Barrett.powm ctx g e in
+  let ge = Montgomery.powm mctx g e in
   Alcotest.check z "ge" (Z.of_int 127319266) ge;
-  let he = Barrett.powm ctx ge q in
+  let he = Montgomery.powm mctx ge q in
   Alcotest.check z "he" (Z.of_int 65281917) he;
-  let h = Barrett.powm ctx g q in
+  let h = Montgomery.powm mctx g q in
   Alcotest.check z "h" (Z.of_int 474959247) h;
   (* Brute force (as narrated), then Pohlig-Hellman: both find 31. *)
   Alcotest.(check (option (Alcotest.testable Z.pp Z.equal))) "brute"
     (Some (Z.of_int 31))
-    (Dlog.brute ctx ~base:h ~target:he ~bound:(Z.of_int pi));
+    (Dlog.brute n ~base:h ~target:he ~bound:(Z.of_int pi));
   Alcotest.(check (option (Alcotest.testable Z.pp Z.equal))) "pohlig-hellman"
     (Some (Z.of_int 31))
     (Dlog.pohlig_hellman_prime_power mctx ~base:h ~target:he ~p:(Z.of_int 7) ~c:2)
@@ -263,7 +262,11 @@ let test_gr_rejects_bad_queries () =
     (fun () -> ignore (Gr.Server.respond server ~n ~g:Z.one));
   Alcotest.check_raises "g >= N"
     (Invalid_argument "Gr.Server.respond: generator out of range")
-    (fun () -> ignore (Gr.Server.respond server ~n ~g:n))
+    (fun () -> ignore (Gr.Server.respond server ~n ~g:n));
+  (* An even modulus is refused like every other bad modulus. *)
+  Alcotest.check_raises "even N"
+    (Invalid_argument "Gr.Server.respond: bad modulus")
+    (fun () -> ignore (Gr.Server.respond server ~n:(Z.succ n) ~g))
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                           *)

@@ -14,6 +14,7 @@ open Lbq_core
 module Gr = Lbq_pir.Gr
 module Drbg = Lbq_crypto.Drbg
 module Ot = Lbq_ot.Ot
+module Keypool = Lbq_cache.Keypool
 module Service = Lbq_net.Service
 module Fleet = Lbq_net.Fleet
 module Chaos = Lbq_net.Chaos
@@ -684,6 +685,52 @@ let test_epoch_identity_concurrent () =
   Alcotest.(check int) "update_applied = cells" (2 * batches)
     s.Counters.update_applied
 
+let test_pooled_instance_survives_update () =
+  (* A phi-hiding instance depends only on (plan, q_bits, seed), never on
+     the database, so the pool needs no invalidation on updates: an
+     instance taken from a prewarmed pool BEFORE a submit_update decodes
+     the updated cell's new POIs after it. *)
+  let server = Server.create params ~area pois in
+  let pub = Server.public_info server in
+  let part = Server.partition server in
+  let shards = 2 and idq = 4 in
+  let fresh = cell_payload part idq ~id:900_201 in
+  let client = Client.create ~seed:"pool-update" pub in
+  Keypool.with_pool ~config:{ Keypool.capacity = 1; low_watermark = 0 }
+    ~seed:"pool-update" ~plan:pub.Server.plan ~q_bits:params.Params.q_bits
+    (fun pool ->
+      Keypool.prewarm pool;
+      Service.with_service ~queue_depth:16 ~spawn:false ~shards server
+        (fun svc ->
+          let cell = Client.locate client (Poi.position (List.hd fresh)) in
+          let st1, ot_q = Client.stage1_query client cell in
+          let cred =
+            Client.stage1_decode client st1 (Server.ot_respond server ot_q)
+          in
+          Alcotest.(check int) "credential for the updated cell" idq
+            (Client.credential_idq cred);
+          let st2, (n, g) = Client.stage2_query ~pool client cred in
+          Alcotest.(check int) "instance taken warm" 1
+            (Keypool.stats pool).Keypool.hits;
+          ignore (Service.submit_update svc [ (idq, fresh) ]);
+          ignore (Service.pump svc);
+          Alcotest.(check int) "update applied" 1 (Service.applied_epoch svc);
+          let tk =
+            match
+              Service.submit svc ~tenant:0 ~seq:1
+                (Service.Pir_query
+                   { shard = Server.shard_of_cell ~shards idq; n; g })
+            with
+            | Service.Accepted tk -> tk
+            | Service.Shed _ -> Alcotest.fail "unexpected shed"
+          in
+          ignore (Service.pump svc);
+          match Service.await svc tk with
+          | Service.Pir_reply (Ok z) ->
+            Alcotest.(check bool) "decodes the new POIs" true
+              (List.equal Poi.equal fresh (Client.stage2_decode client st2 z))
+          | _ -> Alcotest.fail "expected a PIR reply"))
+
 let test_fleet_under_chaos () =
   (* Packet loss composes: with per-tenant chaos at a heavy fault rate,
      the fleet still completes rounds, and every re-attempt is accounted
@@ -738,7 +785,9 @@ let () =
        [ Alcotest.test_case "FIFO fences split old/new data" `Quick
            test_epoch_fences_pump;
          Alcotest.test_case "concurrent churn decodes per-epoch snapshots"
-           `Quick test_epoch_identity_concurrent ]);
+           `Quick test_epoch_identity_concurrent;
+         Alcotest.test_case "pooled instance decodes post-update POIs"
+           `Quick test_pooled_instance_survives_update ]);
       ("chaos",
        [ Alcotest.test_case "rounds complete under packet loss" `Quick
            test_fleet_under_chaos ]) ]
