@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-fast check bench bench-quick clean
+.PHONY: all build test test-fast check oracle-guard bench bench-quick clean
 
 all: build
 
@@ -22,19 +22,30 @@ test-fast:
 bench-quick:
 	dune exec bench/main.exe -- quick 1
 
-# The tier-1 gate plus the bench smoke: builds everything, runs the full
-# test suite, drives every bench suite once at toy parameters, and
-# gates on the bench summaries — the limb-engine floor (powm speedup +
-# allocation budget, from BENCH_powm.quick.json), the serving-layer
-# floor (multi-domain q/s >= single-domain q/s, from
-# BENCH_serve.quick.json), the batching floor (batched respond >=
-# sequential q/s at some k >= 4 on every backend, from
-# BENCH_batch.quick.json), and the streaming-update floor (incremental
-# CRT fix-up >= 5x a full rebuild after the byte-identity gate, from
-# BENCH_update.quick.json).  Last, the layered benchmark's smoke run
-# (perfbench/run.py --smoke): it must still build against the library
-# functions it calls, and every workload's answer checks must pass.
+# Test-only oracles (test/oracle, library lbq_oracle) stay out of shipped
+# code: fails if any dune file under lib/ or bin/ names the library.
+oracle-guard:
+	@if grep -rln --include=dune lbq_oracle lib bin; then \
+	  echo "oracle-guard: the dune file(s) above link lbq_oracle FAIL"; \
+	  exit 1; \
+	fi
+	@echo "  oracle-guard: no dune file under lib/ or bin/ names lbq_oracle OK"
+
+# The oracle guard, then the tier-1 gate plus the bench smoke: builds
+# everything, runs the full test suite, drives every bench suite once
+# at toy parameters, and gates on the bench summaries — the
+# limb-engine floor (powm speedup + allocation budget, from
+# BENCH_powm.quick.json), the serving-layer floor (multi-domain q/s >=
+# single-domain q/s, from BENCH_serve.quick.json), the batching floor
+# (batched respond >= sequential q/s at some k >= 4 on every backend,
+# from BENCH_batch.quick.json), and the streaming-update floor
+# (incremental CRT fix-up >= 5x a full rebuild after the byte-identity
+# gate, from BENCH_update.quick.json).  Last, the layered benchmark's
+# smoke run (perfbench/run.py --smoke): it must still build against the
+# library functions it calls, and every workload's answer checks must
+# pass.
 check:
+	$(MAKE) oracle-guard
 	dune build @all
 	dune runtest
 	$(MAKE) bench-quick

@@ -86,6 +86,9 @@ module Counters = Lbq_metrics.Counters
 module Drbg = Lbq_crypto.Drbg
 module Primegen = Lbq_numth.Primegen
 module Keypool = Lbq_cache.Keypool
+module Mont_ladder = Lbq_oracle.Mont_ladder
+module Prime_search = Lbq_oracle.Prime_search
+module Keypool_build = Lbq_oracle.Keypool_build
 module J = Json_out
 
 (* ------------------------------------------------------------------ *)
@@ -741,7 +744,8 @@ let faults ?(out = "BENCH_faults.json") ?(rates = [ 0.; 0.01; 0.05; 0.1 ])
 
 (* Stage-2 server hot path at the paper's parameters (225 records,
    1024-bit blocks, 128-bit q): wall time of one respond under the
-   pre-CIOS Montgomery ladder ({!Montgomery.powm_sched_reference}) vs
+   pre-CIOS Montgomery ladder (the test-only {!Lbq_oracle.Mont_ladder},
+   context built from the modulus inside the timed call) vs
    the production path (fused CIOS sweeps + cached recoding); the
    updated Table II closed form asserted against the measured multiply
    counter; and queries/sec vs domain count on the worker pool.  Emits
@@ -781,8 +785,8 @@ let pir ?(out = "BENCH_pir.json") ?(count = 225) ?(block_bits = 1024)
   let sched = Gr.Server.schedule server in
   let r_old, t_old =
     sample (fun () ->
-        let ctx = Montgomery.create n in
-        Montgomery.powm_sched_reference ctx g sched)
+        let oracle = Mont_ladder.create n in
+        Mont_ladder.powm_sched oracle g sched)
   in
   let r_mont, t_mont = sample (fun () -> Gr.Server.respond server ~n ~g) in
   assert (Z.equal r_old r_mont);
@@ -1003,7 +1007,7 @@ let ot ?(out = "BENCH_ot.json") ?group ?(n = 25) ?(sweep_grids = [ 10; 25; 40 ])
   in
   let t_seed, s_seed =
     run_search (fun metrics ->
-        ignore (Primegen.semi_safe_reference ~metrics ~q_bits ~multiple:pi rand))
+        ignore (Prime_search.semi_safe ~metrics ~q_bits ~multiple:pi rand))
   in
   let per x = float_of_int x /. float_of_int searches in
   Format.printf
@@ -1131,7 +1135,7 @@ let keypool ?(out = "BENCH_keypool.json") ?(count = 16) ?(block_bits = 512)
     List.init count (fun index ->
         List.init gens (fun generation ->
             snd
-              (Keypool.build_reference ~seed:ident_seed ~plan ~q_bits ~index
+              (Keypool_build.build ~seed:ident_seed ~plan ~q_bits ~index
                  ~generation ())))
   in
   let same (n, g) (n', g') = Z.equal n n' && Z.equal g g' in
@@ -1365,11 +1369,12 @@ let backends_bench ?(out = "BENCH_backends.json")
    Montgomery kernel multiply and squaring and for a full window-ladder
    powm, per modulus size — 512 and 1024 (the stage-1 Schnorr prime),
    1331 (the stage-2 honest modulus N = Q0*Q1) and 2048 bits.  Old =
-   the pre-rewrite multiply-then-REDC paths kept verbatim as
-   [Montgomery.*_reference]; new = the fused 2^29-radix CIOS sweeps.
-   The two engines' powm results are asserted byte-identical before any
-   timing.  Emits a summary block plus per-(size, op) rows;
-   [powm_guard] (make check) gates on the quick artifact's summary. *)
+   the pre-rewrite multiply-then-REDC ladder kept as the test-only
+   oracle {!Lbq_oracle.Mont_ladder}; new = the fused 2^29-radix CIOS
+   sweeps, the kernel rows through the window ops.  The two engines'
+   powm results are asserted byte-identical before any timing.  Emits
+   a summary block plus per-(size, op) rows; [powm_guard] (make check)
+   gates on the quick artifact's summary. *)
 let powm_bench ?(out = "BENCH_powm.json") ?(sizes = [ 512; 1024; 1331; 2048 ])
     ?(powm_iters = 3) ?(kernel_iters = 400)
     ?(stage1_groups =
@@ -1422,22 +1427,25 @@ let powm_bench ?(out = "BENCH_powm.json") ?(sizes = [ 512; 1024; 1331; 2048 ])
       let b = Z.erem (Z.random_bits ~bits rand) m in
       let e = Z.random_bits ~bits rand in
       let sched = Wexp.recode (Z.to_nat e) in
+      let oracle = Mont_ladder.create m in
       let znew = Montgomery.powm_sched ctx a sched in
-      let zold = Montgomery.powm_sched_reference ctx a sched in
+      let zold = Mont_ladder.powm_sched oracle a sched in
       if not (Z.equal znew zold) then
         failwith "bench powm: engines disagree at the gate";
-      let am = Montgomery.to_mont ctx a in
-      let bm = Montgomery.to_mont ctx b in
+      let aw = Montgomery.to_window ctx a in
+      let bw = Montgomery.to_window ctx b in
+      let am = Mont_ladder.to_mont oracle a in
+      let bm = Mont_ladder.to_mont oracle b in
       let ops =
         [ ("powm", powm_iters,
            (fun () -> ignore (Montgomery.powm_sched ctx a sched)),
-           fun () -> ignore (Montgomery.powm_sched_reference ctx a sched));
+           fun () -> ignore (Mont_ladder.powm_sched oracle a sched));
           ("mulmod", kernel_iters,
-           (fun () -> ignore (Montgomery.mont_mul ctx am bm)),
-           fun () -> ignore (Montgomery.mont_mul_reference ctx am bm));
+           (fun () -> ignore (Montgomery.mul_window ctx aw bw)),
+           fun () -> ignore (Mont_ladder.mont_mul oracle am bm));
           ("sqrmod", kernel_iters,
-           (fun () -> ignore (Montgomery.mont_sqr ctx am)),
-           fun () -> ignore (Montgomery.mont_sqr_reference ctx am)) ]
+           (fun () -> ignore (Montgomery.sqr_window ctx aw)),
+           fun () -> ignore (Mont_ladder.mont_sqr oracle am)) ]
       in
       List.iter
         (fun (op, iters, fnew, fold) ->
@@ -1552,7 +1560,7 @@ let powm_bench ?(out = "BENCH_powm.json") ?(sizes = [ 512; 1024; 1331; 2048 ])
   Format.printf
     "  peaks at %.1f minor words/op (the fused sweeps run entirely in@."
     !max_kernel_words;
-  Format.printf "  Scratch windows; only the narrowed result is fresh).@.@."
+  Format.printf "  Scratch windows; only the result window is fresh).@.@."
 
 (* make-check gate on the limb-engine rewrite: reads the summary block
    of the quick artifact (written by `quick` moments earlier in `make

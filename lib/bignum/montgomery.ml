@@ -32,15 +32,12 @@
    steady-state [powm_sched] ladder performs its thousands of modular
    operations without allocating a word per iteration.
 
-   The pre-rewrite multiply-then-REDC engine survives untouched as
-   [*_reference] (in 26-bit {!Nat} arithmetic with its own R): the
-   crosscheck property tests assert the two engines agree on every
-   Z-level result, and [bench powm] measures old vs new on the same
-   schedules. *)
+   The 29-bit window is the engine's only Montgomery form: a context
+   holds no second residue radix, and the pre-rewrite 26-bit ladder
+   lives in the test-only oracle library, which derives its own
+   constants from the modulus. *)
 
 let limb_bits = Nat.limb_bits
-let base = Nat.base
-let mask = Nat.mask
 
 (* Engine radix: 29-bit digits.  4 * (2^29 - 1)^2 + carries < 2^62, so a
    column can take four limb products in one 63-bit int. *)
@@ -48,15 +45,9 @@ let elb = 29
 let ebase = 1 lsl elb
 let emask = ebase - 1
 
+(* Engine fields, 29-bit radix with Re = 2^(29*ke). *)
 type t = {
   modulus : Z.t;
-  (* Reference-engine fields, 26-bit {!Nat} radix with R = B^k. *)
-  n : Nat.t;          (* the modulus, exactly k limbs, odd *)
-  k : int;
-  n' : int;           (* -n^{-1} mod B *)
-  r2 : Nat.t;         (* R^2 mod n, for conversion into Montgomery form *)
-  one_m : Nat.t;      (* R mod n = Montgomery form of 1 *)
-  (* Fused-engine fields, 29-bit radix with Re = 2^(29*ke). *)
   ke : int;           (* engine window width: even, >= 4 *)
   ne : int array;     (* modulus as ke 29-bit digits (may have zero top) *)
   n'e : int;          (* -n^{-1} mod 2^29 *)
@@ -66,14 +57,14 @@ type t = {
     (* optional modular-multiplication counter *)
 }
 
-(* Inverse of an odd digit modulo 2^bits (bits <= 32), by Hensel lifting:
-   six doublings of precision from 1 bit cover 64. *)
-let inv_digit ~(dmask : int) (n0 : int) : int =
+(* Inverse of an odd digit modulo 2^29, by Hensel lifting: six
+   doublings of precision from 1 bit cover 64. *)
+let inv_digit (n0 : int) : int =
   let x = ref 1 in
   for _ = 1 to 6 do
-    x := (!x * (2 - (n0 * !x land dmask))) land dmask
+    x := (!x * (2 - (n0 * !x land emask))) land emask
   done;
-  assert ((n0 * !x) land dmask = 1);
+  assert ((n0 * !x) land emask = 1);
   !x
 
 (* Little-endian bit-stream repack between limb radices.  Source digits
@@ -122,52 +113,10 @@ let create (modulus : Z.t) : t =
   if Z.sign modulus <= 0 then invalid_arg "Montgomery.create: modulus <= 0";
   if Z.is_even modulus then invalid_arg "Montgomery.create: modulus must be odd";
   let n = Z.to_nat modulus in
-  let k = Array.length n in
-  let n' = (base - inv_digit ~dmask:mask n.(0)) land mask in
-  (* Reference R mod n and R^2 mod n by repeated modular doubling instead
-     of a 2k-limb product + Knuth division: per-query context setup
-     matters because the server builds one context per stage-2 query.
-     Start from B^(k-1), which is below the k-limb odd n (n = B^(k-1)
-     would be even); limb_bits doublings reach R = B^k mod n, and
-     k*limb_bits more reach R^2 = R * 2^(k*limb_bits) mod n. *)
-  let buf = Array.make (k + 1) 0 in
-  if k = 1 then buf.(0) <- 1 mod n.(0)  (* n = 1: the ring is trivial *)
-  else buf.(k - 1) <- 1;
-  let ge_n () =
-    buf.(k) <> 0
-    ||
-    let rec go i =
-      i < 0 || (if buf.(i) <> n.(i) then buf.(i) > n.(i) else go (i - 1))
-    in
-    go (k - 1)
-  in
-  let sub_n () =
-    let borrow = ref 0 in
-    for i = 0 to k - 1 do
-      let t = buf.(i) - n.(i) - !borrow in
-      buf.(i) <- t land mask;
-      borrow := (t lsr limb_bits) land 1
-    done;
-    buf.(k) <- buf.(k) - !borrow
-  in
-  let double_mod () =
-    let carry = ref 0 in
-    for i = 0 to k do
-      let t = (buf.(i) lsl 1) lor !carry in
-      buf.(i) <- t land mask;
-      carry := t lsr limb_bits
-    done;
-    (* buf < n <= B^k, so the doubled value fits in k+1 limbs *)
-    if ge_n () then sub_n ()
-  in
-  for _ = 1 to limb_bits do double_mod () done;
-  let one_m = Nat.normalize (Array.sub buf 0 k) in
-  for _ = 1 to k * limb_bits do double_mod () done;
-  let r2 = Nat.normalize (Array.sub buf 0 k) in
-  (* Fused-engine setup at radix 2^29.  The window is rounded up to an
-     even width >= 4: the 2-way sweeps consume digit pairs, and the
-     squaring peels its last pass.  Padding digits of n are zero, which
-     the sweeps tolerate (t < 2n still fits k+1 digits). *)
+  (* The window is rounded up to an even width >= 4: the 2-way sweeps
+     consume digit pairs, and the squaring peels its last pass.  Padding
+     digits of n are zero, which the sweeps tolerate (t < 2n still fits
+     k+1 digits). *)
   let bits = Z.numbits modulus in
   let ke =
     let m = (bits + elb - 1) / elb in
@@ -175,12 +124,16 @@ let create (modulus : Z.t) : t =
     if m < 4 then 4 else m
   in
   let ne = Array.make ke 0 in
-  repack ~src:n ~src_len:k ~src_lb:limb_bits ~dst:ne ~dst_len:ke ~dst_lb:elb;
-  let n'e = (ebase - inv_digit ~dmask:emask ne.(0)) land emask in
+  repack ~src:n ~src_len:(Array.length n) ~src_lb:limb_bits ~dst:ne
+    ~dst_len:ke ~dst_lb:elb;
+  let n'e = (ebase - inv_digit ne.(0)) land emask in
   let one_e, r2e =
     if Z.equal modulus Z.one then (Array.make ke 0, Array.make ke 0)
     else begin
-      (* Start from 2^(bits-1) < n (n odd, n >= 3) and double up to
+      (* Re mod n and Re^2 mod n by repeated modular doubling instead of
+         a double-width product and a division: the server builds one
+         context per stage-2 query, so setup cost matters.  Start from
+         2^(bits-1) < n (n odd, n >= 3) and double up to
          Re = 2^(29 * ke) mod n (the Montgomery form of 1), then on to
          Re^2 = 2^(2 * 29 * ke) mod n. *)
       let e = 29 * ke in
@@ -218,7 +171,7 @@ let create (modulus : Z.t) : t =
       (one_e, Array.sub buf 0 ke)
     end
   in
-  { modulus; n; k; n'; r2; one_m; ke; ne; n'e; r2e; one_e; tick = None }
+  { modulus; ke; ne; n'e; r2e; one_e; tick = None }
 
 let modulus t = t.modulus
 let k_limbs t = t.ke
@@ -232,19 +185,6 @@ let counting t r f =
   Fun.protect ~finally:(fun () -> t.tick <- saved) f
 
 let tick t = match t.tick with Some r -> incr r | None -> ()
-
-(* REDC(T) = T * R^{-1} mod n for T < n * R in 26-bit radix: the
-   pre-rewrite reduction, kept verbatim for the [*_reference] engine. *)
-let redc t (tt : Nat.t) : Nat.t =
-  let buf = Array.make ((2 * t.k) + 1) 0 in
-  Array.blit tt 0 buf 0 (Array.length tt);
-  for i = 0 to t.k - 1 do
-    let m = (Array.unsafe_get buf i * t.n') land mask in
-    Nat.addmul_1 buf i t.n m
-    (* buf.(i) is now 0 mod B *)
-  done;
-  let hi = Nat.normalize (Array.sub buf t.k (t.k + 1)) in
-  if Nat.compare hi t.n >= 0 then Nat.sub hi t.n else hi
 
 (* ------------------------------------------------------------------ *)
 (* The fused 29-bit CIOS core                                          *)
@@ -501,53 +441,6 @@ let redc_e t (w : int array) : Nat.t =
   narrow t (Array.sub p k k)
 
 (* ------------------------------------------------------------------ *)
-(* Canonical-residue API (ticks once per modular multiplication)       *)
-(* ------------------------------------------------------------------ *)
-
-(* Product of two Montgomery-form residues, in Montgomery form. *)
-let mont_mul t a b =
-  tick t;
-  let aw = Scratch.get ~slot:Scratch.mont_op_a t.ke in
-  widen_into t aw a;
-  let bw = Scratch.get ~slot:Scratch.mont_op_b t.ke in
-  widen_into t bw b;
-  cios2_into t aw aw bw;
-  narrow t aw
-
-(* Squaring through the dedicated symmetric path. *)
-let mont_sqr t a =
-  tick t;
-  let aw = Scratch.get ~slot:Scratch.mont_op_a t.ke in
-  widen_into t aw a;
-  sqr2_into t aw aw;
-  narrow t aw
-
-(* Pre-rewrite multiply-then-REDC engine in 26-bit radix; the old-vs-new
-   axis of [bench powm].  Its Montgomery form uses R = B^k, not the
-   fused engine's Re, so the two engines compare equal at the Z level
-   ([powm_sched], [mulmod]) rather than residue-for-residue. *)
-let mont_mul_reference t a b =
-  tick t;
-  redc t (Nat.mul a b)
-
-let mont_sqr_reference t a =
-  tick t;
-  redc t (Nat.sqr a)
-
-let to_mont t (z : Z.t) : Nat.t =
-  tick t;
-  let reduced = Z.to_nat (Z.erem z t.modulus) in
-  let aw = Scratch.get ~slot:Scratch.mont_op_a t.ke in
-  widen_into t aw reduced;
-  cios2_into t aw aw t.r2e;
-  narrow t aw
-
-let of_mont t (m : Nat.t) : Z.t =
-  let w = Scratch.get ~slot:Scratch.mont_op_a t.ke in
-  widen_into t w m;
-  Z.of_nat (redc_e t w)
-
-(* ------------------------------------------------------------------ *)
 (* Montgomery-form windows                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -573,6 +466,12 @@ let mul_window t (a : window) (b : window) : window =
   let d = Array.make t.ke 0 in
   tick t;
   cios2_into t d a b;
+  d
+
+let sqr_window t (a : window) : window =
+  let d = Array.make t.ke 0 in
+  tick t;
+  sqr2_into t d a;
   d
 
 (* 1 as a canonical Z (0 in the trivial ring). *)
@@ -745,30 +644,6 @@ let powm_sched_batch (ts : t array) (bases : Z.t array) (s : Wexp.t)
       end
     done;
     out
-  end
-
-(* The pre-rewrite ladder over [mont_mul_reference]/[mont_sqr_reference]:
-   same schedule, same tick count, allocating per operation.  Kept as
-   the measured baseline of [bench powm]. *)
-let powm_sched_reference t (base_ : Z.t) (s : Wexp.t) : Z.t =
-  if s.Wexp.first = 0 then Z.of_nat (redc t t.one_m)
-  else begin
-    let reduced = Z.to_nat (Z.erem base_ t.modulus) in
-    let bm = mont_mul_reference t reduced t.r2 in
-    let tbl = Array.make (((s.Wexp.max_odd - 1) / 2) + 1) bm in
-    if s.Wexp.max_odd >= 3 then begin
-      let b2 = mont_sqr_reference t bm in
-      for j = 1 to (s.Wexp.max_odd - 1) / 2 do
-        tbl.(j) <- mont_mul_reference t tbl.(j - 1) b2
-      done
-    end;
-    let r = ref tbl.(s.Wexp.first lsr 1) in
-    Array.iter
-      (fun op ->
-        if op < 0 then r := mont_sqr_reference t !r
-        else r := mont_mul_reference t !r tbl.(op lsr 1))
-      s.Wexp.ops;
-    Z.of_nat (redc t !r)
   end
 
 (* Sliding-window modular exponentiation: recode once, then replay. *)

@@ -5,13 +5,17 @@
     the stage-2 client decode (Pohlig–Hellman on {!window}s), the
     stage-1 Schnorr group (the table kernels below), Miller–Rabin, and
     the baseline's QR-PIR (Blum modulus) and Paillier ([n{^2}]).
-    {!Z.mod_pow_naive} is the independent oracle its crosschecks use.
+    {!Z.mod_pow_naive} is the independent oracle its crosschecks use;
+    the pre-rewrite 26-bit ladder lives in the test-only oracle library
+    and shares no state with a context.
 
     The hot core is a fused word-level CIOS sweep at an internal radix
     of 2{^29} (multiply and REDC reduction in one pass, two operand
     digits at a time), with a dedicated symmetric squaring path used by
     the {!Wexp} window ladders and preallocated {!Scratch} buffers so
-    steady-state exponentiation allocates nothing per operation. *)
+    steady-state exponentiation allocates nothing per operation.
+    Residues cross the API as {!Z.t} or as 29-bit {!window}s, the one
+    Montgomery form. *)
 
 type t
 
@@ -77,6 +81,10 @@ val one_window : t -> window
 (** Product of two windows.  Ticks once. *)
 val mul_window : t -> window -> window -> window
 
+(** Square of a window through the dedicated symmetric squaring sweep;
+    equal to [mul_window t a a].  Ticks once. *)
+val sqr_window : t -> window -> window
+
 (** [pow_window t b s] is [b{^e}] for the exponent [e] recoded in [s]:
     exactly {!Wexp.cost}[ s] ticks (odd-powers table plus replay), no
     conversions. *)
@@ -122,36 +130,13 @@ val fixed_base_comb : fixed_base -> Wexp.comb
     the comb's bit capacity. *)
 val powm_fixed_base : t -> fixed_base -> Nat.t -> Z.t
 
-(** {1 Montgomery-form internals} (exposed for tests) *)
-
-val to_mont : t -> Z.t -> Nat.t
-val of_mont : t -> Nat.t -> Z.t
-val mont_mul : t -> Nat.t -> Nat.t -> Nat.t
-val mont_sqr : t -> Nat.t -> Nat.t
-
-(** {1 Pre-rewrite reference engine}
-
-    The multiply-then-REDC paths the CIOS core replaced, kept verbatim
-    in 26-bit {!Nat} arithmetic: crosscheck property tests assert the
-    two engines agree on every Z-level result, and [bench powm]
-    measures old vs new on the same schedules.  Tick semantics match
-    the fused paths exactly.  Note the reference engine's Montgomery
-    form uses R = B{^k} of the 26-bit radix while the fused engine uses
-    its own R of the 29-bit window, so Montgomery-form residues of the
-    two engines differ even though every [powm]/[mulmod] result is
-    byte-identical. *)
-
-val mont_mul_reference : t -> Nat.t -> Nat.t -> Nat.t
-val mont_sqr_reference : t -> Nat.t -> Nat.t
-val powm_sched_reference : t -> Z.t -> Wexp.t -> Z.t
-
 (** {1 Fixed-width internals} (exposed for tests and the kernel bench)
 
     The fused core trades in fixed-width windows of 29-bit digits (the
     engine's internal radix — wider than {!Nat}'s 26 so a column can
     take four limb products per 63-bit int; see montgomery.ml).  These
     do NOT tick the counter — they are the raw kernels under
-    {!mont_mul}/{!mont_sqr}. *)
+    {!mul_window}/{!sqr_window}. *)
 
 (** Engine window width: the number of 29-bit digits per residue
     (always even and at least 4; the top digits may be zero padding). *)

@@ -60,8 +60,8 @@ val mul_schoolbook : t -> t -> t
 
 (** [sqr a = mul a a], but each symmetric cross product is computed once
     and doubled (about half the limb products); Karatsuba squaring above
-    the multiplication threshold.  The Montgomery reference engine's
-    squarings route here. *)
+    the multiplication threshold.  The test-only reference Montgomery
+    ladder squares through it. *)
 val sqr : t -> t
 
 val sqr_schoolbook : t -> t

@@ -23,21 +23,19 @@
    - Returned buffers carry stale contents from previous borrows;
      callers overwrite or [Array.fill] the window they use. *)
 
-let slot_count = 6
+let slot_count = 5
 
 (* Slot registry — the single place documenting which buffers coexist.
-   Montgomery's CIOS core holds [mont_acc] while its operands may sit in
-   [mont_op_a]/[mont_op_b]; the squaring path holds [mont_prod] instead
-   of [mont_acc].  Wexp recoding holds its bit table and ops tape at
+   Montgomery's CIOS core holds [mont_acc] while [mulmod]'s second
+   operand may sit in [mont_op_b]; the exit REDC holds [mont_prod].  Wexp recoding holds its bit table and ops tape at
    once.  No Montgomery op calls into Wexp (and vice versa) while
    holding a borrow, but the ids are kept globally distinct anyway so
    the invariant is structural rather than behavioural. *)
 let mont_acc = 0
 let mont_prod = 1
-let mont_op_a = 2
-let mont_op_b = 3
-let wexp_bits = 4
-let wexp_ops = 5
+let mont_op_b = 2
+let wexp_bits = 3
+let wexp_ops = 4
 
 let key : int array array Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Array.make slot_count [||])

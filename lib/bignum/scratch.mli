@@ -17,7 +17,6 @@ val slot_count : int
 
 val mont_acc : int
 val mont_prod : int
-val mont_op_a : int
 val mont_op_b : int
 val wexp_bits : int
 val wexp_ops : int

@@ -21,11 +21,12 @@
    function of the pool seed — its bytes come from
    [Drbg.split base ~label:"i<i>/g<k>"], the same per-task forking PR 3
    introduced for parallel OT serving.  Workers may build generations
-   out of order, and the synchronous fallback may even race a worker on
-   the same ticket (both produce the same bytes; the slower result is
-   discarded), but [take] always hands out generation k before k+1, so
-   a pooled run is byte-identical to the sequential reference
-   ([build_reference], asserted by test_cache and bench keypool).
+   out of order, but every ticket is built once: a take whose
+   generation is already claimed waits for that build instead of
+   building it again, and [take] always hands out generation k before
+   k+1, so a pooled run is byte-identical to a sequential rebuild from
+   the seed (asserted by test_cache and bench keypool against the
+   test-only oracle).
 
    Allocation: stripe storage is preallocated at [create] (one option
    array per index); refilling writes instances into their generation's
@@ -99,11 +100,6 @@ let build_instance ~metrics ~base ~plan ~q_bits ~index ~generation =
   Gr.Client.prepare st;
   (st, wire)
 
-let build_reference ?(metrics = Counters.null) ~seed ~plan ~q_bits ~index
-    ~generation () =
-  let base = Drbg.create ~domain:"lbq-keypool" ~seed () in
-  build_instance ~metrics ~base ~plan ~q_bits ~index ~generation
-
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -147,9 +143,9 @@ let capacity t = t.config.capacity
 (* Refill machinery (all helpers expect [t.lock] held)                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Store a finished build.  Stale tickets — generations the foreground
-   already served past while this build was in flight — are discarded:
-   the foreground produced the identical bytes itself. *)
+(* Store a finished build.  A ticket is never served past while its
+   build is in flight (a take on it waits), so only a closed pool drops
+   a build; the generation check is a guard. *)
 let insert t ~index ~generation st =
   let s = t.stripes.(index) in
   if (not t.closed) && generation >= s.next_take then begin
@@ -231,42 +227,56 @@ let take t ~index =
   if index < 0 || index >= Array.length t.stripes then
     invalid_arg "Keypool.take: index out of range";
   Mutex.lock t.lock;
-  raise_pending t;
-  if t.closed then begin
-    Mutex.unlock t.lock;
-    invalid_arg "Keypool.take: pool is shut down"
-  end;
   let s = t.stripes.(index) in
-  let g = s.next_take in
-  match s.slots.(g mod t.config.capacity) with
-  | Some st ->
-    (* Warm: pop generation g and sweep the watermarks. *)
-    s.slots.(g mod t.config.capacity) <- None;
-    s.count <- s.count - 1;
-    s.next_take <- g + 1;
-    t.hits <- t.hits + 1;
-    Counters.pool_hits t.metrics 1;
-    replenish t;
-    Mutex.unlock t.lock;
-    (st, Gr.Client.wire st)
-  | None ->
-    (* Cold: generation g is not ready.  Claim its ticket if no worker
-       has (a steal); if one is mid-build we duplicate the identical
-       work rather than block, and the worker's late copy is discarded
-       by [insert].  Either way the caller gets generation g, keeping
-       take order sequential. *)
-    s.next_take <- g + 1;
-    t.misses <- t.misses + 1;
-    Counters.pool_misses t.metrics 1;
-    if s.next_build <= g then begin
-      s.next_build <- g + 1;
-      t.steals <- t.steals + 1;
-      Counters.pool_steals t.metrics 1
+  (* [missed]: this take already found its stripe empty and counted the
+     miss, and is now waiting for the generation's in-flight build. *)
+  let rec go ~missed =
+    raise_pending t;
+    if t.closed then begin
+      Mutex.unlock t.lock;
+      invalid_arg "Keypool.take: pool is shut down"
     end;
-    replenish t;
-    Mutex.unlock t.lock;
-    build_instance ~metrics:t.metrics ~base:t.base ~plan:t.plan
-      ~q_bits:t.q_bits ~index ~generation:g
+    let g = s.next_take in
+    match s.slots.(g mod t.config.capacity) with
+    | Some st ->
+      (* Pop generation g and sweep the watermarks. *)
+      s.slots.(g mod t.config.capacity) <- None;
+      s.count <- s.count - 1;
+      s.next_take <- g + 1;
+      if not missed then begin
+        t.hits <- t.hits + 1;
+        Counters.pool_hits t.metrics 1
+      end;
+      replenish t;
+      Mutex.unlock t.lock;
+      (st, Gr.Client.wire st)
+    | None ->
+      if not missed then begin
+        t.misses <- t.misses + 1;
+        Counters.pool_misses t.metrics 1
+      end;
+      if s.next_build > g then begin
+        (* Generation g's ticket is already claimed (by a refill
+           worker or an inline prewarm): wait for its copy rather than
+           build the same bytes twice.  A failed build or a shutdown
+           wakes the wait and is reported above. *)
+        Condition.wait t.changed t.lock;
+        go ~missed:true
+      end
+      else begin
+        (* Nobody holds the ticket: claim it (a steal) and build it
+           synchronously, keeping take order sequential. *)
+        s.next_take <- g + 1;
+        s.next_build <- g + 1;
+        t.steals <- t.steals + 1;
+        Counters.pool_steals t.metrics 1;
+        replenish t;
+        Mutex.unlock t.lock;
+        build_instance ~metrics:t.metrics ~base:t.base ~plan:t.plan
+          ~q_bits:t.q_bits ~index ~generation:g
+      end
+  in
+  go ~missed:false
 
 (* ------------------------------------------------------------------ *)
 (* Prewarm / drain / shutdown                                           *)
@@ -296,6 +306,7 @@ let rec fill_inline t =
     in
     Mutex.lock t.lock;
     insert t ~index ~generation st;
+    Condition.broadcast t.changed;
     if not t.closed then fill_inline t
 
 let prewarm t =

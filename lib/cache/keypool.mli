@@ -11,16 +11,16 @@
     index [pi_i] so every one of the plan's [t] indices is stocked
     uniformly and pool maintenance is independent of which cell the user
     actually queries.  A warm {!take} is a ring-buffer pop
-    (microseconds); a cold one falls back to building the instance
-    synchronously.
+    (microseconds); a cold one waits for the instance's in-flight build,
+    or builds it synchronously when none is in flight.
 
     {b Determinism.}  The instance for (index [i], generation [k]) is a
     pure function of the pool seed: refill workers fork a child DRBG via
-    [Drbg.split ~label:"i<i>/g<k>"], so any interleaving of workers —
-    or the synchronous fallback racing them — produces byte-identical
-    instances to a sequential reference run ({!build_reference}), and
-    {!take} hands instances out in generation order, the pattern
-    parallel OT serving uses.
+    [Drbg.split ~label:"i<i>/g<k>"] of a [Drbg.create ~domain:"lbq-keypool"
+    ~seed] base, so any interleaving of workers and takes produces
+    byte-identical instances to a sequential rebuild from the seed, each
+    generation is built exactly once, and {!take} hands instances out in
+    generation order, the pattern parallel OT serving uses.
 
     {b Updates.}  An instance depends only on the plan, [q_bits] and the
     seed, never on the database contents, so instances built before a
@@ -52,9 +52,8 @@ val default_config : config
     pool never refills in the background: every cold take builds
     synchronously and only {!prewarm} stocks it.
 
-    [seed] fixes every instance the pool will ever produce (see
-    {!build_reference}); [metrics] receives pool and prime-search
-    counters. *)
+    [seed] fixes every instance the pool will ever produce;
+    [metrics] receives pool and prime-search counters. *)
 val create :
   ?config:config -> ?domains:int ->
   ?metrics:Counters.t -> ?seed:string -> plan:Gr.plan -> q_bits:int ->
@@ -71,10 +70,12 @@ val prewarm : t -> unit
 (** Pop the next prebuilt instance for [index] (its wire query is
     re-emitted alongside).  Warm: O(1) under the pool lock, and a refill
     sweep is scheduled across {e all} stripes whose lookahead fell to
-    the watermark.  Cold: the calling thread claims the next generation
-    ticket itself and builds the instance synchronously — identical
-    bytes, Table IV latency.  Raises [Invalid_argument] on a bad index
-    or after {!shutdown}. *)
+    the watermark.  Cold: when a refill worker or a prewarm already
+    holds the next generation's ticket the call waits for that build; otherwise the
+    calling thread claims the ticket itself and builds the instance
+    synchronously — identical bytes, Table IV latency.  Re-raises a
+    failed refill; raises [Invalid_argument] on a bad index or after
+    {!shutdown}, including a shutdown during the wait. *)
 val take : t -> index:int -> Gr.Client.state * (Z.t * Z.t)
 
 (** Wait until no refill job is queued or running. *)
@@ -103,11 +104,3 @@ type stats = {
 
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
-
-(** The sequential reference oracle: the instance the pool {e must}
-    produce for (seed, index, generation), built inline with no pool at
-    all.  Tests and [bench keypool] assert pooled refill output is
-    byte-identical to this, for any worker count and interleaving. *)
-val build_reference :
-  ?metrics:Counters.t -> seed:string -> plan:Gr.plan -> q_bits:int ->
-  index:int -> generation:int -> unit -> Gr.Client.state * (Z.t * Z.t)

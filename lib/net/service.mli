@@ -153,7 +153,9 @@ val ticket_latency_s : ticket -> float
 
 (** The sequential oracle: the reply the service must produce for this
     (tenant, seq, request), computed inline with no queues or workers.
-    Concurrently served traffic is asserted byte-identical to it. *)
+    Concurrently served traffic is asserted byte-identical to it.  Stays
+    in the library because the layered benchmark (perfbench/serve.ml)
+    calls it. *)
 val respond_reference : t -> tenant:int -> seq:int -> request -> reply
 
 (** Stop accepting, drain backlogs, join the worker domains.

@@ -3,26 +3,6 @@
 
 open Lbq_bignum
 
-(* Sequential fold: combine congruences left to right, the accumulated
-   modulus growing by one factor per step.  O(k) multiplications of an
-   ever-larger accumulator by a small modulus — quadratic limb work as
-   the cell count grows.  Kept as the oracle for [solve]. *)
-let solve_fold (congruences : (Z.t * Z.t) list) : Z.t =
-  match congruences with
-  | [] -> Z.zero
-  | (r0, m0) :: rest ->
-    if Z.leq m0 Z.one then invalid_arg "Crt.solve: modulus <= 1";
-    let combine (x, m) (r, m') =
-      if Z.leq m' Z.one then invalid_arg "Crt.solve: modulus <= 1";
-      if not (Z.equal (Z.gcd m m') Z.one) then
-        invalid_arg "Crt.solve: moduli not coprime";
-      (* x' = x + m * t where t = (r - x) / m  (mod m') *)
-      let t = Z.erem (Z.mul (Z.sub r x) (Z.invert m m')) m' in
-      Z.add x (Z.mul m t), Z.mul m m'
-    in
-    let x, _m = List.fold_left combine (Z.erem r0 m0, m0) rest in
-    x
-
 (* Product-tree (divide-and-conquer) CRT, RETAINED: the balanced tree
    built for one solve is kept so a later single-residue change is a
    root-to-leaf fix-up — O(log k) combines over ever-halving operand
@@ -33,9 +13,10 @@ let solve_fold (congruences : (Z.t * Z.t) list) : Z.t =
 
    The big multiplications pair operands of SIMILAR size, where the
    subquadratic {!Nat.mul} (Karatsuba/Toom) actually bites, instead of
-   the fold's large-by-small products.  Validation is equivalent to the
-   fold's: each leaf checks its modulus > 1, and gcd(M_l, M_r) = 1 at a
-   node iff every cross pair of underlying moduli is coprime. *)
+   a sequential fold's large-by-small products.  Validation is
+   equivalent to the fold's: each leaf checks its modulus > 1, and
+   gcd(M_l, M_r) = 1 at a node iff every cross pair of underlying
+   moduli is coprime. *)
 module Tree = struct
   type node =
     | Leaf of { mutable x : Z.t; m : Z.t }
@@ -52,8 +33,9 @@ module Tree = struct
   let node_x = function Leaf l -> l.x | Node n -> n.x
   let node_m = function Leaf l -> l.m | Node n -> n.m
 
-  (* x = xl + ml * t with t = (xr - xl) / ml  (mod mr) — the same
-     combine as the fold, so tree answers are byte-identical to it. *)
+  (* x = xl + ml * t with t = (xr - xl) / ml  (mod mr): the unique
+     solution below ml * mr, so tree answers are byte-identical to a
+     sequential fold's. *)
   let combine ~ml ~mr ~inv ~xl ~xr =
     let t = Z.erem (Z.mul (Z.sub xr xl) inv) mr in
     Z.add xl (Z.mul ml t)

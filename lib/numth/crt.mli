@@ -46,9 +46,5 @@ end
     moduli are not pairwise coprime or some modulus is [<= 1]. *)
 val solve : (Z.t * Z.t) list -> Z.t
 
-(** The sequential left-fold combination (quadratic in the congruence
-    count): oracle and ablation baseline for {!solve}. *)
-val solve_fold : (Z.t * Z.t) list -> Z.t
-
 (** Does [x] satisfy every congruence? *)
 val check : Z.t -> (Z.t * Z.t) list -> bool

@@ -19,20 +19,20 @@ type result = Prime | Composite | Probably_prime
    [sched] is the window schedule of the odd part d of n - 1, recoded
    ONCE per candidate and replayed for every base; [ctx] is a Montgomery
    context for n (n is odd here, and this loop dominates the PIR query
-   time).  The
-   squaring chain x <- x^2 runs in Montgomery form — one [to_mont]
-   instead of a form round-trip per squaring — comparing against
-   [n1_m], the Montgomery form of n - 1. *)
-let mr_round ctx ~sched ~n1 ~n1_m ~s a =
-  let x0 = Montgomery.powm_sched ctx a sched in
-  if Z.equal x0 Z.one || Z.equal x0 n1 then true
+   time).  The whole round stays in Montgomery form: a^d is a window,
+   the squaring chain x <- x^2 runs on windows, and each step compares
+   canonical windows against [one_w] and [n1_w], the Montgomery forms
+   of 1 and n - 1, so no step leaves the engine. *)
+let mr_round ctx ~sched ~one_w ~n1_w ~s a =
+  let x0 = Montgomery.pow_window ctx (Montgomery.to_window ctx a) sched in
+  if x0 = one_w || x0 = n1_w then true
   else begin
-    let xm = ref (Montgomery.to_mont ctx x0) in
+    let x = ref x0 in
     let ok = ref false in
     let r = ref 1 in
     while (not !ok) && !r < s do
-      xm := Montgomery.mont_sqr ctx !xm;
-      if Nat.equal !xm n1_m then ok := true;
+      x := Montgomery.sqr_window ctx !x;
+      if !x = n1_w then ok := true;
       incr r
     done;
     !ok
@@ -78,17 +78,18 @@ let test ?(rounds = 24) ?(trial = true) ?(metrics = Lbq_metrics.Counters.null)
       let ctx = Montgomery.create n in
       let d, s = decompose n in
       (* Per-candidate precomputation shared by every round: d's window
-         schedule and the Montgomery form of n - 1. *)
+         schedule and the Montgomery forms of 1 and n - 1. *)
       let sched = Wexp.recode (Z.to_nat d) in
       let n1 = Z.pred n in
-      let n1_m = Montgomery.to_mont ctx n1 in
+      let one_w = Montgomery.one_window ctx in
+      let n1_w = Montgomery.to_window ctx n1 in
       if Z.lt n deterministic_limit then begin
         let witnesses =
           List.filter (fun a -> Z.lt (Z.of_int a) n1) deterministic_bases
         in
         if
           List.for_all
-            (fun a -> mr_round ctx ~sched ~n1 ~n1_m ~s (Z.of_int a))
+            (fun a -> mr_round ctx ~sched ~one_w ~n1_w ~s (Z.of_int a))
             witnesses
         then Prime
         else Composite
@@ -104,7 +105,7 @@ let test ?(rounds = 24) ?(trial = true) ?(metrics = Lbq_metrics.Counters.null)
           if i = 0 then Probably_prime
           else begin
             let a = Z.add Z.two (Z.random_below ~bound:n3 rand) in
-            if mr_round ctx ~sched ~n1 ~n1_m ~s a then go (i - 1) else Composite
+            if mr_round ctx ~sched ~one_w ~n1_w ~s a then go (i - 1) else Composite
           end
         in
         go rounds

@@ -8,7 +8,7 @@
    after the wheel clears it of every small factor, and the test then
    skips its own trial-division pass ([~trial:false]) — the wheel
    already did that work without a single bignum division.  The seed
-   generate-and-test loop is kept verbatim ([semi_safe_reference]) as
+   generate-and-test loop lives in the test-only oracle library, as
    the `bench ot` baseline for the Miller–Rabin call-count comparison. *)
 
 open Lbq_bignum
@@ -164,35 +164,3 @@ let schnorr_modulus ?(metrics = Counters.null) ~p_bits ~(q : Z.t)
     search k cand wheel
   in
   restart ()
-
-(* ------------------------------------------------------------------ *)
-(* Seed-revision reference loops (bench baseline)                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The pre-sieve generate-and-test loops, kept verbatim so `bench ot`
-   can compare Miller-Rabin call counts like for like. *)
-
-let random_prime_reference ?(metrics = Counters.null) ~bits rand : Z.t =
-  if bits < 2 then invalid_arg "Primegen.random_prime: bits < 2";
-  let rec go () =
-    let c = Z.random_bits ~bits rand in
-    let c = Z.add c (Z.shift_left Z.one (bits - 1)) in
-    let c = if Z.is_even c then Z.succ c else c in
-    let c =
-      if Z.numbits c > bits then Z.pred (Z.shift_left Z.one bits) else c
-    in
-    Counters.prime_attempts metrics 1;
-    if Primality.is_prime ~metrics ~rand c then c else go ()
-  in
-  go ()
-
-let semi_safe_reference ?(metrics = Counters.null) ~q_bits ~(multiple : Z.t)
-    rand : Z.t * Z.t =
-  if Z.sign multiple <= 0 then invalid_arg "Primegen.semi_safe: multiple <= 0";
-  let rec go () =
-    let q = random_prime_reference ~metrics ~bits:q_bits rand in
-    let cand = Z.succ (Z.shift_left (Z.mul q multiple) 1) in
-    Counters.prime_attempts metrics 1;
-    if Primality.is_prime ~metrics ~rand cand then q, cand else go ()
-  in
-  go ()

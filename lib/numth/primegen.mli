@@ -28,15 +28,3 @@ val semi_safe :
     group with subgroup order [q].  Incremental in [k] (stride [2q]). *)
 val schnorr_modulus :
   ?metrics:Counters.t -> p_bits:int -> q:Z.t -> (int -> string) -> Z.t * Z.t
-
-(** {2 Seed-revision reference loops}
-
-    The pre-sieve generate-and-test searches, kept verbatim as the
-    [bench ot] baseline for Miller–Rabin call-count and latency
-    comparisons. *)
-
-val random_prime_reference :
-  ?metrics:Counters.t -> bits:int -> (int -> string) -> Z.t
-
-val semi_safe_reference :
-  ?metrics:Counters.t -> q_bits:int -> multiple:Z.t -> (int -> string) -> Z.t * Z.t

@@ -75,7 +75,8 @@ module Server : sig
       {!Lbq_bignum.Z.mod_pow_naive} and [Z.mul] + [Z.erem] modulo [p]
       (no code shared with the group's Montgomery engine):
       byte-identity oracle for [respond] under a fixed DRBG and the
-      [bench ot] ablation baseline. *)
+      [bench ot] ablation baseline.  Stays in the library because it
+      reads the server's secret row/column exponents. *)
   val respond_reference : ?rand:(int -> string) -> t -> query -> response
 end
 

@@ -3,6 +3,7 @@
    (big values). *)
 
 open Lbq_bignum
+module Mont_ladder = Lbq_oracle.Mont_ladder
 
 let z = Alcotest.testable Z.pp Z.equal
 
@@ -212,23 +213,18 @@ let test_mul_ladder () =
         (Nat.mul_schoolbook a a) (Nat.sqr a))
     boundary
 
-(* Into-buffer primitives: fixed-width windows with non-canonical
-   (zero-padded) inputs match the canonical product. *)
 (* The fused CIOS engine at its edges: aliased destinations, zero and
    single-limb residues, and the trivial modulus n = 1.  The engine's
    Montgomery form uses its own internal radix, so correctness is
-   checked at the Z level (through to_mont/of_mont) and the window
-   kernels are checked byte-identical to the canonical engine ops. *)
+   checked at the Z level (through to_window/of_window) and the raw
+   kernels are checked byte-identical to the window ops. *)
 let test_cios_edges () =
-  let nat = Alcotest.testable
-      (fun fmt a -> Format.pp_print_string fmt (Nat.to_string a))
-      Nat.equal
-  in
   let zt = Alcotest.testable
       (fun fmt z -> Format.pp_print_string fmt (Z.to_string z))
       Z.equal
   in
   let window = Alcotest.(list int) in
+  let words (w : Montgomery.window) = Array.copy (w :> int array) in
   let check_ctx name m =
     let ctx = Montgomery.create m in
     let residues =
@@ -240,45 +236,41 @@ let test_cios_edges () =
       (fun a ->
         List.iter
           (fun b ->
-            let am = Montgomery.to_mont ctx a
-            and bm = Montgomery.to_mont ctx b in
+            let am = Montgomery.to_window ctx a
+            and bm = Montgomery.to_window ctx b in
             Alcotest.check zt
               (Printf.sprintf "%s mul %s*%s" name (Z.to_string a) (Z.to_string b))
               (Z.erem (Z.mul a b) m)
-              (Montgomery.of_mont ctx (Montgomery.mont_mul ctx am bm));
+              (Montgomery.of_window ctx (Montgomery.mul_window ctx am bm));
             (* aliased destination: dst == a, then dst == b *)
-            let expect =
-              Array.to_list
-                (Montgomery.widen ctx (Montgomery.mont_mul ctx am bm))
-            in
-            let aw = Montgomery.widen ctx am
-            and bw = Montgomery.widen ctx bm in
+            let expect = Array.to_list (words (Montgomery.mul_window ctx am bm)) in
+            let aw = words am and bw = words bm in
             Montgomery.mont_mul_into ctx aw aw bw;
             Alcotest.check window
               (Printf.sprintf "%s alias dst=a" name)
               expect (Array.to_list aw);
-            let aw = Montgomery.widen ctx am in
+            let aw = words am in
             Montgomery.mont_mul_into ctx bw aw bw;
             Alcotest.check window
               (Printf.sprintf "%s alias dst=b" name)
               expect (Array.to_list bw))
           residues;
-        let am = Montgomery.to_mont ctx a in
+        let am = Montgomery.to_window ctx a in
         (* the dedicated squaring path is byte-identical to the fused
            multiply by itself, and correct at the Z level *)
-        Alcotest.check nat
+        Alcotest.check window
           (Printf.sprintf "%s sqr %s" name (Z.to_string a))
-          (Montgomery.mont_mul ctx am am)
-          (Montgomery.mont_sqr ctx am);
+          (Array.to_list (words (Montgomery.mul_window ctx am am)))
+          (Array.to_list (words (Montgomery.sqr_window ctx am)));
         Alcotest.check zt
           (Printf.sprintf "%s sqr value %s" name (Z.to_string a))
           (Z.erem (Z.mul a a) m)
-          (Montgomery.of_mont ctx (Montgomery.mont_sqr ctx am));
-        let aw = Montgomery.widen ctx am in
+          (Montgomery.of_window ctx (Montgomery.sqr_window ctx am));
+        let aw = words am in
         Montgomery.mont_sqr_into ctx aw aw;
         Alcotest.check window
           (Printf.sprintf "%s sqr alias" name)
-          (Array.to_list (Montgomery.widen ctx (Montgomery.mont_sqr ctx am)))
+          (Array.to_list (words (Montgomery.sqr_window ctx am)))
           (Array.to_list aw))
       residues;
     (* the engine and its oracle agree on x^0 = 1 mod n, even in the
@@ -339,6 +331,16 @@ let stage1_moduli =
     Lbq_group.Schnorr.p (Lbq_group.Schnorr.test_group ());
     Lbq_group.Schnorr.p (Lbq_group.Schnorr.mid_group ());
     Lbq_group.Schnorr.p (Lbq_group.Schnorr.paper_group ()) ]
+
+(* Odd moduli where a limb count steps: the trivial ring, n = 3, and
+   2^b - 1 and 2^(b-1) + 1 at b = 26k (the reference ladder's Nat limbs)
+   and b = 29k (the fused engine's digits). *)
+let limb_boundary_moduli =
+  Z.one :: Z.of_int 3
+  :: List.concat_map
+       (fun b ->
+         [ Z.pred (Z.shift_left Z.one b); Z.succ (Z.shift_left Z.one (b - 1)) ])
+       [ 26; 29; 52; 58; 87; 104; 116; 1014; 1015 ]
 
 (* b1^e1 * b2^e2 through the Straus kernel, both tables built here. *)
 let powm2 ctx b1 e1 b2 e2 =
@@ -527,7 +529,8 @@ let props =
         let m = if Z.is_even m then Z.succ m else m in
         let ctx = Montgomery.create m in
         Z.equal (Montgomery.powm ctx b_ e)
-          (Montgomery.powm_sched_reference ctx b_ (Wexp.recode (Z.to_nat e))));
+          (Mont_ladder.powm_sched (Mont_ladder.create m) b_
+             (Wexp.recode (Z.to_nat e))));
     prop "montgomery mulmod = erem" 100 arb_pair (fun (a, b) ->
         let m = Z.of_string "170141183460469231731687303715884105727" in
         let ctx = Montgomery.create m in
@@ -538,35 +541,37 @@ let props =
         QCheck.assume (Z.gt m Z.one);
         let m = if Z.is_even m then Z.succ m else m in
         let ctx = Montgomery.create m in
-        let am = Montgomery.to_mont ctx a and bm = Montgomery.to_mont ctx b in
+        let am = Montgomery.to_window ctx a
+        and bm = Montgomery.to_window ctx b in
         (* fused product correct at the Z level, and the dedicated
            squaring path byte-identical to the fused multiply *)
         Z.equal
-          (Montgomery.of_mont ctx (Montgomery.mont_mul ctx am bm))
+          (Montgomery.of_window ctx (Montgomery.mul_window ctx am bm))
           (Z.erem (Z.mul a b) m)
-        && Nat.equal
-             (Montgomery.mont_sqr ctx am)
-             (Montgomery.mont_mul ctx am am)
+        && Montgomery.sqr_window ctx am = Montgomery.mul_window ctx am am
         && Z.equal
-             (Montgomery.of_mont ctx (Montgomery.mont_sqr ctx am))
+             (Montgomery.of_window ctx (Montgomery.sqr_window ctx am))
              (Z.erem (Z.mul a a) m));
+    (* each case also runs its base and exponent on the limb-boundary
+       moduli, where either engine's limb count steps *)
     prop "cios powm_sched = reference ladder" 40
       (QCheck.make QCheck.Gen.(triple gen_huge gen_big gen_huge))
       (fun (b_, e, m) ->
         QCheck.assume (Z.gt m Z.one);
         let e = Z.abs e in
         let m = if Z.is_even m then Z.succ m else m in
-        let ctx = Montgomery.create m in
         let s = Wexp.recode (Z.to_nat e) in
-        let r1 = ref 0 and r2 = ref 0 in
-        let v_new = Montgomery.counting ctx r1 (fun () ->
-            Montgomery.powm_sched ctx b_ s)
+        let agree m =
+          let ctx = Montgomery.create m and oracle = Mont_ladder.create m in
+          let r = ref 0 in
+          let v_new = Montgomery.counting ctx r (fun () ->
+              Montgomery.powm_sched ctx b_ s)
+          in
+          let v_old = Mont_ladder.powm_sched oracle b_ s in
+          Z.equal v_new v_old && !r = Mont_ladder.ticks oracle
+          && (Z.is_zero e || !r = Wexp.cost s + 1)
         in
-        let v_old = Montgomery.counting ctx r2 (fun () ->
-            Montgomery.powm_sched_reference ctx b_ s)
-        in
-        Z.equal v_new v_old && !r1 = !r2
-        && (Z.is_zero e || !r1 = Wexp.cost s + 1));
+        agree m && List.for_all agree limb_boundary_moduli);
     prop "powm_sched_batch = k independent powm_sched" 25
       (QCheck.make
          QCheck.Gen.(pair gen_big
@@ -616,7 +621,7 @@ let props =
     prop "montgomery roundtrip" 100 arb_big (fun a ->
         let m = Z.of_string "57896044618658097711785492504343953926634992332820282019728792003956564819949" in
         let ctx = Montgomery.create m in
-        Z.equal (Z.erem a m) (Montgomery.of_mont ctx (Montgomery.to_mont ctx a)));
+        Z.equal (Z.erem a m) (Montgomery.of_window ctx (Montgomery.to_window ctx a)));
     prop "nat sqr = mul a a" 300 arb_big (fun a ->
         let a = Z.to_nat (Z.abs a) in
         Nat.equal (Nat.mul a a) (Nat.sqr a));

@@ -2,7 +2,8 @@
    and the Drbg.split contract it builds on: property tests for stream
    independence, refill determinism against the sequential reference
    oracle under any worker count and interleaving, and pool mechanics
-   (hit/miss/steal counters, capacity, shutdown). *)
+   (hit/miss/steal counters, one build per generation, capacity,
+   shutdown). *)
 
 open Lbq_bignum
 module Keypool = Lbq_cache.Keypool
@@ -66,7 +67,7 @@ let wire_equal (n, g) (n', g') = Z.equal n n' && Z.equal g g'
 let check_wire msg a b = Alcotest.(check bool) msg true (wire_equal a b)
 
 let reference ~seed ~index ~generation =
-  snd (Keypool.build_reference ~seed ~plan ~q_bits ~index ~generation ())
+  snd (Lbq_oracle.Keypool_build.build ~seed ~plan ~q_bits ~index ~generation ())
 
 (* ------------------------------------------------------------------ *)
 (* Refill determinism                                                   *)
@@ -164,6 +165,54 @@ let test_cold_take_counts_miss_and_steal () =
       Alcotest.(check int) "Counters.pool_misses" 1 c.Counters.pool_misses;
       Alcotest.(check int) "Counters.pool_steals" 1 c.Counters.pool_steals)
 
+let test_take_waits_for_inflight_build () =
+  (* One worker, capacity 3, no prewarm.  The first take steals stripe
+     0's generation 0, and its refill sweep queues stripe 0's
+     generations 1-3 and every other stripe's 0-2 on the single worker.
+     The take on the last stripe then finds generation 0's ticket
+     claimed but not yet built: it must wait for the worker's copy, not
+     build the same bytes a second time.  Every build ticks the
+     prime-search counters, which are a pure function of (seed, index,
+     generation), so the pool's totals must equal the oracle's over
+     exactly the generations built (taken or still stored). *)
+  let seed = "cache-inflight" in
+  let last = cells - 1 in
+  let metrics = Counters.create () in
+  let taken, stats =
+    Keypool.with_pool ~metrics
+      ~config:{ Keypool.capacity = 3; low_watermark = 0 }
+      ~domains:1 ~seed ~plan ~q_bits
+      (fun pool ->
+        let first = snd (Keypool.take pool ~index:0) in
+        let second = snd (Keypool.take pool ~index:last) in
+        Keypool.drain pool;
+        ([ (0, first); (last, second) ], Keypool.stats pool))
+  in
+  List.iter
+    (fun (index, got) ->
+      check_wire
+        (Printf.sprintf "stripe %d generation 0 = reference" index)
+        got
+        (reference ~seed ~index ~generation:0))
+    taken;
+  Alcotest.(check int) "only the first take steals" 1 stats.Keypool.steals;
+  let expect = Counters.create () in
+  for index = 0 to cells - 1 do
+    let built =
+      stats.Keypool.depth.(index) + if List.mem_assoc index taken then 1 else 0
+    in
+    for generation = 0 to built - 1 do
+      ignore
+        (Lbq_oracle.Keypool_build.build ~metrics:expect ~seed ~plan ~q_bits
+           ~index ~generation ())
+    done
+  done;
+  let got = Counters.snapshot metrics and want = Counters.snapshot expect in
+  Alcotest.(check int) "prime attempts: one build per generation"
+    want.Counters.prime_attempts got.Counters.prime_attempts;
+  Alcotest.(check int) "MR calls: one build per generation"
+    want.Counters.mr_calls got.Counters.mr_calls
+
 let test_prewarm_hit_and_depth () =
   let metrics = Counters.create () in
   Keypool.with_pool ~metrics
@@ -225,6 +274,8 @@ let () =
       ("mechanics",
        [ Alcotest.test_case "cold take: miss + steal" `Quick
            test_cold_take_counts_miss_and_steal;
+         Alcotest.test_case "take waits for an in-flight build" `Quick
+           test_take_waits_for_inflight_build;
          Alcotest.test_case "prewarm, hit and depth" `Quick
            test_prewarm_hit_and_depth;
          Alcotest.test_case "errors and shutdown" `Quick

@@ -116,12 +116,14 @@ let test_reference_loops_still_work () =
      baselines; they must still produce valid primes and tick the
      attempt counter. *)
   let metrics = Counters.create () in
-  let p = Primegen.random_prime_reference ~metrics ~bits:64 rand in
+  let p = Lbq_oracle.Prime_search.random_prime ~metrics ~bits:64 rand in
   Alcotest.(check int) "width" 64 (Z.numbits p);
   Alcotest.(check bool) "prime" true (Primality.is_prime ~rand p);
   Alcotest.(check bool) "attempts ticked" true
     ((Counters.snapshot metrics).Counters.prime_attempts > 0);
-  let q, qq = Primegen.semi_safe_reference ~q_bits:32 ~multiple:(Z.of_int 243) rand in
+  let q, qq =
+    Lbq_oracle.Prime_search.semi_safe ~q_bits:32 ~multiple:(Z.of_int 243) rand
+  in
   Alcotest.(check bool) "q prime" true (Primality.is_prime ~rand q);
   Alcotest.(check bool) "Q prime" true (Primality.is_prime ~rand qq);
   Alcotest.check z "structure" qq
@@ -526,7 +528,7 @@ let props =
           List.map (fun m -> (Z.erem (Z.of_int x) m, m)) moduli
         in
         let tree = Crt.solve congruences in
-        Z.equal tree (Crt.solve_fold congruences)
+        Z.equal tree (Lbq_oracle.Crt_fold.solve congruences)
         && Crt.check tree congruences);
     prop "tree update_leaf = fresh solve" 60
       (QCheck.make
