@@ -16,43 +16,36 @@ test-fast:
 	dune build @backends
 
 # Tiny-parameter smoke of every JSON-emitting bench suite
-# (powm/faults/pir/ot/keypool/backends/batch/serve/update): same code
+# (powm/faults/pir/ot/keypool/backends/batch/update/serve): same code
 # paths and assertions as the full suites, toy sizes,
-# BENCH_*.quick.json artifacts.
+# BENCH_*.quick.json artifacts.  It also checks the bench floors on the
+# numbers as the suites compute them, and exits 1 if one fails: powm
+# speedup >= 1.5x and kernel words/op <= 256, batch k>=4 >= 0.94x and
+# k=8 >= 1.1x, incremental update >= 5x, serve multi/single >= 1.0x.
 bench-quick:
 	dune exec bench/main.exe -- quick 1
 
-# Test-only oracles (test/oracle, library lbq_oracle) stay out of shipped
-# code: fails if any dune file under lib/ or bin/ names the library.
+# Test-only code stays out of shipped code: fails if any dune file under
+# lib/ or bin/ names the test-only libraries (lbq_oracle in test/oracle,
+# lbq_testutil in test/testutil) or the alcotest framework.
 oracle-guard:
-	@if grep -rln --include=dune lbq_oracle lib bin; then \
-	  echo "oracle-guard: the dune file(s) above link lbq_oracle FAIL"; \
+	@if grep -rln --include=dune -e lbq_oracle -e lbq_testutil -e alcotest lib bin; then \
+	  echo "oracle-guard: the dune file(s) above link test-only code FAIL"; \
 	  exit 1; \
 	fi
-	@echo "  oracle-guard: no dune file under lib/ or bin/ names lbq_oracle OK"
+	@echo "  oracle-guard: no dune file under lib/ or bin/ names lbq_oracle, lbq_testutil or alcotest OK"
 
 # The oracle guard, then the tier-1 gate plus the bench smoke: builds
-# everything, runs the full test suite, drives every bench suite once
-# at toy parameters, and gates on the bench summaries — the
-# limb-engine floor (powm speedup + allocation budget, from
-# BENCH_powm.quick.json), the serving-layer floor (multi-domain q/s >=
-# single-domain q/s, from BENCH_serve.quick.json), the batching floor
-# (batched respond >= sequential q/s at some k >= 4 on every backend,
-# from BENCH_batch.quick.json), and the streaming-update floor
-# (incremental CRT fix-up >= 5x a full rebuild after the byte-identity
-# gate, from BENCH_update.quick.json).  Last, the layered benchmark's
-# smoke run (perfbench/run.py --smoke): it must still build against the
-# library functions it calls, and every workload's answer checks must
-# pass.
+# everything, runs the full test suite, and drives every bench suite
+# once at toy parameters, which fails on any bench assertion or floor
+# (see bench-quick).  Last, the layered benchmark's smoke run
+# (perfbench/run.py --smoke): it must still build against the library
+# functions it calls, and every workload's answer checks must pass.
 check:
 	$(MAKE) oracle-guard
 	dune build @all
 	dune runtest
 	$(MAKE) bench-quick
-	dune exec bench/main.exe -- powm-guard
-	dune exec bench/main.exe -- serve-guard
-	dune exec bench/main.exe -- batch-guard
-	dune exec bench/main.exe -- update-guard
 	python3 perfbench/run.py --smoke
 
 # Benchmarks run under the release profile (flambda-style optimisation,
@@ -63,7 +56,7 @@ check:
 # backend-arena, batched-respond, serving-layer and streaming-update
 # suites that emit BENCH_ot.json, BENCH_pir.json, BENCH_keypool.json,
 # BENCH_backends.json, BENCH_batch.json, BENCH_serve.json and
-# BENCH_update.json.
+# BENCH_update.json.  The update suite exits 1 below its 10x floor.
 bench:
 	dune build --profile release bench/main.exe
 	dune exec --profile release bench/main.exe -- powm 5

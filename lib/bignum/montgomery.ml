@@ -109,70 +109,6 @@ let narrow t (w : int array) : Nat.t =
     ~dst_lb:limb_bits;
   Nat.normalize out
 
-let create (modulus : Z.t) : t =
-  if Z.sign modulus <= 0 then invalid_arg "Montgomery.create: modulus <= 0";
-  if Z.is_even modulus then invalid_arg "Montgomery.create: modulus must be odd";
-  let n = Z.to_nat modulus in
-  (* The window is rounded up to an even width >= 4: the 2-way sweeps
-     consume digit pairs, and the squaring peels its last pass.  Padding
-     digits of n are zero, which the sweeps tolerate (t < 2n still fits
-     k+1 digits). *)
-  let bits = Z.numbits modulus in
-  let ke =
-    let m = (bits + elb - 1) / elb in
-    let m = if m land 1 = 1 then m + 1 else m in
-    if m < 4 then 4 else m
-  in
-  let ne = Array.make ke 0 in
-  repack ~src:n ~src_len:(Array.length n) ~src_lb:limb_bits ~dst:ne
-    ~dst_len:ke ~dst_lb:elb;
-  let n'e = (ebase - inv_digit ne.(0)) land emask in
-  let one_e, r2e =
-    if Z.equal modulus Z.one then (Array.make ke 0, Array.make ke 0)
-    else begin
-      (* Re mod n and Re^2 mod n by repeated modular doubling instead of
-         a double-width product and a division: the server builds one
-         context per stage-2 query, so setup cost matters.  Start from
-         2^(bits-1) < n (n odd, n >= 3) and double up to
-         Re = 2^(29 * ke) mod n (the Montgomery form of 1), then on to
-         Re^2 = 2^(2 * 29 * ke) mod n. *)
-      let e = 29 * ke in
-      let buf = Array.make (ke + 1) 0 in
-      buf.((bits - 1) / elb) <- 1 lsl ((bits - 1) mod elb);
-      let ge_n () =
-        buf.(ke) <> 0
-        ||
-        let rec go i =
-          i < 0 || (if buf.(i) <> ne.(i) then buf.(i) > ne.(i) else go (i - 1))
-        in
-        go (ke - 1)
-      in
-      let sub_n () =
-        let borrow = ref 0 in
-        for i = 0 to ke - 1 do
-          let t = buf.(i) - ne.(i) - !borrow in
-          buf.(i) <- t land emask;
-          borrow := (t lsr elb) land 1
-        done;
-        buf.(ke) <- buf.(ke) - !borrow
-      in
-      let double_mod () =
-        let carry = ref 0 in
-        for i = 0 to ke do
-          let t = (buf.(i) lsl 1) lor !carry in
-          buf.(i) <- t land emask;
-          carry := t lsr elb
-        done;
-        if ge_n () then sub_n ()
-      in
-      for _ = 1 to e - (bits - 1) do double_mod () done;
-      let one_e = Array.sub buf 0 ke in
-      for _ = 1 to e do double_mod () done;
-      (one_e, Array.sub buf 0 ke)
-    end
-  in
-  { modulus; ke; ne; n'e; r2e; one_e; tick = None }
-
 let modulus t = t.modulus
 let k_limbs t = t.ke
 
@@ -405,6 +341,75 @@ let sqr2_into t (dst : int array) (a : int array) =
   Array.unsafe_set w (k - 1) ((u lsr elb) land emask);
   Array.unsafe_set w k (u lsr (2 * elb));
   reduce_out t dst w 0
+
+let create (modulus : Z.t) : t =
+  if Z.sign modulus <= 0 then invalid_arg "Montgomery.create: modulus <= 0";
+  if Z.is_even modulus then invalid_arg "Montgomery.create: modulus must be odd";
+  let n = Z.to_nat modulus in
+  (* The window is rounded up to an even width >= 4: the 2-way sweeps
+     consume digit pairs, and the squaring peels its last pass.  Padding
+     digits of n are zero, which the sweeps tolerate (t < 2n still fits
+     k+1 digits). *)
+  let bits = Z.numbits modulus in
+  let ke =
+    let m = (bits + elb - 1) / elb in
+    let m = if m land 1 = 1 then m + 1 else m in
+    if m < 4 then 4 else m
+  in
+  let ne = Array.make ke 0 in
+  repack ~src:n ~src_len:(Array.length n) ~src_lb:limb_bits ~dst:ne
+    ~dst_len:ke ~dst_lb:elb;
+  let n'e = (ebase - inv_digit ne.(0)) land emask in
+  let t =
+    { modulus; ke; ne; n'e; r2e = Array.make ke 0; one_e = Array.make ke 0;
+      tick = None }
+  in
+  if Z.equal modulus Z.one then t
+  else begin
+    (* Re mod n and Re^2 mod n without a double-width product or a
+       division: the server builds one context per stage-2 query.  Double
+       2^(bits-1) < n (n odd, n >= 3) modulo n up to Re = 2^e mod n,
+       e = 29 * ke, the Montgomery form of 1.  Re^2 mod n is the
+       Montgomery form of 2^e: a left-to-right chain over the bits of e,
+       one squaring per bit and one doubling per set bit (11 squarings at
+       1024 bits).  Both steps keep the value canonical (< n). *)
+    let e = elb * ke in
+    let buf = Array.make (ke + 1) 0 in
+    buf.((bits - 1) / elb) <- 1 lsl ((bits - 1) mod elb);
+    let ge_n () =
+      buf.(ke) <> 0
+      ||
+      let rec go i =
+        i < 0 || (if buf.(i) <> ne.(i) then buf.(i) > ne.(i) else go (i - 1))
+      in
+      go (ke - 1)
+    in
+    let sub_n () =
+      let borrow = ref 0 in
+      for i = 0 to ke - 1 do
+        let t = buf.(i) - ne.(i) - !borrow in
+        buf.(i) <- t land emask;
+        borrow := (t lsr elb) land 1
+      done;
+      buf.(ke) <- buf.(ke) - !borrow
+    in
+    let double_mod () =
+      let carry = ref 0 in
+      for i = 0 to ke do
+        let t = (buf.(i) lsl 1) lor !carry in
+        buf.(i) <- t land emask;
+        carry := t lsr elb
+      done;
+      if ge_n () then sub_n ()
+    in
+    for _ = 1 to e - (bits - 1) do double_mod () done;
+    let one_e = Array.sub buf 0 ke in
+    for i = Z.numbits (Z.of_int e) - 1 downto 0 do
+      sqr2_into t buf buf;
+      if (e lsr i) land 1 = 1 then double_mod ()
+    done;
+    { t with one_e; r2e = Array.sub buf 0 ke }
+  end
 
 let mont_mul_into t (dst : int array) (a : int array) (b : int array) =
   cios2_into t dst a b

@@ -19,8 +19,9 @@
 
 type t
 
-(** Precompute for an odd positive modulus.  [R mod n] and [R{^2} mod n]
-    are derived by repeated modular doubling (no full division), keeping
+(** Precompute for an odd positive modulus.  [R mod n] is derived by
+    repeated modular doubling and [R{^2} mod n] from it by a squaring
+    chain over the bits of [log2 R] (no full division), keeping
     per-query context setup cheap. *)
 val create : Z.t -> t
 

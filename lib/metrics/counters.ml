@@ -8,99 +8,47 @@
    forms.
 
    Cells are [Atomic.t] so the Domains query pool (lib/pool/pool.ml) can
-   bump one shared record from concurrent handlers without losing
-   updates; readers take a coherent-enough [snapshot] (each field is read
-   atomically; the record as a whole is only quiescently consistent,
-   which is what the bench and tests need). *)
+   bump one shared set of counters from concurrent handlers without
+   losing updates; readers take a coherent-enough [snapshot] (each field
+   is read atomically; the record as a whole is only quiescently
+   consistent, which is what the bench and tests need). *)
 
-type t = {
-  user_exp : int Atomic.t;      (* modular exponentiations by the user *)
-  server_exp : int Atomic.t;    (* ... by the server *)
-  user_mult : int Atomic.t;     (* modular multiplications by the user *)
-  server_mult : int Atomic.t;   (* ... by the server *)
-  user_bytes : int Atomic.t;    (* bytes sent by the user *)
-  server_bytes : int Atomic.t;  (* bytes sent by the server *)
-  retries : int Atomic.t;       (* exchange attempts repeated after a fault *)
-  drops : int Atomic.t;         (* frames lost or mangled in transit *)
-  rejects : int Atomic.t;       (* requests refused by server validation *)
-  prime_attempts : int Atomic.t; (* prime-search candidates examined *)
-  sieve_rejects : int Atomic.t;  (* candidates killed by the small-prime wheel *)
-  mr_calls : int Atomic.t;       (* candidates that reached Miller-Rabin *)
-  pool_hits : int Atomic.t;      (* keypool takes served from a stripe *)
-  pool_misses : int Atomic.t;    (* takes that found the stripe empty *)
-  pool_refills : int Atomic.t;   (* instances built by background workers *)
-  pool_steals : int Atomic.t;    (* build tickets claimed by the foreground *)
-  cache_hits : int Atomic.t;     (* per-cell instance-cache (LRU) hits *)
-  cache_misses : int Atomic.t;   (* ... misses *)
-  cache_evictions : int Atomic.t;(* entries dropped by the LRU cap *)
-  served : int Atomic.t;         (* requests completed by service workers *)
-  sheds : int Atomic.t;          (* requests refused by admission control *)
-  batch_served : int Atomic.t;   (* drained batches dispatched by workers *)
-  batch_size_sum : int Atomic.t; (* total requests across those batches *)
-  update_applied : int Atomic.t; (* update batches applied to a live server *)
-  update_blocks : int Atomic.t;  (* individual blocks rewritten by updates *)
-  epoch_bumps : int Atomic.t;    (* database epoch advances observed *)
-}
+(* One cell per counter, indexed in [snapshot]-field order. *)
+type t = int Atomic.t array
 
 (* Plain-integer view for readers (tests, bench, reporting). *)
 type snapshot = {
-  user_exp : int;
-  server_exp : int;
-  user_mult : int;
-  server_mult : int;
-  user_bytes : int;
-  server_bytes : int;
-  retries : int;
-  drops : int;
-  rejects : int;
-  prime_attempts : int;
-  sieve_rejects : int;
-  mr_calls : int;
-  pool_hits : int;
-  pool_misses : int;
-  pool_refills : int;
-  pool_steals : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
-  served : int;
-  sheds : int;
-  batch_served : int;
-  batch_size_sum : int;
-  update_applied : int;
-  update_blocks : int;
-  epoch_bumps : int;
+  user_exp : int;         (* modular exponentiations by the user *)
+  server_exp : int;       (* ... by the server *)
+  user_mult : int;        (* modular multiplications by the user *)
+  server_mult : int;      (* ... by the server *)
+  user_bytes : int;       (* bytes sent by the user *)
+  server_bytes : int;     (* bytes sent by the server *)
+  retries : int;          (* exchange attempts repeated after a fault *)
+  drops : int;            (* frames lost or mangled in transit *)
+  rejects : int;          (* requests refused by server validation *)
+  prime_attempts : int;   (* prime-search candidates examined *)
+  sieve_rejects : int;    (* candidates killed by the small-prime wheel *)
+  mr_calls : int;         (* candidates that reached Miller-Rabin *)
+  pool_hits : int;        (* keypool takes served from a stripe *)
+  pool_misses : int;      (* takes that found the stripe empty *)
+  pool_refills : int;     (* instances built by background workers *)
+  pool_steals : int;      (* build tickets claimed by the foreground *)
+  cache_hits : int;       (* per-cell instance-cache (LRU) hits *)
+  cache_misses : int;     (* ... misses *)
+  cache_evictions : int;  (* entries dropped by the LRU cap *)
+  served : int;           (* requests completed by service workers *)
+  sheds : int;            (* requests refused by admission control *)
+  batch_served : int;     (* drained batches dispatched by workers *)
+  batch_size_sum : int;   (* total requests across those batches *)
+  update_applied : int;   (* update batches applied to a live server *)
+  update_blocks : int;    (* individual blocks rewritten by updates *)
+  epoch_bumps : int;      (* database epoch advances observed *)
 }
 
-let create () : t =
-  {
-    user_exp = Atomic.make 0;
-    server_exp = Atomic.make 0;
-    user_mult = Atomic.make 0;
-    server_mult = Atomic.make 0;
-    user_bytes = Atomic.make 0;
-    server_bytes = Atomic.make 0;
-    retries = Atomic.make 0;
-    drops = Atomic.make 0;
-    rejects = Atomic.make 0;
-    prime_attempts = Atomic.make 0;
-    sieve_rejects = Atomic.make 0;
-    mr_calls = Atomic.make 0;
-    pool_hits = Atomic.make 0;
-    pool_misses = Atomic.make 0;
-    pool_refills = Atomic.make 0;
-    pool_steals = Atomic.make 0;
-    cache_hits = Atomic.make 0;
-    cache_misses = Atomic.make 0;
-    cache_evictions = Atomic.make 0;
-    served = Atomic.make 0;
-    sheds = Atomic.make 0;
-    batch_served = Atomic.make 0;
-    batch_size_sum = Atomic.make 0;
-    update_applied = Atomic.make 0;
-    update_blocks = Atomic.make 0;
-    epoch_bumps = Atomic.make 0;
-  }
+let cells = 26
+
+let create () : t = Array.init cells (fun _ -> Atomic.make 0)
 
 (* A shared do-nothing sink for callers that don't measure.  The bump
    sites below test physical equality against it, so unmeasured calls
@@ -109,123 +57,67 @@ let create () : t =
 let null : t = create ()
 
 let snapshot (t : t) : snapshot =
+  let g i = Atomic.get t.(i) in
   {
-    user_exp = Atomic.get t.user_exp;
-    server_exp = Atomic.get t.server_exp;
-    user_mult = Atomic.get t.user_mult;
-    server_mult = Atomic.get t.server_mult;
-    user_bytes = Atomic.get t.user_bytes;
-    server_bytes = Atomic.get t.server_bytes;
-    retries = Atomic.get t.retries;
-    drops = Atomic.get t.drops;
-    rejects = Atomic.get t.rejects;
-    prime_attempts = Atomic.get t.prime_attempts;
-    sieve_rejects = Atomic.get t.sieve_rejects;
-    mr_calls = Atomic.get t.mr_calls;
-    pool_hits = Atomic.get t.pool_hits;
-    pool_misses = Atomic.get t.pool_misses;
-    pool_refills = Atomic.get t.pool_refills;
-    pool_steals = Atomic.get t.pool_steals;
-    cache_hits = Atomic.get t.cache_hits;
-    cache_misses = Atomic.get t.cache_misses;
-    cache_evictions = Atomic.get t.cache_evictions;
-    served = Atomic.get t.served;
-    sheds = Atomic.get t.sheds;
-    batch_served = Atomic.get t.batch_served;
-    batch_size_sum = Atomic.get t.batch_size_sum;
-    update_applied = Atomic.get t.update_applied;
-    update_blocks = Atomic.get t.update_blocks;
-    epoch_bumps = Atomic.get t.epoch_bumps;
+    user_exp = g 0;
+    server_exp = g 1;
+    user_mult = g 2;
+    server_mult = g 3;
+    user_bytes = g 4;
+    server_bytes = g 5;
+    retries = g 6;
+    drops = g 7;
+    rejects = g 8;
+    prime_attempts = g 9;
+    sieve_rejects = g 10;
+    mr_calls = g 11;
+    pool_hits = g 12;
+    pool_misses = g 13;
+    pool_refills = g 14;
+    pool_steals = g 15;
+    cache_hits = g 16;
+    cache_misses = g 17;
+    cache_evictions = g 18;
+    served = g 19;
+    sheds = g 20;
+    batch_served = g 21;
+    batch_size_sum = g 22;
+    update_applied = g 23;
+    update_blocks = g 24;
+    epoch_bumps = g 25;
   }
 
-let reset (t : t) =
-  Atomic.set t.user_exp 0;
-  Atomic.set t.server_exp 0;
-  Atomic.set t.user_mult 0;
-  Atomic.set t.server_mult 0;
-  Atomic.set t.user_bytes 0;
-  Atomic.set t.server_bytes 0;
-  Atomic.set t.retries 0;
-  Atomic.set t.drops 0;
-  Atomic.set t.rejects 0;
-  Atomic.set t.prime_attempts 0;
-  Atomic.set t.sieve_rejects 0;
-  Atomic.set t.mr_calls 0;
-  Atomic.set t.pool_hits 0;
-  Atomic.set t.pool_misses 0;
-  Atomic.set t.pool_refills 0;
-  Atomic.set t.pool_steals 0;
-  Atomic.set t.cache_hits 0;
-  Atomic.set t.cache_misses 0;
-  Atomic.set t.cache_evictions 0;
-  Atomic.set t.served 0;
-  Atomic.set t.sheds 0;
-  Atomic.set t.batch_served 0;
-  Atomic.set t.batch_size_sum 0;
-  Atomic.set t.update_applied 0;
-  Atomic.set t.update_blocks 0;
-  Atomic.set t.epoch_bumps 0
+let reset (t : t) = Array.iter (fun c -> Atomic.set c 0) t
 
-let copy (t : t) : t =
-  let s = snapshot t in
-  {
-    user_exp = Atomic.make s.user_exp;
-    server_exp = Atomic.make s.server_exp;
-    user_mult = Atomic.make s.user_mult;
-    server_mult = Atomic.make s.server_mult;
-    user_bytes = Atomic.make s.user_bytes;
-    server_bytes = Atomic.make s.server_bytes;
-    retries = Atomic.make s.retries;
-    drops = Atomic.make s.drops;
-    rejects = Atomic.make s.rejects;
-    prime_attempts = Atomic.make s.prime_attempts;
-    sieve_rejects = Atomic.make s.sieve_rejects;
-    mr_calls = Atomic.make s.mr_calls;
-    pool_hits = Atomic.make s.pool_hits;
-    pool_misses = Atomic.make s.pool_misses;
-    pool_refills = Atomic.make s.pool_refills;
-    pool_steals = Atomic.make s.pool_steals;
-    cache_hits = Atomic.make s.cache_hits;
-    cache_misses = Atomic.make s.cache_misses;
-    cache_evictions = Atomic.make s.cache_evictions;
-    served = Atomic.make s.served;
-    sheds = Atomic.make s.sheds;
-    batch_served = Atomic.make s.batch_served;
-    batch_size_sum = Atomic.make s.batch_size_sum;
-    update_applied = Atomic.make s.update_applied;
-    update_blocks = Atomic.make s.update_blocks;
-    epoch_bumps = Atomic.make s.epoch_bumps;
-  }
+let bump (t : t) i n =
+  if t != null then ignore (Atomic.fetch_and_add t.(i) n)
 
-let bump (t : t) (cell : int Atomic.t) (n : int) =
-  if t != null then ignore (Atomic.fetch_and_add cell n)
-
-let user_exp (t : t) n = bump t t.user_exp n
-let server_exp (t : t) n = bump t t.server_exp n
-let user_mult (t : t) n = bump t t.user_mult n
-let server_mult (t : t) n = bump t t.server_mult n
-let user_bytes (t : t) n = bump t t.user_bytes n
-let server_bytes (t : t) n = bump t t.server_bytes n
-let retries (t : t) n = bump t t.retries n
-let drops (t : t) n = bump t t.drops n
-let rejects (t : t) n = bump t t.rejects n
-let prime_attempts (t : t) n = bump t t.prime_attempts n
-let sieve_rejects (t : t) n = bump t t.sieve_rejects n
-let mr_calls (t : t) n = bump t t.mr_calls n
-let pool_hits (t : t) n = bump t t.pool_hits n
-let pool_misses (t : t) n = bump t t.pool_misses n
-let pool_refills (t : t) n = bump t t.pool_refills n
-let pool_steals (t : t) n = bump t t.pool_steals n
-let cache_hits (t : t) n = bump t t.cache_hits n
-let cache_misses (t : t) n = bump t t.cache_misses n
-let cache_evictions (t : t) n = bump t t.cache_evictions n
-let served (t : t) n = bump t t.served n
-let sheds (t : t) n = bump t t.sheds n
-let batch_served (t : t) n = bump t t.batch_served n
-let batch_size_sum (t : t) n = bump t t.batch_size_sum n
-let update_applied (t : t) n = bump t t.update_applied n
-let update_blocks (t : t) n = bump t t.update_blocks n
-let epoch_bumps (t : t) n = bump t t.epoch_bumps n
+let user_exp t n = bump t 0 n
+let server_exp t n = bump t 1 n
+let user_mult t n = bump t 2 n
+let server_mult t n = bump t 3 n
+let user_bytes t n = bump t 4 n
+let server_bytes t n = bump t 5 n
+let retries t n = bump t 6 n
+let drops t n = bump t 7 n
+let rejects t n = bump t 8 n
+let prime_attempts t n = bump t 9 n
+let sieve_rejects t n = bump t 10 n
+let mr_calls t n = bump t 11 n
+let pool_hits t n = bump t 12 n
+let pool_misses t n = bump t 13 n
+let pool_refills t n = bump t 14 n
+let pool_steals t n = bump t 15 n
+let cache_hits t n = bump t 16 n
+let cache_misses t n = bump t 17 n
+let cache_evictions t n = bump t 18 n
+let served t n = bump t 19 n
+let sheds t n = bump t 20 n
+let batch_served t n = bump t 21 n
+let batch_size_sum t n = bump t 22 n
+let update_applied t n = bump t 23 n
+let update_blocks t n = bump t 24 n
+let epoch_bumps t n = bump t 25 n
 
 let pp fmt (t : t) =
   let s = snapshot t in

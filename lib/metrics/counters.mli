@@ -4,12 +4,12 @@
     harness compares the totals with the paper's closed forms.
 
     Counters are domain-safe: cells are [Atomic.t], so handlers running
-    on the {!Lbq_pool.Pool} Domains pool can share one record without
+    on the {!Lbq_pool.Pool} Domains pool can share one [t] without
     losing increments.  Readers take a {!snapshot}. *)
 
 type t
 
-(** Plain-integer view of a counter record at one moment.  Each field is
+(** Plain-integer view of a counter set at one moment.  Each field is
     read atomically; the record as a whole is quiescently consistent
     (exact once concurrent handlers have finished). *)
 type snapshot = {
@@ -43,7 +43,6 @@ type snapshot = {
 
 val create : unit -> t
 val reset : t -> unit
-val copy : t -> t
 val snapshot : t -> snapshot
 
 val user_exp : t -> int -> unit
@@ -130,5 +129,5 @@ val gc_delta : since:gc_words -> gc_words
 
 (** Shared sink for unmeasured runs.  Increment calls on [null] are
     no-ops (guarded by physical equality), so unmeasured callers neither
-    race on nor pay for a shared record. *)
+    race on nor pay for a shared [t]. *)
 val null : t

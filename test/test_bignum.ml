@@ -332,6 +332,35 @@ let stage1_moduli =
     Lbq_group.Schnorr.p (Lbq_group.Schnorr.mid_group ());
     Lbq_group.Schnorr.p (Lbq_group.Schnorr.paper_group ()) ]
 
+(* A random odd modulus of exactly [bits] bits (bits >= 2). *)
+let gen_odd_modulus bits =
+  QCheck.Gen.map
+    (fun z ->
+      let top = Z.shift_left Z.one (bits - 1) in
+      let m = Z.add top (Z.erem z top) in
+      if Z.is_even m then Z.succ m else m)
+    (gen_z_of_size (QCheck.Gen.return ((bits + 7) / 8)))
+
+(* An operand, and odd moduli covering every Montgomery window width:
+   n = 1, n = 3, and for each even ke from 4 to 74 one random modulus
+   whose window is ke digits (2..116 bits for ke = 4, else
+   29(ke-2)+1..29ke bits, up to 2146).  [create]'s R^2 mod n depends on
+   ke, and a wrong one breaks of_window (to_window a) = a mod n. *)
+let arb_window_moduli =
+  let gen =
+    QCheck.Gen.(
+      pair gen_huge
+        (map
+           (fun ms -> Z.one :: Z.of_int 3 :: ms)
+           (flatten_l
+              (List.init 36 (fun i ->
+                   let ke = 4 + (2 * i) in
+                   let lo = if ke = 4 then 2 else (29 * (ke - 2)) + 1 in
+                   int_range lo (29 * ke) >>= gen_odd_modulus)))))
+  in
+  QCheck.make gen ~print:(fun (a, ms) ->
+      String.concat ", " (List.map Z.to_string (a :: ms)))
+
 (* Odd moduli where a limb count steps: the trivial ring, n = 3, and
    2^b - 1 and 2^(b-1) + 1 at b = 26k (the reference ladder's Nat limbs)
    and b = 29k (the fused engine's digits). *)
@@ -618,10 +647,13 @@ let props =
         let an = Z.to_nat (Z.abs a) and bn = Z.to_nat (Z.abs b) in
         Nat.equal (Nat.mul an bn) (Nat.mul_schoolbook an bn)
         && Nat.equal (Nat.sqr an) (Nat.mul_schoolbook an an));
-    prop "montgomery roundtrip" 100 arb_big (fun a ->
-        let m = Z.of_string "57896044618658097711785492504343953926634992332820282019728792003956564819949" in
-        let ctx = Montgomery.create m in
-        Z.equal (Z.erem a m) (Montgomery.of_window ctx (Montgomery.to_window ctx a)));
+    prop "montgomery roundtrip" 100 arb_window_moduli (fun (a, ms) ->
+        List.for_all
+          (fun m ->
+            let ctx = Montgomery.create m in
+            Z.equal (Z.erem a m)
+              (Montgomery.of_window ctx (Montgomery.to_window ctx a)))
+          ms);
     prop "nat sqr = mul a a" 300 arb_big (fun a ->
         let a = Z.to_nat (Z.abs a) in
         Nat.equal (Nat.mul a a) (Nat.sqr a));
