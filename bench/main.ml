@@ -51,7 +51,7 @@
                      per backend and batch size k, byte- and
                      counter-identity gated; emits BENCH_batch.json
      update          Streaming updates: incremental CRT fix-up
-                     (retained product tree + schedule refresh) vs full
+                     (one CRT product + schedule refresh) vs full
                      rebuild, with byte-identity gates against
                      fresh-encode oracles (gr core and every backend)
                      before any timing; >= 10x asserted at the default
@@ -86,6 +86,7 @@ module Ghinita = Lbq_baseline.Ghinita
 module Counters = Lbq_metrics.Counters
 module Drbg = Lbq_crypto.Drbg
 module Primegen = Lbq_numth.Primegen
+module Crt = Lbq_numth.Crt
 module Keypool = Lbq_cache.Keypool
 module Mont_ladder = Lbq_oracle.Mont_ladder
 module Prime_search = Lbq_oracle.Prime_search
@@ -1865,9 +1866,12 @@ let batch_bench ?(out = "BENCH_batch.json") ?(rows = 8) ?(cols = 8)
    replaces, at the CRT core and across the backend arena.
 
    Byte-identity gates run before any timing:
-   - Gr core: after a burst of single-block updates through the
-     retained product tree, the server's respond must equal a fresh
-     server CRT-encoded over the updated records, on the same
+   - Gr core: the fresh server's [e] must satisfy every congruence
+     ({!Crt.check}) and, on grids of at most 36 cells, equal the
+     sequential-fold oracle {!Lbq_oracle.Crt_fold.solve}, quadratic in
+     the cell count and so skipped on the full suite's grids.  After a
+     burst of single-block updates, the server's respond must equal a
+     fresh server CRT-encoded over the updated records, on the same
      phi-hiding queries.
    - every backend implementing [update]: an updated instance must be
      wire-identical (query bytes, response bytes, decoded block) to a
@@ -1875,9 +1879,9 @@ let batch_bench ?(out = "BENCH_batch.json") ?(rows = 8) ?(cols = 8)
      randomness.
 
    Then the costs: one incremental [Gr.Server.update_block]
-   (root-to-leaf tree fix-up + cached-schedule refresh) vs one full
-   [Gr.Server.create] (full product-tree build with its Bezout
-   inversions, solve, recode), plus per-backend in-place patch vs
+   (one CRT product + cached-schedule refresh) vs one full
+   [Gr.Server.create] (remainder-tree CRT encode with its leaf-width
+   inversions, recode), plus per-backend in-place patch vs
    re-encode.  The JSON summary's "min_speedup" is the worst gr-core
    rebuild/update ratio across grids, and the suite exits 1 below
    [speedup_floor] (default 10x; [quick] passes 5x).  Emits
@@ -1922,6 +1926,14 @@ let update_bench ?(out = "BENCH_update.json")
       done;
       assert (Gr.Server.epoch server = burst);
       let fresh = Gr.Server.create plan records in
+      let congruences =
+        Array.to_list
+          (Array.mapi (fun i r -> (r, (Gr.plan_slot plan i).Gr.pi)) records)
+      in
+      assert (Crt.check (Gr.Server.e fresh) congruences);
+      if count <= 36 then
+        assert (
+          Z.equal (Gr.Server.e fresh) (Lbq_oracle.Crt_fold.solve congruences));
       let qdrbg =
         Drbg.create ~seed:(Printf.sprintf "bench-update-gate-%d" count) ()
       in

@@ -192,11 +192,20 @@ let gcdext a b =
   let g, u, v = go a b one zero zero one in
   if g.sign < 0 then neg g, neg u, neg v else g, u, v
 
-(* Modular inverse of [a] mod [m]; raises if not invertible. *)
+(* Modular inverse of [a] mod [m]; raises if not invertible.  The Euclid
+   of [gcdext (erem a m) m], carrying only the cofactor of [a]: the one
+   of [m] is never read. *)
 let invert a m =
-  let g, u, _ = gcdext (erem a m) m in
-  if not (equal g one) then invalid_arg "Z.invert: not invertible";
-  erem u m
+  let rec go r0 r1 s0 s1 =
+    if is_zero r1 then r0, s0
+    else begin
+      let q, r2 = div_rem r0 r1 in
+      go r1 r2 s1 (sub s0 (mul q s1))
+    end
+  in
+  let g, u = go (erem a m) m one zero in
+  if not (equal (abs g) one) then invalid_arg "Z.invert: not invertible";
+  erem (if g.sign < 0 then neg u else u) m
 
 (* Integer square root (floor), Newton's method with a power-of-two seed. *)
 let sqrt a =

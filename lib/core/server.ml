@@ -283,9 +283,9 @@ let pir_shards t ~count : Gr.Server.t array =
    cell backs: the partition bucket (re-padded to rmax), the ciphertext
    (re-encrypted under the SAME cell key, so the published OT table and
    every issued credential stay valid — an update rewrites content, not
-   credentials), and the CRT database integer — incrementally, through
-   the retained product tree ({!Gr.Server.update_block}), never a full
-   rebuild.  Bumps the main PIR server's epoch. *)
+   credentials), and the CRT database integer — incrementally, by one
+   leaf-width product times M / pi ({!Gr.Server.update_block}), never a
+   full rebuild.  Bumps the main PIR server's epoch. *)
 let update_cell t ~idq (pois : Poi.t list) : unit =
   Grid.set_cell_pois t.partition idq pois;
   let block = Poi.encode_block (Grid.cell_pois t.partition idq) in

@@ -120,7 +120,7 @@ val pir_shards : t -> count:int -> Gr.Server.t array
     A single-cell change is a localized fix-up, never a rebuild: the
     partition bucket is re-padded, the block re-encrypted under the SAME
     cell key (the published OT table and issued credentials stay valid),
-    and the CRT integer repaired through the retained product tree. *)
+    and the CRT integer repaired by one product ({!Gr.Server.update_block}). *)
 
 (** Replace cell [idq]'s real POIs.  Raises [Invalid_argument] on an
     out-of-range cell, a dummy or out-of-cell record, or rmax

@@ -408,8 +408,8 @@ let submit t ~tenant ~seq request =
 
 (* Stage a streaming-update batch: mutate the master database now
    ({!Server.update_cell} — partition re-padded, block re-encrypted
-   under the same cell key, main CRT integer repaired through the
-   retained product tree), capture each cell's new block, then fence
+   under the same cell key, main CRT integer repaired by one
+   {!Gr.Server.update_block}), capture each cell's new block, then fence
    every affected shard's queue with an Apply marker carrying its
    slice.  FIFO draining turns the fence into the epoch contract:
    requests admitted before this call are answered from the old

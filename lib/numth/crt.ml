@@ -3,110 +3,105 @@
 
 open Lbq_bignum
 
-(* Product-tree (divide-and-conquer) CRT, RETAINED: the balanced tree
-   built for one solve is kept so a later single-residue change is a
-   root-to-leaf fix-up — O(log k) combines over ever-halving operand
-   sizes — instead of an O(k) rebuild.  Moduli are fixed at [build]:
-   every node's product M and the Bezout inverse ml^{-1} (mod mr) it
-   combines with are precomputed once, so [update_leaf] pays only the
-   path's multiplications, never an inversion.
+(* Remainder-tree CRT (von zur Gathen-Gerhard Alg. 10.22; Bernstein's
+   scaled remainder trees).  With M = prod pi_i and
+   s_i = (M / pi_i)^{-1} mod pi_i, the answer is
+     e = sum_i x_i * (M / pi_i)  mod M,   x_i = c_i * s_i mod pi_i.
+   [build] finds every s_i without one inversion wider than a leaf, on
+   a product tree of the pi_i that lives only as long as [build]:
+   - M is reduced down the tree mod P_v^2 (P_v = product under node v),
+     so leaf i holds M mod pi_i^2 = pi_i * ((M / pi_i) mod pi_i), and
+     s_i is a leaf-width inversion of that quotient;
+   - x_v = x_l * P_r + x_r * P_l is summed back up, then reduced mod M.
+   Products pair operands of similar size, where the subquadratic
+   {!Nat.mul} (Karatsuba/Toom) bites.  Every modulus is checked > 1
+   before any arithmetic; then (M / pi_i) is invertible mod pi_i iff
+   pi_i is coprime to every other modulus, so a failed leaf inversion
+   is exactly a non-coprime pair.
 
-   The big multiplications pair operands of SIMILAR size, where the
-   subquadratic {!Nat.mul} (Karatsuba/Toom) actually bites, instead of
-   a sequential fold's large-by-small products.  Validation is
-   equivalent to the fold's: each leaf checks its modulus > 1, and
-   gcd(M_l, M_r) = 1 at a node iff every cross pair of underlying
-   moduli is coprime. *)
+   Only the per-leaf arrays, M and e outlive [build].  Changing residue
+   i from c to c' is one product,
+     e <- e + ((c' - c) * s_i mod pi_i) * (M / pi_i)   (mod M),
+   and since both terms are below M, one conditional subtraction.  The
+   result is the unique solution in [0, M), so it is byte-identical to
+   a fresh solve. *)
 module Tree = struct
-  type node =
-    | Leaf of { mutable x : Z.t; m : Z.t }
-    | Node of {
-        mutable x : Z.t;  (* combined residue on this node's range *)
-        m : Z.t;          (* ml * mr, fixed at build *)
-        inv : Z.t;        (* ml^{-1} mod mr, fixed at build *)
-        l : node;
-        r : node;
-      }
+  type t = {
+    pis : Z.t array;  (* leaf moduli pi_i *)
+    cs : Z.t array;  (* current residues, reduced mod pi_i *)
+    ss : Z.t array;  (* s_i = (M / pi_i)^{-1} mod pi_i *)
+    m : Z.t;  (* M = prod pi_i *)
+    mutable e : Z.t;  (* the solution, in [0, M) *)
+  }
 
-  type t = { root : node option; size : int }
-
-  let node_x = function Leaf l -> l.x | Node n -> n.x
-  let node_m = function Leaf l -> l.m | Node n -> n.m
-
-  (* x = xl + ml * t with t = (xr - xl) / ml  (mod mr): the unique
-     solution below ml * mr, so tree answers are byte-identical to a
-     sequential fold's. *)
-  let combine ~ml ~mr ~inv ~xl ~xr =
-    let t = Z.erem (Z.mul (Z.sub xr xl) inv) mr in
-    Z.add xl (Z.mul ml t)
+  type ptree = Leaf of int | Node of Z.t * ptree * ptree
 
   let build (congruences : (Z.t * Z.t) list) : t =
-    match congruences with
-    | [] -> { root = None; size = 0 }
-    | _ ->
-      let a = Array.of_list congruences in
-      let rec go lo hi =
-        if hi - lo = 1 then begin
-          let r, m = a.(lo) in
-          if Z.leq m Z.one then invalid_arg "Crt.solve: modulus <= 1";
-          Leaf { x = Z.erem r m; m }
-        end
-        else begin
-          let mid = (lo + hi) / 2 in
-          let l = go lo mid in
-          let r = go mid hi in
-          let ml = node_m l and mr = node_m r in
-          if not (Z.equal (Z.gcd ml mr) Z.one) then
-            invalid_arg "Crt.solve: moduli not coprime";
-          let inv = Z.invert ml mr in
-          Node
-            {
-              x = combine ~ml ~mr ~inv ~xl:(node_x l) ~xr:(node_x r);
-              m = Z.mul ml mr;
-              inv;
-              l;
-              r;
-            }
-        end
-      in
-      { root = Some (go 0 (Array.length a)); size = Array.length a }
+    let pis = Array.of_list (List.map snd congruences) in
+    Array.iter
+      (fun m -> if Z.leq m Z.one then invalid_arg "Crt.solve: modulus <= 1")
+      pis;
+    let cs = Array.of_list (List.map (fun (r, m) -> Z.erem r m) congruences) in
+    let ss = Array.map (fun _ -> Z.zero) pis in
+    let prod = function Leaf i -> pis.(i) | Node (p, _, _) -> p in
+    let rec tree lo hi =
+      if hi - lo = 1 then Leaf lo
+      else begin
+        let mid = (lo + hi) / 2 in
+        let l = tree lo mid in
+        let r = tree mid hi in
+        Node (Z.mul (prod l) (prod r), l, r)
+      end
+    in
+    (* [rem] is M mod P_v^2; the result is x_v. *)
+    let rec combine v rem =
+      match v with
+      | Leaf i ->
+        let s =
+          try Z.invert (Z.div rem pis.(i)) pis.(i)
+          with Invalid_argument _ -> invalid_arg "Crt.solve: moduli not coprime"
+        in
+        ss.(i) <- s;
+        Z.erem (Z.mul cs.(i) s) pis.(i)
+      | Node (_, l, r) ->
+        let down c = combine c (Z.erem rem (Z.mul (prod c) (prod c))) in
+        let xl = down l in
+        let xr = down r in
+        Z.add (Z.mul xl (prod r)) (Z.mul xr (prod l))
+    in
+    match Array.length pis with
+    | 0 -> { pis; cs; ss; m = Z.one; e = Z.zero }
+    | k ->
+      let root = tree 0 k in
+      let m = prod root in
+      (* at the root, M mod M^2 is M itself *)
+      let e = Z.erem (combine root m) m in
+      { pis; cs; ss; m; e }
 
-  let size t = t.size
+  let size t = Array.length t.pis
 
-  let solve t = match t.root with None -> Z.zero | Some n -> node_x n
+  let solve t = t.e
 
-  let modulus t = match t.root with None -> Z.one | Some n -> node_m n
+  let modulus t = t.m
 
   let leaf_modulus t i =
-    if i < 0 || i >= t.size then
+    if i < 0 || i >= size t then
       invalid_arg "Crt.Tree.leaf_modulus: index out of range";
-    let rec go node lo hi =
-      match node with
-      | Leaf lf -> lf.m
-      | Node n ->
-        let mid = (lo + hi) / 2 in
-        if i < mid then go n.l lo mid else go n.r mid hi
-    in
-    match t.root with None -> assert false | Some root -> go root 0 t.size
+    t.pis.(i)
 
   let update_leaf t i (r : Z.t) =
-    if i < 0 || i >= t.size then
+    if i < 0 || i >= size t then
       invalid_arg "Crt.Tree.update_leaf: index out of range";
-    let rec go node lo hi =
-      match node with
-      | Leaf lf -> lf.x <- Z.erem r lf.m
-      | Node n ->
-        let mid = (lo + hi) / 2 in
-        if i < mid then go n.l lo mid else go n.r mid hi;
-        n.x <-
-          combine ~ml:(node_m n.l) ~mr:(node_m n.r) ~inv:n.inv
-            ~xl:(node_x n.l) ~xr:(node_x n.r)
-    in
-    match t.root with None -> assert false | Some root -> go root 0 t.size
+    let pi = t.pis.(i) in
+    let c = Z.erem r pi in
+    let d = Z.erem (Z.mul (Z.sub c t.cs.(i)) t.ss.(i)) pi in
+    t.cs.(i) <- c;
+    let e = Z.add t.e (Z.mul d (Z.div t.m pi)) in
+    t.e <- (if Z.geq e t.m then Z.sub e t.m else e)
 end
 
-(* One-shot solve: build a tree and read its root.  Kept as the public
-   entry point; callers that will update later hold the Tree instead. *)
+(* One-shot solve: build a tree and read its solution.  Callers that
+   will update later hold the Tree instead. *)
 let solve (congruences : (Z.t * Z.t) list) : Z.t =
   Tree.solve (Tree.build congruences)
 

@@ -2,19 +2,22 @@
 
 open Lbq_bignum
 
-(** Retained product tree: build once, re-solve a single congruence in
-    O(log k) combines.  The moduli are fixed at {!Tree.build}; every
-    node caches its half-product and the Bezout inverse it combines
-    with, so {!Tree.update_leaf} recomputes only the root-to-leaf path
-    and never pays an inversion.  Combination order and arithmetic are
-    identical to {!solve}, so a tree's root equals the one-shot answer
+(** A solved system that stays solvable under residue changes: build
+    once, then re-solve after a single congruence changes with one
+    product.  {!Tree.build} is a remainder-tree CRT that never inverts
+    wider than a leaf modulus; the tree keeps only per-leaf state (the
+    modulus [pi_i], the current residue and [(M / pi_i)^{-1} mod pi_i])
+    plus the product [M] and the solution.  The solution is the unique
+    one in [[0, M)], so a tree's answer equals the one-shot {!solve}
     byte for byte after any update sequence. *)
 module Tree : sig
   type t
 
-  (** Build the balanced product tree over [[(r1, m1); ...]].  Raises
-      [Invalid_argument] (same messages as {!solve}) when moduli are
-      not pairwise coprime or some modulus is [<= 1]. *)
+  (** Solve [[(r1, m1); ...]] and keep what {!update_leaf} needs.
+      Raises [Invalid_argument] (same messages as {!solve}) when some
+      modulus is [<= 1] or the moduli are not pairwise coprime.  Every
+      modulus is checked [> 1] before any coprimality test, so when
+      both faults are present, ["Crt.solve: modulus <= 1"] wins. *)
   val build : (Z.t * Z.t) list -> t
 
   (** Number of congruences (leaves). *)
@@ -32,18 +35,21 @@ module Tree : sig
   val leaf_modulus : t -> int -> Z.t
 
   (** [update_leaf t i r] replaces congruence [i]'s residue with [r]
-      (reduced mod that leaf's modulus) and recombines the root-to-leaf
-      path — O(log k) multiplications, no inversions.  Raises
-      [Invalid_argument] when [i] is out of range. *)
+      (reduced mod that leaf's modulus) and moves the solution by
+      [d * (M / pi_i)] for a leaf-width [d]: one product, one exact
+      division of [M] by [pi_i], at most one subtraction of [M] and no
+      inversion.  Raises [Invalid_argument] when [i] is out of range. *)
   val update_leaf : t -> int -> Z.t -> unit
 end
 
 (** [solve [(r1, m1); ...]] is the smallest non-negative [x] with
-    [x = r_i (mod m_i)] for every pair, by product-tree (divide and
-    conquer) combination — balanced half-size multiplications that keep
-    Karatsuba effective as the congruence count grows.  Thin wrapper
-    over {!Tree.build} + {!Tree.solve}.  Raises [Invalid_argument] when
-    moduli are not pairwise coprime or some modulus is [<= 1]. *)
+    [x = r_i (mod m_i)] for every pair, by the remainder-tree CRT of
+    {!Tree.build}: products of similar-size operands, which keep
+    Karatsuba/Toom effective as the congruence count grows, and no
+    inversion wider than a leaf modulus.  Thin wrapper over
+    {!Tree.build} + {!Tree.solve}.  Raises [Invalid_argument] when
+    some modulus is [<= 1] (checked first) or the moduli are not
+    pairwise coprime. *)
 val solve : (Z.t * Z.t) list -> Z.t
 
 (** Does [x] satisfy every congruence? *)

@@ -96,9 +96,8 @@ module Server = struct
   type t = {
     plan : plan;
     tree : Crt.Tree.t;
-      (* the retained CRT product tree: [e] is its root, and a
-         single-record change is a root-to-leaf fix-up on it *)
-    mutable e : Z.t;  (* CRT encoding of the whole database *)
+      (* the CRT encoding of the whole database, [e] = its solution; a
+         single-record change is one product on it *)
     mutable e_sched : Wexp.t;
       (* e recoded once per epoch: every query replays this schedule *)
     mutable epoch : int;
@@ -120,21 +119,21 @@ module Server = struct
       Array.to_list (Array.mapi (fun i r -> r, plan.slots.(i).pi) records)
     in
     let tree = Crt.Tree.build congruences in
-    let e = Crt.Tree.solve tree in
-    { plan; tree; e; e_sched = Wexp.recode (Z.to_nat e); epoch = 0; metrics }
+    { plan; tree; e_sched = Wexp.recode (Z.to_nat (Crt.Tree.solve tree));
+      epoch = 0; metrics }
 
-  let e t = t.e
-  let e_bits t = Z.numbits t.e
+  let e t = Crt.Tree.solve t.tree
+  let e_bits t = Z.numbits (e t)
   let plan t = t.plan
   let schedule t = t.e_sched
   let epoch t = t.epoch
 
   (* Replace record [idx] and re-derive [e] incrementally: one
-     root-to-leaf path of the retained tree (O(log t) combines, the
-     Bezout inverses cached at build) plus a schedule refresh at the
-     old schedule's window width.  Everything a [respond] reads —
-     [e_sched] — is swapped in one store, so a concurrent respond sees
-     either the old epoch's schedule or the new one, never a mix. *)
+     {!Crt.Tree.update_leaf} (a leaf-width product times M / pi_idx, no
+     inversion) plus a schedule refresh at the old schedule's window
+     width.  Everything a [respond] reads — [e_sched] — is swapped in
+     one store, so a concurrent respond sees either the old epoch's
+     schedule or the new one, never a mix. *)
   let update_block t ~idx ~(block : Z.t) =
     if idx < 0 || idx >= plan_size t.plan then
       invalid_arg "Gr.Server.update_block: index out of range";
@@ -142,9 +141,7 @@ module Server = struct
       invalid_arg
         "Gr.Server.update_block: record exceeds its prime-power capacity";
     Crt.Tree.update_leaf t.tree idx block;
-    let e = Crt.Tree.solve t.tree in
-    t.e <- e;
-    t.e_sched <- Wexp.refresh t.e_sched (Z.to_nat e);
+    t.e_sched <- Wexp.refresh t.e_sched (Z.to_nat (e t));
     t.epoch <- t.epoch + 1
 
   (* Exact modular multiplications one [respond] performs on the default

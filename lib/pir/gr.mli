@@ -60,11 +60,11 @@ module Server : sig
   val epoch : t -> int
 
   (** [update_block t ~idx ~block] replaces record [idx] with [block]
-      and re-derives [e] incrementally: a root-to-leaf fix-up of the
-      retained CRT product tree (O(log t) combines, Bezout inverses
-      cached at build — no inversions) plus a {!Lbq_bignum.Wexp.refresh}
-      of the cached schedule, instead of an O(t) full rebuild.  Bumps
-      {!epoch}.  Raises [Invalid_argument] when [idx] is out of range or
+      and re-derives [e] incrementally: one
+      {!Lbq_numth.Crt.Tree.update_leaf} ([e + d * (M / pi_idx) mod M]
+      for a leaf-width [d], no inversion) plus a
+      {!Lbq_bignum.Wexp.refresh} of the cached schedule, instead of a
+      full re-encode.  Bumps {!epoch}.  Raises [Invalid_argument] when [idx] is out of range or
       [block] exceeds slot [idx]'s prime-power capacity. *)
   val update_block : t -> idx:int -> block:Z.t -> unit
 

@@ -114,10 +114,10 @@ module Make (C : CONFIG) : B.S = struct
 
   (* Native incremental update: the new block becomes slot
      [row * cols + col]'s record and {!Gr.Server.update_block} repairs
-     [e] through the retained CRT product tree — a root-to-leaf path
-     plus a schedule refresh, never a full re-encode.  The record value
-     equals what a fresh [encode] would compute, so responses are
-     byte-identical to a rebuilt server's. *)
+     [e] by one leaf-width product times M / pi plus a schedule
+     refresh, never a full re-encode.  The record value equals what a
+     fresh [encode] would compute, so responses are byte-identical to
+     a rebuilt server's. *)
   let update (t : server) ~row ~col ~(block : string) =
     if row < 0 || row >= t.rows || col < 0 || col >= t.cols then
       invalid_arg "Gr_backend.update: target out of range";

@@ -541,6 +541,22 @@ let props =
         let a = Z.erem a p in
         QCheck.assume (not (Z.is_zero a));
         Z.equal Z.one (Z.erem (Z.mul a (Z.invert a p)) p));
+    prop "invert = gcdext cofactor at multi-limb widths" 200
+      (QCheck.make
+         QCheck.Gen.(
+           triple (gen_z_of_size (int_range 1 138))
+             (gen_z_of_size (int_range 0 150)) bool))
+      (fun (m, a, neg) ->
+        (* odd m up to ~1100 bits, so most draws are invertible; a up to
+           150 bytes (often >= m) and negative half the time *)
+        let m = if Z.is_even m then Z.succ m else m in
+        let a = if neg then Z.neg a else a in
+        let g, u, _ = Z.gcdext (Z.erem a m) m in
+        if Z.equal g Z.one then Z.equal (Z.invert a m) (Z.erem u m)
+        else
+          match Z.invert a m with
+          | _ -> false
+          | exception Invalid_argument msg -> msg = "Z.invert: not invertible");
     prop "montgomery powm = naive" 40
       (QCheck.make QCheck.Gen.(triple gen_big gen_big gen_big))
       (fun (b_, e, m) ->

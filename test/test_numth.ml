@@ -401,6 +401,26 @@ let test_dlog_extreme_residues () =
     (Dlog.bsgs n ~base:alpha ~target:(Montgomery.powm mctx alpha last)
        ~order:(Z.of_int 49))
 
+(* Fault order at depth: a shared factor between leaves in opposite
+   halves of an 8-leaf tree is caught (only the leaf inversions see it),
+   and a modulus <= 1 anywhere is reported before any coprimality fault,
+   even one at the front of the list. *)
+let test_crt_fault_order () =
+  let system ms = List.map (fun m -> (Z.zero, Z.of_int m)) ms in
+  let deep = system [ 7; 9; 11; 13; 17; 19; 15; 23 ] in
+  Alcotest.check_raises "9 and 15 at positions 1 and 6"
+    (Invalid_argument "Crt.solve: moduli not coprime") (fun () ->
+      ignore (Crt.solve deep));
+  Alcotest.check_raises "tree build, same message"
+    (Invalid_argument "Crt.solve: moduli not coprime") (fun () ->
+      ignore (Crt.Tree.build deep));
+  Alcotest.check_raises "modulus <= 1 wins over a non-coprime front pair"
+    (Invalid_argument "Crt.solve: modulus <= 1") (fun () ->
+      ignore (Crt.solve (system [ 6; 4; 5; 7; 1 ])));
+  Alcotest.check_raises "zero modulus at the end"
+    (Invalid_argument "Crt.solve: modulus <= 1") (fun () ->
+      ignore (Crt.Tree.build (system [ 6; 4; 0 ])))
+
 let test_crt_edge_cases () =
   (* A single congruence — the single-slot plan of a one-cell database. *)
   Alcotest.check z "single congruence" (Z.of_int 31)
@@ -556,6 +576,38 @@ let props =
             && Z.equal (Crt.Tree.solve tree) (Crt.solve (Array.to_list current))
         done;
         !ok && Crt.check (Crt.Tree.solve tree) (Array.to_list current));
+    prop "crt tree = sequential fold on PIR plan slots" 40
+      (QCheck.make
+         QCheck.Gen.(
+           triple (int_range 1 40) (int_range 64 700) (int_range 0 1000000)))
+      (fun (k, block_bits, salt) ->
+        (* The deployment's moduli (prime powers of |pi| ~ block_bits):
+           multi-limb remainder-tree divisions, Toom-width products and
+           a real final reduction mod M.  Residues are drawn a few bits
+           wider than pi, so the leaf reductions are exercised too. *)
+        let plan = Lbq_pir.Gr.make_plan ~count:k ~block_bits () in
+        let drbg = Drbg.create ~seed:(Printf.sprintf "crt-plan-%d" salt) () in
+        let residue m = Z.random_bits ~bits:(Z.numbits m + 4) (Drbg.rand drbg) in
+        let current =
+          Array.init k (fun i ->
+              let m = (Lbq_pir.Gr.plan_slot plan i).Lbq_pir.Gr.pi in
+              (residue m, m))
+        in
+        let agrees tree =
+          let congruences = Array.to_list current in
+          let e = Crt.Tree.solve tree in
+          Z.equal e (Lbq_oracle.Crt_fold.solve congruences)
+          && Crt.check e congruences
+        in
+        let tree = Crt.Tree.build (Array.to_list current) in
+        let built = agrees tree in
+        for _ = 1 to 8 do
+          let i = Drbg.int drbg k in
+          let r = residue (snd current.(i)) in
+          current.(i) <- (r, snd current.(i));
+          Crt.Tree.update_leaf tree i r
+        done;
+        built && agrees tree);
     prop "jacobi multiplicative in numerator" 200
       (QCheck.make
          QCheck.Gen.(triple (int_range 0 5000) (int_range 0 5000)
@@ -651,7 +703,8 @@ let () =
       ("crt",
        [ Alcotest.test_case "paper example (App. B)" `Quick test_crt_paper_example;
          Alcotest.test_case "retained tree updates" `Quick test_crt_tree_update;
-         Alcotest.test_case "errors" `Quick test_crt_errors ]);
+         Alcotest.test_case "errors" `Quick test_crt_errors;
+         Alcotest.test_case "fault order" `Quick test_crt_fault_order ]);
       ("jacobi",
        [ Alcotest.test_case "known values" `Quick test_jacobi_known;
          Alcotest.test_case "vs legendre" `Quick test_jacobi_vs_legendre ]);
