@@ -840,11 +840,13 @@ let pir ?(out = "BENCH_pir.json") ?(count = 225) ?(block_bits = 1024)
    generic square-and-multiply path vs the comb/Straus engine, with the
    closed-form multiplication count asserted against the measured
    counter and byte-identity asserted under a fixed DRBG; a grid-size
-   sweep; and the sieved semi-safe prime search vs the seed-revision
-   generate-and-test loop (Miller-Rabin calls and wall time).  Emits
-   BENCH_ot.json. *)
+   sweep; the sieved semi-safe prime search vs the seed-revision
+   generate-and-test loop (Miller-Rabin calls and wall time); and, at a
+   PIR slot pi of [slot_block_bits] (where F = 2*pi has F^2 > Q, so
+   every Q gets a Pocklington certificate), the certified segment-sieved
+   search vs the previous revision's wheel walk.  Emits BENCH_ot.json. *)
 let ot ?(out = "BENCH_ot.json") ?group ?(n = 25) ?(sweep_grids = [ 10; 25; 40 ])
-    ?(search_q_bits = 128) trials =
+    ?(search_q_bits = 128) ?(slot_block_bits = 1024) trials =
   Format.printf
     "=== OT stage-1 hot path: comb/Straus engine & sieved prime search ===@.@.";
   let gc0 = Counters.gc_words () in
@@ -963,6 +965,41 @@ let ot ?(out = "BENCH_ot.json") ?group ?(n = 25) ?(sweep_grids = [ 10; 25; 40 ])
   in
   Format.printf "    MR-call ratio (seed / sieved): %.2fx; wall %.2fx@."
     mr_ratio (t_seed /. t_sieved);
+  (* --- Certified search at a PIR-shaped multiple (Q0 of a query). ---
+     Search i of both walks draws from the same seed, so both walk the
+     same q values to the same first hit and the rows differ only in
+     what each candidate costs. *)
+  let slot_pi =
+    (Gr.plan_slot (Gr.make_plan ~count:64 ~block_bits:slot_block_bits ()) 0)
+      .Gr.pi
+  in
+  let paired semi_safe =
+    let i = ref 0 in
+    run_search (fun metrics ->
+        incr i;
+        let rand = Drbg.rand (Drbg.create ~seed:(Printf.sprintf "slot-%d" !i) ()) in
+        ignore (semi_safe ~metrics ~q_bits ~multiple:slot_pi rand))
+  in
+  let t_wheel, s_wheel =
+    paired (fun ~metrics -> Prime_search.Wheel.semi_safe ~metrics)
+  in
+  let t_cert, s_cert = paired (fun ~metrics -> Primegen.semi_safe ~metrics) in
+  Format.printf
+    "@.  semi-safe search at a PIR slot (|q| = %d, |pi| = %d, mean of %d paired searches):@."
+    q_bits (Z.numbits slot_pi) searches;
+  Format.printf
+    "    wheel walk:     %8.4f s, %7.1f candidates (%7.1f sieved out), %7.1f MR calls per search@."
+    t_wheel
+    (per s_wheel.Counters.prime_attempts)
+    (per s_wheel.Counters.sieve_rejects)
+    (per s_wheel.Counters.mr_calls);
+  Format.printf
+    "    certified walk: %8.4f s, %7.1f candidates (%7.1f sieved out), %7.1f MR/certificate calls per search@."
+    t_cert
+    (per s_cert.Counters.prime_attempts)
+    (per s_cert.Counters.sieve_rejects)
+    (per s_cert.Counters.mr_calls);
+  Format.printf "    wall (wheel / certified): %.2fx@." (t_wheel /. t_cert);
   J.write ~path:out
     (J.Obj
        ([ ( "params",
@@ -992,7 +1029,18 @@ let ot ?(out = "BENCH_ot.json") ?group ?(n = 25) ?(sweep_grids = [ 10; 25; 40 ])
                 "sieved_mr_calls", J.Int s_sieved.Counters.mr_calls;
                 "sieved_attempts", J.Int s_sieved.Counters.prime_attempts;
                 "sieve_rejects", J.Int s_sieved.Counters.sieve_rejects;
-                "mr_ratio", J.Float mr_ratio ] ) ]
+                "mr_ratio", J.Float mr_ratio ] );
+          ( "prime_search_pir_slot",
+            J.Obj
+              [ "q_bits", J.Int q_bits; "pi_bits", J.Int (Z.numbits slot_pi);
+                "searches", J.Int searches;
+                "wheel_s", J.Float t_wheel; "certified_s", J.Float t_cert;
+                "wheel_mr_calls", J.Int s_wheel.Counters.mr_calls;
+                "certified_mr_calls", J.Int s_cert.Counters.mr_calls;
+                "certified_attempts", J.Int s_cert.Counters.prime_attempts;
+                "certified_sieve_rejects",
+                J.Int s_cert.Counters.sieve_rejects;
+                "speedup", J.Float (t_wheel /. t_cert) ] ) ]
         @ J.gc_fields (Counters.gc_delta ~since:gc0)));
   Format.printf "@.  Wrote %s.@.@." out;
   if speedup < 1.5 then
@@ -1881,8 +1929,9 @@ let batch_bench ?(out = "BENCH_batch.json") ?(rows = 8) ?(cols = 8)
    Then the costs: one incremental [Gr.Server.update_block]
    (one CRT product + cached-schedule refresh) vs one full
    [Gr.Server.create] (remainder-tree CRT encode with its leaf-width
-   inversions, recode), plus per-backend in-place patch vs
-   re-encode.  The JSON summary's "min_speedup" is the worst gr-core
+   inversions, recode), plus per-backend in-place patch (best
+   per-patch mean over batches that each span at least a millisecond)
+   vs re-encode.  The JSON summary's "min_speedup" is the worst gr-core
    rebuild/update ratio across grids, and the suite exits 1 below
    [speedup_floor] (default 10x; [quick] passes 5x).  Emits
    BENCH_update.json. *)
@@ -1989,18 +2038,36 @@ let update_bench ?(out = "BENCH_update.json")
                 backend blocks
             in
             let inst = encode () in
-            let patch_s = ref infinity in
-            for i = 1 to reps do
-              let r = Drbg.int drbg rows and c = Drbg.int drbg cols in
-              let b =
-                String.init len (fun k ->
-                    Char.chr (((i * 37) + (k * 11) + r + c) land 0xff))
+            (* One qr patch can be faster than the clock resolves: time
+               batches of patches, doubled until one spans a
+               millisecond, and keep the best per-patch mean. *)
+            let stamp = ref 0 in
+            let batch size =
+              let cells =
+                Array.init size (fun _ ->
+                    incr stamp;
+                    let r = Drbg.int drbg rows and c = Drbg.int drbg cols in
+                    ( r, c,
+                      String.init len (fun k ->
+                          Char.chr (((!stamp * 37) + (k * 11) + r + c) land 0xff)) ))
               in
-              blocks.(r).(c) <- b;
               let (), s =
-                time (fun () -> Instance.update inst ~row:r ~col:c ~block:b)
+                time (fun () ->
+                    Array.iter
+                      (fun (r, c, b) -> Instance.update inst ~row:r ~col:c ~block:b)
+                      cells)
               in
-              patch_s := Float.min !patch_s s
+              Array.iter (fun (r, c, b) -> blocks.(r).(c) <- b) cells;
+              s
+            in
+            let rec sized size =
+              if batch size >= 1e-3 || size >= 1 lsl 16 then size
+              else sized (2 * size)
+            in
+            let size = sized 1 in
+            let patch_s = ref infinity in
+            for _ = 1 to reps do
+              patch_s := Float.min !patch_s (batch size /. float_of_int size)
             done;
             let oracle = encode () in
             for i = 1 to 2 do
@@ -2105,7 +2172,7 @@ let quick trials =
   faults ~out:"BENCH_faults.quick.json" ~rates:[ 0.; 0.1 ] trials;
   pir ~out:"BENCH_pir.quick.json" ~count:16 ~block_bits:256 ~q_bits:48 trials;
   ot ~out:"BENCH_ot.quick.json" ~group:(Schnorr.test_group ()) ~n:8
-    ~sweep_grids:[ 4; 8 ] ~search_q_bits:48 trials;
+    ~sweep_grids:[ 4; 8 ] ~search_q_bits:48 ~slot_block_bits:192 trials;
   keypool ~out:"BENCH_keypool.quick.json" ~count:4 ~block_bits:192 ~q_bits:32
     ~sweep_capacities:[ 1 ] ~sweep_workers:[ 1; 2 ] trials;
   backends_bench ~out:"BENCH_backends.quick.json" ~grids:[ (2, 3, 8) ] trials;

@@ -28,8 +28,9 @@ type snapshot = {
   drops : int;            (* frames lost or mangled in transit *)
   rejects : int;          (* requests refused by server validation *)
   prime_attempts : int;   (* prime-search candidates examined *)
-  sieve_rejects : int;    (* candidates killed by the small-prime wheel *)
-  mr_calls : int;         (* candidates that reached Miller-Rabin *)
+  sieve_rejects : int;    (* candidates killed by the segment sieve *)
+  mr_calls : int;         (* candidates that reached an exponentiation:
+                             Miller-Rabin or a Pocklington certificate *)
   pool_hits : int;        (* keypool takes served from a stripe *)
   pool_misses : int;      (* takes that found the stripe empty *)
   pool_refills : int;     (* instances built by background workers *)

@@ -61,9 +61,10 @@ val drops : t -> int -> unit
 val rejects : t -> int -> unit
 
 (** Prime-search counters (the Table IV query-setup cost): candidates
-    examined, candidates rejected by the incremental small-prime wheel
-    without any bignum arithmetic, and candidates that went on to a
-    Miller–Rabin test. *)
+    examined, candidates marked by the small-prime segment sieve (no
+    bignum arithmetic per candidate), and candidates that went on to an
+    exponentiation — a Miller–Rabin test or a Pocklington certificate,
+    counted once per candidate either way. *)
 val prime_attempts : t -> int -> unit
 
 val sieve_rejects : t -> int -> unit

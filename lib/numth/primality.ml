@@ -1,6 +1,8 @@
-(* Probabilistic primality testing: trial division, Fermat, Miller–Rabin.
-   Deterministic witness sets cover everything below 3.3 * 10^24; larger
-   candidates use random bases drawn from the caller's byte source. *)
+(* Primality testing: trial division, Fermat, Miller–Rabin, and a
+   Pocklington–Lehmer certificate for candidates whose n - 1 has a known
+   factored part.  Deterministic witness sets cover everything below
+   3.3 * 10^24; larger candidates use random bases drawn from the
+   caller's byte source. *)
 
 open Lbq_bignum
 
@@ -59,10 +61,11 @@ let trial_division n =
    number of random Miller–Rabin rounds above the deterministic range.
    [trial:false] skips the trial-division pass — for candidates that a
    sieved search (see {!Primegen}) has already cleared of small factors,
-   where re-dividing by every small prime would repeat work the wheel
-   did with int arithmetic.  [metrics] ticks [Counters.mr_calls] once
-   per candidate that actually reaches a Miller–Rabin exponentiation,
-   so sieved and generate-and-test searches are measured identically. *)
+   where re-dividing by every small prime would repeat work the segment
+   sieve did with int arithmetic.  [metrics] ticks [Counters.mr_calls]
+   once per candidate that actually reaches a Miller–Rabin
+   exponentiation, so sieved and generate-and-test searches are
+   measured identically. *)
 let test ?(rounds = 24) ?(trial = true) ?(metrics = Lbq_metrics.Counters.null)
     ?rand (n : Z.t) : result =
   if Z.sign n <= 0 then Composite
@@ -116,6 +119,56 @@ let is_prime ?rounds ?trial ?metrics ?rand n =
   match test ?rounds ?trial ?metrics ?rand n with
   | Prime | Probably_prime -> true
   | Composite -> false
+
+(* Pocklington–Lehmer with F = 2^i * p^j dividing n - 1 and F^2 > n.
+   For a base a with Jacobi (a/n) = -1 put y = a^((n-1)/(2p)):
+   - y^p = a^((n-1)/2) <> -1 is an Euler witness: n is composite;
+   - y^p = -1 and y = -1 happens for a prime n when a is a p-th power
+     residue, with probability about 1/p: that base proves nothing and
+     the next non-residue is tried;
+   - y^p = -1 and y <> -1 proves n prime.  a^((n-1)/2) = -1 modulo
+     every prime power l^e dividing n, so the order of a mod l^e
+     carries the full power of 2 in n - 1.  y^p = -1 with y <> -1
+     gives y^2 <> 1 mod n, so a^((n-1)/p) = y^2 <> 1 mod some l^e, and
+     that order carries the full power of p too.  l is prime to 2p, so
+     F | l - 1.  Then n / l = 1 mod F and n / l < n / F < F force
+     n = l.  (Plain Pocklington also asks gcd(y^2 - 1, n) = 1; the
+     Euler condition on every prime factor makes that automatic.)
+   Bases are the primes below 64.  A square n has no non-residue at
+   all, so it always comes back undecided. *)
+let pocklington_bases = List.filter (fun a -> a < 64) small_primes
+
+let pocklington ?(metrics = Lbq_metrics.Counters.null) ~p ~f (n : Z.t) =
+  let n1 = Z.pred n in
+  if Z.is_even n || Z.leq n (Z.of_int 3) || Z.is_odd f || p < 3
+     || not (Z.is_zero (Z.rem f (Z.of_int p)))
+     || not (Z.is_zero (Z.rem n1 f))
+     || Z.leq (Z.mul f f) n
+  then invalid_arg "Primality.pocklington: needs 2p | F | n - 1, F^2 > n";
+  let ctx = Montgomery.create n in
+  let sched = Wexp.recode (Z.to_nat (Z.div n1 (Z.of_int (2 * p)))) in
+  let verdict v =
+    Lbq_metrics.Counters.mr_calls metrics 1;
+    Some v
+  in
+  let rec go = function
+    | [] -> None
+    | a :: rest ->
+      let a = Z.of_int a in
+      if Z.geq a n1 then None
+      else begin
+        match Jacobi.symbol a n with
+        | 0 -> verdict Composite
+        | 1 -> go rest
+        | _ ->
+          let y = Montgomery.powm_sched ctx a sched in
+          if not (Z.equal (Montgomery.powm ctx y (Z.of_int p)) n1) then
+            verdict Composite
+          else if Z.equal y n1 then go rest
+          else verdict Prime
+      end
+  in
+  go pocklington_bases
 
 (* Fermat test (base-a compositeness check) for odd [n]; kept because
    the paper cites it as an alternative to Miller–Rabin for the

@@ -1,4 +1,7 @@
-(** Small-prime machinery (Eratosthenes). *)
+(** Small-prime machinery (Eratosthenes), and the segment sieve under
+    every prime search of {!Primegen}. *)
+
+open Lbq_bignum
 
 (** All primes strictly below [limit], ascending. *)
 val primes_below : int -> int list
@@ -10,25 +13,29 @@ val first_primes : ?from:int -> int -> int list
 (** Trial-division primality for machine ints (testing helper). *)
 val is_small_prime : int -> bool
 
-(** {2 Incremental wheel}
+(** {2 Segment sieve}
 
-    Residues of a moving candidate modulo a set of small primes, updated
-    by int additions as the candidate advances — an incremental prime
-    search rejects composites without any bignum division. *)
+    A prime search walks [x, x + step, x + 2*step, ...] and sends to a
+    primality test only the values that no small prime divides.
+    {!segment} sieves one window of that walk with one Eratosthenes pass
+    per sieving prime, allocating nothing. *)
 
-type wheel
+(** The sieving bound: {!segment} uses odd primes below [limit] = 2{^16}. *)
+val limit : int
 
-(** [wheel_make ~primes ~residue ~step]: [residue p] is the initial
-    candidate mod [p]; [step p] is the per-advance increment mod [p].
-    Both are normalised into [0, p).  Raises [Invalid_argument] on a
-    prime < 2. *)
-val wheel_make :
-  primes:int list -> residue:(int -> int) -> step:(int -> int) -> wheel
+(** A linear form [add + mul * x] of the walk value [x], sieved by the
+    odd primes [r < min cap limit].  The caller keeps [cap] at or below
+    the form's smallest value over the walk, so a marked position always
+    has a proper small factor.  [0 <= add < 2{^30}]. *)
+type form = { cap : int; add : int; mul : Nat.t }
 
-(** Advance the candidate by one stride. *)
-val wheel_advance : wheel -> unit
+(** [segment marks ~start ~step ~len forms] clears [marks.[0 .. len-1]]
+    and sets [marks.[j]] to ['\001'] exactly when some odd prime
+    [r < min f.cap limit] divides [f.add + f.mul * (start + step * j)]
+    for some form [f].  [start >= 0].  Raises [Invalid_argument] when
+    [len] is negative or exceeds [Bytes.length marks], or [step <= 0]. *)
+val segment :
+  Bytes.t -> start:Z.t -> step:int -> len:int -> form list -> unit
 
-(** Whether some sieving prime divides the current candidate.  Only
-    meaningful when every sieving prime is strictly below the smallest
-    candidate the walk can visit. *)
-val wheel_divisible : wheel -> bool
+(** Smallest odd prime below {!limit} that divides the argument. *)
+val least_odd_factor : Z.t -> int option

@@ -231,7 +231,13 @@ module Client = struct
   (* Build the phi-hiding instance for record [index].  [q_bits] is the
      width of the cofactor primes q0, q1 (the paper uses 128, §VI-B).
      Cost is dominated by the primality search for Q0 and Q1, which is
-     why the user query dominates Table IV. *)
+     why the user query dominates Table IV.  Both searches walk q in
+     segment-sieved windows (odd primes below 2^16 struck from q and Q
+     at once).  Q0 - 1 = 2*q0*pi has the factored part 2*pi, above
+     sqrt Q0 whenever pi has at least [q_bits] bits, so each Q0
+     candidate gets one Pocklington certificate exponentiation and the
+     Q0 returned is proven prime; Q1 = 2*q1 + 1 stays on Miller–Rabin.
+     [metrics] counts either test once per candidate in [mr_calls]. *)
   let query ?(metrics = Counters.null) ~plan ~index ~q_bits rand : state * (Z.t * Z.t) =
     let slot = plan_slot plan index in
     let _q0, qq0 = Primegen.semi_safe ~metrics ~q_bits ~multiple:slot.pi rand in

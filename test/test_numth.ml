@@ -137,6 +137,187 @@ let test_schnorr_modulus () =
   Alcotest.check z "structure" p (Z.succ (Z.shift_left (Z.mul k q) 1))
 
 (* ------------------------------------------------------------------ *)
+(* Segment sieve and Pocklington certificate                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The {2, p}-part of [n]: the largest 2^i * p^j dividing it. *)
+let two_p_part p n =
+  let pz = Z.of_int p in
+  let rec strip d f n =
+    let q, r = Z.div_rem n d in
+    if Z.is_zero r then strip d (Z.mul f d) q else (f, n)
+  in
+  let f2, n = strip Z.two Z.one n in
+  let fp, _ = strip pz Z.one n in
+  Z.mul f2 fp
+
+let test_pocklington_vs_mr () =
+  (* Every n = 2*q*p^c + 1 with F = 2*p^c, F^2 > n and n below the
+     deterministic Miller–Rabin range: the certificate's verdict, when
+     it gives one, is the deterministic verdict.  All q for p^c <= 2500,
+     120 random q per p^c above that (up to 2^40). *)
+  let proved = ref 0 and undecided_primes = ref 0 and cases = ref 0 in
+  let limit = Z.of_string "3317044064679887385961981" in
+  let check ~p ~pc q =
+    let f = Z.shift_left pc 1 in
+    let n = Z.succ (Z.mul f q) in
+    if Z.gt (Z.mul f f) n && Z.gt n (Z.of_int 3) && Z.lt n limit then begin
+      incr cases;
+      let mr = Primality.test n in
+      match Primality.pocklington ~p ~f n with
+      | Some v ->
+        if v <> mr then
+          Alcotest.failf "n = %s: certificate and MR disagree" (Z.to_string n);
+        if v = Primality.Prime then incr proved
+      | None -> if mr = Primality.Prime then incr undecided_primes
+    end
+  in
+  List.iter
+    (fun p ->
+      let rec powers pc =
+        if Z.numbits pc <= 40 then begin
+          if Z.leq pc (Z.of_int 2500) then
+            for q = 1 to (2 * Z.to_int pc) - 1 do
+              check ~p ~pc (Z.of_int q)
+            done
+          else
+            for _ = 1 to 120 do
+              check ~p ~pc (Z.succ (Z.random_below ~bound:(Z.shift_left pc 1) rand))
+            done;
+          powers (Z.mul pc (Z.of_int p))
+        end
+      in
+      powers (Z.of_int p))
+    [ 3; 5; 7; 11; 13; 101; 65521 ];
+  Alcotest.(check bool) "many cases" true (!cases > 10_000);
+  Alcotest.(check bool) "primes proved" true (!proved > 1000);
+  (* A prime is left undecided only when every non-residue below 64 is
+     a p-th power residue too: rare. *)
+  Alcotest.(check bool) "few primes undecided" true
+    (!undecided_primes * 100 < !proved)
+
+let test_pocklington_adversarial () =
+  (* Squares and products of primes l = 2*t*p^c + 1 (so every prime
+     factor is 1 mod 2p^c), whenever the {2, p}-part F of n - 1 has
+     F^2 > n: the certificate never proves them prime. *)
+  let exercised = ref 0 in
+  let check p n =
+    let f = two_p_part p (Z.pred n) in
+    if Z.gt (Z.mul f f) n then begin
+      incr exercised;
+      if Primality.is_prime ~rand n then
+        Alcotest.failf "%s: MR says prime" (Z.to_string n);
+      match Primality.pocklington ~p ~f n with
+      | Some Primality.Prime ->
+        Alcotest.failf "composite %s certified prime" (Z.to_string n)
+      | Some _ | None -> ()
+    end
+  in
+  List.iter
+    (fun p ->
+      for c = 1 to 12 do
+        let pc = Z.pow (Z.of_int p) c in
+        let primes =
+          List.filter (fun n -> Primality.is_prime ~rand n)
+            (List.init 40 (fun t -> Z.succ (Z.mul (Z.of_int (2 * (t + 1))) pc)))
+        in
+        List.iter
+          (fun l1 ->
+            check p (Z.mul l1 l1);
+            List.iter (fun l2 -> if Z.lt l1 l2 then check p (Z.mul l1 l2)) primes)
+          primes
+      done)
+    [ 3; 5; 7; 13 ];
+  Alcotest.(check bool) "adversarial cases exercised" true (!exercised > 50)
+
+let test_segment_marks () =
+  (* Sieve.segment on the joint walk's two forms (q and
+     Q = 1 + 2*multiple*q) against a direct Z.rem by every odd prime
+     below each form's cap. *)
+  let odd_primes = List.tl (Sieve.primes_below Sieve.limit) in
+  let cap_below least =
+    if Z.numbits least > 17 then Sieve.limit else Z.to_int least
+  in
+  List.iter
+    (fun (q_bits, multiple, len) ->
+      let q_least = Z.shift_left Z.one (q_bits - 1) in
+      let big_q q = Z.succ (Z.shift_left (Z.mul q multiple) 1) in
+      let forms =
+        [ { Sieve.cap = cap_below q_least; add = 0; mul = Nat.one };
+          { Sieve.cap = cap_below (big_q q_least); add = 1;
+            mul = Z.to_nat (Z.shift_left multiple 1) } ]
+      in
+      let start =
+        Z.add q_least (Z.random_below ~bound:(Z.shift_left Z.one (q_bits - 2)) rand)
+      in
+      let start = if Z.is_even start then Z.succ start else start in
+      let marks = Bytes.make (len + 7) '\042' in
+      Sieve.segment marks ~start ~step:2 ~len forms;
+      for j = 0 to len - 1 do
+        let q = Z.add start (Z.of_int (2 * j)) in
+        let hit cap v =
+          List.exists
+            (fun r -> r < cap && Z.is_zero (Z.rem v (Z.of_int r)))
+            odd_primes
+        in
+        let expected =
+          hit (cap_below q_least) q || hit (cap_below (big_q q_least)) (big_q q)
+        in
+        if expected <> (Bytes.get marks j = '\001') then
+          Alcotest.failf "q_bits %d, j = %d: mark %C, expected %b" q_bits j
+            (Bytes.get marks j) expected
+      done;
+      Alcotest.(check char) "bytes past len untouched" '\042' (Bytes.get marks len))
+    [ (16, Z.of_int 9, 64); (20, Z.pow (Z.of_int 3) 20, 64);
+      (32, Z.pow (Z.of_int 5) 14, 64); (48, Z.one, 64);
+      (64, Z.pow (Z.of_int 7) 30, 64);
+      (64, (Lbq_pir.Gr.plan_slot (Lbq_pir.Gr.make_plan ~count:64 ~block_bits:640 ()) 63).Lbq_pir.Gr.pi, 12) ]
+
+let test_walks_match_wheel_oracle () =
+  (* Same DRBG seed, same first hit as the previous revision's wheel
+     walks (test/oracle): the segment sieve and the certificate only
+     drop composites.  PIR-shaped multiples take the certificate path,
+     and then the returned Q carries a Pocklington proof. *)
+  let seeded i = Drbg.rand (Drbg.create ~seed:(Printf.sprintf "walk-%d" i) ()) in
+  let pair = Alcotest.(pair z z) in
+  let plan = Lbq_pir.Gr.make_plan ~count:8 ~block_bits:160 () in
+  List.iteri
+    (fun i (q_bits, multiple) ->
+      let metrics = Counters.create () in
+      let got = Primegen.semi_safe ~metrics ~q_bits ~multiple (seeded i) in
+      let want = Lbq_oracle.Prime_search.Wheel.semi_safe ~q_bits ~multiple (seeded i) in
+      Alcotest.check pair (Printf.sprintf "semi_safe %d" i) want got;
+      let s = Counters.snapshot metrics in
+      let survivors = s.Counters.prime_attempts - s.Counters.sieve_rejects in
+      Alcotest.(check bool) "mr_calls within joint-walk bounds" true
+        (s.Counters.mr_calls >= survivors && s.Counters.mr_calls <= 2 * survivors);
+      let f = Z.shift_left multiple 1 in
+      if Z.gt (Z.mul f f) (snd got) && not (Z.equal multiple Z.one) then begin
+        let p = Option.get (Sieve.least_odd_factor multiple) in
+        Alcotest.(check bool) "Q0 proven prime" true
+          (Primality.pocklington ~p ~f (snd got) = Some Primality.Prime)
+      end)
+    (List.concat_map
+       (fun q_bits ->
+         [ (q_bits, (Lbq_pir.Gr.plan_slot plan (q_bits mod 8)).Lbq_pir.Gr.pi);
+           (q_bits, (Lbq_pir.Gr.plan_slot plan 7).Lbq_pir.Gr.pi);
+           (q_bits, Z.one); (q_bits, Z.of_int 243) ])
+       [ 32; 40; 48; 64 ]);
+  List.iteri
+    (fun i bits ->
+      Alcotest.check z (Printf.sprintf "random_prime %d" bits)
+        (Lbq_oracle.Prime_search.Wheel.random_prime ~bits (seeded (100 + i)))
+        (Primegen.random_prime ~bits (seeded (100 + i))))
+    [ 32; 48; 64; 128; 256; 512 ];
+  List.iteri
+    (fun i (p_bits, q_bits) ->
+      let q = Primegen.random_prime ~bits:q_bits rand in
+      Alcotest.check pair (Printf.sprintf "schnorr_modulus %d" p_bits)
+        (Lbq_oracle.Prime_search.Wheel.schnorr_modulus ~p_bits ~q (seeded (200 + i)))
+        (Primegen.schnorr_modulus ~p_bits ~q (seeded (200 + i))))
+    [ (96, 32); (160, 64); (256, 160); (512, 160) ]
+
+(* ------------------------------------------------------------------ *)
 (* CRT                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -699,7 +880,15 @@ let () =
          Alcotest.test_case "sieved search funnel" `Quick test_sieved_search_funnel;
          Alcotest.test_case "reference loops still work" `Quick
            test_reference_loops_still_work;
-         Alcotest.test_case "schnorr modulus" `Quick test_schnorr_modulus ]);
+         Alcotest.test_case "schnorr modulus" `Quick test_schnorr_modulus;
+         Alcotest.test_case "pocklington = deterministic MR" `Quick
+           test_pocklington_vs_mr;
+         Alcotest.test_case "pocklington adversarial composites" `Quick
+           test_pocklington_adversarial;
+         Alcotest.test_case "segment marks = direct rem" `Quick
+           test_segment_marks;
+         Alcotest.test_case "walks = wheel oracle" `Quick
+           test_walks_match_wheel_oracle ]);
       ("crt",
        [ Alcotest.test_case "paper example (App. B)" `Quick test_crt_paper_example;
          Alcotest.test_case "retained tree updates" `Quick test_crt_tree_update;
