@@ -21,7 +21,8 @@ test-fast:
 # BENCH_*.quick.json artifacts.  It also checks the bench floors on the
 # numbers as the suites compute them, and exits 1 if one fails: powm
 # speedup >= 1.5x and kernel words/op <= 256, batch k>=4 >= 0.94x and
-# k=8 >= 1.1x, incremental update >= 5x, serve multi/single >= 1.0x.
+# k=8 >= 1.1x, incremental update >= 5x, Service.submit_update <= 0.5x
+# Server.update_cell, serve multi/single >= 1.0x.
 bench-quick:
 	dune exec bench/main.exe -- quick 1
 

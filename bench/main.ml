@@ -37,7 +37,8 @@
                      square-and-multiply reference (byte-identity and
                      closed-form mult count asserted), grid-size sweep,
                      and sieved vs generate-and-test semi-safe prime
-                     search; emits BENCH_ot.json
+                     search, the certified Q0 walk at a PIR slot beside
+                     the Q1 walk; emits BENCH_ot.json
      keypool         Offline/online split: cold inline stage-2 query vs
                      warm pool take (>= 20x asserted), pooled-refill
                      byte-identity vs the sequential reference, prewarm
@@ -55,7 +56,9 @@
                      rebuild, with byte-identity gates against
                      fresh-encode oracles (gr core and every backend)
                      before any timing; >= 10x asserted at the default
-                     grids; emits BENCH_update.json
+                     grids; then Service.submit_update (2 shards, 1
+                     shard) vs the standalone Server.update_cell on one
+                     server and churn stream; emits BENCH_update.json
      serve           Multi-tenant serving layer under sustained load:
                      a closed-loop tenant fleet on the sharded
                      worker-domain service — q/s and p50/p95/p99 per
@@ -88,6 +91,7 @@ module Drbg = Lbq_crypto.Drbg
 module Primegen = Lbq_numth.Primegen
 module Crt = Lbq_numth.Crt
 module Keypool = Lbq_cache.Keypool
+module Service = Lbq_net.Service
 module Mont_ladder = Lbq_oracle.Mont_ladder
 module Prime_search = Lbq_oracle.Prime_search
 module Keypool_build = Lbq_oracle.Keypool_build
@@ -927,38 +931,52 @@ let ot ?(out = "BENCH_ot.json") ?group ?(n = 25) ?(sweep_grids = [ 10; 25; 40 ])
   let pi = Z.pow (Z.of_int 3) 20 in
   let q_bits = search_q_bits in
   let searches = max 2 (min trials 5) in
-  let run_search f =
+  (* The 3^20 searches are cheap and their candidate counts spread
+     widely, so that row runs a fixed count, independent of [trials]:
+     its MR-call ratio then reads the same in every run. *)
+  let pow3_searches = 24 in
+  (* Search i of every row draws from its own seed, [label-i]: the
+     walks compared on a row start from the same draws, and search i is
+     the same search at any trial count.  Returns the mean wall per
+     search and the summed counters. *)
+  let paired ?(count = searches) ~label ~multiple semi_safe =
     let metrics = Counters.create () in
     let acc = ref 0. in
-    for _ = 1 to searches do
-      let _, dt = time (fun () -> f metrics) in
+    for i = 1 to count do
+      let rand =
+        Drbg.rand (Drbg.create ~seed:(Printf.sprintf "%s-%d" label i) ())
+      in
+      let _, dt =
+        time (fun () -> ignore (semi_safe ~metrics ~q_bits ~multiple rand))
+      in
       acc := !acc +. dt
     done;
-    ((!acc /. float_of_int searches), Counters.snapshot metrics)
+    (!acc /. float_of_int count, Counters.snapshot metrics)
   in
   let t_sieved, s_sieved =
-    run_search (fun metrics ->
-        ignore (Primegen.semi_safe ~metrics ~q_bits ~multiple:pi rand))
+    paired ~count:pow3_searches ~label:"pow3" ~multiple:pi (fun ~metrics ->
+        Primegen.semi_safe ~metrics)
   in
   let t_seed, s_seed =
-    run_search (fun metrics ->
-        ignore (Prime_search.semi_safe ~metrics ~q_bits ~multiple:pi rand))
+    paired ~count:pow3_searches ~label:"pow3" ~multiple:pi (fun ~metrics ->
+        Prime_search.semi_safe ~metrics)
   in
-  let per x = float_of_int x /. float_of_int searches in
+  let per_of count x = float_of_int x /. float_of_int count in
+  let per3 = per_of pow3_searches and per = per_of searches in
   Format.printf
-    "@.  semi-safe search (|q| = %d, multiple = 3^20, mean of %d searches):@."
-    q_bits searches;
+    "@.  semi-safe search (|q| = %d, multiple = 3^20, mean of %d paired searches):@."
+    q_bits pow3_searches;
   Format.printf
     "    seed loop:   %8.4f s, %7.1f candidates, %7.1f MR calls per search@."
     t_seed
-    (per s_seed.Counters.prime_attempts)
-    (per s_seed.Counters.mr_calls);
+    (per3 s_seed.Counters.prime_attempts)
+    (per3 s_seed.Counters.mr_calls);
   Format.printf
     "    sieved walk: %8.4f s, %7.1f candidates (%7.1f sieved out), %7.1f MR calls per search@."
     t_sieved
-    (per s_sieved.Counters.prime_attempts)
-    (per s_sieved.Counters.sieve_rejects)
-    (per s_sieved.Counters.mr_calls);
+    (per3 s_sieved.Counters.prime_attempts)
+    (per3 s_sieved.Counters.sieve_rejects)
+    (per3 s_sieved.Counters.mr_calls);
   let mr_ratio =
     float_of_int s_seed.Counters.mr_calls
     /. float_of_int (max 1 s_sieved.Counters.mr_calls)
@@ -966,24 +984,27 @@ let ot ?(out = "BENCH_ot.json") ?group ?(n = 25) ?(sweep_grids = [ 10; 25; 40 ])
   Format.printf "    MR-call ratio (seed / sieved): %.2fx; wall %.2fx@."
     mr_ratio (t_seed /. t_sieved);
   (* --- Certified search at a PIR-shaped multiple (Q0 of a query). ---
-     Search i of both walks draws from the same seed, so both walk the
-     same q values to the same first hit and the rows differ only in
-     what each candidate costs. *)
+     The wheel and the certified walk share the start draw and the
+     stride, so on the same seed they walk the same q values to the
+     same first hit and the rows differ only in what each candidate
+     costs.  The Q1 row (multiple = 1) is the other half of a stage-2
+     query's search, still on Miller–Rabin. *)
   let slot_pi =
     (Gr.plan_slot (Gr.make_plan ~count:64 ~block_bits:slot_block_bits ()) 0)
       .Gr.pi
   in
-  let paired semi_safe =
-    let i = ref 0 in
-    run_search (fun metrics ->
-        incr i;
-        let rand = Drbg.rand (Drbg.create ~seed:(Printf.sprintf "slot-%d" !i) ()) in
-        ignore (semi_safe ~metrics ~q_bits ~multiple:slot_pi rand))
-  in
   let t_wheel, s_wheel =
-    paired (fun ~metrics -> Prime_search.Wheel.semi_safe ~metrics)
+    paired ~label:"slot" ~multiple:slot_pi (fun ~metrics ->
+        Prime_search.Wheel.semi_safe ~metrics)
   in
-  let t_cert, s_cert = paired (fun ~metrics -> Primegen.semi_safe ~metrics) in
+  let t_cert, s_cert =
+    paired ~label:"slot" ~multiple:slot_pi (fun ~metrics ->
+        Primegen.semi_safe ~metrics)
+  in
+  let t_q1, s_q1 =
+    paired ~label:"q1" ~multiple:Z.one (fun ~metrics ->
+        Primegen.semi_safe ~metrics)
+  in
   Format.printf
     "@.  semi-safe search at a PIR slot (|q| = %d, |pi| = %d, mean of %d paired searches):@."
     q_bits (Z.numbits slot_pi) searches;
@@ -1000,6 +1021,16 @@ let ot ?(out = "BENCH_ot.json") ?group ?(n = 25) ?(sweep_grids = [ 10; 25; 40 ])
     (per s_cert.Counters.sieve_rejects)
     (per s_cert.Counters.mr_calls);
   Format.printf "    wall (wheel / certified): %.2fx@." (t_wheel /. t_cert);
+  Format.printf
+    "    Q1 walk (multiple = 1, Miller–Rabin): %8.4f s, %7.1f candidates (%7.1f sieved out), %7.1f MR calls per search@."
+    t_q1
+    (per s_q1.Counters.prime_attempts)
+    (per s_q1.Counters.sieve_rejects)
+    (per s_q1.Counters.mr_calls);
+  let q1_share = t_q1 /. (t_cert +. t_q1) in
+  Format.printf
+    "    a query's two searches: certified Q0 %.0f%%, Q1 %.0f%% of their wall@."
+    (100. *. (1. -. q1_share)) (100. *. q1_share);
   J.write ~path:out
     (J.Obj
        ([ ( "params",
@@ -1023,7 +1054,7 @@ let ot ?(out = "BENCH_ot.json") ?group ?(n = 25) ?(sweep_grids = [ 10; 25; 40 ])
                  sweep) );
           ( "prime_search",
             J.Obj
-              [ "q_bits", J.Int q_bits; "searches", J.Int searches;
+              [ "q_bits", J.Int q_bits; "searches", J.Int pow3_searches;
                 "seed_s", J.Float t_seed; "sieved_s", J.Float t_sieved;
                 "seed_mr_calls", J.Int s_seed.Counters.mr_calls;
                 "sieved_mr_calls", J.Int s_sieved.Counters.mr_calls;
@@ -1040,7 +1071,11 @@ let ot ?(out = "BENCH_ot.json") ?group ?(n = 25) ?(sweep_grids = [ 10; 25; 40 ])
                 "certified_attempts", J.Int s_cert.Counters.prime_attempts;
                 "certified_sieve_rejects",
                 J.Int s_cert.Counters.sieve_rejects;
-                "speedup", J.Float (t_wheel /. t_cert) ] ) ]
+                "speedup", J.Float (t_wheel /. t_cert);
+                "q1_s", J.Float t_q1;
+                "q1_mr_calls", J.Int s_q1.Counters.mr_calls;
+                "q1_attempts", J.Int s_q1.Counters.prime_attempts;
+                "q1_share", J.Float q1_share ] ) ]
         @ J.gc_fields (Counters.gc_delta ~since:gc0)));
   Format.printf "@.  Wrote %s.@.@." out;
   if speedup < 1.5 then
@@ -1935,8 +1970,100 @@ let batch_bench ?(out = "BENCH_batch.json") ?(rows = 8) ?(cols = 8)
    rebuild/update ratio across grids, and the suite exits 1 below
    [speedup_floor] (default 10x; [quick] passes 5x).  Emits
    BENCH_update.json. *)
+(* The update path a Service runs against the standalone one, on one
+   server and one churn stream: the first [samples] updates through
+   {!Server.update_cell} (content restage plus the master's CRT repair
+   and schedule refresh), then [samples] each through
+   {!Service.submit_update} on a pump-mode Service at two shards (the
+   master keeps its encode until the first update drops it) and at one
+   (the Service takes the master's encode).  Each fence is pumped
+   between samples, outside the timed region.  Identity gate after
+   each Service's samples: its fence-repaired shard and a fresh encode
+   of the same stripe answer a query for the last updated cell
+   byte-identically, and the answer decodes that cell's new block.
+   Returns the update_cell median and the submit_update median per
+   shard count. *)
+let service_update_row (params : Params.t) ~samples =
+  let cols = params.Params.private_cols in
+  let side = 1000. *. float_of_int cols in
+  let area =
+    Coord.Rect.make ~min:(Coord.make ~x:0. ~y:0.)
+      ~max:(Coord.make ~x:side ~y:side)
+  in
+  let pois =
+    List.init (Params.private_cells params) (fun idx ->
+        Poi.make ~id:idx
+          ~position:
+            (Coord.make
+               ~x:((float_of_int (idx mod cols) *. 1000.) +. 500.)
+               ~y:((float_of_int (idx / cols) *. 1000.) +. 500.))
+          ~category:"c" ~name:"n")
+  in
+  let server = Server.create params ~area pois in
+  let shard_counts = [ 2; 1 ] in
+  let stream =
+    Array.of_list
+      (Synth.churn ~seed:"bench-update-service"
+         ~partition:(Server.partition server)
+         ~steps:((1 + List.length shard_counts) * samples) ())
+  in
+  let median xs =
+    let a = Array.copy xs in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let timed_update apply i =
+    let u = stream.(i) in
+    snd (time (fun () -> apply u.Poi_file.cell u.Poi_file.pois))
+  in
+  let update_cell_s =
+    Array.init samples
+      (timed_update (fun idq pois -> Server.update_cell server ~idq pois))
+  in
+  let submit_s k shards =
+    Service.with_service ~spawn:false ~shards server (fun svc ->
+        let first = (k + 1) * samples in
+        let submit_s =
+          Array.init samples (fun i ->
+              let s =
+                timed_update
+                  (fun idq pois ->
+                    ignore (Service.submit_update svc [ (idq, pois) ]))
+                  (first + i)
+              in
+              ignore (Service.pump svc);
+              s)
+        in
+        let idq = stream.(first + samples - 1).Poi_file.cell in
+        let st, (n, g) =
+          Gr.Client.query ~plan:(Server.public_info server).Server.plan
+            ~index:idq ~q_bits:params.Params.q_bits
+            (Drbg.rand (Drbg.create ~seed:"bench-update-service-gate" ()))
+        in
+        let d = Server.shard_of_cell ~shards idq in
+        let fresh = (Server.pir_shards server ~count:shards).(d) in
+        let served =
+          match
+            ( Service.respond_reference svc ~tenant:0 ~seq:0
+                (Service.Pir_query { shard = d; n; g }),
+              (Server.pir_respond_shard_checked_batch server fresh
+                 [| (n, g) |]).(0) )
+          with
+          | Service.Pir_reply (Ok z), Ok rebuilt when Z.equal z rebuilt -> z
+          | _ -> failwith "update: the repaired shard and a fresh encode differ"
+        in
+        assert (
+          Z.equal (Gr.Client.decode st served)
+            (Z.of_bytes_be (Server.cell_ciphertext server idq)));
+        (shards, median submit_s))
+  in
+  (median update_cell_s, List.mapi submit_s shard_counts)
+
 let update_bench ?(out = "BENCH_update.json")
     ?(grids = [ (8, 8, 512); (15, 15, 1024) ]) ?(q_bits = 64)
+    ?(service_params =
+      Params.make ~group:(Schnorr.mid_group ()) ~q_bits:64 ~public_rows:16
+        ~public_cols:16 ~private_rows:8 ~private_cols:8 ~rmax:1 ())
     ?(speedup_floor = 10.) trials =
   let module Pb = Lbq_pir_backend.Backend_intf in
   let module Registry = Lbq_pir_backend.Registry in
@@ -2123,11 +2250,44 @@ let update_bench ?(out = "BENCH_update.json")
                    backend_cells) ) ]
         :: !rows_out)
     grids;
+  let samples = max 40 (10 * reps) in
+  let update_cell_s, submits = service_update_row service_params ~samples in
+  Format.printf
+    "@.  one-cell update on a %dx%d-cell server (median of %d each):@."
+    service_params.Params.private_rows service_params.Params.private_cols
+    samples;
+  Format.printf "    Server.update_cell:                 %10.6f s@."
+    update_cell_s;
+  List.iter
+    (fun (shards, s) ->
+      Format.printf
+        "    Service.submit_update, %d shard(s): %10.6f s  (%.3fx of update_cell)@."
+        shards s (s /. update_cell_s))
+    submits;
+  let ratio =
+    List.fold_left (fun r (_, s) -> Float.max r (s /. update_cell_s)) 0. submits
+  in
   J.write ~path:out
     (J.Obj
        ([ "grids", J.List (List.rev !rows_out);
           "min_speedup", J.Float !min_speedup;
-          "speedup_floor", J.Float speedup_floor ]
+          "speedup_floor", J.Float speedup_floor;
+          ( "service_update",
+            J.Obj
+              [ "private_rows", J.Int service_params.Params.private_rows;
+                "private_cols", J.Int service_params.Params.private_cols;
+                "samples", J.Int samples;
+                "update_cell_s", J.Float update_cell_s;
+                ( "submit_update",
+                  J.List
+                    (List.map
+                       (fun (shards, s) ->
+                         J.Obj
+                           [ "shards", J.Int shards;
+                             "submit_update_s", J.Float s;
+                             "ratio", J.Float (s /. update_cell_s) ])
+                       submits) );
+                "worst_ratio", J.Float ratio ] ) ]
         @ J.gc_fields (Counters.gc_delta ~since:gc0)));
   Format.printf "@.  Wrote %s.  Identity gates passed.@." out;
   if
@@ -2135,7 +2295,8 @@ let update_bench ?(out = "BENCH_update.json")
       (floor_holds "update: worst incremental speedup" !min_speedup
          speedup_floor)
   then exit 1;
-  Format.printf "@."
+  Format.printf "@.";
+  ratio
 
 (* ------------------------------------------------------------------ *)
 (* quick: tiny-parameter smoke of every JSON-emitting suite             *)
@@ -2158,7 +2319,11 @@ let update_bench ?(out = "BENCH_update.json")
      toy cells, and a real kernel regression measures 0.91 or worse),
      and some backend keeps a real k = 8 win >= 1.1x (lwe's four-lane
      pane kernel, ~2x at full size);
-   - update: the suite itself exits 1 below its 5x floor;
+   - update: the suite itself exits 1 below its 5x floor, and
+     Service.submit_update takes at most 0.5x a standalone
+     Server.update_cell at two shards and at one (measured 0.08-0.20x
+     at Params.test: restage and fence only; a second encode repair on
+     the submit path reads ~0.9x);
    - serve: the sharded multi-domain service at >= 1.0x the
      single-domain q/s — sharding alone (shorter exponents) should
      dominate any queueing overhead, before parallelism is counted. *)
@@ -2180,8 +2345,11 @@ let quick trials =
     batch_bench ~out:"BENCH_batch.quick.json" ~rows:4 ~cols:4 ~len:16
       ~lwe_grid:(4, 256, 32) ~batch_sizes:[ 1; 4; 8 ] (max 2 trials)
   in
-  update_bench ~out:"BENCH_update.quick.json" ~grids:[ (6, 6, 512) ]
-    ~q_bits:48 ~speedup_floor:5. (max 2 trials);
+  let submit_ratio =
+    update_bench ~out:"BENCH_update.quick.json" ~grids:[ (6, 6, 512) ]
+      ~q_bits:48 ~service_params:(Params.test ()) ~speedup_floor:5.
+      (max 2 trials)
+  in
   let serve_speedup =
     serve ~out:"BENCH_serve.quick.json" ~clients:[ 1; 4 ] ~domains:[ 1; 4 ]
       ~queue_depths:[ 64 ] ~loss_ps:[ 0.2 ] (max 3 trials)
@@ -2197,6 +2365,8 @@ let quick trials =
         ("batch: worst backend's best k>=4 amortisation", false, batch_k4,
          0.94);
         ("batch: best k=8 amortisation", false, batch_k8, 1.1);
+        ("update: Service.submit_update / Server.update_cell", true,
+         submit_ratio, 0.5);
         ("serve: multi-domain q/s over 1-domain q/s", false, serve_speedup,
          1.0) ]
   in
@@ -2231,7 +2401,7 @@ let () =
   | "keypool" -> keypool trials
   | "backends" -> backends_bench trials
   | "batch" -> ignore (batch_bench trials)
-  | "update" -> update_bench trials
+  | "update" -> ignore (update_bench trials)
   | "serve" -> ignore (serve trials)
   | "quick" -> quick trials
   | "all" ->
@@ -2252,7 +2422,7 @@ let () =
     keypool (max 2 (trials / 2));
     backends_bench (max 2 (trials / 2));
     ignore (batch_bench (max 2 (trials / 2)));
-    update_bench (max 2 (trials / 2));
+    ignore (update_bench (max 2 (trials / 2)));
     ignore (serve (max 4 (trials / 2)))
   | other ->
     Format.eprintf

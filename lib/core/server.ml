@@ -53,10 +53,35 @@ type t = {
   partition : Grid.partition;
   keys : string array;                (* k per private cell *)
   ciphertexts : string array;         (* encrypted block per private cell *)
+  mutable epoch : int;                (* +1 per restaged cell *)
   ot : Ot.Server.t;
-  pir : Gr.Server.t;
+  pir : Gr.Server.t option Atomic.t;
+    (* the CRT encode of [ciphertexts]: current, or [None] once handed
+       to a Service shard ({!take_pir}) or dropped by {!restage_cell};
+       a master-path read rebuilds it ({!master_pir}) *)
+  pir_lock : Mutex.t;
+    (* serialises restaging, the rebuild and the hand-off, so a rebuild
+       never reads a half-restaged database *)
+  max_n_bits : int;                   (* stage-2 modulus bounds, from *)
+  min_n_bits : int;                   (* the plan alone *)
   public : public_info;
 }
+
+(* Step 3 of the initialisation: CRT-encode every cell's current block
+   under the plan.  Run by [create], and again by {!master_pir} when a
+   master-path read finds the encode absent. *)
+let encode_pir ~metrics plan ciphertexts =
+  Gr.Server.create ~metrics plan (Array.map Z.of_bytes_be ciphertexts)
+
+(* Narrowest legitimate modulus: N = Q0 Q1 with Q0 = 2 q0 pi + 1,
+   Q1 = 2 q1 + 1 has |N| >= min|pi| + 2 q_bits - 1; keep a few bits of
+   slack so no honest query is ever refused. *)
+let min_modulus_bits plan ~q_bits =
+  let min_pi = ref max_int in
+  for i = 0 to Gr.plan_size plan - 1 do
+    min_pi := min !min_pi (Z.numbits (Gr.plan_slot plan i).Gr.pi)
+  done;
+  !min_pi + (2 * q_bits) - 8
 
 let create ?(metrics = Counters.null) (params : Params.t)
     ~(area : Coord.Rect.t) (pois : Poi.t list) : t =
@@ -79,8 +104,7 @@ let create ?(metrics = Counters.null) (params : Params.t)
   let plan =
     Gr.make_plan ~count:cells ~block_bits:(Params.block_bits params) ()
   in
-  let records = Array.map (fun ct -> Z.of_bytes_be ct) ciphertexts in
-  let pir = Gr.Server.create ~metrics plan records in
+  let pir = encode_pir ~metrics plan ciphertexts in
   (* 4. OT initialisation over the public grid. *)
   let public_grid =
     Grid.lattice ~area ~rows:params.Params.public_rows
@@ -98,7 +122,11 @@ let create ?(metrics = Counters.null) (params : Params.t)
   let public =
     { params; area; public_grid; masked_table = Ot.Server.masked_table ot; plan }
   in
-  { params; metrics; partition; keys; ciphertexts; ot; pir; public }
+  let q_bits = params.Params.q_bits in
+  { params; metrics; partition; keys; ciphertexts; epoch = 0; ot;
+    pir = Atomic.make (Some pir); pir_lock = Mutex.create ();
+    max_n_bits = Gr.plan_max_modulus_bits plan ~q_bits;
+    min_n_bits = min_modulus_bits plan ~q_bits; public }
 
 let public_info t = t.public
 let params t = t.params
@@ -150,21 +178,10 @@ let reject t (r : rejection) : ('a, rejection) result =
 
 let rejects t = (Counters.snapshot t.metrics).Counters.rejects
 
-(* Widest modulus a legitimate query can need (resource-exhaustion
-   guard): delegate to the PIR plan. *)
-let pir_max_modulus_bits t =
-  Gr.Server.max_modulus_bits t.pir ~q_bits:t.params.Params.q_bits
-
-(* Narrowest: a legitimate N = Q0 Q1 with Q0 = 2 q0 pi + 1, Q1 = 2 q1 + 1
-   has |N| >= min|pi| + 2 q_bits - 1; keep a few bits of slack so no
-   honest query is ever refused. *)
-let pir_min_modulus_bits t =
-  let plan = t.public.plan in
-  let min_pi = ref max_int in
-  for i = 0 to Gr.plan_size plan - 1 do
-    min_pi := min !min_pi (Z.numbits (Gr.plan_slot plan i).Gr.pi)
-  done;
-  !min_pi + (2 * t.params.Params.q_bits) - 8
+(* Widest / narrowest modulus a legitimate query can need, fixed by the
+   plan at [create]: the per-query check never touches the encode. *)
+let pir_max_modulus_bits t = t.max_n_bits
+let pir_min_modulus_bits t = t.min_n_bits
 
 (* Stage-1 message handler.  [rand] substitutes the blinding-exponent
    source for this response (per-request DRBG forking under parallel
@@ -185,10 +202,27 @@ let ot_respond_checked ?rand t (q : Ot.query) : (Ot.response, rejection) result 
   if List.for_all in_range components then Ok (Ot.Server.respond ?rand t.ot q)
   else reject t (Ot_query_malformed "ciphertext element outside (1, p)")
 
+(* The master encode for a master-path read ({!pir_respond},
+   {!pir_respond_checked}, {!pir_e_bits}): the current one, or — after
+   a hand-off or a restage dropped it — one rebuilt from the current
+   ciphertexts, built once under the lock and published for the reads
+   after it. *)
+let master_pir t =
+  match Atomic.get t.pir with
+  | Some pir -> pir
+  | None ->
+    Mutex.protect t.pir_lock (fun () ->
+        match Atomic.get t.pir with
+        | Some pir -> pir
+        | None ->
+          let pir = encode_pir ~metrics:t.metrics t.public.plan t.ciphertexts in
+          Atomic.set t.pir (Some pir);
+          pir)
+
 (* Stage-2 message handler, with the deployment-wide modulus bound as a
    resource-exhaustion guard (the g^e cost scales with the query width). *)
 let pir_respond t ~(n : Z.t) ~(g : Z.t) : Z.t =
-  Gr.Server.respond ~max_n_bits:(pir_max_modulus_bits t) t.pir ~n ~g
+  Gr.Server.respond ~max_n_bits:(pir_max_modulus_bits t) (master_pir t) ~n ~g
 
 (* The stage-2 query check: bound-check |N| both ways (the modulus width
    a legitimate query needs does not depend on which shard answers),
@@ -230,10 +264,10 @@ let pir_respond_shard_checked_batch t (pir : Gr.Server.t)
   out
 
 let pir_respond_checked t ~(n : Z.t) ~(g : Z.t) : (Z.t, rejection) result =
-  (pir_respond_shard_checked_batch t t.pir [| (n, g) |]).(0)
+  (pir_respond_shard_checked_batch t (master_pir t) [| (n, g) |]).(0)
 
 (* The CRT database integer (diagnostics; |e| drives the stage-2 cost). *)
-let pir_e_bits t = Gr.Server.e_bits t.pir
+let pir_e_bits t = Gr.Server.e_bits (master_pir t)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded stage-2 serving                                              *)
@@ -269,34 +303,62 @@ let pir_shards t ~count : Gr.Server.t array =
           (List.filter (fun i -> i mod count = d)
              (List.init cells (fun i -> i)))
       in
-      let sub_plan = Gr.plan_restrict plan ~indices in
-      let records =
-        Array.map (fun i -> Z.of_bytes_be t.ciphertexts.(i)) indices
-      in
-      Gr.Server.create ~metrics:t.metrics sub_plan records)
+      encode_pir ~metrics:t.metrics (Gr.plan_restrict plan ~indices)
+        (Array.map (fun i -> t.ciphertexts.(i)) indices))
+
+(* Hand the whole-database encode to a caller that owns it from now on
+   (a one-shard Service serves from it and repairs it at its fences):
+   the master's current encode — or a fresh one when it is absent —
+   leaving the master absent, so the master never shares a mutable
+   encode and a later master-path read rebuilds its own. *)
+let take_pir t =
+  Mutex.protect t.pir_lock (fun () ->
+      match Atomic.exchange t.pir None with
+      | Some pir -> pir
+      | None -> encode_pir ~metrics:t.metrics t.public.plan t.ciphertexts)
 
 (* ------------------------------------------------------------------ *)
 (* Streaming POI updates                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Replace private cell [idq]'s real POIs and re-derive everything that
-   cell backs: the partition bucket (re-padded to rmax), the ciphertext
-   (re-encrypted under the SAME cell key, so the published OT table and
-   every issued credential stay valid — an update rewrites content, not
-   credentials), and the CRT database integer — incrementally, by one
-   leaf-width product times M / pi ({!Gr.Server.update_block}), never a
-   full rebuild.  Bumps the main PIR server's epoch. *)
-let update_cell t ~idq (pois : Poi.t list) : unit =
+(* The content half of an update: replace private cell [idq]'s real
+   POIs, re-pad its partition bucket to rmax and re-encrypt its block
+   under the SAME cell key (so the published OT table and every issued
+   credential stay valid — an update rewrites content, not
+   credentials), then advance the content epoch.  Caller holds
+   [pir_lock]. *)
+let restage t ~idq (pois : Poi.t list) =
   Grid.set_cell_pois t.partition idq pois;
   let block = Poi.encode_block (Grid.cell_pois t.partition idq) in
   t.ciphertexts.(idq) <- Cellcrypt.encrypt ~cell_key:t.keys.(idq) block;
-  Gr.Server.update_block t.pir ~idx:idq
-    ~block:(Z.of_bytes_be t.ciphertexts.(idq));
+  t.epoch <- t.epoch + 1;
   Counters.update_blocks t.metrics 1
 
-(* Current update generation of the stage-2 database (the main PIR
-   server's epoch; shard epochs advance with their own updates). *)
-let pir_epoch t = Gr.Server.epoch t.pir
+(* Restage, then repair a current master encode in place — one
+   leaf-width product times M / pi ({!Gr.Server.update_block}), never
+   a full rebuild.  An absent encode stays absent: the next master-path
+   read rebuilds it from the restaged ciphertexts. *)
+let update_cell t ~idq (pois : Poi.t list) : unit =
+  Mutex.protect t.pir_lock (fun () ->
+      restage t ~idq pois;
+      match Atomic.get t.pir with
+      | Some pir ->
+        Gr.Server.update_block pir ~idx:idq
+          ~block:(Z.of_bytes_be t.ciphertexts.(idq))
+      | None -> ())
+
+(* Restage only, for a caller whose own encodes take the change (the
+   Service's shards, at their fences): any master encode is dropped
+   rather than repaired, since no reply reads it until a master-path
+   read rebuilds it. *)
+let restage_cell t ~idq (pois : Poi.t list) : unit =
+  Mutex.protect t.pir_lock (fun () ->
+      restage t ~idq pois;
+      Atomic.set t.pir None)
+
+(* Content epoch of the stage-2 database: +1 per restaged cell, whether
+   or not a master encode took the change. *)
+let pir_epoch t = t.epoch
 
 (* Current encrypted block of one cell (immutable string, so holding the
    result is a stable snapshot across later updates) — what the serving

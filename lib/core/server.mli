@@ -81,11 +81,17 @@ val ot_respond : ?rand:(int -> string) -> t -> Ot.query -> Ot.response
 val ot_respond_checked :
   ?rand:(int -> string) -> t -> Ot.query -> (Ot.response, rejection) result
 
-(** Stage-2 handler (Algorithm 3, server side): [g^e mod N]. *)
+(** Stage-2 handler (Algorithm 3, server side): [g^e mod N].
+
+    This, {!pir_respond_checked} and {!pir_e_bits} read the master
+    encode.  When it is absent (handed off by {!take_pir}, or dropped
+    by {!restage_cell}) the first of them rebuilds it once from the
+    current ciphertexts and publishes it for the reads after. *)
 val pir_respond : t -> n:Z.t -> g:Z.t -> Z.t
 
 (** Validated stage-2 handler: bound-checks |N| both ways, requires N
-    odd, and refuses the degenerate bases g ∈ {0, 1, N−1}. *)
+    odd, and refuses the degenerate bases g ∈ {0, 1, N−1}.  The bounds
+    come from the plan alone, so the check never reads an encode. *)
 val pir_respond_checked : t -> n:Z.t -> g:Z.t -> (Z.t, rejection) result
 
 (** Batched validated handler against the given sub-server (one shard
@@ -115,20 +121,36 @@ val shard_of_cell : shards:int -> int -> int
 
 val pir_shards : t -> count:int -> Gr.Server.t array
 
+(** Hand the whole-database encode to a caller that owns it from now on
+    (a one-shard {!Lbq_net.Service}): the master's current encode, or a
+    fresh one from the current ciphertexts when it is absent.  Leaves
+    the master's encode absent, so the two never share mutable state. *)
+val take_pir : t -> Gr.Server.t
+
 (** {2 Streaming POI updates}
 
     A single-cell change is a localized fix-up, never a rebuild: the
-    partition bucket is re-padded, the block re-encrypted under the SAME
-    cell key (the published OT table and issued credentials stay valid),
-    and the CRT integer repaired by one product ({!Gr.Server.update_block}). *)
+    partition bucket is re-padded and the block re-encrypted under the
+    SAME cell key (the published OT table and issued credentials stay
+    valid).  The master's CRT encode is either current or absent:
+    {!update_cell} repairs a current one by one product
+    ({!Gr.Server.update_block}); {!restage_cell} drops it, for callers
+    whose own encodes take the change. *)
 
-(** Replace cell [idq]'s real POIs.  Raises [Invalid_argument] on an
-    out-of-range cell, a dummy or out-of-cell record, or rmax
-    overflow.  Bumps the main PIR server's epoch. *)
+(** Replace cell [idq]'s real POIs and repair a current master encode
+    in place (an absent one stays absent).  Raises [Invalid_argument]
+    on an out-of-range cell, a dummy or out-of-cell record, or rmax
+    overflow.  Bumps {!pir_epoch}. *)
 val update_cell : t -> idq:int -> Poi.t list -> unit
 
-(** Update generation of the stage-2 database ({!Gr.Server.epoch} of
-    the main PIR server): 0 at creation, +1 per {!update_cell}. *)
+(** The content half of {!update_cell}: same validation, partition,
+    ciphertext, epoch and [update_blocks] count, but any master encode
+    is dropped instead of repaired.  What {!Lbq_net.Service.submit_update}
+    calls: its shards repair their own encodes at their fences. *)
+val restage_cell : t -> idq:int -> Poi.t list -> unit
+
+(** Content epoch of the stage-2 database: 0 at creation, +1 per
+    {!update_cell} or {!restage_cell}. *)
 val pir_epoch : t -> int
 
 (** Current encrypted block of cell [idq] (an immutable snapshot:

@@ -7,10 +7,12 @@
    - Sharding.  The stage-2 database is striped across S sub-servers
      ({!Lbq_core.Server.pir_shards}): shard d CRT-encodes the cells
      {i | i mod S = d}, so its database integer e_d — and every
-     g^{e_d} mod N it answers — is ~1/S of the whole.  One worker
-     domain owns each shard (its queue, its cached window schedule),
-     so throughput scales with domains twice over: S-way parallelism
-     on ~1/S-cost responses.  Long-lived domains also keep their
+     g^{e_d} mod N it answers — is ~1/S of the whole.  At S = 1 the
+     one shard is the master's own encode, handed over
+     ({!Lbq_core.Server.take_pir}) rather than built a second time.
+     One worker domain owns each shard (its queue, its cached window
+     schedule), so throughput scales with domains twice over: S-way
+     parallelism on ~1/S-cost responses.  Long-lived domains also keep their
      bignum {!Scratch} slots warm across requests (Domain.DLS), so
      steady-state serving allocates only results.
 
@@ -331,7 +333,9 @@ let create ?ot_seed ?metrics ?clock ?(queue_depth = 64) ?(batch = 1)
   let t =
     {
       server;
-      shards = Server.pir_shards server ~count:shards;
+      shards =
+        (if shards = 1 then [| Server.take_pir server |]
+         else Server.pir_shards server ~count:shards);
       ot_base = Drbg.create ~domain:"lbq-service-ot" ~seed ();
       queue_depth;
       batch;
@@ -406,11 +410,11 @@ let submit t ~tenant ~seq request =
     Accepted tk
   end
 
-(* Stage a streaming-update batch: mutate the master database now
-   ({!Server.update_cell} — partition re-padded, block re-encrypted
-   under the same cell key, main CRT integer repaired by one
-   {!Gr.Server.update_block}), capture each cell's new block, then fence
-   every affected shard's queue with an Apply marker carrying its
+(* Stage a streaming-update batch: restage the master's content now
+   ({!Server.restage_cell} — partition re-padded, block re-encrypted
+   under the same cell key, no master encode repaired: the shards own
+   the only encodes a reply reads), capture each cell's new block, then
+   fence every affected shard's queue with an Apply marker carrying its
    slice.  FIFO draining turns the fence into the epoch contract:
    requests admitted before this call are answered from the old
    database, requests admitted after from the new one, and no request
@@ -430,7 +434,7 @@ let submit_update t (batch : (int * Lbq_geo.Poi.t list) list) : int =
   let staged =
     List.map
       (fun (idq, pois) ->
-        Server.update_cell t.server ~idq pois;
+        Server.restage_cell t.server ~idq pois;
         (idq, Z.of_bytes_be (Server.cell_ciphertext t.server idq)))
       batch
   in

@@ -2,7 +2,9 @@
     sustained traffic.
 
     The stage-2 database is striped across [shards] sub-servers
-    ({!Lbq_core.Server.pir_shards}), each owned by one worker domain
+    ({!Lbq_core.Server.pir_shards}; at one shard, the master's own
+    encode, handed over by {!Lbq_core.Server.take_pir}), each owned by
+    one worker domain
     with its own bounded request queue and its own ~1/shards-size
     cached exponent schedule — so adding domains both parallelises and
     shrinks per-query work.  Submits past a queue's high watermark are
@@ -118,15 +120,17 @@ val pump : t -> int
 (** {2 Streaming updates and epochs}
 
     The database advances in epochs: epoch 0 is the build, and each
-    {!submit_update} batch bumps it by one.  A batch mutates the master
-    database at submit time and fences every affected shard's FIFO
-    queue, so requests admitted before the call are answered from the
+    {!submit_update} batch bumps it by one.  A batch restages the
+    master's content at submit time ({!Lbq_core.Server.restage_cell}:
+    ciphertexts only, any master encode dropped) and fences every
+    affected shard's FIFO queue, where the shard repairs its own
+    encode, so requests admitted before the call are answered from the
     old epoch and requests admitted after from the new one — each reply
     decodes against exactly the database its ticket was admitted under,
     never a torn shard. *)
 
 (** Apply one batch of cell replacements [(idq, pois)] (see
-    {!Lbq_core.Server.update_cell} for per-cell validation).  Returns
+    {!Lbq_core.Server.restage_cell} for per-cell validation).  Returns
     the new submitted epoch.  Raises [Invalid_argument] on an empty
     batch, on per-cell validation failure, or after {!shutdown}. *)
 val submit_update : t -> (int * Lbq_geo.Poi.t list) list -> int

@@ -88,6 +88,16 @@ let plan_restrict plan ~indices =
   { slots = Array.map (fun i -> plan.slots.(i)) indices;
     block_bits = plan.block_bits }
 
+(* Upper bound on a legitimate query modulus: |N| <= max|pi| + 2*q_bits
+   + small slack.  Callers pass their deployment's q_bits; anything
+   wider is a resource-exhaustion attempt, not a query (g^e costs |e|
+   multiplications at the query's width).  A property of the plan
+   alone, so a bound check never needs the encode. *)
+let plan_max_modulus_bits plan ~q_bits =
+  let worst = ref 0 in
+  Array.iter (fun s -> worst := max !worst (Z.numbits s.pi)) plan.slots;
+  !worst + (2 * (q_bits + 2)) + 8
+
 (* ------------------------------------------------------------------ *)
 (* Server                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -151,14 +161,7 @@ module Server = struct
     let c = Wexp.cost t.e_sched in
     if c = 0 then 0 else c + 1
 
-  (* Upper bound on a legitimate query modulus: |N| <= max|pi| + 2*q_bits
-     + small slack.  Callers pass their deployment's q_bits; anything
-     wider is a resource-exhaustion attempt, not a query (g^e costs |e|
-     multiplications at the query's width). *)
-  let max_modulus_bits t ~q_bits =
-    let worst = ref 0 in
-    Array.iter (fun s -> worst := max !worst (Z.numbits s.pi)) t.plan.slots;
-    !worst + (2 * (q_bits + 2)) + 8
+  let max_modulus_bits t ~q_bits = plan_max_modulus_bits t.plan ~q_bits
 
   (* Answer k queries (N, g) with g^e mod N through ONE walk of the
      schedule recoded at creation.  Honest moduli N = Q0*Q1 are odd, so

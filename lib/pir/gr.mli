@@ -37,6 +37,10 @@ val fits : plan -> int -> Z.t -> bool
     [Invalid_argument] on empty, out-of-range, or duplicate indices. *)
 val plan_restrict : plan -> indices:int array -> plan
 
+(** Widest modulus a legitimate query can need for this plan with
+    cofactor primes of [q_bits] bits (resource-exhaustion guard). *)
+val plan_max_modulus_bits : plan -> q_bits:int -> int
+
 module Server : sig
   type t
 
@@ -74,8 +78,7 @@ module Server : sig
       closed form that the bench asserts. *)
   val predicted_mults : t -> int
 
-  (** Widest modulus a legitimate query can need for this plan with
-      cofactor primes of [q_bits] bits (resource-exhaustion guard). *)
+  (** {!plan_max_modulus_bits} of this server's plan. *)
   val max_modulus_bits : t -> q_bits:int -> int
 
   (** Answer k queries [(N, g)] with [g^e mod N] through one walk of

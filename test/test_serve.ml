@@ -731,6 +731,133 @@ let test_pooled_instance_survives_update () =
               (List.equal Poi.equal fresh (Client.stage2_decode client st2 z))
           | _ -> Alcotest.fail "expected a PIR reply"))
 
+let pir_query_for pub rand idq =
+  Gr.Client.query ~plan:pub.Server.plan ~index:idq
+    ~q_bits:params.Params.q_bits rand
+
+let master_decode server st (n, g) =
+  match Server.pir_respond_checked server ~n ~g with
+  | Ok z -> Gr.Client.decode st z
+  | Error r -> Alcotest.failf "master rejected: %s" (Server.rejection_message r)
+
+let test_master_reads_after_service_update () =
+  (* A Service's shards own the only encodes its replies read, so
+     submit_update repairs no master encode: at one shard the master
+     handed its encode over, at two it drops its own.  Either way a
+     master-path read after the update serves the submitted epoch's
+     contents, before the shard's fence has even landed. *)
+  List.iter
+    (fun shards ->
+      let server = Server.create params ~area pois in
+      let pub = Server.public_info server in
+      let part = Server.partition server in
+      let rand = Drbg.rand (Drbg.create ~seed:"master-after-update" ()) in
+      let idq = 4 in
+      Service.with_service ~queue_depth:16 ~spawn:false ~shards server
+        (fun svc ->
+          let old_z = Z.of_bytes_be (Server.cell_ciphertext server idq) in
+          let e =
+            Service.submit_update svc
+              [ (idq, cell_payload part idq ~id:900_301) ]
+          in
+          Alcotest.(check int) "master epoch = submitted epoch" e
+            (Server.pir_epoch server);
+          Alcotest.(check int) "fence not yet applied" 0
+            (Service.applied_epoch svc);
+          let new_z = Z.of_bytes_be (Server.cell_ciphertext server idq) in
+          Alcotest.(check bool) "ciphertext changed" false
+            (Z.equal old_z new_z);
+          let st, q = pir_query_for pub rand idq in
+          Alcotest.(check bool)
+            (Printf.sprintf "master decodes the new block (%d shards)" shards)
+            true
+            (Z.equal (master_decode server st q) new_z);
+          ignore (Service.pump svc);
+          Alcotest.(check int) "fence applied" e (Service.applied_epoch svc)))
+    [ 1; 2 ]
+
+let test_successive_one_shard_services () =
+  (* Each one-shard Service takes the master's encode as its shard: the
+     first the encode built at create, the second one rebuilt from the
+     contents restaged in between.  Both serve oracle-identical replies
+     that decode the contents of their epoch. *)
+  let server = Server.create params ~area pois in
+  let pub = Server.public_info server in
+  let part = Server.partition server in
+  let rand = Drbg.rand (Drbg.create ~seed:"successive-services" ()) in
+  let cells = Params.private_cells params in
+  let serve_every_cell svc label =
+    for idq = 0 to cells - 1 do
+      let st, (n, g) = pir_query_for pub rand idq in
+      let request = Service.Pir_query { shard = 0; n; g } in
+      let expected =
+        Service.respond_reference svc ~tenant:0 ~seq:idq request
+      in
+      let want = Z.of_bytes_be (Server.cell_ciphertext server idq) in
+      match Service.submit svc ~tenant:0 ~seq:idq request with
+      | Service.Accepted tk ->
+        ignore (Service.pump svc);
+        let reply = Service.await svc tk in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: cell %d reply = oracle bytes" label idq)
+          true (replies_equal reply expected);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: cell %d decodes epoch %d" label idq
+             (Service.ticket_epoch tk))
+          true
+          (Z.equal (decode_z st reply) want)
+      | Service.Shed _ -> Alcotest.fail "unexpected shed"
+    done
+  in
+  Service.with_service ~queue_depth:16 ~spawn:false ~shards:1 server
+    (fun svc ->
+      serve_every_cell svc "first service";
+      ignore
+        (Service.submit_update svc [ (2, cell_payload part 2 ~id:900_401) ]);
+      (* the oracle reads the shard inline: land the fence first *)
+      ignore (Service.pump svc);
+      serve_every_cell svc "first service, after the update");
+  Server.update_cell server ~idq:6 (cell_payload part 6 ~id:900_402);
+  Alcotest.(check int) "both updates counted" 2 (Server.pir_epoch server);
+  Service.with_service ~queue_depth:16 ~spawn:false ~shards:1 server
+    (fun svc -> serve_every_cell svc "second service")
+
+let test_update_cell_after_hand_off () =
+  (* The standalone update path on a master whose encode went to a
+     Service: the update restages only, the next master read rebuilds
+     from the current ciphertexts, and a later update repairs that
+     rebuilt encode in place — equal to a fresh encode. *)
+  let server = Server.create params ~area pois in
+  let pub = Server.public_info server in
+  let part = Server.partition server in
+  let rand = Drbg.rand (Drbg.create ~seed:"update-after-hand-off" ()) in
+  Service.with_service ~spawn:false ~shards:1 server (fun _ -> ());
+  let check_cell idq =
+    let st, q = pir_query_for pub rand idq in
+    Alcotest.(check bool)
+      (Printf.sprintf "cell %d decodes its new contents" idq)
+      true
+      (Z.equal (master_decode server st q)
+         (Z.of_bytes_be (Server.cell_ciphertext server idq)))
+  in
+  Server.update_cell server ~idq:5 (cell_payload part 5 ~id:900_501);
+  check_cell 5;
+  Server.update_cell server ~idq:7 (cell_payload part 7 ~id:900_502);
+  check_cell 7;
+  Alcotest.(check int) "content epoch" 2 (Server.pir_epoch server);
+  let fresh =
+    Gr.Server.create pub.Server.plan
+      (Array.init (Params.private_cells params) (fun i ->
+           Z.of_bytes_be (Server.cell_ciphertext server i)))
+  in
+  Alcotest.(check int) "e width = fresh encode's" (Gr.Server.e_bits fresh)
+    (Server.pir_e_bits server);
+  let master = Server.take_pir server in
+  Alcotest.(check bool) "e = fresh encode of the current ciphertexts" true
+    (Z.equal (Gr.Server.e master) (Gr.Server.e fresh));
+  Alcotest.(check int) "the rebuilt encode was repaired once" 1
+    (Gr.Server.epoch master)
+
 let test_fleet_under_chaos () =
   (* Packet loss composes: with per-tenant chaos at a heavy fault rate,
      the fleet still completes rounds, and every re-attempt is accounted
@@ -787,7 +914,13 @@ let () =
          Alcotest.test_case "concurrent churn decodes per-epoch snapshots"
            `Quick test_epoch_identity_concurrent;
          Alcotest.test_case "pooled instance decodes post-update POIs"
-           `Quick test_pooled_instance_survives_update ]);
+           `Quick test_pooled_instance_survives_update;
+         Alcotest.test_case "master read after a Service update" `Quick
+           test_master_reads_after_service_update;
+         Alcotest.test_case "successive one-shard services = oracle" `Quick
+           test_successive_one_shard_services;
+         Alcotest.test_case "update_cell after a hand-off = fresh encode"
+           `Quick test_update_cell_after_hand_off ]);
       ("chaos",
        [ Alcotest.test_case "rounds complete under packet loss" `Quick
            test_fleet_under_chaos ]) ]
