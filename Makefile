@@ -1,6 +1,7 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-fast check oracle-guard bench bench-quick clean
+.PHONY: all build test test-fast check oracle-guard unshipped-guard bench \
+  bench-quick clean
 
 all: build
 
@@ -36,8 +37,19 @@ oracle-guard:
 	fi
 	@echo "  oracle-guard: no dune file under lib/ or bin/ names lbq_oracle, lbq_testutil or alcotest OK"
 
+# Every lib/ module has a shipped caller: walks the compiled imports
+# (ocamlobjinfo on the native .cmx files, interfaces and implementations)
+# outward from the bin/, bench/ and perfbench/ executables, lists every
+# Lbq_*__* unit of a lib/ library that the walk never reaches, and fails
+# if there is one.  It reads compiled imports, not source, so comments
+# and local module aliases do not count as uses (tools/unshipped_guard.py).
+unshipped-guard:
+	dune build @all
+	python3 tools/unshipped_guard.py
+
 # The oracle guard, then the tier-1 gate plus the bench smoke: builds
-# everything, runs the full test suite, and drives every bench suite
+# everything, checks that every lib/ module is shipped (unshipped-guard),
+# runs the full test suite, and drives every bench suite
 # once at toy parameters, which fails on any bench assertion or floor
 # (see bench-quick).  Last, the layered benchmark's smoke run
 # (perfbench/run.py --smoke): it must still build against the library
@@ -45,6 +57,7 @@ oracle-guard:
 check:
 	$(MAKE) oracle-guard
 	dune build @all
+	$(MAKE) unshipped-guard
 	dune runtest
 	$(MAKE) bench-quick
 	python3 perfbench/run.py --smoke

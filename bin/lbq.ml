@@ -1,7 +1,7 @@
 (* lbq — command-line front end.
 
      lbq demo      one protocol round over a synthetic city
-     lbq walk      repeated rounds along a random walk
+     lbq walk      nearest-POI queries along a random walk
      lbq serve     sustained multi-tenant load over sharded worker domains
      lbq backends  one round through each pluggable PIR backend
      lbq groupgen  generate fresh Schnorr group parameters
@@ -158,17 +158,23 @@ let walk preset seed db prewarm steps =
       Synth.walk ~seed:(seed ^ "-walk") ~area ~steps
         ~stride:(Coord.Rect.width area /. 8.) ()
     in
+    let info = Server.public_info server in
     with_keypool ~prewarm ~seed ~params server (fun pool ->
+        let run ~position = Protocol.run_round ?pool client server ~position in
         List.iteri
           (fun i position ->
-            let result = Protocol.run_round ?pool client server ~position in
-            match Nn.nearest ~from:position result.Protocol.pois with
-            | Some p ->
-              Format.printf "step %2d %a: nearest %a (%.0f m)@." i Coord.pp
-                position Poi.pp p
+            match Queries.nearest info run ~position with
+            | Some (p, r) ->
+              Format.printf "step %2d %a: nearest %a (%.0f m), %s, %d rounds@."
+                i Coord.pp position Poi.pp p
                 (Coord.distance position (Poi.position p))
+                (if r.Queries.exact then
+                   Printf.sprintf "exact within %.0f m" r.Queries.radius
+                 else "not certified")
+                r.Queries.rounds
             | None ->
-              Format.printf "step %2d %a: cell empty@." i Coord.pp position)
+              Format.printf "step %2d %a: neighbourhood empty@." i Coord.pp
+                position)
           path;
         `Ok ())
   end
@@ -178,7 +184,10 @@ let walk_cmd =
     Arg.(value & opt int 5 & info [ "steps" ] ~doc:"Number of walk steps.")
   in
   Cmd.v
-    (Cmd.info "walk" ~doc:"Repeated private queries along a random walk.")
+    (Cmd.info "walk"
+       ~doc:"Private nearest-POI queries along a random walk: each step \
+             fetches the 3x3 private-cell neighbourhood in a fixed number of \
+             rounds and prints the radius within which the answer is exact.")
     Term.(ret (const walk $ preset_arg $ seed_arg $ db_arg $ prewarm_arg $ steps))
 
 (* ------------------------------------------------------------------ *)

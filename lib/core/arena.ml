@@ -89,14 +89,3 @@ let fetch ?clock ?(metrics = Counters.null) ~rand ~backend t
       raise (Client.Protocol_error "arena stage 2: corrupt block")
   in
   (List.filter (fun p -> not (Poi.is_dummy p)) pois, round)
-
-(* One full round with the stage-2 carrier chosen at runtime: stage 1 is
-   the ordinary oblivious transfer against the arena's server; stage 2
-   goes through [backend]. *)
-let run_round ?clock ?metrics ~backend t (client : Client.t)
-    ~(position : Coord.t) ~rand : Poi.t list * Instance.round =
-  let cell = Client.locate client position in
-  let st1, ot_query = Client.stage1_query client cell in
-  let ot_resp = Server.ot_respond t.server ot_query in
-  let cred = Client.stage1_decode client st1 ot_resp in
-  fetch ?clock ?metrics ~rand ~backend t cred

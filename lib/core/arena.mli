@@ -40,10 +40,3 @@ val instance : t -> backend:string -> Instance.t
 val fetch :
   ?clock:(unit -> float) -> ?metrics:Counters.t -> rand:(int -> string) ->
   backend:string -> t -> Client.credential -> Poi.t list * Instance.round
-
-(** One full round — OT stage 1 against the arena's server, stage 2
-    through [backend]. *)
-val run_round :
-  ?clock:(unit -> float) -> ?metrics:Counters.t -> backend:string -> t ->
-  Client.t -> position:Coord.t -> rand:(int -> string) ->
-  Poi.t list * Instance.round

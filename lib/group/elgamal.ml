@@ -1,64 +1,8 @@
-(* ElGamal over a Schnorr group (ElGamal 1985), in the two flavours the
-   protocol needs:
-
-   - standard:     E(m)   = (g^r, m * y^r)        for group-element messages
-   - exponential:  E_x(m) = (g^r, g^m * y^r)      as used by the paper's OT,
-                                                  where m is a small exponent
-
-   Ciphertexts are pairs (a, b) of subgroup elements. *)
+(* ElGamal ciphertexts (ElGamal 1985) over a Schnorr group: pairs (a, b)
+   of subgroup elements.  The paper's OT query is the exponential
+   flavour E_x(m) = (g^r, g^m * y^r); Ot computes both components itself,
+   so only the pair type lives here. *)
 
 open Lbq_bignum
 
 type ciphertext = { a : Z.t; b : Z.t }
-
-type public_key = { group : Schnorr.t; y : Z.t }
-
-type private_key = { pub : public_key; x : Z.t }
-
-let public_of_private sk = sk.pub
-
-(* y = g^x with x uniform in [1, q). *)
-let keygen group rand =
-  let x = Z.random_unit ~bound:(Schnorr.q group) rand in
-  { pub = { group; y = Schnorr.pow_g group x }; x }
-
-(* Deterministic variant used when the caller must know x (the paper's user
-   computes (U)^x during OT decode). *)
-let keygen_with_secret group ~x =
-  let x = Z.erem x (Schnorr.q group) in
-  if Z.is_zero x then invalid_arg "Elgamal.keygen_with_secret: x = 0 mod q";
-  { pub = { group; y = Schnorr.pow_g group x }; x }
-
-let secret sk = sk.x
-
-let encrypt pk ~rand (m : Z.t) : ciphertext =
-  let group = pk.group in
-  if not (Schnorr.mem group m) then invalid_arg "Elgamal.encrypt: not a group element";
-  let r = Z.random_unit ~bound:(Schnorr.q group) rand in
-  { a = Schnorr.pow_g group r; b = Schnorr.mul group m (Schnorr.pow group pk.y r) }
-
-let decrypt sk (c : ciphertext) : Z.t =
-  let group = sk.pub.group in
-  Schnorr.div group c.b (Schnorr.pow group c.a sk.x)
-
-(* Exponential flavour: message is an integer exponent (possibly negative,
-   as in the paper's query g^{-i} y^{r}).  b = g^m * y^r runs on one
-   Straus ladder instead of two full exponentiations. *)
-let encrypt_exp pk ~rand (m : Z.t) : ciphertext =
-  let group = pk.group in
-  let r = Z.random_unit ~bound:(Schnorr.q group) rand in
-  { a = Schnorr.pow_g group r; b = Schnorr.pow2_g group (Z.erem m (Schnorr.q group)) pk.y r }
-
-(* Decrypting the exponential flavour yields g^m; recovering m itself needs
-   a discrete log and is only possible for small m. *)
-let decrypt_exp_to_group sk c = decrypt sk c
-
-(* Homomorphic operations (multiplicative; additive on exponents). *)
-let cmul group c1 c2 =
-  { a = Schnorr.mul group c1.a c2.a; b = Schnorr.mul group c1.b c2.b }
-
-let cpow group c e =
-  { a = Schnorr.pow group c.a e; b = Schnorr.pow group c.b e }
-
-(* Multiply the plaintext by a known group element without rerandomising. *)
-let cmul_plain group c m = { a = c.a; b = Schnorr.mul group c.b m }

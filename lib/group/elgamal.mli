@@ -1,44 +1,10 @@
-(** ElGamal encryption over a {!Schnorr} group.
+(** ElGamal ciphertexts over a {!Schnorr} group.
 
-    Two flavours: standard (group-element messages) and exponential
-    ([E(m) = (g^r, g^m y^r)]), the latter being what the paper's oblivious
-    transfer queries use. *)
+    The paper's oblivious transfer sends exponential-ElGamal
+    encryptions [(g^r, g^{-i} y^r)] of the user's row and column;
+    {!Lbq_ot.Ot} builds and consumes them, {!Lbq_core.Wire} encodes
+    them. *)
 
 open Lbq_bignum
 
 type ciphertext = { a : Z.t; b : Z.t }
-
-type public_key = { group : Schnorr.t; y : Z.t }
-
-type private_key
-
-val public_of_private : private_key -> public_key
-val secret : private_key -> Z.t
-
-val keygen : Schnorr.t -> (int -> string) -> private_key
-
-(** Key pair with a caller-chosen secret (reduced mod q, must be nonzero). *)
-val keygen_with_secret : Schnorr.t -> x:Z.t -> private_key
-
-(** Standard flavour; the message must be a subgroup element. *)
-val encrypt : public_key -> rand:(int -> string) -> Z.t -> ciphertext
-
-val decrypt : private_key -> ciphertext -> Z.t
-
-(** Exponential flavour: encrypts [g^m] for an integer exponent [m]
-    (negative allowed — reduced mod q, as in the paper's [g^{-i} y^r]). *)
-val encrypt_exp : public_key -> rand:(int -> string) -> Z.t -> ciphertext
-
-(** Decryption of the exponential flavour returns the group element [g^m]. *)
-val decrypt_exp_to_group : private_key -> ciphertext -> Z.t
-
-(** {1 Homomorphic operations} *)
-
-(** Componentwise product: plaintexts multiply (exponents add). *)
-val cmul : Schnorr.t -> ciphertext -> ciphertext -> ciphertext
-
-(** Componentwise power: plaintext raised to [e] (exponent scaled). *)
-val cpow : Schnorr.t -> ciphertext -> Z.t -> ciphertext
-
-(** Multiply the plaintext by a known group element (no rerandomisation). *)
-val cmul_plain : Schnorr.t -> ciphertext -> Z.t -> ciphertext

@@ -159,7 +159,15 @@ val ticket_latency_s : ticket -> float
     (tenant, seq, request), computed inline with no queues or workers.
     Concurrently served traffic is asserted byte-identical to it.  Stays
     in the library because the layered benchmark (perfbench/serve.ml)
-    calls it. *)
+    calls it.
+
+    Precondition: no update in flight.  A PIR reference is computed from
+    the shard's current state, not from a ticket's admission epoch, so
+    between {!submit_update} and the shard's fence it returns the old
+    epoch's bytes for a request the service answers from the new one.
+    Drain first — {!pump} in [spawn:false] mode, {!shutdown}, or wait
+    until [applied_epoch t = epoch t] — and compare only replies
+    admitted at that epoch. *)
 val respond_reference : t -> tenant:int -> seq:int -> request -> reply
 
 (** Stop accepting, drain backlogs, join the worker domains.

@@ -100,11 +100,6 @@ module Tree = struct
     t.e <- (if Z.geq e t.m then Z.sub e t.m else e)
 end
 
-(* One-shot solve: build a tree and read its solution.  Callers that
-   will update later hold the Tree instead. *)
-let solve (congruences : (Z.t * Z.t) list) : Z.t =
-  Tree.solve (Tree.build congruences)
-
 (* Verification helper: does [x] satisfy every congruence? *)
 let check (x : Z.t) (congruences : (Z.t * Z.t) list) : bool =
   List.for_all (fun (r, m) -> Z.equal (Z.erem x m) (Z.erem r m)) congruences

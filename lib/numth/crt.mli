@@ -8,16 +8,18 @@ open Lbq_bignum
     wider than a leaf modulus; the tree keeps only per-leaf state (the
     modulus [pi_i], the current residue and [(M / pi_i)^{-1} mod pi_i])
     plus the product [M] and the solution.  The solution is the unique
-    one in [[0, M)], so a tree's answer equals the one-shot {!solve}
+    one in [[0, M)], so a tree's answer equals a freshly built tree's
     byte for byte after any update sequence. *)
 module Tree : sig
   type t
 
-  (** Solve [[(r1, m1); ...]] and keep what {!update_leaf} needs.
-      Raises [Invalid_argument] (same messages as {!solve}) when some
-      modulus is [<= 1] or the moduli are not pairwise coprime.  Every
-      modulus is checked [> 1] before any coprimality test, so when
-      both faults are present, ["Crt.solve: modulus <= 1"] wins. *)
+  (** Solve [[(r1, m1); ...]] for the smallest non-negative [x] with
+      [x = r_i (mod m_i)], and keep what {!update_leaf} needs.  Raises
+      [Invalid_argument "Crt.solve: modulus <= 1"] when some modulus is
+      [<= 1] and [Invalid_argument "Crt.solve: moduli not coprime"] when
+      the moduli are not pairwise coprime.  Every modulus is checked
+      [> 1] before any coprimality test, so the first wins when both
+      faults are present. *)
   val build : (Z.t * Z.t) list -> t
 
   (** Number of congruences (leaves). *)
@@ -41,16 +43,6 @@ module Tree : sig
       inversion.  Raises [Invalid_argument] when [i] is out of range. *)
   val update_leaf : t -> int -> Z.t -> unit
 end
-
-(** [solve [(r1, m1); ...]] is the smallest non-negative [x] with
-    [x = r_i (mod m_i)] for every pair, by the remainder-tree CRT of
-    {!Tree.build}: products of similar-size operands, which keep
-    Karatsuba/Toom effective as the congruence count grows, and no
-    inversion wider than a leaf modulus.  Thin wrapper over
-    {!Tree.build} + {!Tree.solve}.  Raises [Invalid_argument] when
-    some modulus is [<= 1] (checked first) or the moduli are not
-    pairwise coprime. *)
-val solve : (Z.t * Z.t) list -> Z.t
 
 (** Does [x] satisfy every congruence? *)
 val check : Z.t -> (Z.t * Z.t) list -> bool

@@ -1,9 +1,12 @@
 (* Integer factorisation: trial division plus Pollard's rho (Brent cycle
    finding).  Sized for the smooth / semi-smooth numbers this project
    meets — group orders like phi(N) = 4 q0 q1 p^c whose small factors we
-   want to enumerate — not for attacking RSA moduli. *)
+   want to enumerate — not for attacking RSA moduli.  Test-only: it
+   reproduces Appendix B's factorisation of phi(N) and feeds the general
+   Pohlig–Hellman oracle. *)
 
 open Lbq_bignum
+open Lbq_numth
 
 (* Pollard rho, Brent's cycle-finding variant with batched gcds; returns
    a non-trivial factor of composite odd n, or None if the bounded walk
@@ -103,6 +106,6 @@ let factor ?(attempts = 32) ?rand (n : Z.t) : (Z.t * int) list =
   Hashtbl.fold (fun _ (p, r) acc -> (p, !r) :: acc) counts []
   |> List.sort (fun (a, _) (b, _) -> Z.compare a b)
 
-(* Multiply a factorisation back together (testing helper). *)
+(* Multiply a factorisation back together. *)
 let recompose (factors : (Z.t * int) list) : Z.t =
   List.fold_left (fun acc (p, c) -> Z.mul acc (Z.pow p c)) Z.one factors

@@ -12,5 +12,5 @@ val rho_once : ?max_iters:int -> Z.t -> seed:int -> Z.t option
     [Failure] when a composite cofactor resists [attempts] rho walks. *)
 val factor : ?attempts:int -> ?rand:(int -> string) -> Z.t -> (Z.t * int) list
 
-(** Inverse of {!factor} (testing helper). *)
+(** Inverse of {!factor}. *)
 val recompose : (Z.t * int) list -> Z.t

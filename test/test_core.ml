@@ -130,9 +130,12 @@ let test_arena_backends_agree () =
     (fun position ->
       List.iter
         (fun backend ->
-          let pois, round =
-            Arena.run_round ~backend arena client ~position ~rand
+          let cell = Client.locate client position in
+          let st1, ot_query = Client.stage1_query client cell in
+          let cred =
+            Client.stage1_decode client st1 (Server.ot_respond server ot_query)
           in
+          let pois, round = Arena.fetch ~rand ~backend arena cred in
           Alcotest.(check (list poit))
             (Format.asprintf "%s %a" backend Coord.pp position)
             (expected_pois position) pois;
@@ -515,26 +518,27 @@ let test_paper_scale_round () =
    | _ -> Alcotest.fail "transcript shape")
 
 (* ------------------------------------------------------------------ *)
-(* Deployment: user-chosen cloaking regions                             *)
+(* A user-chosen cloaking region (§III-B)                               *)
 (* ------------------------------------------------------------------ *)
 
-let deployment =
-  Deployment.create ~base:params ~min_rows:4 ~min_cols:4 ~coverage:area pois
-
-let test_deployment_register_and_round () =
-  (* A user picks her own square CR and a grid above the minimum. *)
+(* §III-B has the user pick the square cloaking region and register it
+   with the LS, which partitions and serves the POIs inside it as a
+   deployment of its own. *)
+let test_cloaking_region_round () =
   let cr =
     Coord.Rect.square_around ~bound:area ~side:2000. (Coord.make ~x:800. ~y:900.)
   in
-  let id, info = Deployment.register deployment ~cr ~rows:5 ~cols:5 in
+  let local =
+    List.filter (fun p -> Coord.Rect.contains cr (Poi.position p)) pois
+  in
+  let cr_server = Server.create params ~area:cr local in
+  let info = Server.public_info cr_server in
   let duser = Client.create ~seed:"cr-user" info in
   let position = Coord.make ~x:800. ~y:900. in
-  let result =
-    Protocol.run_round duser (Deployment.instance deployment id) ~position
-  in
+  let result = Protocol.run_round duser cr_server ~position in
   (* The answer must contain exactly the POIs of her private cell in the
      CR-local partition. *)
-  let part = Server.partition (Deployment.instance deployment id) in
+  let part = Server.partition cr_server in
   let cell = Grid.cell_of_coord info.Server.public_grid position in
   let idq = Grid.associate info.Server.public_grid part cell in
   let expected =
@@ -549,47 +553,6 @@ let test_deployment_register_and_round () =
         (Coord.Rect.contains cr (Poi.position p)))
     result.Protocol.pois
 
-let test_deployment_two_users_independent () =
-  let cr1 =
-    Coord.Rect.square_around ~bound:area ~side:1500. (Coord.make ~x:500. ~y:500.)
-  in
-  let cr2 =
-    Coord.Rect.square_around ~bound:area ~side:1500.
-      (Coord.make ~x:2500. ~y:2500.)
-  in
-  let before = Deployment.instance_count deployment in
-  let id1, info1 = Deployment.register deployment ~cr:cr1 ~rows:4 ~cols:4 in
-  let id2, info2 = Deployment.register deployment ~cr:cr2 ~rows:6 ~cols:6 in
-  Alcotest.(check int) "two instances" (before + 2)
-    (Deployment.instance_count deployment);
-  Alcotest.(check bool) "distinct ids" true (id1 <> id2);
-  (* The masked tables are independent (different keys). *)
-  Alcotest.(check bool) "independent tables" false
-    (String.equal info1.Server.masked_table.(0).(0)
-       info2.Server.masked_table.(0).(0));
-  Deployment.retire deployment id1;
-  Alcotest.(check int) "retired" (before + 1)
-    (Deployment.instance_count deployment);
-  (match Deployment.instance deployment id1 with
-   | _ -> Alcotest.fail "retired instance still served"
-   | exception Deployment.Rejected _ -> ())
-
-let test_deployment_rejections () =
-  (* Below the server minimum. *)
-  (match Deployment.register deployment
-           ~cr:(Coord.Rect.square_around ~bound:area ~side:1000.
-                  (Coord.make ~x:500. ~y:500.))
-           ~rows:2 ~cols:2 with
-   | _ -> Alcotest.fail "under-minimum grid accepted"
-   | exception Deployment.Rejected _ -> ());
-  (* Outside the coverage. *)
-  (match Deployment.register deployment
-           ~cr:(Coord.Rect.make ~min:(Coord.make ~x:2000. ~y:2000.)
-                  ~max:(Coord.make ~x:4000. ~y:4000.))
-           ~rows:5 ~cols:5 with
-   | _ -> Alcotest.fail "out-of-coverage CR accepted"
-   | exception Deployment.Rejected _ -> ())
-
 (* ------------------------------------------------------------------ *)
 (* Queries: k-NN over the round primitive                               *)
 (* ------------------------------------------------------------------ *)
@@ -599,10 +562,11 @@ let run_fn ~position = Protocol.run_round client server ~position
 let global_knn ~k ~position = Nn.k_nearest ~k ~from:position pois
 
 let test_knn_own_cell_sufficient () =
-  (* Standing on top of a POI in the cell interior: one round, exact. *)
+  (* Standing on top of a POI in the cell interior: exact, and still the
+     full block of rounds. *)
   let position = Coord.make ~x:210. ~y:310. in
   let r = Queries.k_nearest public run_fn ~k:1 ~position in
-  Alcotest.(check int) "one round" 1 r.Queries.rounds;
+  Alcotest.(check int) "block rounds" Queries.block_rounds r.Queries.rounds;
   Alcotest.(check bool) "exact" true r.Queries.exact;
   Alcotest.(check (list poit)) "matches global"
     (global_knn ~k:1 ~position) r.Queries.pois
@@ -636,49 +600,55 @@ let test_knn_exact_implies_global () =
     [ 210., 310., 1; 1500., 1500., 2; 2600., 450., 1; 995., 300., 3;
       50., 2950., 2 ]
 
+(* What the LS sees of a query is its number of rounds.  It must not
+   depend on where the user stands (corner, edge or interior of the
+   grid) nor on whether the answer certifies. *)
+let test_knn_rounds_position_independent () =
+  let calls = ref 0 in
+  let counted ~position = incr calls; run_fn ~position in
+  let spent ?widen ~k (x, y) =
+    calls := 0;
+    let r =
+      Queries.k_nearest ?widen public counted ~k ~position:(Coord.make ~x ~y)
+    in
+    Alcotest.(check int) "rounds reported = rounds run" !calls r.Queries.rounds;
+    r
+  in
+  let corner = 10., 10. and edge = 1500., 10. and interior = 1500., 1500. in
+  List.iter
+    (fun at ->
+      let certified = spent ~k:1 at in
+      Alcotest.(check bool) "certified" true certified.Queries.exact;
+      Alcotest.(check int) "certified rounds" Queries.block_rounds
+        certified.Queries.rounds;
+      (* More neighbours than the city holds: never certifiable. *)
+      let uncertified = spent ~k:(List.length pois + 1) at in
+      Alcotest.(check bool) "uncertified" false uncertified.Queries.exact;
+      Alcotest.(check int) "uncertified rounds" Queries.block_rounds
+        uncertified.Queries.rounds;
+      Alcotest.(check int) "narrow rounds" 1
+        (spent ~widen:false ~k:1 at).Queries.rounds)
+    [ corner; edge; interior ]
+
+(* A position whose public cell is associated with the neighbouring
+   private cell: the round at the true position returns that
+   neighbour's block, and the own cell must still be fetched. *)
+let test_knn_own_cell_served_elsewhere () =
+  (* Public column 1 spans x in [600, 1200) with its centre at x = 900,
+     in private column 0; the user stands in private column 1, 50 m
+     from cafe-01 at (1200, 300). *)
+  let position = Coord.make ~x:1150. ~y:300. in
+  let r = Queries.k_nearest public run_fn ~k:1 ~position in
+  Alcotest.(check (list poit)) "matches global"
+    (global_knn ~k:1 ~position) r.Queries.pois;
+  let narrow = Queries.k_nearest ~widen:false public run_fn ~k:1 ~position in
+  Alcotest.(check bool) "narrow not certified" false narrow.Queries.exact
+
 let test_knn_bad_k () =
   Alcotest.check_raises "k = 0" (Invalid_argument "Queries.k_nearest: k <= 0")
     (fun () ->
       ignore (Queries.k_nearest public run_fn ~k:0
                 ~position:(Coord.make ~x:1. ~y:1.)))
-
-(* ------------------------------------------------------------------ *)
-(* Audit (equivocation detection)                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_audit_commit_verify () =
-  let c = Audit.commit public in
-  Alcotest.(check bool) "self verify" true (Audit.verify_info c public);
-  (* A different seed produces different keys, a different masked table,
-     and therefore a different root: equivocation is visible. *)
-  let params2 = Params.test ~seed:"equivocation" () in
-  let server2 = Server.create params2 ~area pois in
-  let c2 = Audit.commit (Server.public_info server2) in
-  Alcotest.(check bool) "different table, different root" false
-    (String.equal c.Audit.root c2.Audit.root);
-  Alcotest.(check bool) "cross verify fails" false
-    (Audit.verify_info c (Server.public_info server2))
-
-let test_audit_cell_proofs () =
-  let c = Audit.commit public in
-  for row = 0 to params.Params.public_rows - 1 do
-    for col = 0 to params.Params.public_cols - 1 do
-      let proof = Audit.prove_cell public ~row ~col in
-      if not (Audit.verify_cell c ~row ~col proof) then
-        Alcotest.failf "cell (%d,%d) proof failed" row col
-    done
-  done;
-  (* Position binding: a valid proof for (0,0) must not verify as (1,1). *)
-  let proof = Audit.prove_cell public ~row:0 ~col:0 in
-  Alcotest.(check bool) "position binding" false
-    (Audit.verify_cell c ~row:1 ~col:1 proof);
-  (* A proof from a different server's table must not verify. *)
-  let server2 =
-    Server.create (Params.test ~seed:"other" ()) ~area pois
-  in
-  let foreign = Audit.prove_cell (Server.public_info server2) ~row:0 ~col:0 in
-  Alcotest.(check bool) "foreign proof" false
-    (Audit.verify_cell c ~row:0 ~col:0 foreign)
 
 (* ------------------------------------------------------------------ *)
 (* Server-side request validation (adversarial inputs)                  *)
@@ -846,10 +816,7 @@ let () =
            test_paper_scale_round ]);
       ("deployment",
        [ Alcotest.test_case "register and round" `Quick
-           test_deployment_register_and_round;
-         Alcotest.test_case "two users independent" `Quick
-           test_deployment_two_users_independent;
-         Alcotest.test_case "rejections" `Quick test_deployment_rejections ]);
+           test_cloaking_region_round ]);
       ("queries",
        [ Alcotest.test_case "own cell sufficient" `Quick
            test_knn_own_cell_sufficient;
@@ -857,10 +824,11 @@ let () =
            test_knn_neighbor_cell_needed;
          Alcotest.test_case "exact implies global" `Slow
            test_knn_exact_implies_global;
+         Alcotest.test_case "rounds independent of position" `Slow
+           test_knn_rounds_position_independent;
+         Alcotest.test_case "own cell served elsewhere" `Quick
+           test_knn_own_cell_served_elsewhere;
          Alcotest.test_case "bad k" `Quick test_knn_bad_k ]);
-      ("audit",
-       [ Alcotest.test_case "commit/verify" `Quick test_audit_commit_verify;
-         Alcotest.test_case "cell proofs" `Quick test_audit_cell_proofs ]);
       ("validation",
        [ Alcotest.test_case "adversarial inputs rejected" `Quick
            test_server_validation_rejections ]);

@@ -185,50 +185,6 @@ let test_drbg_chunks () =
   Alcotest.(check string) "chunking invariant" s2 s1
 
 (* ------------------------------------------------------------------ *)
-(* Merkle                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let leaves_of n = List.init n (fun i -> Printf.sprintf "leaf-%03d" i)
-
-let test_merkle_all_proofs () =
-  (* Every leaf of trees of many sizes (including odd ones) verifies. *)
-  List.iter
-    (fun n ->
-      let leaves = leaves_of n in
-      let root = Merkle.root leaves in
-      List.iteri
-        (fun i leaf ->
-          let proof = Merkle.prove leaves ~index:i in
-          if not (Merkle.verify ~root ~leaf proof) then
-            Alcotest.failf "size %d leaf %d failed" n i;
-          Alcotest.(check int) "index" i (Merkle.proof_index proof))
-        leaves)
-    [ 1; 2; 3; 4; 5; 7; 8; 13; 16; 17 ]
-
-let test_merkle_rejects () =
-  let leaves = leaves_of 9 in
-  let root = Merkle.root leaves in
-  let proof = Merkle.prove leaves ~index:4 in
-  Alcotest.(check bool) "wrong leaf" false
-    (Merkle.verify ~root ~leaf:"leaf-005" proof);
-  (* Same leaves, one changed: different root. *)
-  let leaves' = List.mapi (fun i l -> if i = 7 then "evil" else l) leaves in
-  Alcotest.(check bool) "tampered tree" false
-    (String.equal root (Merkle.root leaves'));
-  (* Leaf/node domain separation: a two-leaf tree's root differs from the
-     leaf hash of the concatenation. *)
-  Alcotest.(check bool) "domain separation" false
-    (String.equal (Merkle.root [ "ab" ]) (Merkle.root [ "a"; "b" ]));
-  Alcotest.check_raises "index range"
-    (Invalid_argument "Merkle.prove: index out of range") (fun () ->
-      ignore (Merkle.prove leaves ~index:9))
-
-let test_merkle_deterministic () =
-  let leaves = leaves_of 12 in
-  Alcotest.(check string) "stable root" (Merkle.root leaves) (Merkle.root leaves);
-  Alcotest.(check int) "root size" 32 (String.length (Merkle.root leaves))
-
-(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -284,10 +240,6 @@ let () =
          Alcotest.test_case "aes block" `Quick test_aes_block;
          Alcotest.test_case "aes ctr" `Quick test_aes_ctr;
          Alcotest.test_case "bytes_util" `Quick test_bytes_util ]);
-      ("merkle",
-       [ Alcotest.test_case "all proofs verify" `Quick test_merkle_all_proofs;
-         Alcotest.test_case "rejections" `Quick test_merkle_rejects;
-         Alcotest.test_case "deterministic" `Quick test_merkle_deterministic ]);
       ("drbg",
        [ Alcotest.test_case "determinism" `Quick test_drbg_determinism;
          Alcotest.test_case "split" `Quick test_drbg_split;

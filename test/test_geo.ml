@@ -433,67 +433,6 @@ let test_churn_stream () =
     a
 
 (* ------------------------------------------------------------------ *)
-(* Quadtree                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let city_pois =
-  Synth.generate ~seed:"quadtree"
-    (Synth.city ~side:1000. ~count:400 ~clusters:5 ())
-
-let qt_area =
-  Coord.Rect.make ~min:(Coord.make ~x:0. ~y:0.)
-    ~max:(Coord.make ~x:1000. ~y:1000.)
-
-let test_quadtree_basics () =
-  let t = Quadtree.build ~area:qt_area city_pois in
-  Alcotest.(check int) "size" 400 (Quadtree.size t);
-  Alcotest.check_raises "outside"
-    (Invalid_argument "Quadtree.build: POI outside the area") (fun () ->
-      ignore
-        (Quadtree.build ~area:qt_area
-           [ Poi.make ~id:1 ~position:(Coord.make ~x:(-5.) ~y:0.)
-               ~category:"c" ~name:"n" ]));
-  (* Dummies are excluded. *)
-  let t2 = Quadtree.build ~area:qt_area [ Poi.dummy ~id:1 ] in
-  Alcotest.(check int) "dummies excluded" 0 (Quadtree.size t2)
-
-let test_quadtree_matches_nn () =
-  let t = Quadtree.build ~area:qt_area city_pois in
-  let probes =
-    [ 0., 0.; 500., 500.; 999., 999.; 123., 877.; 400., 12. ]
-  in
-  List.iter
-    (fun (x, y) ->
-      let from = Coord.make ~x ~y in
-      List.iter
-        (fun k ->
-          Alcotest.(check (list poit))
-            (Printf.sprintf "knn k=%d at (%.0f,%.0f)" k x y)
-            (Nn.k_nearest ~k ~from city_pois)
-            (Quadtree.k_nearest t ~k ~from))
-        [ 1; 3; 10; 500 ];
-      List.iter
-        (fun radius ->
-          Alcotest.(check (list poit))
-            (Printf.sprintf "within %.0f at (%.0f,%.0f)" radius x y)
-            (Nn.within ~radius ~from city_pois)
-            (Quadtree.within t ~radius ~from))
-        [ 0.; 50.; 200.; 2000. ])
-    probes
-
-let test_quadtree_coincident_points () =
-  (* Many POIs at the same position must not split forever. *)
-  let stack =
-    List.init 50 (fun i ->
-        Poi.make ~id:i ~position:(Coord.make ~x:10. ~y:10.) ~category:"c"
-          ~name:"n")
-  in
-  let t = Quadtree.build ~capacity:2 ~area:qt_area stack in
-  Alcotest.(check int) "all present" 50 (Quadtree.size t);
-  Alcotest.(check int) "knn finds them" 5
-    (List.length (Quadtree.k_nearest t ~k:5 ~from:(Coord.make ~x:0. ~y:0.)))
-
-(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -524,26 +463,6 @@ let props =
         let name = String.map (fun c -> if c = '\x00' then 'x' else c) name in
         let p = Poi.make ~id ~position:(Coord.make ~x ~y) ~category:"cat" ~name in
         Poi.equal p (Poi.decode (Poi.encode p)));
-    prop "quadtree knn = nn oracle on random sets" 60
-      (QCheck.make
-         QCheck.Gen.(triple (int_range 0 120) (int_range 1 8) (int_range 0 10000)))
-      (fun (n, k, seed) ->
-        let pois =
-          List.init n (fun i ->
-              Poi.make ~id:i
-                ~position:(Coord.make
-                             ~x:(float_of_int ((seed + (i * 131)) mod 1000))
-                             ~y:(float_of_int ((seed + (i * 797)) mod 800)))
-                ~category:"c" ~name:"n")
-        in
-        let t = Quadtree.build ~capacity:4 ~area pois in
-        let from =
-          Coord.make ~x:(float_of_int (seed mod 1000))
-            ~y:(float_of_int (seed mod 800))
-        in
-        List.equal Poi.equal
-          (Quadtree.k_nearest t ~k ~from)
-          (Nn.k_nearest ~k ~from pois));
     prop "poi_file line roundtrip" 100
       (QCheck.make
          QCheck.Gen.(quad (int_bound 100000) (float_bound_inclusive 999.)
@@ -620,11 +539,6 @@ let () =
          Alcotest.test_case "errors" `Quick test_log_errors ]);
       ("churn",
        [ Alcotest.test_case "stream" `Quick test_churn_stream ]);
-      ("quadtree",
-       [ Alcotest.test_case "basics" `Quick test_quadtree_basics;
-         Alcotest.test_case "matches nn oracle" `Quick test_quadtree_matches_nn;
-         Alcotest.test_case "coincident points" `Quick
-           test_quadtree_coincident_points ]);
       ("nn",
        [ Alcotest.test_case "basic" `Quick test_nn_basic;
          Alcotest.test_case "excludes dummies" `Quick test_nn_excludes_dummies ]);

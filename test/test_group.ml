@@ -1,5 +1,5 @@
-(* Tests for lbq_group: Schnorr group structure, ElGamal round-trips and
-   homomorphisms, Paillier round-trips and homomorphisms. *)
+(* Tests for lbq_group: Schnorr group structure, Paillier round-trips and
+   homomorphisms. *)
 
 open Lbq_bignum
 open Lbq_numth
@@ -167,66 +167,6 @@ let test_generate_small () =
   Alcotest.(check bool) "g in subgroup" true (Schnorr.mem g (Schnorr.g g))
 
 (* ------------------------------------------------------------------ *)
-(* ElGamal                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_elgamal_roundtrip () =
-  let sk = Elgamal.keygen grp rand in
-  let pk = Elgamal.public_of_private sk in
-  let m = Schnorr.pow_g grp (Z.of_int 99991) in
-  let c = Elgamal.encrypt pk ~rand m in
-  Alcotest.check z "dec(enc(m)) = m" m (Elgamal.decrypt sk c)
-
-let test_elgamal_exp_roundtrip () =
-  let sk = Elgamal.keygen grp rand in
-  let pk = Elgamal.public_of_private sk in
-  (* Negative exponents work: the paper's queries use g^{-i}. *)
-  List.iter
-    (fun i ->
-      let c = Elgamal.encrypt_exp pk ~rand (Z.of_int i) in
-      Alcotest.check z
-        (Printf.sprintf "g^%d" i)
-        (Schnorr.pow_g grp (Z.of_int i))
-        (Elgamal.decrypt_exp_to_group sk c))
-    [ 0; 1; 7; -3; -24 ]
-
-let test_elgamal_nondeterministic () =
-  let sk = Elgamal.keygen grp rand in
-  let pk = Elgamal.public_of_private sk in
-  let m = Schnorr.pow_g grp (Z.of_int 5) in
-  let c1 = Elgamal.encrypt pk ~rand m and c2 = Elgamal.encrypt pk ~rand m in
-  Alcotest.(check bool) "fresh randomness" false (Z.equal c1.Elgamal.a c2.Elgamal.a)
-
-let test_elgamal_homomorphic () =
-  let sk = Elgamal.keygen grp rand in
-  let pk = Elgamal.public_of_private sk in
-  let c1 = Elgamal.encrypt_exp pk ~rand (Z.of_int 11) in
-  let c2 = Elgamal.encrypt_exp pk ~rand (Z.of_int 31) in
-  Alcotest.check z "cmul adds exponents"
-    (Schnorr.pow_g grp (Z.of_int 42))
-    (Elgamal.decrypt sk (Elgamal.cmul grp c1 c2));
-  Alcotest.check z "cpow scales exponent"
-    (Schnorr.pow_g grp (Z.of_int 33))
-    (Elgamal.decrypt sk (Elgamal.cpow grp c1 (Z.of_int 3)));
-  let m = Schnorr.pow_g grp (Z.of_int 100) in
-  Alcotest.check z "cmul_plain"
-    (Schnorr.pow_g grp (Z.of_int 111))
-    (Elgamal.decrypt sk (Elgamal.cmul_plain grp c1 m))
-
-let test_elgamal_reject_nonmember () =
-  let sk = Elgamal.keygen grp rand in
-  let pk = Elgamal.public_of_private sk in
-  Alcotest.check_raises "non-member"
-    (Invalid_argument "Elgamal.encrypt: not a group element")
-    (fun () -> ignore (Elgamal.encrypt pk ~rand Z.two))
-
-let test_keygen_with_secret () =
-  let sk = Elgamal.keygen_with_secret grp ~x:(Z.of_int 49) in
-  Alcotest.check z "y = g^x"
-    (Schnorr.pow_g grp (Z.of_int 49))
-    (Elgamal.public_of_private sk).Elgamal.y
-
-(* ------------------------------------------------------------------ *)
 (* Paillier                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -271,12 +211,7 @@ let prop name count arb f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
 
 let props =
-  [ prop "elgamal dec . enc = id" 30 QCheck.small_nat (fun e ->
-        let sk = Elgamal.keygen grp rand in
-        let pk = Elgamal.public_of_private sk in
-        let m = Schnorr.pow_g grp (Z.of_int e) in
-        Z.equal m (Elgamal.decrypt sk (Elgamal.encrypt pk ~rand m)));
-    prop "paillier dec . enc = id" 30
+  [ prop "paillier dec . enc = id" 30
       (QCheck.make QCheck.Gen.(int_range 0 1000000000))
       (fun m ->
         let m = Z.of_int m in
@@ -301,13 +236,6 @@ let () =
          Alcotest.test_case "stage-1 costs measured" `Quick test_stage1_costs_measured;
          Alcotest.test_case "of_params validation" `Quick test_of_params_validation;
          Alcotest.test_case "generate small" `Quick test_generate_small ]);
-      ("elgamal",
-       [ Alcotest.test_case "roundtrip" `Quick test_elgamal_roundtrip;
-         Alcotest.test_case "exp roundtrip" `Quick test_elgamal_exp_roundtrip;
-         Alcotest.test_case "nondeterministic" `Quick test_elgamal_nondeterministic;
-         Alcotest.test_case "homomorphic" `Quick test_elgamal_homomorphic;
-         Alcotest.test_case "reject non-member" `Quick test_elgamal_reject_nonmember;
-         Alcotest.test_case "keygen with secret" `Quick test_keygen_with_secret ]);
       ("paillier",
        [ Alcotest.test_case "roundtrip" `Quick test_paillier_roundtrip;
          Alcotest.test_case "homomorphic" `Quick test_paillier_homomorphic;

@@ -326,7 +326,8 @@ let test_crt_paper_example () =
   let congruences =
     [ Z.of_int 31, Z.of_int 49; Z.of_int 51, Z.of_int 121; Z.of_int 68, Z.of_int 169 ]
   in
-  Alcotest.check z "e = 17475" (Z.of_int 17475) (Crt.solve congruences);
+  Alcotest.check z "e = 17475" (Z.of_int 17475)
+    (Lbq_oracle.Crt.solve congruences);
   Alcotest.(check bool) "check" true (Crt.check (Z.of_int 17475) congruences)
 
 let test_crt_tree_update () =
@@ -337,7 +338,7 @@ let test_crt_tree_update () =
   let congruences = List.mapi (fun i m -> (Z.of_int (i * 17), m)) moduli in
   let tree = Crt.Tree.build congruences in
   Alcotest.(check int) "size" 7 (Crt.Tree.size tree);
-  Alcotest.check z "build = solve" (Crt.solve congruences)
+  Alcotest.check z "build = solve" (Lbq_oracle.Crt.solve congruences)
     (Crt.Tree.solve tree);
   Alcotest.check z "modulus = product"
     (List.fold_left Z.mul Z.one moduli)
@@ -355,7 +356,7 @@ let test_crt_tree_update () =
       Crt.Tree.update_leaf tree i (Z.of_int r);
       Alcotest.check z
         (Printf.sprintf "update leaf %d <- %d" i r)
-        (Crt.solve (Array.to_list current))
+        (Lbq_oracle.Crt.solve (Array.to_list current))
         (Crt.Tree.solve tree))
     (* the 500s exceed their moduli: update_leaf must reduce *)
     [ (0, 5); (6, 11); (3, 100); (0, 48); (2, 500); (5, 500); (1, 120) ];
@@ -374,11 +375,11 @@ let test_crt_tree_update () =
 let test_crt_errors () =
   Alcotest.check_raises "non-coprime"
     (Invalid_argument "Crt.solve: moduli not coprime") (fun () ->
-      ignore (Crt.solve [ Z.one, Z.of_int 6; Z.zero, Z.of_int 4 ]));
+      ignore (Lbq_oracle.Crt.solve [ Z.one, Z.of_int 6; Z.zero, Z.of_int 4 ]));
   Alcotest.check_raises "modulus 1"
     (Invalid_argument "Crt.solve: modulus <= 1") (fun () ->
-      ignore (Crt.solve [ Z.zero, Z.one ]));
-  Alcotest.check z "empty" Z.zero (Crt.solve [])
+      ignore (Lbq_oracle.Crt.solve [ Z.zero, Z.one ]));
+  Alcotest.check z "empty" Z.zero (Lbq_oracle.Crt.solve [])
 
 (* ------------------------------------------------------------------ *)
 (* Jacobi                                                              *)
@@ -420,11 +421,11 @@ let test_appendix_b_dlog () =
   let mctx = Montgomery.create n in
   let alpha = Z.of_int 474959247 and beta = Z.of_int 65281917 in
   Alcotest.check zopt "brute" (Some (Z.of_int 31))
-    (Dlog.brute n ~base:alpha ~target:beta ~bound:(Z.of_int 49));
+    (Lbq_oracle.Dlog.brute n ~base:alpha ~target:beta ~bound:(Z.of_int 49));
   Alcotest.check zopt "bsgs" (Some (Z.of_int 31))
-    (Dlog.bsgs n ~base:alpha ~target:beta ~order:(Z.of_int 49));
+    (Lbq_oracle.Dlog.bsgs n ~base:alpha ~target:beta ~order:(Z.of_int 49));
   Alcotest.check zopt "pohlig-hellman" (Some (Z.of_int 31))
-    (Dlog.pohlig_hellman_prime_power mctx ~base:alpha ~target:beta
+    (Lbq_oracle.Dlog.pohlig_hellman_prime_power mctx ~base:alpha ~target:beta
        ~p:(Z.of_int 7) ~c:2)
 
 let test_table_v () =
@@ -458,7 +459,7 @@ let test_dlog_random_small () =
   for x = 0 to 20 do
     let x = x * 41 in
     let target = Montgomery.powm ctx g (Z.of_int x) in
-    match Dlog.bsgs p ~base:g ~target ~order:(Z.pred p) with
+    match Lbq_oracle.Dlog.bsgs p ~base:g ~target ~order:(Z.pred p) with
     | None -> Alcotest.failf "bsgs failed for x=%d" x
     | Some x' ->
       (* g may not be primitive; check g^x' = target instead of x = x'. *)
@@ -485,7 +486,8 @@ let test_dlog_prime_power_big () =
   let secret = Z.erem secret pi in
   let target = Montgomery.powm mctx h secret in
   Alcotest.check zopt "recovers secret" (Some secret)
-    (Dlog.pohlig_hellman_prime_power mctx ~base:h ~target ~p:(Z.of_int 3) ~c:20)
+    (Lbq_oracle.Dlog.pohlig_hellman_prime_power mctx ~base:h ~target
+       ~p:(Z.of_int 3) ~c:20)
 
 let test_dlog_solver_reuse () =
   (* One Prime_power_solver must serve many targets (the PIR client
@@ -513,8 +515,8 @@ let test_dlog_solver_reuse () =
         (Some secret)
         (Dlog.Prime_power_solver.solve solver target);
       Alcotest.check zopt "matches one-shot" (Some secret)
-        (Dlog.pohlig_hellman_prime_power mctx ~base:h ~target ~p:(Z.of_int 3)
-           ~c:12))
+        (Lbq_oracle.Dlog.pohlig_hellman_prime_power mctx ~base:h ~target
+           ~p:(Z.of_int 3) ~c:12))
     [ 0; 1; 2; 531440; 265720; 77777; 300000 ]
 
 let test_dlog_composite_order () =
@@ -527,7 +529,7 @@ let test_dlog_composite_order () =
     (fun x ->
       let target = Montgomery.powm mctx g (Z.of_int x) in
       Alcotest.check zopt (Printf.sprintf "x=%d" x) (Some (Z.of_int x))
-        (Dlog.pohlig_hellman mctx ~base:g ~target ~factors))
+        (Lbq_oracle.Dlog.pohlig_hellman mctx ~base:g ~target ~factors))
     [ 0; 1; 2; 100; 4097; 8099 ]
 
 let test_dlog_not_in_subgroup () =
@@ -536,8 +538,8 @@ let test_dlog_not_in_subgroup () =
   let mctx = Montgomery.create n in
   let alpha = Z.of_int 474959247 in
   Alcotest.check zopt "outside subgroup" None
-    (Dlog.pohlig_hellman_prime_power mctx ~base:alpha ~target:(Z.of_int 2)
-       ~p:(Z.of_int 7) ~c:2)
+    (Lbq_oracle.Dlog.pohlig_hellman_prime_power mctx ~base:alpha
+       ~target:(Z.of_int 2) ~p:(Z.of_int 7) ~c:2)
 
 (* Edge cases of the PIR decode: exponent-1 prime powers (c = 1 slots of
    the plan), the extreme residues 0 and pi - 1, and a single-congruence
@@ -553,12 +555,12 @@ let test_dlog_exponent_one () =
       Alcotest.check zopt
         (Printf.sprintf "c=1, x=%d" x)
         (Some (Z.of_int x))
-        (Dlog.pohlig_hellman_prime_power mctx ~base:alpha1 ~target
+        (Lbq_oracle.Dlog.pohlig_hellman_prime_power mctx ~base:alpha1 ~target
            ~p:(Z.of_int 7) ~c:1))
     [ 0; 1; 3; 6 ];
   (* Outside the subgroup: None even for c = 1. *)
   Alcotest.check zopt "c=1 outside subgroup" None
-    (Dlog.pohlig_hellman_prime_power mctx ~base:alpha1 ~target:Z.two
+    (Lbq_oracle.Dlog.pohlig_hellman_prime_power mctx ~base:alpha1 ~target:Z.two
        ~p:(Z.of_int 7) ~c:1)
 
 let test_dlog_extreme_residues () =
@@ -568,8 +570,8 @@ let test_dlog_extreme_residues () =
   let mctx = Montgomery.create n in
   let alpha = Z.of_int 474959247 in
   let solve target =
-    Dlog.pohlig_hellman_prime_power mctx ~base:alpha ~target ~p:(Z.of_int 7)
-      ~c:2
+    Lbq_oracle.Dlog.pohlig_hellman_prime_power mctx ~base:alpha ~target
+      ~p:(Z.of_int 7) ~c:2
   in
   Alcotest.check zopt "residue 0" (Some Z.zero) (solve Z.one);
   let last = Z.of_int 48 in
@@ -577,10 +579,10 @@ let test_dlog_extreme_residues () =
     (solve (Montgomery.powm mctx alpha last));
   (* bsgs agrees at both extremes. *)
   Alcotest.check zopt "bsgs residue 0" (Some Z.zero)
-    (Dlog.bsgs n ~base:alpha ~target:Z.one ~order:(Z.of_int 49));
+    (Lbq_oracle.Dlog.bsgs n ~base:alpha ~target:Z.one ~order:(Z.of_int 49));
   Alcotest.check zopt "bsgs residue pi-1" (Some last)
-    (Dlog.bsgs n ~base:alpha ~target:(Montgomery.powm mctx alpha last)
-       ~order:(Z.of_int 49))
+    (Lbq_oracle.Dlog.bsgs n ~base:alpha
+       ~target:(Montgomery.powm mctx alpha last) ~order:(Z.of_int 49))
 
 (* Fault order at depth: a shared factor between leaves in opposite
    halves of an 8-leaf tree is caught (only the leaf inversions see it),
@@ -591,13 +593,13 @@ let test_crt_fault_order () =
   let deep = system [ 7; 9; 11; 13; 17; 19; 15; 23 ] in
   Alcotest.check_raises "9 and 15 at positions 1 and 6"
     (Invalid_argument "Crt.solve: moduli not coprime") (fun () ->
-      ignore (Crt.solve deep));
+      ignore (Lbq_oracle.Crt.solve deep));
   Alcotest.check_raises "tree build, same message"
     (Invalid_argument "Crt.solve: moduli not coprime") (fun () ->
       ignore (Crt.Tree.build deep));
   Alcotest.check_raises "modulus <= 1 wins over a non-coprime front pair"
     (Invalid_argument "Crt.solve: modulus <= 1") (fun () ->
-      ignore (Crt.solve (system [ 6; 4; 5; 7; 1 ])));
+      ignore (Lbq_oracle.Crt.solve (system [ 6; 4; 5; 7; 1 ])));
   Alcotest.check_raises "zero modulus at the end"
     (Invalid_argument "Crt.solve: modulus <= 1") (fun () ->
       ignore (Crt.Tree.build (system [ 6; 4; 0 ])))
@@ -605,16 +607,16 @@ let test_crt_fault_order () =
 let test_crt_edge_cases () =
   (* A single congruence — the single-slot plan of a one-cell database. *)
   Alcotest.check z "single congruence" (Z.of_int 31)
-    (Crt.solve [ Z.of_int 31, Z.of_int 49 ]);
+    (Lbq_oracle.Crt.solve [ Z.of_int 31, Z.of_int 49 ]);
   (* Residue 0 everywhere and residue m - 1 everywhere. *)
   let moduli = [ Z.of_int 49; Z.of_int 121; Z.of_int 169 ] in
   Alcotest.check z "all zero" Z.zero
-    (Crt.solve (List.map (fun m -> (Z.zero, m)) moduli));
+    (Lbq_oracle.Crt.solve (List.map (fun m -> (Z.zero, m)) moduli));
   let prod = List.fold_left Z.mul Z.one moduli in
   Alcotest.check z "all m-1" (Z.pred prod)
-    (Crt.solve (List.map (fun m -> (Z.pred m, m)) moduli));
+    (Lbq_oracle.Crt.solve (List.map (fun m -> (Z.pred m, m)) moduli));
   (* Residues are reduced mod the product: result below the product. *)
-  let sol = Crt.solve (List.map (fun m -> (Z.pred m, m)) moduli) in
+  let sol = Lbq_oracle.Crt.solve (List.map (fun m -> (Z.pred m, m)) moduli) in
   Alcotest.(check bool) "canonical" true
     (Z.compare sol prod < 0 && Z.compare sol Z.zero >= 0)
 
@@ -654,7 +656,7 @@ let test_powm_cross_check () =
 
 let test_factor_appendix_phi () =
   (* Appendix B prints phi(N) = 554894620 = 2^2 * 5 * 7^2 * 17 * 19 * 1753. *)
-  let fs = Factor.factor ~rand (Z.of_int 554894620) in
+  let fs = Lbq_oracle.Factor.factor ~rand (Z.of_int 554894620) in
   let expected =
     [ Z.two, 2; Z.of_int 5, 1; Z.of_int 7, 2; Z.of_int 17, 1;
       Z.of_int 19, 1; Z.of_int 1753, 1 ]
@@ -675,8 +677,8 @@ let test_factor_structured () =
   in
   List.iter
     (fun n ->
-      let fs = Factor.factor ~rand n in
-      Alcotest.check z (Z.to_string n) n (Factor.recompose fs);
+      let fs = Lbq_oracle.Factor.factor ~rand n in
+      Alcotest.check z (Z.to_string n) n (Lbq_oracle.Factor.recompose fs);
       List.iter
         (fun (p, c) ->
           Alcotest.(check bool) "prime factor" true (Primality.is_prime ~rand p);
@@ -688,12 +690,12 @@ let test_factor_enables_dlog () =
   (* Factor a group order, then solve a dlog with general Pohlig-Hellman:
      the two modules compose. *)
   let p = Z.of_int 8101 in
-  let factors = Factor.factor ~rand (Z.pred p) in
+  let factors = Lbq_oracle.Factor.factor ~rand (Z.pred p) in
   let mctx = Montgomery.create p in
   let g = Z.of_int 6 in
   let target = Montgomery.powm mctx g (Z.of_int 1234) in
   Alcotest.check zopt "solved" (Some (Z.of_int 1234))
-    (Dlog.pohlig_hellman mctx ~base:g ~target ~factors)
+    (Lbq_oracle.Dlog.pohlig_hellman mctx ~base:g ~target ~factors)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -712,7 +714,7 @@ let props =
         let congruences =
           List.map (fun p -> Z.of_int (x mod p), Z.of_int p) ps
         in
-        let sol = Crt.solve congruences in
+        let sol = Lbq_oracle.Crt.solve congruences in
         Crt.check sol congruences);
     prop "crt product tree = sequential fold" 100
       (QCheck.make
@@ -728,7 +730,7 @@ let props =
         let congruences =
           List.map (fun m -> (Z.erem (Z.of_int x) m, m)) moduli
         in
-        let tree = Crt.solve congruences in
+        let tree = Lbq_oracle.Crt.solve congruences in
         Z.equal tree (Lbq_oracle.Crt_fold.solve congruences)
         && Crt.check tree congruences);
     prop "tree update_leaf = fresh solve" 60
@@ -745,7 +747,7 @@ let props =
             (List.map (fun m -> (Z.erem (Z.of_int x) m, m)) moduli)
         in
         let tree = Crt.Tree.build (Array.to_list current) in
-        let ok = ref (Z.equal (Crt.Tree.solve tree) (Crt.solve (Array.to_list current))) in
+        let ok = ref (Z.equal (Crt.Tree.solve tree) (Lbq_oracle.Crt.solve (Array.to_list current))) in
         for step = 0 to 7 do
           let i = (x + (step * 7)) mod k in
           let _, m = current.(i) in
@@ -754,7 +756,7 @@ let props =
           Crt.Tree.update_leaf tree i r;
           ok :=
             !ok
-            && Z.equal (Crt.Tree.solve tree) (Crt.solve (Array.to_list current))
+            && Z.equal (Crt.Tree.solve tree) (Lbq_oracle.Crt.solve (Array.to_list current))
         done;
         !ok && Crt.check (Crt.Tree.solve tree) (Array.to_list current));
     prop "crt tree = sequential fold on PIR plan slots" 40
@@ -810,7 +812,7 @@ let props =
         let p = Z.of_int 100003 in
         let g = Z.of_int 5 in
         let target = Z.mod_pow_naive g (Z.of_int x) p in
-        match Dlog.bsgs p ~base:g ~target ~order:(Z.pred p) with
+        match Lbq_oracle.Dlog.bsgs p ~base:g ~target ~order:(Z.pred p) with
         | None -> false
         | Some x' -> Z.equal target (Z.mod_pow_naive g x' p));
     prop "montgomery PH solver = plain-Z bsgs/brute" 25
@@ -846,10 +848,10 @@ let props =
         in
         let agrees target =
           let got = Dlog.Prime_power_solver.solve solver target in
-          let bsgs = Dlog.bsgs n ~base:h ~target ~order:pi in
+          let bsgs = Lbq_oracle.Dlog.bsgs n ~base:h ~target ~order:pi in
           let brute =
             if Z.leq pi (Z.of_int 2000) then
-              Dlog.brute n ~base:h ~target ~bound:pi
+              Lbq_oracle.Dlog.brute n ~base:h ~target ~bound:pi
             else bsgs
           in
           Option.equal Z.equal got bsgs && Option.equal Z.equal got brute

@@ -250,53 +250,6 @@ let test_ot_rejects_non_subgroup_query () =
     (fun () -> ignore (Ot.Server.respond server evil))
 
 (* ------------------------------------------------------------------ *)
-(* 1-D OT                                                               *)
-(* ------------------------------------------------------------------ *)
-
-module Ot1 = Lbq_ot.Ot1
-
-let test_ot1_roundtrip () =
-  let payloads = Array.init 7 (fun i -> Printf.sprintf "item-%02d-secret" i) in
-  let server = Ot1.Server.init ~group:grp ~rand payloads in
-  let masked = Ot1.Server.masked_table server in
-  Alcotest.(check int) "size" 7 (Ot1.Server.size server);
-  Alcotest.(check int) "payload len" (String.length payloads.(0))
-    (Ot1.Server.payload_len server);
-  for i = 0 to 6 do
-    let st, q = Ot1.Client.query ~group:grp ~rand ~i () in
-    let resp = Ot1.Server.respond server q in
-    Alcotest.(check string) (Printf.sprintf "item %d" i) payloads.(i)
-      (Ot1.Client.decode st ~masked resp)
-  done
-
-let test_ot1_off_index () =
-  let payloads = Array.init 6 (fun i -> Printf.sprintf "item-%02d-secret" i) in
-  let server = Ot1.Server.init ~group:grp ~rand payloads in
-  let masked = Ot1.Server.masked_table server in
-  let st, q = Ot1.Client.query ~group:grp ~rand ~i:2 () in
-  let resp = Ot1.Server.respond server q in
-  for i = 0 to 5 do
-    if i <> 2 then begin
-      let loot = Ot1.Client.decode_at st ~masked resp ~i in
-      if String.equal loot payloads.(i) then
-        Alcotest.failf "1-D OT leaked item %d" i
-    end
-  done
-
-let test_ot1_metrics () =
-  let k = 9 in
-  let metrics = Counters.create () in
-  let payloads = Array.init k (fun i -> Printf.sprintf "item-%02d------" i) in
-  let server = Ot1.Server.init ~group:grp ~rand ~metrics payloads in
-  Counters.reset metrics;
-  let st, q = Ot1.Client.query ~group:grp ~rand ~metrics ~i:4 () in
-  let resp = Ot1.Server.respond server q in
-  let _ = Ot1.Client.decode st ~masked:(Ot1.Server.masked_table server) resp in
-  Alcotest.(check int) "user exps (2 query + 1 decode)" 3
-    (Counters.snapshot metrics).Counters.user_exp;
-  Alcotest.(check int) "server exps 3k" (3 * k) (Counters.snapshot metrics).Counters.server_exp
-
-(* ------------------------------------------------------------------ *)
 (* Properties                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -356,8 +309,4 @@ let () =
       ("hardening",
        [ Alcotest.test_case "rejects non-subgroup query" `Quick
            test_ot_rejects_non_subgroup_query ]);
-      ("ot1",
-       [ Alcotest.test_case "roundtrip" `Quick test_ot1_roundtrip;
-         Alcotest.test_case "off-index" `Quick test_ot1_off_index;
-         Alcotest.test_case "metrics" `Quick test_ot1_metrics ]);
       ("properties", props) ]
