@@ -1372,14 +1372,18 @@ let backends_bench ?(out = "BENCH_backends.json")
    replaced, on matched inputs: ns/op and minor-heap words/op for the
    Montgomery kernel multiply and squaring and for a full window-ladder
    powm, per modulus size — 512 and 1024 (the stage-1 Schnorr prime),
-   1331 (the stage-2 honest modulus N = Q0*Q1) and 2048 bits.  Old =
+   706 and 771 (the mid-64 preset's Q0 and N = Q0*Q1, engine widths
+   ke = 26 and 28), 1331 (the paper-scale N) and 2048 bits.  Each row
+   prints the engine width ke: the sweeps take four digits per pass and
+   close with a two-digit pass when ke = 2 (mod 4).  Old =
    the pre-rewrite multiply-then-REDC ladder kept as the test-only
    oracle {!Lbq_oracle.Mont_ladder}; new = the fused 2^29-radix CIOS
    sweeps, the kernel rows through the window ops.  The two engines'
    powm results are asserted byte-identical before any timing.  Emits
    a summary block plus per-(size, op) rows, and returns the summary's
    worst powm speedup and peak kernel words/op for [quick]'s floors. *)
-let powm_bench ?(out = "BENCH_powm.json") ?(sizes = [ 512; 1024; 1331; 2048 ])
+let powm_bench ?(out = "BENCH_powm.json")
+    ?(sizes = [ 512; 706; 771; 1024; 1331; 2048 ])
     ?(powm_iters = 3) ?(kernel_iters = 400)
     ?(stage1_groups =
       [ Schnorr.test_group; Schnorr.mid_group; Schnorr.paper_group ])
@@ -1412,9 +1416,9 @@ let powm_bench ?(out = "BENCH_powm.json") ?(sizes = [ 512; 1024; 1331; 2048 ])
   let rows = ref [] in
   let min_powm_speedup = ref infinity in
   let max_kernel_words = ref 0. in
-  Format.printf "  %-5s | %-7s | %12s | %12s | %8s | %10s@." "bits" "op"
-    "old (ns)" "new (ns)" "speedup" "new w/op";
-  Format.printf "  %s@." (String.make 66 '-');
+  Format.printf "  %-5s | %-3s | %-7s | %12s | %12s | %8s | %10s@." "bits"
+    "ke" "op" "old (ns)" "new (ns)" "speedup" "new w/op";
+  Format.printf "  %s@." (String.make 72 '-');
   List.iter
     (fun bits ->
       (* Random odd modulus of exactly [bits] bits and full-width
@@ -1460,11 +1464,13 @@ let powm_bench ?(out = "BENCH_powm.json") ?(sizes = [ 512; 1024; 1331; 2048 ])
             min_powm_speedup := speedup;
           if op <> "powm" && new_words > !max_kernel_words then
             max_kernel_words := new_words;
-          Format.printf "  %-5d | %-7s | %12.1f | %12.1f | %7.2fx | %10.1f@."
-            bits op old_ns new_ns speedup new_words;
+          Format.printf
+            "  %-5d | %-3d | %-7s | %12.1f | %12.1f | %7.2fx | %10.1f@." bits
+            (Montgomery.k_limbs ctx) op old_ns new_ns speedup new_words;
           rows :=
             J.Obj
-              [ "bits", J.Int bits; "op", J.Str op; "iters", J.Int iters;
+              [ "bits", J.Int bits; "ke", J.Int (Montgomery.k_limbs ctx);
+                "op", J.Str op; "iters", J.Int iters;
                 "old_ns_per_op", J.Float old_ns;
                 "new_ns_per_op", J.Float new_ns;
                 "speedup", J.Float speedup;
@@ -1478,8 +1484,8 @@ let powm_bench ?(out = "BENCH_powm.json") ?(sizes = [ 512; 1024; 1331; 2048 ])
      the engine) and timed against a plain Montgomery.powm of the same
      result, which builds its odd-powers table per call.  Tables are
      prebuilt, as the group and the OT server hold them; the Straus row
-     builds its second table per call, as [Schnorr.pow2_g] does.  These
-     rows stay out of the summary. *)
+     builds its second table per call, as [Schnorr.pow2_g_counted] does.
+     These rows stay out of the summary. *)
   Format.printf "@.  stage-1 kernels (prebuilt tables vs plain powm)@.";
   Format.printf "  %-5s | %-7s | %12s | %12s | %8s | %10s@." "bits" "op"
     "powm (ns)" "kernel (ns)" "speedup" "kernel w/op";
@@ -1778,8 +1784,8 @@ let serve ?(out = "BENCH_serve.json") ?(clients = [ 1; 4; 8 ])
 (* The batched-respond tentpole head-to-head with its own sequential
    fallback, per backend and batch size: k queries answered by one
    fused kernel pass — lwe packs the k query vectors and makes one
-   cache-blocked M.Q^T sweep, gr interleaves k Montgomery states
-   through one walk of the cached exponent schedule, qr applies k
+   cache-blocked M.Q^T sweep, gr runs k Montgomery ladders on the
+   cached exponent schedule, qr applies k
    masks in one traversal of the database bits — against k independent
    [respond] calls on the same queries.  An identity gate runs at every
    k before anything is timed: batched response bytes and server-mult

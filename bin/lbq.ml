@@ -47,16 +47,30 @@ let prewarm_arg =
                query split), then draw stage-2 queries from the pool and \
                print its hit/miss statistics.")
 
+(* Instances kept per cell, sized for the usual smallest block: one
+   nearest-POI step of [walk] cycles its [Queries.block_rounds] rounds
+   over the clipped 3x3 block, and a fully reachable corner's 2x2
+   fetches one cell ceil(9/4) = 3 times.  A block with cells that have
+   no public centre has fewer targets, down to the single at-position
+   cell fetched 9 times; those steps take more pool misses.
+   Consecutive steps in one block outrun the background refills
+   anyway, so a cell is restocked after every take (watermark
+   capacity - 1). *)
+let keypool_capacity =
+  let corner_block = 4 in
+  (Queries.block_rounds + corner_block - 1) / corner_block
+
 (* The offline/online split from the CLI: prewarm a keypool over the
    deployment's plan, hand it to every round, and dump the pool counters
-   when done.  Capacity 2 with watermark 1 keeps one spare instance per
-   cell warming in the background while one is ready to take. *)
+   when done. *)
 let with_keypool ?metrics ~prewarm ~seed ~(params : Params.t) server f =
   if not prewarm then f None
   else begin
     let plan = (Server.public_info server).Server.plan in
     Keypool.with_pool ?metrics
-      ~config:{ Keypool.capacity = 2; low_watermark = 1 }
+      ~config:
+        { Keypool.capacity = keypool_capacity;
+          low_watermark = keypool_capacity - 1 }
       ~domains:2 ~seed:(seed ^ "-keypool") ~plan
       ~q_bits:params.Params.q_bits
       (fun pool ->

@@ -6,27 +6,33 @@
    The hot core is word-level CIOS (coarsely integrated operand
    scanning) at an internal radix of 2^29, wider than {!Nat}'s global
    2^26: limb products of 29-bit digits still fit a 63-bit OCaml int
-   with room to accumulate four products plus carries per column, which
-   lets the sweep process TWO operand digits per pass (halving the
-   iteration count, where loop overhead — not the multiplies — is what
-   dominates on boxed-int bignum code).  Residues are repacked 26 <-> 29
-   bits only at the engine boundary; R = 2^(29*k) for the engine's
-   even window width k.
+   with room to accumulate eight products plus carries per column
+   (8 * (2^29 - 1)^2 < 2^61), which lets the sweep process FOUR operand
+   digits per pass (a quarter of the iteration count, where loop
+   overhead — not the multiplies — is what dominates on boxed-int bignum
+   code).  Residues are repacked 26 <-> 29 bits only at the engine
+   boundary; R = 2^(29*k) for the engine's even window width k.  When
+   k = 2 (mod 4) both sweeps close with one two-digit pass rather than
+   padding k to a multiple of 4: in an in-process A/B on an Intel Xeon
+   host, padded multiplies and squares took 1.19-1.22x the time at
+   k = 18 -> 20, 1.14x at 26 -> 28 and 1.09x at 46 -> 48.
 
-   Multiplication [cios2_into] fuses product and REDC reduction in one
-   sweep: each pass consumes b_i, b_{i+1}, picks the two Montgomery
-   quotient digits m0, m1 that zero the bottom columns, and every inner
-   column accumulates a_j*b_i + a_{j-1}*b_{i+1} + m0*n_j + m1*n_{j-1}
-   before shifting down two limbs.  The invariant t < 2n keeps the
+   Multiplication [cios_into] fuses product and REDC reduction in one
+   sweep: each pass consumes b_i..b_{i+3}, picks the four Montgomery
+   quotient digits m0..m3 that zero the bottom columns, and every inner
+   column accumulates sum_d a_{j-d}*b_{i+d} + m_d*n_{j-d} (d = 0..3)
+   before shifting down four limbs.  The invariant t < 2n keeps the
    accumulator in k+1 limbs.
 
-   Squaring [sqr2_into] is the dedicated path the window ladders spend
+   Squaring [sqr_into] is the dedicated path the window ladders spend
    ~5/6 of their time in: pass i contributes
-     a_i^2*B^i + 2*a_i * sum_{j>i} a_j*B^j
+     sum_{d<4} a_{i+d}^2*B^(2(i+d)) + 2*a_{i+d} * sum_{j>i+d} a_j*B^(i+d+j)
    so each symmetric cross product is computed once and doubled — 1.5k^2
-   limb products against the multiply's 2k^2.  Front-loading the doubled
-   terms relaxes the accumulator invariant to t < 3n (top limb <= 2, up
-   to two trailing subtractions), which [reduce_out] absorbs.
+   limb products against the multiply's 2k^2; a column peaks at four
+   doubled and four quotient products, < 2^62 with carries.
+   Front-loading the doubled terms relaxes the accumulator invariant to
+   t < 3n (top limb <= 2, up to two trailing subtractions), which
+   [reduce_out] absorbs.
 
    All intermediates live in per-domain {!Scratch} slots, so a
    steady-state [powm_sched] ladder performs its thousands of modular
@@ -39,8 +45,8 @@
 
 let limb_bits = Nat.limb_bits
 
-(* Engine radix: 29-bit digits.  4 * (2^29 - 1)^2 + carries < 2^62, so a
-   column can take four limb products in one 63-bit int. *)
+(* Engine radix: 29-bit digits.  8 * (2^29 - 1)^2 + carries < 2^62, so a
+   column can take eight limb products in one 63-bit int. *)
 let elb = 29
 let ebase = 1 lsl elb
 let emask = ebase - 1
@@ -153,26 +159,85 @@ let reduce_out t (dst : int array) (buf : int array) (off : int) =
   done;
   if dst != buf || off <> 0 then Array.blit buf off dst 0 k
 
-(* dst[0..ke-1] <- a * b * Re^{-1} mod n by one fused 2-way CIOS sweep.
+(* dst[0..ke-1] <- a * b * Re^{-1} mod n by one fused CIOS sweep.
    [a] and [b] are ke-digit windows of residues < n; [dst] may alias
    either input (both are consumed before dst is written).  Each pass
-   eats b_i and b_{i+1}: quotient digits m0, m1 zero the two bottom
-   columns, the inner loop accumulates four products per column
-   (< 2^61 with carries) and shifts the window down two digits.
-   Previous-digit operands roll through locals to save loads. *)
-let cios2_into t (dst : int array) (a : int array) (b : int array) =
+   eats four digits b_i..b_{i+3}: quotient digits m0..m3 zero the four
+   bottom columns, every inner column accumulates the eight limb
+   products a_{j-d}*b_{i+d} + m_d*n_{j-d} (d = 0..3) before one mask and
+   shift, and the window moves down four digits.  When ke = 2 (mod 4)
+   a closing pass eats the last two digits, four products per column. *)
+let cios_into t (dst : int array) (a : int array) (b : int array) =
   let k = t.ke and nn = t.ne and n' = t.n'e in
-  let w = Scratch.get ~slot:Scratch.mont_acc (k + 2) in
+  let w = Scratch.get ~slot:Scratch.mont_acc (k + 1) in
   Array.fill w 0 (k + 1) 0;
-  let n0 = Array.unsafe_get nn 0 and n1 = Array.unsafe_get nn 1 in
+  let n0 = Array.unsafe_get nn 0 and n1 = Array.unsafe_get nn 1
+  and n2 = Array.unsafe_get nn 2 and n3 = Array.unsafe_get nn 3 in
+  let a0 = Array.unsafe_get a 0 and a1 = Array.unsafe_get a 1
+  and a2 = Array.unsafe_get a 2 and a3 = Array.unsafe_get a 3 in
+  let k4 = k - (k land 2) in
   let i = ref 0 in
-  while !i < k do
-    let bi = Array.unsafe_get b !i and bi1 = Array.unsafe_get b (!i + 1) in
-    let a0 = Array.unsafe_get a 0 in
+  while !i < k4 do
+    let i0 = !i in
+    let b0 = Array.unsafe_get b i0 and b1 = Array.unsafe_get b (i0 + 1)
+    and b2 = Array.unsafe_get b (i0 + 2) and b3 = Array.unsafe_get b (i0 + 3) in
+    (* columns 0..3 fix the quotient digits *)
+    let u = Array.unsafe_get w 0 + (a0 * b0) in
+    let m0 = ((u land emask) * n') land emask in
+    let c = (u + (m0 * n0)) lsr elb in
+    let u = Array.unsafe_get w 1 + (a1 * b0) + (a0 * b1) + (m0 * n1) + c in
+    let m1 = ((u land emask) * n') land emask in
+    let c = (u + (m1 * n0)) lsr elb in
+    let u =
+      Array.unsafe_get w 2 + (a2 * b0) + (a1 * b1) + (a0 * b2) + (m0 * n2)
+      + (m1 * n1) + c
+    in
+    let m2 = ((u land emask) * n') land emask in
+    let c = (u + (m2 * n0)) lsr elb in
+    let u =
+      Array.unsafe_get w 3 + (a3 * b0) + (a2 * b1) + (a1 * b2) + (a0 * b3)
+      + (m0 * n3) + (m1 * n2) + (m2 * n1) + c
+    in
+    let m3 = ((u land emask) * n') land emask in
+    let carry = ref ((u + (m3 * n0)) lsr elb) in
+    for j = 4 to k - 1 do
+      let u = Array.unsafe_get w j + !carry in
+      let u = u + (Array.unsafe_get a j * b0) in
+      let u = u + (Array.unsafe_get a (j - 1) * b1) in
+      let u = u + (Array.unsafe_get a (j - 2) * b2) in
+      let u = u + (Array.unsafe_get a (j - 3) * b3) in
+      let u = u + (m0 * Array.unsafe_get nn j) in
+      let u = u + (m1 * Array.unsafe_get nn (j - 1)) in
+      let u = u + (m2 * Array.unsafe_get nn (j - 2)) in
+      let u = u + (m3 * Array.unsafe_get nn (j - 3)) in
+      Array.unsafe_set w (j - 4) (u land emask);
+      carry := u lsr elb
+    done;
+    (* columns k..k+2, then the top carry into digits k-1 and k *)
+    let ak1 = Array.unsafe_get a (k - 1) and nk1 = Array.unsafe_get nn (k - 1)
+    and ak2 = Array.unsafe_get a (k - 2) and nk2 = Array.unsafe_get nn (k - 2) in
+    let u =
+      Array.unsafe_get w k + (ak1 * b1) + (ak2 * b2)
+      + (Array.unsafe_get a (k - 3) * b3) + (m1 * nk1) + (m2 * nk2)
+      + (m3 * Array.unsafe_get nn (k - 3)) + !carry
+    in
+    Array.unsafe_set w (k - 4) (u land emask);
+    let u = (ak1 * b2) + (ak2 * b3) + (m2 * nk1) + (m3 * nk2) + (u lsr elb) in
+    Array.unsafe_set w (k - 3) (u land emask);
+    let u = (ak1 * b3) + (m3 * nk1) + (u lsr elb) in
+    Array.unsafe_set w (k - 2) (u land emask);
+    Array.unsafe_set w (k - 1) ((u lsr elb) land emask);
+    Array.unsafe_set w k (u lsr (2 * elb));
+    i := i0 + 4
+  done;
+  if k4 < k then begin
+    (* closing pass on b_{k-2}, b_{k-1}: two quotient digits, four
+       products per column, previous-digit operands rolled through
+       locals *)
+    let bi = Array.unsafe_get b k4 and bi1 = Array.unsafe_get b (k4 + 1) in
     let t0 = Array.unsafe_get w 0 + (a0 * bi) in
     let m0 = ((t0 land emask) * n') land emask in
     let c = (t0 + (m0 * n0)) lsr elb in
-    let a1 = Array.unsafe_get a 1 in
     let t1 = Array.unsafe_get w 1 + (a1 * bi) + (m0 * n1) + (a0 * bi1) + c in
     let m1 = ((t1 land emask) * n') land emask in
     let carry = ref ((t1 + (m1 * n0)) lsr elb) in
@@ -193,163 +258,182 @@ let cios2_into t (dst : int array) (a : int array) (b : int array) =
     let u = Array.unsafe_get w k + (!aprev * bi1) + (m1 * !nprev) + !carry in
     Array.unsafe_set w (k - 2) (u land emask);
     Array.unsafe_set w (k - 1) ((u lsr elb) land emask);
-    Array.unsafe_set w k (u lsr (2 * elb));
-    i := !i + 2
-  done;
+    Array.unsafe_set w k (u lsr (2 * elb))
+  end;
   reduce_out t dst w 0
 
-(* dst[0..ke-1] <- a^2 * Re^{-1} mod n: the dedicated squaring sweep.
-   Pass pair (i, i+1) adds  a_i^2*B^i + 2*a_i*sum_{j>i} a_j*B^j  (and
-   the same one digit up), so each symmetric cross product is computed
-   once and doubled: 1.5k^2 limb products against the multiply's 2k^2.
-   Column layout per pass: columns below i carry only quotient terms
-   (loop A, two products); columns i, i+1, i+2 pick up the diagonal
-   a_i^2, the doubled neighbour and a_{i+1}^2 (peeled); columns above
-   run the full four-product form (loop B).  The last pass (i = k-2)
-   has no loop B and its diagonal tail lands in column k, so it is
-   peeled out of the while loop entirely.  [dst] may alias [a]. *)
-let sqr2_into t (dst : int array) (a : int array) =
+(* dst[0..ke-1] <- a^2 * Re^{-1} mod n: the dedicated squaring sweep,
+   four digits x_d = a_{i+d} (d = 0..3) per pass.  A pass's share of
+   a^2 splits into its own triangle x_d*x_e (e >= d, doubled when
+   e > d), added into the accumulator's columns i..i+6 up front, and
+   the rectangle 2*x_d * a_j for j >= i+4, computed like a multiply, so
+   each symmetric cross product is computed once and doubled: ~1.5k^2
+   limb products against the multiply's 2k^2.  After the quotient
+   columns 0..3, columns 4..i+3 carry only quotient terms (loop A);
+   the rectangle ramps up over columns i+4..i+6, runs four doubled
+   products per column above them (loop B), and ramps down over
+   columns k..k+2.  A column peaks at 4*2^59 + 4*2^58 + carries < 2^62.
+   The last four-digit pass has no rectangle when ke = 0 (mod 4) and a
+   two-digit one when ke = 2 (mod 4), where a two-digit closing pass
+   follows.  Front-loading the doubled terms relaxes the accumulator
+   invariant to t < 3n (top digit <= 2).  [dst] may alias [a]. *)
+let sqr_into t (dst : int array) (a : int array) =
   let k = t.ke and nn = t.ne and n' = t.n'e in
-  let w = Scratch.get ~slot:Scratch.mont_acc (k + 2) in
-  Array.fill w 0 (k + 1) 0;
-  let n0 = Array.unsafe_get nn 0 and n1 = Array.unsafe_get nn 1 in
+  (* digits k+1, k+2 take the last pass's triangle when ke = 0 (mod 4) *)
+  let w = Scratch.get ~slot:Scratch.mont_acc (k + 3) in
+  Array.fill w 0 (k + 3) 0;
+  let n0 = Array.unsafe_get nn 0 and n1 = Array.unsafe_get nn 1
+  and n2 = Array.unsafe_get nn 2 and n3 = Array.unsafe_get nn 3 in
+  let k4 = k - (k land 2) in
   let i = ref 0 in
-  while !i < k - 2 do
+  while !i < k4 do
     let i0 = !i in
-    let ai = Array.unsafe_get a i0 and ai1 = Array.unsafe_get a (i0 + 1) in
-    let ai2 = ai * 2 and ai12 = ai1 * 2 in
-    let m0, m1, c0 =
-      if i0 = 0 then begin
-        (* first pass: w = 0 and the diagonal terms sit in columns 0, 1 *)
-        let t0 = ai * ai in
-        let m0 = ((t0 land emask) * n') land emask in
-        let c = (t0 + (m0 * n0)) lsr elb in
-        let t1 = (ai2 * ai1) + (m0 * n1) + c in
-        let m1 = ((t1 land emask) * n') land emask in
-        (m0, m1, (t1 + (m1 * n0)) lsr elb)
-      end
+    let x0 = Array.unsafe_get a i0 and x1 = Array.unsafe_get a (i0 + 1)
+    and x2 = Array.unsafe_get a (i0 + 2) and x3 = Array.unsafe_get a (i0 + 3) in
+    let d0 = 2 * x0 and d1 = 2 * x1 and d2 = 2 * x2 and d3 = 2 * x3 in
+    Array.unsafe_set w i0 (Array.unsafe_get w i0 + (x0 * x0));
+    Array.unsafe_set w (i0 + 1) (Array.unsafe_get w (i0 + 1) + (d0 * x1));
+    Array.unsafe_set w (i0 + 2)
+      (Array.unsafe_get w (i0 + 2) + (d0 * x2) + (x1 * x1));
+    Array.unsafe_set w (i0 + 3)
+      (Array.unsafe_get w (i0 + 3) + (d0 * x3) + (d1 * x2));
+    Array.unsafe_set w (i0 + 4)
+      (Array.unsafe_get w (i0 + 4) + (d1 * x3) + (x2 * x2));
+    Array.unsafe_set w (i0 + 5) (Array.unsafe_get w (i0 + 5) + (d2 * x3));
+    Array.unsafe_set w (i0 + 6) (Array.unsafe_get w (i0 + 6) + (x3 * x3));
+    (* columns 0..3 fix the quotient digits *)
+    let u = Array.unsafe_get w 0 in
+    let m0 = ((u land emask) * n') land emask in
+    let c = (u + (m0 * n0)) lsr elb in
+    let u = Array.unsafe_get w 1 + (m0 * n1) + c in
+    let m1 = ((u land emask) * n') land emask in
+    let c = (u + (m1 * n0)) lsr elb in
+    let u = Array.unsafe_get w 2 + (m0 * n2) + (m1 * n1) + c in
+    let m2 = ((u land emask) * n') land emask in
+    let c = (u + (m2 * n0)) lsr elb in
+    let u = Array.unsafe_get w 3 + (m0 * n3) + (m1 * n2) + (m2 * n1) + c in
+    let m3 = ((u land emask) * n') land emask in
+    let carry = ref ((u + (m3 * n0)) lsr elb) in
+    (* loop A: quotient-only columns *)
+    for c = 4 to i0 + 3 do
+      let u = Array.unsafe_get w c + !carry in
+      let u = u + (m0 * Array.unsafe_get nn c) in
+      let u = u + (m1 * Array.unsafe_get nn (c - 1)) in
+      let u = u + (m2 * Array.unsafe_get nn (c - 2)) in
+      let u = u + (m3 * Array.unsafe_get nn (c - 3)) in
+      Array.unsafe_set w (c - 4) (u land emask);
+      carry := u lsr elb
+    done;
+    let ak1 = Array.unsafe_get a (k - 1) and nk1 = Array.unsafe_get nn (k - 1)
+    and ak2 = Array.unsafe_get a (k - 2) and nk2 = Array.unsafe_get nn (k - 2) in
+    let rect = i0 + 4 < k in
+    (* the rectangle's share of column k *)
+    let rk =
+      if not rect then 0
       else begin
-        let t0 = Array.unsafe_get w 0 in
-        let m0 = ((t0 land emask) * n') land emask in
-        let c = (t0 + (m0 * n0)) lsr elb in
-        let t1 = Array.unsafe_get w 1 + (m0 * n1) + c in
-        let m1 = ((t1 land emask) * n') land emask in
-        (m0, m1, (t1 + (m1 * n0)) lsr elb)
+        let c = i0 + 4 in
+        let a4 = Array.unsafe_get a c and a5 = Array.unsafe_get a (c + 1) in
+        let u =
+          Array.unsafe_get w c + (d0 * a4)
+          + (m0 * Array.unsafe_get nn c) + (m1 * Array.unsafe_get nn (c - 1))
+          + (m2 * Array.unsafe_get nn (c - 2)) + (m3 * Array.unsafe_get nn (c - 3))
+          + !carry
+        in
+        Array.unsafe_set w i0 (u land emask);
+        let u =
+          Array.unsafe_get w (c + 1) + (d0 * a5) + (d1 * a4)
+          + (m0 * Array.unsafe_get nn (c + 1)) + (m1 * Array.unsafe_get nn c)
+          + (m2 * Array.unsafe_get nn (c - 1)) + (m3 * Array.unsafe_get nn (c - 2))
+          + (u lsr elb)
+        in
+        Array.unsafe_set w (i0 + 1) (u land emask);
+        carry := u lsr elb;
+        if c + 2 = k then (d1 * a5) + (d2 * a4)
+        else begin
+          let u =
+            Array.unsafe_get w (c + 2)
+            + (d0 * Array.unsafe_get a (c + 2)) + (d1 * a5) + (d2 * a4)
+            + (m0 * Array.unsafe_get nn (c + 2)) + (m1 * Array.unsafe_get nn (c + 1))
+            + (m2 * Array.unsafe_get nn c) + (m3 * Array.unsafe_get nn (c - 1))
+            + !carry
+          in
+          Array.unsafe_set w (i0 + 2) (u land emask);
+          carry := u lsr elb;
+          (* loop B: four doubled cross products per column *)
+          for c = i0 + 7 to k - 1 do
+            let u = Array.unsafe_get w c + !carry in
+            let u = u + (d0 * Array.unsafe_get a c) in
+            let u = u + (d1 * Array.unsafe_get a (c - 1)) in
+            let u = u + (d2 * Array.unsafe_get a (c - 2)) in
+            let u = u + (d3 * Array.unsafe_get a (c - 3)) in
+            let u = u + (m0 * Array.unsafe_get nn c) in
+            let u = u + (m1 * Array.unsafe_get nn (c - 1)) in
+            let u = u + (m2 * Array.unsafe_get nn (c - 2)) in
+            let u = u + (m3 * Array.unsafe_get nn (c - 3)) in
+            Array.unsafe_set w (c - 4) (u land emask);
+            carry := u lsr elb
+          done;
+          (d1 * ak1) + (d2 * ak2) + (d3 * Array.unsafe_get a (k - 3))
+        end
       end
     in
-    let carry = ref c0 in
-    let nprev = ref n1 in
-    (* loop A: quotient-only columns below the diagonal *)
-    for c = 2 to i0 - 1 do
-      let nc = Array.unsafe_get nn c in
-      let u = Array.unsafe_get w c + (m0 * nc) + (m1 * !nprev) + !carry in
-      Array.unsafe_set w (c - 2) (u land emask);
-      carry := u lsr elb;
-      nprev := nc
-    done;
-    (* peel the diagonal columns *)
-    if i0 = 0 then begin
-      let n2 = Array.unsafe_get nn 2 in
-      let u =
-        (ai1 * ai1) + (ai2 * Array.unsafe_get a 2) + (m0 * n2) + (m1 * n1)
-        + !carry
-      in
-      Array.unsafe_set w 0 (u land emask);
-      carry := u lsr elb;
-      nprev := n2
-    end
-    else begin
-      let nc = Array.unsafe_get nn i0 in
-      let u =
-        Array.unsafe_get w i0 + (ai * ai) + (m0 * nc) + (m1 * !nprev) + !carry
-      in
-      Array.unsafe_set w (i0 - 2) (u land emask);
-      carry := u lsr elb;
-      nprev := nc;
-      let nc = Array.unsafe_get nn (i0 + 1) in
-      let u =
-        Array.unsafe_get w (i0 + 1) + (ai2 * ai1) + (m0 * nc) + (m1 * !nprev)
-        + !carry
-      in
-      Array.unsafe_set w (i0 - 1) (u land emask);
-      carry := u lsr elb;
-      nprev := nc;
-      let nc = Array.unsafe_get nn (i0 + 2) in
-      let u =
-        Array.unsafe_get w (i0 + 2) + (ai1 * ai1)
-        + (ai2 * Array.unsafe_get a (i0 + 2))
-        + (m0 * nc) + (m1 * !nprev) + !carry
-      in
-      Array.unsafe_set w i0 (u land emask);
-      carry := u lsr elb;
-      nprev := nc
-    end;
-    (* loop B: doubled cross products above the diagonal *)
-    let aprev = ref (Array.unsafe_get a (i0 + 2)) in
-    for c = i0 + 3 to k - 1 do
-      let ac = Array.unsafe_get a c and nc = Array.unsafe_get nn c in
-      let u =
-        Array.unsafe_get w c + (ai2 * ac) + (ai12 * !aprev)
-        + (m0 * nc) + (m1 * !nprev) + !carry
-      in
-      Array.unsafe_set w (c - 2) (u land emask);
-      carry := u lsr elb;
-      aprev := ac;
-      nprev := nc
-    done;
-    let u = Array.unsafe_get w k + (ai12 * !aprev) + (m1 * !nprev) + !carry in
+    (* columns k..k+2, then the top carry into digits k-1 and k *)
+    let u =
+      Array.unsafe_get w k + rk + (m1 * nk1) + (m2 * nk2)
+      + (m3 * Array.unsafe_get nn (k - 3)) + !carry
+    in
+    Array.unsafe_set w (k - 4) (u land emask);
+    let u =
+      Array.unsafe_get w (k + 1)
+      + (if rect then (d2 * ak1) + (d3 * ak2) else 0)
+      + (m2 * nk1) + (m3 * nk2) + (u lsr elb)
+    in
+    Array.unsafe_set w (k - 3) (u land emask);
+    let u =
+      Array.unsafe_get w (k + 2) + (if rect then d3 * ak1 else 0) + (m3 * nk1)
+      + (u lsr elb)
+    in
     Array.unsafe_set w (k - 2) (u land emask);
     Array.unsafe_set w (k - 1) ((u lsr elb) land emask);
     Array.unsafe_set w k (u lsr (2 * elb));
-    i := i0 + 2
+    i := i0 + 4
   done;
-  (* last pass, i0 = k-2: diagonal in columns k-2, k-1 and tail in k *)
-  let i0 = k - 2 in
-  let ai = Array.unsafe_get a i0 and ai1 = Array.unsafe_get a (i0 + 1) in
-  let ai2 = ai * 2 in
-  let t0 = Array.unsafe_get w 0 in
-  let m0 = ((t0 land emask) * n') land emask in
-  let c = (t0 + (m0 * n0)) lsr elb in
-  let t1 = Array.unsafe_get w 1 + (m0 * n1) + c in
-  let m1 = ((t1 land emask) * n') land emask in
-  let carry = ref ((t1 + (m1 * n0)) lsr elb) in
-  let nprev = ref n1 in
-  for c = 2 to i0 - 1 do
-    let nc = Array.unsafe_get nn c in
-    let u = Array.unsafe_get w c + (m0 * nc) + (m1 * !nprev) + !carry in
-    Array.unsafe_set w (c - 2) (u land emask);
-    carry := u lsr elb;
-    nprev := nc
-  done;
-  let nc = Array.unsafe_get nn (k - 2) in
-  let u =
-    Array.unsafe_get w (k - 2) + (ai * ai) + (m0 * nc) + (m1 * !nprev) + !carry
-  in
-  Array.unsafe_set w (k - 4) (u land emask);
-  carry := u lsr elb;
-  nprev := nc;
-  let nc = Array.unsafe_get nn (k - 1) in
-  let u =
-    Array.unsafe_get w (k - 1) + (ai2 * ai1) + (m0 * nc) + (m1 * !nprev)
-    + !carry
-  in
-  Array.unsafe_set w (k - 3) (u land emask);
-  carry := u lsr elb;
-  nprev := nc;
-  let u = Array.unsafe_get w k + (ai1 * ai1) + (m1 * !nprev) + !carry in
-  Array.unsafe_set w (k - 2) (u land emask);
-  Array.unsafe_set w (k - 1) ((u lsr elb) land emask);
-  Array.unsafe_set w k (u lsr (2 * elb));
+  if k4 < k then begin
+    (* closing pass on a_{k-2}, a_{k-1}: their triangle, then two
+       quotient digits and two products per column *)
+    let x0 = Array.unsafe_get a k4 and x1 = Array.unsafe_get a (k4 + 1) in
+    Array.unsafe_set w k4 (Array.unsafe_get w k4 + (x0 * x0));
+    Array.unsafe_set w (k4 + 1) (Array.unsafe_get w (k4 + 1) + (2 * x0 * x1));
+    Array.unsafe_set w k (Array.unsafe_get w k + (x1 * x1));
+    let u = Array.unsafe_get w 0 in
+    let m0 = ((u land emask) * n') land emask in
+    let c = (u + (m0 * n0)) lsr elb in
+    let u = Array.unsafe_get w 1 + (m0 * n1) + c in
+    let m1 = ((u land emask) * n') land emask in
+    let carry = ref ((u + (m1 * n0)) lsr elb) in
+    for c = 2 to k - 1 do
+      let u =
+        Array.unsafe_get w c + (m0 * Array.unsafe_get nn c)
+        + (m1 * Array.unsafe_get nn (c - 1)) + !carry
+      in
+      Array.unsafe_set w (c - 2) (u land emask);
+      carry := u lsr elb
+    done;
+    let u = Array.unsafe_get w k + (m1 * Array.unsafe_get nn (k - 1)) + !carry in
+    Array.unsafe_set w (k - 2) (u land emask);
+    Array.unsafe_set w (k - 1) ((u lsr elb) land emask);
+    Array.unsafe_set w k (u lsr (2 * elb))
+  end;
   reduce_out t dst w 0
 
 let create (modulus : Z.t) : t =
   if Z.sign modulus <= 0 then invalid_arg "Montgomery.create: modulus <= 0";
   if Z.is_even modulus then invalid_arg "Montgomery.create: modulus must be odd";
   let n = Z.to_nat modulus in
-  (* The window is rounded up to an even width >= 4: the 2-way sweeps
-     consume digit pairs, and the squaring peels its last pass.  Padding
-     digits of n are zero, which the sweeps tolerate (t < 2n still fits
-     k+1 digits). *)
+  (* The window is rounded up to an even width >= 4: the sweeps consume
+     four digits per pass and at most one closing digit pair, and a
+     four-digit pass needs four digits.  Padding digits of n are zero,
+     which the sweeps tolerate (t < 2n still fits k+1 digits). *)
   let bits = Z.numbits modulus in
   let ke =
     let m = (bits + elb - 1) / elb in
@@ -405,17 +489,17 @@ let create (modulus : Z.t) : t =
     for _ = 1 to e - (bits - 1) do double_mod () done;
     let one_e = Array.sub buf 0 ke in
     for i = Z.numbits (Z.of_int e) - 1 downto 0 do
-      sqr2_into t buf buf;
+      sqr_into t buf buf;
       if (e lsr i) land 1 = 1 then double_mod ()
     done;
     { t with one_e; r2e = Array.sub buf 0 ke }
   end
 
 let mont_mul_into t (dst : int array) (a : int array) (b : int array) =
-  cios2_into t dst a b
+  cios_into t dst a b
 
 let mont_sqr_into t (dst : int array) (a : int array) =
-  sqr2_into t dst a
+  sqr_into t dst a
 
 (* Engine REDC of a ke-digit window: w * Re^{-1} mod n as a canonical
    Nat — the single exit conversion of an exponentiation. *)
@@ -459,7 +543,7 @@ type window = int array
 let to_window t (z : Z.t) : window =
   let w = widen t (Z.to_nat (Z.erem z t.modulus)) in
   tick t;
-  cios2_into t w w t.r2e;
+  cios_into t w w t.r2e;
   w
 
 (* Exit conversion (one REDC, untickled, as in [powm_sched]). *)
@@ -470,13 +554,13 @@ let one_window t : window = Array.copy t.one_e
 let mul_window t (a : window) (b : window) : window =
   let d = Array.make t.ke 0 in
   tick t;
-  cios2_into t d a b;
+  cios_into t d a b;
   d
 
 let sqr_window t (a : window) : window =
   let d = Array.make t.ke 0 in
   tick t;
-  sqr2_into t d a;
+  sqr_into t d a;
   d
 
 (* 1 as a canonical Z (0 in the trivial ring). *)
@@ -490,7 +574,7 @@ let odd_powers_w t (bm : window) ~max_odd : window array =
   if max_odd >= 3 then begin
     let b2 = Array.make t.ke 0 in
     tick t;
-    sqr2_into t b2 bm;
+    sqr_into t b2 bm;
     for j = 1 to (max_odd - 1) / 2 do
       tbl.(j) <- mul_window t tbl.(j - 1) b2
     done
@@ -505,8 +589,8 @@ let replay t (tbl : window array) (s : Wexp.t) : window =
   Array.iter
     (fun op ->
       tick t;
-      if op < 0 then sqr2_into t acc acc
-      else cios2_into t acc acc tbl.(op lsr 1))
+      if op < 0 then sqr_into t acc acc
+      else cios_into t acc acc tbl.(op lsr 1))
     s.Wexp.ops;
   acc
 
@@ -526,130 +610,15 @@ let powm_sched t (base_ : Z.t) (s : Wexp.t) : Z.t =
   if s.Wexp.first = 0 then one_z t
   else of_window t (pow_window t (to_window t base_) s)
 
-(* Multi-powm: serve k bases — each with its OWN context/modulus — through
-   ONE shared schedule, walking the ops tape once per window digit
-   instead of once per query.  Each query's Montgomery state (converted
-   base, odd-powers table, accumulator) is heap-resident, exactly as in
-   [powm_sched]; only the kernel sweeps touch {!Scratch}, and a sweep's
-   scratch use is transient within the call, so interleaving the k
-   states per tape entry is safe.
-
-   Queries are interleaved in cache-sized GROUPS rather than all at
-   once: a query's resident window state is roughly
-   (half + 3) * ke * 8 bytes (odd-powers table, accumulator, b^2), and
-   interleaving more states than fit L1d evicts each one between its
-   own consecutive operations, turning every kernel sweep's operand
-   loads into misses — measured as a 5-8% LOSS at k = 16 on 1331-bit
-   moduli.  Capping the per-group working set keeps the interleave at
-   parity with the sequential ladder for any k.
-
-   Per-context tick counts are identical to k sequential [powm_sched]
-   calls ({!Wexp.cost} s + 1 each), so attached counters and the
-   predicted=measured bench assertions see no difference; group order
-   only permutes work BETWEEN independent queries, never within one.
-   Raises [Invalid_argument] on a ts/bases length mismatch. *)
-let batch_group_bytes = 24 * 1024
-
-(* Below ~32 engine limbs (~900-bit moduli) one kernel sweep is so
-   cheap (~150 ns) that the interleave's per-digit indirections —
-   context, accumulator and table loads resolved per tape entry
-   instead of hoisted once per query — cost a measured 5-9% of the
-   sweep itself, while walking the shared tape once saves only the
-   [Array.iter] dispatch.  Such queries run as singleton groups
-   through the plain ladder; interleaving engages where sweeps
-   dominate. *)
-let interleave_min_ke = 32
-
+(* k bases, each with its own context, through one shared schedule:
+   k independent [powm_sched] ladders, so results and per-context tick
+   counts are theirs.  Raises [Invalid_argument] on a ts/bases length
+   mismatch. *)
 let powm_sched_batch (ts : t array) (bases : Z.t array) (s : Wexp.t)
     : Z.t array =
-  let k = Array.length ts in
-  if Array.length bases <> k then
+  if Array.length bases <> Array.length ts then
     invalid_arg "Montgomery.powm_sched_batch: ts/bases length mismatch";
-  if s.Wexp.first = 0 then
-    Array.map
-      (fun t -> if Z.equal t.modulus Z.one then Z.zero else Z.one)
-      ts
-  else begin
-    let half = (s.Wexp.max_odd - 1) / 2 in
-    let out = Array.make k Z.zero in
-    (* One L1-resident group: queries [q0, q0 + gk). *)
-    let run_group q0 gk =
-      (* Convert each base and seed its odd-powers table (tbl.(0) = base). *)
-      let tbls =
-        Array.init gk (fun g ->
-            let t = ts.(q0 + g) in
-            let reduced = Z.to_nat (Z.erem bases.(q0 + g) t.modulus) in
-            let bm = widen t reduced in
-            tick t;
-            cios2_into t bm bm t.r2e;
-            Array.make (half + 1) bm)
-      in
-      if s.Wexp.max_odd >= 3 then begin
-        let b2s =
-          Array.init gk (fun g ->
-              let t = ts.(q0 + g) in
-              let b2 = Array.make t.ke 0 in
-              tick t;
-              sqr2_into t b2 tbls.(g).(0);
-              b2)
-        in
-        for j = 1 to half do
-          for g = 0 to gk - 1 do
-            let t = ts.(q0 + g) in
-            let e = Array.make t.ke 0 in
-            tick t;
-            cios2_into t e tbls.(g).(j - 1) b2s.(g);
-            tbls.(g).(j) <- e
-          done
-        done
-      end;
-      let accs =
-        Array.init gk (fun g -> Array.copy tbls.(g).(s.Wexp.first lsr 1))
-      in
-      (* The shared tape, walked once per group: every query in the
-         group applies this digit's operation before the tape
-         advances. *)
-      Array.iter
-        (fun op ->
-          for g = 0 to gk - 1 do
-            let t = ts.(q0 + g) in
-            tick t;
-            if op < 0 then sqr2_into t accs.(g) accs.(g)
-            else cios2_into t accs.(g) accs.(g) tbls.(g).(op lsr 1)
-          done)
-        s.Wexp.ops;
-      for g = 0 to gk - 1 do
-        out.(q0 + g) <- Z.of_nat (redc_e ts.(q0 + g) accs.(g))
-      done
-    in
-    let q0 = ref 0 in
-    while !q0 < k do
-      if ts.(!q0).ke < interleave_min_ke then begin
-        (* Singleton group: same ticks, same result, no per-digit
-           indirection tax on a sub-microsecond sweep. *)
-        out.(!q0) <- powm_sched ts.(!q0) bases.(!q0) s;
-        incr q0
-      end
-      else begin
-        (* Grow the group while its summed window state stays in
-           budget (always admitting at least one query). *)
-        let bytes = ref 0 and gk = ref 0 in
-        while
-          !q0 + !gk < k
-          && ts.(!q0 + !gk).ke >= interleave_min_ke
-          && (!gk = 0
-             || !bytes + ((half + 3) * ts.(!q0 + !gk).ke * 8)
-                <= batch_group_bytes)
-        do
-          bytes := !bytes + ((half + 3) * ts.(!q0 + !gk).ke * 8);
-          incr gk
-        done;
-        run_group !q0 !gk;
-        q0 := !q0 + !gk
-      end
-    done;
-    out
-  end
+  Array.map2 (fun t b -> powm_sched t b s) ts bases
 
 (* Sliding-window modular exponentiation: recode once, then replay. *)
 let powm t (base_ : Z.t) (e : Z.t) : Z.t =
@@ -663,9 +632,9 @@ let mulmod t a b =
   let bw = Scratch.get ~slot:Scratch.mont_op_b t.ke in
   widen_into t bw (Z.to_nat (Z.erem b t.modulus));
   tick t;
-  cios2_into t aw aw bw;
+  cios_into t aw aw bw;
   tick t;
-  cios2_into t aw aw t.r2e;
+  cios_into t aw aw t.r2e;
   Z.of_nat (narrow t aw)
 
 (* ------------------------------------------------------------------ *)
@@ -721,7 +690,7 @@ let powm2_tbl t (tbl1 : table) (ws1 : (int * int) array) (tbl2 : table)
         incr idx;
         if !started then begin
           tick t;
-          cios2_into t acc acc e
+          cios_into t acc acc e
         end
         else begin
           Array.blit e 0 acc 0 t.ke;
@@ -732,7 +701,7 @@ let powm2_tbl t (tbl1 : table) (ws1 : (int * int) array) (tbl2 : table)
     for i = p0 downto 0 do
       if !started then begin
         tick t;
-        sqr2_into t acc acc
+        sqr_into t acc acc
       end;
       tap tbl1 ws1 i1 i;
       tap tbl2 ws2 i2 i
@@ -757,7 +726,7 @@ let fixed_base t (base_ : Z.t) (c : Wexp.comb) : fixed_base =
     let x = Array.copy basis.(i - 1) in
     for _ = 1 to c.Wexp.cols do
       tick t;
-      sqr2_into t x x
+      sqr_into t x x
     done;
     basis.(i) <- x
   done;
@@ -787,10 +756,10 @@ let powm_fixed_base t (fb : fixed_base) (e : Nat.t) : Z.t =
     let acc = Array.copy fb.ctable.(d.(!topj)) in
     for j = !topj - 1 downto 0 do
       tick t;
-      sqr2_into t acc acc;
+      sqr_into t acc acc;
       if d.(j) <> 0 then begin
         tick t;
-        cios2_into t acc acc fb.ctable.(d.(j))
+        cios_into t acc acc fb.ctable.(d.(j))
       end
     done;
     of_window t acc

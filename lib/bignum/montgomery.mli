@@ -10,10 +10,12 @@
     and shares no state with a context.
 
     The hot core is a fused word-level CIOS sweep at an internal radix
-    of 2{^29} (multiply and REDC reduction in one pass, two operand
-    digits at a time), with a dedicated symmetric squaring path used by
-    the {!Wexp} window ladders and preallocated {!Scratch} buffers so
-    steady-state exponentiation allocates nothing per operation.
+    of 2{^29} (multiply and REDC reduction in one sweep, four operand
+    digits per pass and eight limb products per column, closing with a
+    two-digit pass when the window width is 2 mod 4), with a dedicated
+    symmetric squaring path used by the {!Wexp} window ladders and
+    preallocated {!Scratch} buffers so steady-state exponentiation
+    allocates nothing per operation.
     Residues cross the API as {!Z.t} or as 29-bit {!window}s, the one
     Montgomery form. *)
 
@@ -45,13 +47,10 @@ val powm : t -> Z.t -> Z.t -> Z.t
 val powm_sched : t -> Z.t -> Wexp.t -> Z.t
 
 (** [powm_sched_batch ts bases s] serves [bases.(q){^e} mod modulus
-    ts.(q)] for every [q] through ONE shared schedule [s]: the ops tape
-    is walked once per window digit with the k Montgomery states
-    interleaved, instead of once per query — the multi-query fast path
-    for a server whose cached exponent schedule is common to a whole
-    batch of queries with distinct moduli.  Results and per-context tick
-    counts are identical to k independent {!powm_sched} calls.  Raises
-    [Invalid_argument] when [ts] and [bases] differ in length. *)
+    ts.(q)] for every [q] through one shared schedule [s], as k
+    independent {!powm_sched} calls (same results, same per-context
+    tick counts).  Raises [Invalid_argument] when [ts] and [bases]
+    differ in length. *)
 val powm_sched_batch : t array -> Z.t array -> Wexp.t -> Z.t array
 
 (** One-shot modular product [a * b mod n] on two sweeps (the second
@@ -134,8 +133,8 @@ val powm_fixed_base : t -> fixed_base -> Nat.t -> Z.t
 (** {1 Fixed-width internals} (exposed for tests and the kernel bench)
 
     The fused core trades in fixed-width windows of 29-bit digits (the
-    engine's internal radix — wider than {!Nat}'s 26 so a column can
-    take four limb products per 63-bit int; see montgomery.ml).  These
+    engine's internal radix — wider than {!Nat}'s 26, yet a column can
+    take eight limb products per 63-bit int; see montgomery.ml).  These
     do NOT tick the counter — they are the raw kernels under
     {!mul_window}/{!sqr_window}. *)
 
@@ -147,10 +146,12 @@ val k_limbs : t -> int
 val widen : t -> Nat.t -> int array
 
 (** [mont_mul_into t dst a b]: dst <- a*b*R{^-1} mod n by one fused
-    2-way CIOS sweep.  [dst] may alias [a] or [b]. *)
+    CIOS sweep (four digits of [b] per pass, a two-digit closing pass
+    when {!k_limbs} is 2 mod 4).  [dst] may alias [a] or [b]. *)
 val mont_mul_into : t -> int array -> int array -> int array -> unit
 
 (** [mont_sqr_into t dst a]: the dedicated symmetric squaring sweep
     (each cross product computed once and doubled, ~25% fewer limb
-    products than a multiply).  [dst] may alias [a]. *)
+    products than a multiply; four digits per pass like
+    {!mont_mul_into}).  [dst] may alias [a]. *)
 val mont_sqr_into : t -> int array -> int array -> unit

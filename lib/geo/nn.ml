@@ -24,14 +24,3 @@ let nearest ~from pois =
   match k_nearest ~k:1 ~from pois with
   | [ p ] -> Some p
   | _ -> None
-
-(* All POIs within [radius] of [from], closest first. *)
-let within ~(radius : float) ~(from : Coord.t) (pois : Poi.t list) : Poi.t list =
-  let r2 = radius *. radius in
-  pois
-  |> List.filter (fun p ->
-      (not (Poi.is_dummy p)) && Coord.distance_sq from (Poi.position p) <= r2)
-  |> List.sort (fun a b ->
-      Float.compare
-        (Coord.distance_sq from (Poi.position a))
-        (Coord.distance_sq from (Poi.position b)))

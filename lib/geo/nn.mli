@@ -7,6 +7,3 @@
 val k_nearest : k:int -> from:Coord.t -> Poi.t list -> Poi.t list
 
 val nearest : from:Coord.t -> Poi.t list -> Poi.t option
-
-(** All POIs within [radius] metres, closest first. *)
-val within : radius:float -> from:Coord.t -> Poi.t list -> Poi.t list

@@ -17,7 +17,7 @@ type t = {
        [pow_g] is ~q_bits/teeth squarings plus table lookups *)
   g_tbl : Montgomery.table;
     (* odd-powers table g^1, g^3, ..., for the Straus g-stream of
-       [pow2_g] *)
+       [pow2_g_counted] *)
   g_width : int;      (* window width the cached tables cover *)
 }
 
@@ -56,10 +56,9 @@ let pow_g_cost t e =
 (* g^e1 * b2^e2 on one Straus/Shamir ladder: the g-stream replays the
    cached odd-powers table, the b2-stream builds its own (one entry
    conversion plus the table).  Cost = that table + one shared squaring
-   ladder + window taps.  The [_counted] form also returns the exact
-   multiplication count (pure window combinatorics — independent of
-   the engine's tick counter, so the two can be asserted against each
-   other). *)
+   ladder + window taps.  Also returns the exact multiplication count
+   (pure window combinatorics — independent of the engine's tick
+   counter, so the two can be asserted against each other). *)
 let pow2_g_counted t e1 b2 e2 =
   let ws1 = Wexp.windows ~width:t.g_width (Z.to_nat (Z.erem e1 t.q)) in
   let ws2 = Wexp.windows (Z.to_nat (Z.erem e2 t.q)) in
@@ -68,10 +67,8 @@ let pow2_g_counted t e1 b2 e2 =
   ( Montgomery.powm2_tbl t.mont t.g_tbl ws1 tbl2 ws2,
     1 + Wexp.table_cost ~max_odd:max_odd2 + Wexp.straus_cost ws1 ws2 )
 
-let pow2_g t e1 b2 e2 = fst (pow2_g_counted t e1 b2 e2)
-
-(* Exact multiplication count of [pow2_g t e1 _ e2]: the base b2 does
-   not affect the count, only its window stream's table. *)
+(* Exact multiplication count of [pow2_g_counted t e1 _ e2]: the base b2
+   does not affect the count, only its window stream's table. *)
 let pow2_g_cost t e1 e2 =
   let ws1 = Wexp.windows ~width:t.g_width (Z.to_nat (Z.erem e1 t.q)) in
   let ws2 = Wexp.windows (Z.to_nat (Z.erem e2 t.q)) in

@@ -42,17 +42,16 @@ val pow_g : t -> Z.t -> Z.t
     (closed-form cost oracle, asserted against measured counters). *)
 val pow_g_cost : t -> Z.t -> int
 
-(** [pow2_g t e1 b2 e2] is [g^e1 * b2^e2 mod p] on one shared
-    Straus/Shamir squaring ladder, replaying the group's cached
-    odd-powers table for the [g] stream. *)
-val pow2_g : t -> Z.t -> Z.t -> Z.t -> Z.t
-
-(** Exact multiplications of [pow2_g t e1 _ e2] (base-independent):
-    the [b2] table with its entry conversion, plus the shared ladder. *)
+(** Exact multiplications of [pow2_g_counted t e1 _ e2]
+    (base-independent): the [b2] table with its entry conversion, plus
+    the shared ladder. *)
 val pow2_g_cost : t -> Z.t -> Z.t -> int
 
-(** [pow2_g] plus its exact multiplication count in one call (avoids
-    recoding the exponents twice on hot paths that track both). *)
+(** [pow2_g_counted t e1 b2 e2] is [g^e1 * b2^e2 mod p] on one shared
+    Straus/Shamir squaring ladder, replaying the group's cached
+    odd-powers table for the [g] stream, paired with its exact
+    multiplication count (one call, so hot paths that track both recode
+    the exponents once). *)
 val pow2_g_counted : t -> Z.t -> Z.t -> Z.t -> Z.t * int
 
 (** Window width of the group's cached generator tables. *)

@@ -154,7 +154,7 @@ module Server = struct
      - g^alpha * B1 is a running product (one group multiplication per
        row) rather than a fresh exponentiation;
      - v = g^{R_alpha} * shifted^{r_a} runs both exponents on a single
-       Straus ladder ([Schnorr.pow2_g]), the g stream replaying the
+       Straus ladder ([Schnorr.pow2_g_counted]), the g stream replaying the
        group's cached table.
      All of it runs on the group's Montgomery engine.  [predicted]
      accumulates the closed-form multiplication count of exactly these

@@ -163,14 +163,11 @@ module Server = struct
 
   let max_modulus_bits t ~q_bits = plan_max_modulus_bits t.plan ~q_bits
 
-  (* Answer k queries (N, g) with g^e mod N through ONE walk of the
-     schedule recoded at creation.  Honest moduli N = Q0*Q1 are odd, so
-     every query goes through {!Montgomery.powm_sched_batch} — the fused
-     CIOS sweeps put Montgomery ~3x ahead of the pre-rewrite engines on
-     this workload (bench powm) — with a per-query context and counter:
-     results and per-query mult counts are those of k separate ladders,
-     but the ops tape and the window-digit dispatch are paid once per
-     digit rather than once per (digit, query).  Every query is
+  (* Answer k queries (N, g) with g^e mod N on the schedule recoded at
+     creation.  Honest moduli N = Q0*Q1 are odd, so every query goes
+     through {!Montgomery.powm_sched_batch} — the fused CIOS sweeps put
+     Montgomery ~3x ahead of the pre-rewrite engines on this workload
+     (bench powm) — with a per-query context and counter.  Every query is
      validated before any work (an even or [<= 1] modulus, an oversized
      one, [g] out of range); the measured multiplication count is
      attached to the metrics (Table II server cost). *)
@@ -201,9 +198,7 @@ module Server = struct
       queries;
     out
 
-  (* One query is a batch of one: below {!Montgomery.interleave_min_ke}
-     limbs the batch kernel runs the plain [powm_sched] ladder, above it
-     a one-query interleaved group with the same result and tick count. *)
+  (* One query is a batch of one. *)
   let respond ?max_n_bits t ~(n : Z.t) ~(g : Z.t) : Z.t =
     (respond_batch ?max_n_bits t [| (n, g) |]).(0)
 end

@@ -81,8 +81,8 @@ module Server : sig
   (** {!plan_max_modulus_bits} of this server's plan. *)
   val max_modulus_bits : t -> q_bits:int -> int
 
-  (** Answer k queries [(N, g)] with [g^e mod N] through one walk of
-      the cached schedule ({!Lbq_bignum.Montgomery.powm_sched_batch}) —
+  (** Answer k queries [(N, g)] with [g^e mod N] on the cached
+      schedule ({!Lbq_bignum.Montgomery.powm_sched_batch}) —
       the Table II server cost, measured per query through the engine
       counter.  Honest moduli [N = Q0·Q1] are odd and served by
       Montgomery REDC.  Every query is validated before any work: an

@@ -213,11 +213,28 @@ let test_mul_ladder () =
         (Nat.mul_schoolbook a a) (Nat.sqr a))
     boundary
 
+(* Moduli whose engine digits are (nearly) all ones, 2^(29ke) - 1 and
+   2^(29ke - 1) + 1, at window widths where the fused sweeps change
+   shape: ke = 0 (mod 4) runs four-digit passes only (ke = 4 is one
+   pass, both first and last), ke = 2 (mod 4) closes with a two-digit
+   pass (ke = 26 is Q0, 28 is N, 18 the 512-bit Schnorr p, 46
+   paper-scale N). *)
+let all_ones_moduli =
+  List.concat_map
+    (fun ke ->
+      let b = 29 * ke in
+      [ (ke, Z.pred (Z.shift_left Z.one b));
+        (ke, Z.succ (Z.shift_left Z.one (b - 1))) ])
+    [ 4; 6; 8; 10; 18; 26; 28; 46 ]
+
 (* The fused CIOS engine at its edges: aliased destinations, zero and
-   single-limb residues, and the trivial modulus n = 1.  The engine's
+   single-limb residues, the trivial modulus n = 1, and the all-ones
+   moduli with the operands n-1, n-2 and the all-ones residue
+   2^(bits-1) - 1, where a column reaches its bound.  The engine's
    Montgomery form uses its own internal radix, so correctness is
-   checked at the Z level (through to_window/of_window) and the raw
-   kernels are checked byte-identical to the window ops. *)
+   checked at the Z level (through to_window/of_window, and on raw
+   windows as r < n with r*R = a*b mod n) and the raw kernels are
+   checked byte-identical to the window ops. *)
 let test_cios_edges () =
   let zt = Alcotest.testable
       (fun fmt z -> Format.pp_print_string fmt (Z.to_string z))
@@ -225,12 +242,25 @@ let test_cios_edges () =
   in
   let window = Alcotest.(list int) in
   let words (w : Montgomery.window) = Array.copy (w :> int array) in
+  let z_of_window w =
+    Array.fold_right (fun d acc -> Z.add (Z.shift_left acc 29) (Z.of_int d)) w
+      Z.zero
+  in
   let check_ctx name m =
     let ctx = Montgomery.create m in
+    let ke = Montgomery.k_limbs ctx in
+    let r = Z.shift_left Z.one (29 * ke) in
+    let raw x = Montgomery.widen ctx (Z.to_nat x) in
+    let raw_check what ab d =
+      Alcotest.(check bool) (what ^ " canonical") true (Z.lt (z_of_window d) m);
+      Alcotest.check zt (what ^ " * R") ab (Z.erem (Z.mul (z_of_window d) r) m)
+    in
     let residues =
-      List.filter (fun r -> Z.lt r m)
-        [ Z.zero; Z.one; Z.two; Z.pred m; Z.shift_right m 1;
-          Z.erem (Z.of_string "123456789123456789123456789") m ]
+      List.sort_uniq Z.compare
+        (List.filter (fun r -> Z.sign r >= 0 && Z.lt r m)
+           [ Z.zero; Z.one; Z.two; Z.pred m; Z.sub m Z.two; Z.shift_right m 1;
+             Z.pred (Z.shift_left Z.one (Z.numbits m - 1));
+             Z.erem (Z.of_string "123456789123456789123456789") m ])
     in
     List.iter
       (fun a ->
@@ -242,6 +272,12 @@ let test_cios_edges () =
               (Printf.sprintf "%s mul %s*%s" name (Z.to_string a) (Z.to_string b))
               (Z.erem (Z.mul a b) m)
               (Montgomery.of_window ctx (Montgomery.mul_window ctx am bm));
+            let d = Array.make ke 0 in
+            Montgomery.mont_mul_into ctx d (raw a) (raw b);
+            raw_check
+              (Printf.sprintf "%s raw mul %s*%s" name (Z.to_string a)
+                 (Z.to_string b))
+              (Z.erem (Z.mul a b) m) d;
             (* aliased destination: dst == a, then dst == b *)
             let expect = Array.to_list (words (Montgomery.mul_window ctx am bm)) in
             let aw = words am and bw = words bm in
@@ -266,6 +302,16 @@ let test_cios_edges () =
           (Printf.sprintf "%s sqr value %s" name (Z.to_string a))
           (Z.erem (Z.mul a a) m)
           (Montgomery.of_window ctx (Montgomery.sqr_window ctx am));
+        (* the same on the operand as a raw window *)
+        let dm = Array.make ke 0 and ds = Array.make ke 0 in
+        Montgomery.mont_mul_into ctx dm (raw a) (raw a);
+        Montgomery.mont_sqr_into ctx ds (raw a);
+        Alcotest.check window
+          (Printf.sprintf "%s raw sqr %s" name (Z.to_string a))
+          (Array.to_list dm) (Array.to_list ds);
+        raw_check
+          (Printf.sprintf "%s raw sqr %s" name (Z.to_string a))
+          (Z.erem (Z.mul a a) m) ds;
         let aw = words am in
         Montgomery.mont_sqr_into ctx aw aw;
         Alcotest.check window
@@ -286,7 +332,14 @@ let test_cios_edges () =
   check_ctx "schnorr-like"
     (Z.pred (Z.shift_left Z.one 1024));  (* odd, 40 limbs *)
   check_ctx "deployment-N-like"
-    (Z.sub (Z.shift_left Z.one 1330) (Z.of_int 27))  (* odd, 52 limbs *)
+    (Z.sub (Z.shift_left Z.one 1330) (Z.of_int 27));  (* odd, 52 limbs *)
+  List.iter
+    (fun (ke, m) ->
+      let name = Printf.sprintf "all-ones ke=%d %d bits" ke (Z.numbits m) in
+      Alcotest.(check int) (name ^ " width") ke
+        (Montgomery.k_limbs (Montgomery.create m));
+      check_ctx name m)
+    all_ones_moduli
 
 let test_wexp_edges () =
   (* Exponent 0: empty schedule, executed as 1 mod m. *)
@@ -625,9 +678,9 @@ let props =
         let e = Z.abs e in
         let s = Wexp.recode (Z.to_nat e) in
         (* k contexts with distinct odd moduli (different limb widths)
-           sharing one recoded schedule: the interleaved kernel must
-           reproduce each context's own powm_sched value AND its exact
-           per-context multiplication count. *)
+           sharing one recoded schedule: the batch must reproduce each
+           context's own powm_sched value AND its exact per-context
+           multiplication count. *)
         let qs =
           List.map
             (fun (b_, m) ->

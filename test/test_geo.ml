@@ -222,8 +222,6 @@ let test_nn_basic () =
   Alcotest.(check (list int)) "order" [ 2; 3 ] (List.map Poi.id nearest);
   Alcotest.(check int) "nearest" 2
     (match Nn.nearest ~from pois with Some p -> Poi.id p | None -> -1);
-  Alcotest.(check (list int)) "within 35" [ 2; 3 ]
-    (List.map Poi.id (Nn.within ~radius:35. ~from pois));
   Alcotest.(check (list int)) "k too large returns all real" [ 2; 3; 1 ]
     (List.map Poi.id (Nn.k_nearest ~k:10 ~from pois))
 
