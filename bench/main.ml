@@ -639,13 +639,13 @@ let faults ?(out = "BENCH_faults.json") ?(rates = [ 0.; 0.01; 0.05; 0.1 ])
               Session.run_round ~retry:policy ~jitter_seed:seed relay client
                 server ~position:(Coord.make ~x:1500. ~y:1500.)
             with
-            | _, stats ->
+            | result, stats ->
               incr completed;
               lat := !lat
                      +. stats.Session.network_s +. stats.Session.user_cpu_s
                      +. stats.Session.server_cpu_s;
-              bytes := !bytes + stats.Session.bytes_up
-                       + stats.Session.bytes_down;
+              bytes := !bytes
+                       + Protocol.transcript_bytes result.Protocol.transcript;
               retries := !retries + stats.Session.retries
             | exception Session.Network_error _ ->
               (* Budget exhausted: counted, not fatal. *)

@@ -15,6 +15,7 @@ open Lbq_core
 module Schnorr = Lbq_group.Schnorr
 module Drbg = Lbq_crypto.Drbg
 module Keypool = Lbq_cache.Keypool
+module Counters = Lbq_metrics.Counters
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                     *)
@@ -60,14 +61,27 @@ let keypool_capacity =
   let corner_block = 4 in
   (Queries.block_rounds + corner_block - 1) / corner_block
 
+(* The pool's counters and current depth, one line. *)
+let pp_keypool fmt (c, depth) =
+  Format.fprintf fmt
+    "@[keypool: %d hits, %d misses (%d steals), %d refills; %d instance(s) \
+     warm across %d stripe(s), depth min %d max %d@]"
+    c.Counters.pool_hits c.Counters.pool_misses c.Counters.pool_steals
+    c.Counters.pool_refills
+    (Array.fold_left ( + ) 0 depth)
+    (Array.length depth)
+    (Array.fold_left min max_int depth)
+    (Array.fold_left max 0 depth)
+
 (* The offline/online split from the CLI: prewarm a keypool over the
    deployment's plan, hand it to every round, and dump the pool counters
    when done. *)
-let with_keypool ?metrics ~prewarm ~seed ~(params : Params.t) server f =
+let with_keypool ?(metrics = Counters.create ()) ~prewarm ~seed
+    ~(params : Params.t) server f =
   if not prewarm then f None
   else begin
     let plan = (Server.public_info server).Server.plan in
-    Keypool.with_pool ?metrics
+    Keypool.with_pool ~metrics
       ~config:
         { Keypool.capacity = keypool_capacity;
           low_watermark = keypool_capacity - 1 }
@@ -83,7 +97,8 @@ let with_keypool ?metrics ~prewarm ~seed ~(params : Params.t) server f =
           (Lbq_pir.Gr.plan_size plan)
           (Unix.gettimeofday () -. t0);
         let result = f (Some pool) in
-        Format.printf "@.%a@." Keypool.pp_stats (Keypool.stats pool);
+        Format.printf "@.%a@." pp_keypool
+          (Counters.snapshot metrics, Keypool.depth pool);
         result)
   end
 
@@ -212,7 +227,6 @@ module Service = Lbq_net.Service
 module Fleet = Lbq_net.Fleet
 module Chaos = Lbq_net.Chaos
 module Histogram = Lbq_metrics.Histogram
-module Counters = Lbq_metrics.Counters
 
 (* Boot the multi-tenant service layer over the deployment and drive it
    with a closed-loop fleet of simulated clients, then dump per-tenant

@@ -48,7 +48,10 @@ let () =
         stats.Session.network_s
         (stats.Session.user_cpu_s +. stats.Session.server_cpu_s
          +. stats.Session.network_s)
-        stats.Session.bytes_up stats.Session.bytes_down)
+        (Protocol.transcript_bytes ~direction:Protocol.User_to_server
+           result.Protocol.transcript)
+        (Protocol.transcript_bytes ~direction:Protocol.Server_to_user
+           result.Protocol.transcript))
     Link.profiles;
 
   (* What did the SP see? *)

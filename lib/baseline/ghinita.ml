@@ -150,8 +150,6 @@ module Client = struct
       qr_cols = server.qr_cols;
       rmax = Grid.rmax server.partition }
 
-  let qr_private c = c.qr
-
   (* Encrypt the coordinates: 2 Paillier ciphertexts, counted as the
      paper does (4 exponentiations, 4L bits). *)
   let stage1_query (c : client) (position : Coord.t) : stage1_query =

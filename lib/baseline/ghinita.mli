@@ -42,8 +42,6 @@ module Client : sig
     ?metrics:Counters.t -> ?seed:string -> ?paillier_bits:int ->
     ?qr_bits:int -> t -> client
 
-  val qr_private : client -> Qr_pir.private_key
-
   (** The client's QR modulus (sent alongside stage-2 queries). *)
   val qr_modulus : client -> Z.t
 

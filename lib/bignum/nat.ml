@@ -23,11 +23,6 @@ let normalize (a : t) : t =
   done;
   if !n = Array.length a then a else Array.sub a 0 !n
 
-let check_canonical (a : t) =
-  let n = Array.length a in
-  (n = 0 || a.(n - 1) <> 0)
-  && Array.for_all (fun l -> 0 <= l && l < base) a
-
 let of_int (x : int) : t =
   if x < 0 then invalid_arg "Nat.of_int: negative";
   if x = 0 then zero
@@ -117,7 +112,6 @@ let sub (a : t) (b : t) : t =
   normalize r
 
 let add_int (a : t) (x : int) : t = add a (of_int x)
-let sub_int (a : t) (x : int) : t = sub a (of_int x)
 
 (* r.(off ..) += a * m  for a single limb m; returns nothing, mutates r.
    r must be long enough to absorb the final carry.  Inner loop of every

@@ -19,9 +19,6 @@ val is_zero : t -> bool
 (** Drop trailing zero limbs. *)
 val normalize : t -> t
 
-(** Whether the value is canonical and every limb is in range (testing). *)
-val check_canonical : t -> bool
-
 val of_int : int -> t
 val to_int_opt : t -> int option
 
@@ -39,7 +36,6 @@ val add : t -> t -> t
 val sub : t -> t -> t
 
 val add_int : t -> int -> t
-val sub_int : t -> int -> t
 
 (** [addmul_1 r off a m] adds [a * m] (single-limb [m]) into [r] starting
     at limb [off]; [r] must be long enough for the final carry.  The

@@ -10,7 +10,6 @@ let mk sign mag =
 let zero = { sign = 0; mag = Nat.zero }
 let one = mk 1 Nat.one
 let two = mk 1 Nat.two
-let minus_one = mk (-1) Nat.one
 
 let of_int x =
   if x = 0 then zero
@@ -43,7 +42,6 @@ let lt a b = compare a b < 0
 let leq a b = compare a b <= 0
 let gt a b = compare a b > 0
 let geq a b = compare a b >= 0
-let min a b = if leq a b then a else b
 let max a b = if geq a b then a else b
 
 let add a b =

@@ -11,7 +11,6 @@ type t
 val zero : t
 val one : t
 val two : t
-val minus_one : t
 
 val of_int : int -> t
 
@@ -58,7 +57,6 @@ val lt : t -> t -> bool
 val leq : t -> t -> bool
 val gt : t -> t -> bool
 val geq : t -> t -> bool
-val min : t -> t -> t
 val max : t -> t -> t
 
 (** {1 Arithmetic} *)

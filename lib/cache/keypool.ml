@@ -68,18 +68,6 @@ type t = {
   mutable closed : bool;
   mutable error : (exn * Printexc.raw_backtrace) option;
     (* first refill failure, re-raised to the next caller *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable refills : int;
-  mutable steals : int;
-}
-
-type stats = {
-  hits : int;
-  misses : int;
-  refills : int;
-  steals : int;
-  depth : int array;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -129,10 +117,6 @@ let create ?(config = default_config) ?domains
     inflight = 0;
     closed = false;
     error = None;
-    hits = 0;
-    misses = 0;
-    refills = 0;
-    steals = 0;
   }
 
 let plan t = t.plan
@@ -151,7 +135,6 @@ let insert t ~index ~generation st =
   if (not t.closed) && generation >= s.next_take then begin
     s.slots.(generation mod t.config.capacity) <- Some st;
     s.count <- s.count + 1;
-    t.refills <- t.refills + 1;
     Counters.pool_refills t.metrics 1
   end
 
@@ -243,18 +226,12 @@ let take t ~index =
       s.slots.(g mod t.config.capacity) <- None;
       s.count <- s.count - 1;
       s.next_take <- g + 1;
-      if not missed then begin
-        t.hits <- t.hits + 1;
-        Counters.pool_hits t.metrics 1
-      end;
+      if not missed then Counters.pool_hits t.metrics 1;
       replenish t;
       Mutex.unlock t.lock;
       (st, Gr.Client.wire st)
     | None ->
-      if not missed then begin
-        t.misses <- t.misses + 1;
-        Counters.pool_misses t.metrics 1
-      end;
+      if not missed then Counters.pool_misses t.metrics 1;
       if s.next_build > g then begin
         (* Generation g's ticket is already claimed (by a refill
            worker or an inline prewarm): wait for its copy rather than
@@ -268,7 +245,6 @@ let take t ~index =
            synchronously, keeping take order sequential. *)
         s.next_take <- g + 1;
         s.next_build <- g + 1;
-        t.steals <- t.steals + 1;
         Counters.pool_steals t.metrics 1;
         replenish t;
         Mutex.unlock t.lock;
@@ -351,29 +327,11 @@ let with_pool ?config ?domains ?metrics ?seed ~plan ~q_bits f =
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* ------------------------------------------------------------------ *)
-(* Stats                                                                *)
+(* Depth                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let stats t : stats =
+let depth t =
   Mutex.lock t.lock;
-  let s =
-    {
-      hits = t.hits;
-      misses = t.misses;
-      refills = t.refills;
-      steals = t.steals;
-      depth = Array.map (fun (s : stripe) -> s.count) t.stripes;
-    }
-  in
+  let d = Array.map (fun (s : stripe) -> s.count) t.stripes in
   Mutex.unlock t.lock;
-  s
-
-let pp_stats fmt (s : stats) =
-  let total = Array.fold_left ( + ) 0 s.depth in
-  Format.fprintf fmt
-    "@[keypool: %d hits, %d misses (%d steals), %d refills; %d instance(s) \
-     warm across %d stripe(s), depth min %d max %d@]"
-    s.hits s.misses s.steals s.refills total
-    (Array.length s.depth)
-    (Array.fold_left min max_int s.depth)
-    (Array.fold_left max 0 s.depth)
+  d

@@ -93,14 +93,6 @@ val with_pool :
   ?metrics:Counters.t -> ?seed:string -> plan:Gr.plan -> q_bits:int ->
   (t -> 'a) -> 'a
 
-(** Monotonic totals since [create], plus the current per-index depth. *)
-type stats = {
-  hits : int;        (** takes served from a warm stripe *)
-  misses : int;      (** takes that found their stripe empty *)
-  refills : int;     (** instances stored by background workers *)
-  steals : int;      (** tickets the foreground claimed and built itself *)
-  depth : int array; (** prebuilt instances currently held, per index *)
-}
-
-val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit
+(** Prebuilt instances currently held, per index.  Hits, misses,
+    refills and steals are counted in the [metrics] given to {!create}. *)
+val depth : t -> int array

@@ -38,5 +38,3 @@ let decrypt ~cell_key (blob : string) : string =
   if not (Bytes_util.equal_ct tag expected) then raise Authentication_failure;
   let aes = Aes.expand_key (derive_enc_key cell_key) in
   Aes.ctr_decrypt aes ~nonce ct
-
-let ciphertext_len ~plaintext_len = plaintext_len + tag_len

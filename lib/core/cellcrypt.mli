@@ -17,5 +17,3 @@ val encrypt : cell_key:string -> string -> string
 
 (** Raises {!Authentication_failure} on a wrong key or modified data. *)
 val decrypt : cell_key:string -> string -> string
-
-val ciphertext_len : plaintext_len:int -> int

@@ -33,7 +33,6 @@ let lattice ~area ~rows ~cols =
 
 let lattice_rows l = l.rows
 let lattice_cols l = l.cols
-let lattice_area l = l.area
 
 let cell_width l = Coord.Rect.width l.area /. float_of_int l.cols
 let cell_height l = Coord.Rect.height l.area /. float_of_int l.rows

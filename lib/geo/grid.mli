@@ -14,7 +14,6 @@ type lattice
 val lattice : area:Coord.Rect.t -> rows:int -> cols:int -> lattice
 val lattice_rows : lattice -> int
 val lattice_cols : lattice -> int
-val lattice_area : lattice -> Coord.Rect.t
 val cell_width : lattice -> float
 val cell_height : lattice -> float
 

@@ -27,7 +27,6 @@ let g t = t.g
 
 let p_bits t = Z.numbits t.p
 let q_bits t = Z.numbits t.q
-let win_width t = t.g_width
 
 (* Count the engine's modular multiplications over [f].  The context is
    shared by every user of the group, so single-threaded callers only. *)

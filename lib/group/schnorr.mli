@@ -54,9 +54,6 @@ val pow2_g_cost : t -> Z.t -> Z.t -> int
     the exponents once). *)
 val pow2_g_counted : t -> Z.t -> Z.t -> Z.t -> Z.t * int
 
-(** Window width of the group's cached generator tables. *)
-val win_width : t -> int
-
 (** {2 Per-query fixed-base material}
 
     An odd-powers table for an arbitrary group element, built once and

@@ -18,8 +18,8 @@
    - [Reorder]   — the frame arrives outside the receive window (late /
                    out of order) and is discarded as stale; the sender
                    times out.  In lockstep this is indistinguishable from
-                   a drop at the receiver, but it is counted separately
-                   because the wire saw the bytes.
+                   a drop at the receiver (same verdict), but it is its
+                   own config rate because the wire saw the bytes.
    - [Duplicate] — the frame arrives twice; the receiver uses the first
                    copy, the second burns air time and SP log space only.
    - [Spike]     — the frame arrives after an extra latency spike.
@@ -65,35 +65,13 @@ let mixed ?(spike_s = 0.25) ~p () =
       duplicate = p *. 0.10; reorder = p *. 0.10; spike = p *. 0.10;
       spike_s }
 
-type stats = {
-  mutable frames : int;       (* frames examined *)
-  mutable drops : int;
-  mutable corruptions : int;
-  mutable truncations : int;
-  mutable duplicates : int;
-  mutable reorders : int;
-  mutable spikes : int;
-}
-
-type t = { config : config; drbg : Drbg.t; stats : stats }
+type t = { config : config; drbg : Drbg.t }
 
 let create ?(config = calm) ~seed () =
   let config = check_config config in
-  { config;
-    drbg = Drbg.create ~domain:"lbq-chaos" ~seed ();
-    stats =
-      { frames = 0; drops = 0; corruptions = 0; truncations = 0;
-        duplicates = 0; reorders = 0; spikes = 0 } }
+  { config; drbg = Drbg.create ~domain:"lbq-chaos" ~seed () }
 
 let config t = t.config
-let stats t = t.stats
-
-(* Faults that cost the sender a retry in the lockstep protocol: the
-   receiver ends up without a usable copy of the frame. *)
-let lost_frames s = s.drops + s.corruptions + s.truncations + s.reorders
-
-let total_faults s =
-  lost_frames s + s.duplicates + s.spikes
 
 (* The fate of one frame. *)
 type verdict = {
@@ -121,44 +99,21 @@ let truncate_bytes t (bytes : string) : string =
 
 let next t (bytes : string) : verdict =
   let c = t.config in
-  let s = t.stats in
-  s.frames <- s.frames + 1;
   let u = uniform t in
   let deliver = { delivered = Some bytes; copies = 1; extra_s = 0. } in
-  if u < c.drop then begin
-    s.drops <- s.drops + 1;
-    { delivered = None; copies = 1; extra_s = 0. }
-  end
-  else if u < c.drop +. c.corrupt then begin
-    s.corruptions <- s.corruptions + 1;
+  if u < c.drop then { delivered = None; copies = 1; extra_s = 0. }
+  else if u < c.drop +. c.corrupt then
     { deliver with delivered = Some (flip_bit t bytes) }
-  end
-  else if u < c.drop +. c.corrupt +. c.truncate then begin
-    s.truncations <- s.truncations + 1;
+  else if u < c.drop +. c.corrupt +. c.truncate then
     { deliver with delivered = Some (truncate_bytes t bytes) }
-  end
-  else if u < c.drop +. c.corrupt +. c.truncate +. c.duplicate then begin
-    s.duplicates <- s.duplicates + 1;
+  else if u < c.drop +. c.corrupt +. c.truncate +. c.duplicate then
     { deliver with copies = 2 }
-  end
   else if u < c.drop +. c.corrupt +. c.truncate +. c.duplicate +. c.reorder
-  then begin
-    s.reorders <- s.reorders + 1;
+  then
     (* Arrives outside the lockstep receive window: discarded as stale. *)
     { delivered = None; copies = 1; extra_s = 0. }
-  end
   else if
     u < c.drop +. c.corrupt +. c.truncate +. c.duplicate +. c.reorder
         +. c.spike
-  then begin
-    s.spikes <- s.spikes + 1;
-    { deliver with extra_s = c.spike_s }
-  end
+  then { deliver with extra_s = c.spike_s }
   else deliver
-
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "@[%d frames: %d dropped, %d corrupted, %d truncated, %d duplicated, \
-     %d reordered, %d spiked@]"
-    s.frames s.drops s.corruptions s.truncations s.duplicates s.reorders
-    s.spikes

@@ -23,16 +23,6 @@ val drop_corrupt : p:float -> config
 (** All six fault kinds with total per-frame fault rate [p]. *)
 val mixed : ?spike_s:float -> p:float -> unit -> config
 
-type stats = {
-  mutable frames : int;
-  mutable drops : int;
-  mutable corruptions : int;
-  mutable truncations : int;
-  mutable duplicates : int;
-  mutable reorders : int;
-  mutable spikes : int;
-}
-
 type t
 
 (** Raises [Invalid_argument] on probabilities outside [0, 1] or summing
@@ -40,13 +30,6 @@ type t
 val create : ?config:config -> seed:string -> unit -> t
 
 val config : t -> config
-val stats : t -> stats
-
-(** Faults after which the receiver holds no usable copy — each costs the
-    lockstep sender exactly one retry. *)
-val lost_frames : stats -> int
-
-val total_faults : stats -> int
 
 (** The fate of one frame. *)
 type verdict = {
@@ -57,5 +40,3 @@ type verdict = {
 
 (** Judge the next frame; deterministic in (seed, call sequence). *)
 val next : t -> string -> verdict
-
-val pp_stats : Format.formatter -> stats -> unit

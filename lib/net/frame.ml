@@ -91,8 +91,6 @@ let encode (f : t) : string =
   in
   magic ^ body ^ u32 (Crc32.digest body)
 
-let encoded_len (f : t) : int = overhead + String.length f.payload
-
 let decode_result (s : string) : (t, error) result =
   if String.length s < overhead then Error Truncated
   else if not (String.equal (String.sub s 0 2) magic) then Error Bad_magic

@@ -29,8 +29,6 @@ type t = { kind : kind; payload : string }
 (** Header + trailer bytes added to every payload. *)
 val overhead : int
 
-val header_len : int
-
 val encode : t -> string
 
 (** Raises {!Bad_frame} on bad magic, type, length, or CRC. *)
@@ -38,8 +36,6 @@ val decode : string -> t
 
 (** Total variant of {!decode}: never raises. *)
 val decode_result : string -> (t, error) result
-
-val encoded_len : t -> int
 
 (** Big-endian u32 helpers (shared with the padding layer). *)
 val u32 : int -> string

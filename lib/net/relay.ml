@@ -29,17 +29,13 @@ type t = {
   metrics : Counters.t;
   mutable log : observation list;  (* newest first *)
   mutable clock_s : float;         (* accumulated virtual network time *)
-  mutable corrupt_next : bool;     (* legacy one-shot fault hook *)
 }
 
 let create ?chaos ?(metrics = Counters.null) ~link () =
-  { link; chaos; metrics; log = []; clock_s = 0.; corrupt_next = false }
+  { link; chaos; metrics; log = []; clock_s = 0. }
 
 let link t = t.link
 let chaos t = t.chaos
-
-(* Fault injection: flip one payload byte of the next forwarded frame. *)
-let corrupt_next_frame t = t.corrupt_next <- true
 
 let log_frame t ~direction bytes =
   let n = String.length bytes in
@@ -51,20 +47,6 @@ let log_frame t ~direction bytes =
   | Error _ ->
     t.log <- { direction; kind = Frame.Error_report; bytes = n } :: t.log
 
-let apply_corrupt_next t bytes =
-  if not t.corrupt_next then bytes
-  else begin
-    t.corrupt_next <- false;
-    let n = String.length bytes in
-    if n > Frame.header_len then begin
-      let b = Bytes.of_string bytes in
-      let i = Frame.header_len in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
-      Bytes.to_string b
-    end
-    else bytes
-  end
-
 (* Forward an encoded frame, simulating transfer time and recording what
    the SP sees.  Returns the bytes the far side receives — [None] when
    the fault model drops the frame (or delivers it outside the lockstep
@@ -73,7 +55,6 @@ let forward_opt t ~(direction : direction) (bytes : string) : string option =
   let n = String.length bytes in
   t.clock_s <- t.clock_s +. Link.transfer_time t.link ~bytes:n;
   log_frame t ~direction bytes;
-  let bytes = apply_corrupt_next t bytes in
   match t.chaos with
   | None -> Some bytes
   | Some chaos ->

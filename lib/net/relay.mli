@@ -29,9 +29,6 @@ val chaos : t -> Chaos.t option
     receiver's CRC is what catches them. *)
 val forward_opt : t -> direction:direction -> string -> string option
 
-(** Flip one payload byte of the next forwarded frame (tests). *)
-val corrupt_next_frame : t -> unit
-
 (** Oldest first; includes every transmission the SP forwarded —
     retries and duplicate copies too. *)
 val observations : t -> observation list

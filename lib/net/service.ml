@@ -91,8 +91,7 @@ type t = {
   batch : int;                     (* max requests drained per dispatch *)
   clock : unit -> float;
   metrics : Counters.t;
-  latency : Histogram.t;
-  shard_latency : Histogram.t array;  (* per-shard slice of [latency] *)
+  shard_latency : Histogram.t array;  (* submit-to-completion, per shard *)
   lock : Mutex.t;
   update_lock : Mutex.t;           (* serializes submit_update producers *)
   work : Condition.t;
@@ -115,13 +114,6 @@ let shard_count t = Array.length t.shards
 let queue_depth t = t.queue_depth
 let batch t = t.batch
 let server t = t.server
-let latency t = t.latency
-
-let shard_latency t d =
-  if d < 0 || d >= Array.length t.shard_latency then
-    invalid_arg "Service.shard_latency: shard out of range";
-  t.shard_latency.(d)
-
 let shard_latencies t = Array.to_list t.shard_latency
 
 (* Requests waiting on shard [d]'s queue, update fences excluded.
@@ -284,9 +276,7 @@ let complete_batch t d (tks : ticket array) =
     Counters.batch_served t.metrics 1;
     Counters.batch_size_sum t.metrics k;
     Array.iter
-      (fun tk ->
-        Histogram.record_s t.latency tk.latency_s;
-        Histogram.record_s t.shard_latency.(d) tk.latency_s)
+      (fun tk -> Histogram.record_s t.shard_latency.(d) tk.latency_s)
       tks
   end
 
@@ -341,7 +331,6 @@ let create ?ot_seed ?metrics ?clock ?(queue_depth = 64) ?(batch = 1)
       batch;
       clock;
       metrics;
-      latency = Histogram.create ();
       shard_latency = Array.init shards (fun _ -> Histogram.create ());
       lock = Mutex.create ();
       update_lock = Mutex.create ();

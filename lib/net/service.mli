@@ -80,15 +80,9 @@ val batch : t -> int
 
 val server : t -> Server.t
 
-(** Aggregate submit-to-completion latency across all requests. *)
-val latency : t -> Histogram.t
-
-(** One shard's slice of {!latency} (every sample lands in both).
-    Raises [Invalid_argument] on an out-of-range shard. *)
-val shard_latency : t -> int -> Histogram.t
-
-(** All per-shard histograms, in shard order — ready for
-    {!Lbq_metrics.Histogram.merge}. *)
+(** Submit-to-completion latency, one histogram per shard in shard
+    order; each request is recorded once, on its shard.
+    {!Lbq_metrics.Histogram.merge} gives the aggregate. *)
 val shard_latencies : t -> Histogram.t list
 
 (** Current backlog of one shard's queue. *)

@@ -37,9 +37,6 @@ type stats = {
   user_cpu_s : float;
   server_cpu_s : float;
   network_s : float;
-  bytes_up : int;
-  bytes_down : int;
-  frames : int;
   retries : int;
 }
 
@@ -268,12 +265,6 @@ let run_round ?(reuse = false) ?(retry = Retry.none)
   let new_obs =
     List.filteri (fun i _ -> i >= start_observations) obs
   in
-  let bytes direction =
-    List.fold_left
-      (fun acc (o : Relay.observation) ->
-        if o.Relay.direction = direction then acc + o.Relay.bytes else acc)
-      0 new_obs
-  in
   let transcript =
     List.map
       (fun (o : Relay.observation) ->
@@ -289,7 +280,4 @@ let run_round ?(reuse = false) ?(retry = Retry.none)
   { user_cpu_s = !user_cpu;
     server_cpu_s = !server_cpu;
     network_s = Relay.network_time_s relay;
-    bytes_up = bytes Relay.Uplink;
-    bytes_down = bytes Relay.Downlink;
-    frames = List.length new_obs;
     retries = !retries }

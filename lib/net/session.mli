@@ -17,9 +17,6 @@ type stats = {
   user_cpu_s : float;
   server_cpu_s : float;
   network_s : float;   (* virtual link time, incl. timeout/backoff waits *)
-  bytes_up : int;      (* all transmissions, retries included *)
-  bytes_down : int;
-  frames : int;
   retries : int;       (* exchange attempts repeated after a fault *)
 }
 
@@ -35,7 +32,9 @@ val bootstrap : Relay.t -> Server.t -> Server.public_info * int
     behaviour.  With a real policy, faults are retried within the budget
     and only exhaustion raises.  [jitter_seed] seeds the backoff jitter
     stream (deterministic replay).  Raises {!Rejected} when the server's
-    validation refuses a request. *)
+    validation refuses a request.  The result's transcript lists every
+    transmission the SP forwarded in the round, retries and duplicate
+    copies included. *)
 val run_round :
   ?reuse:bool -> ?retry:Retry.policy -> ?jitter_seed:string ->
   Relay.t -> Client.t -> Server.t ->

@@ -133,8 +133,6 @@ module Server = struct
   (* The public masked table Y (transferred to users once). *)
   let masked_table t = t.masked
 
-  let masked_table_bytes t = t.rows * t.cols * t.payload_len
-
   (* Algorithm 2, server side.  For each row alpha:
        C'_{1,alpha} = (A1^{r_a}, g^{R_alpha} * (g^alpha * B1)^{r_a})
      and symmetrically per column with C_beta.  3 exponentiations per

@@ -50,8 +50,6 @@ module Server : sig
   (** The published masked table Y. *)
   val masked_table : t -> string array array
 
-  val masked_table_bytes : t -> int
-
   (** Algorithm 2, server side: 3 exponentiations per row plus 3 per
       column (the Table I server cost 3n + 3m), executed through the
       stage-1 engine — per-axis fixed-base comb (or odd-powers table on

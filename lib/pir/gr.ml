@@ -58,7 +58,6 @@ let make_plan ?(first = 3) ~count ~block_bits () =
   { slots = Array.of_list slots; block_bits }
 
 let plan_size plan = Array.length plan.slots
-let plan_block_bits plan = plan.block_bits
 let plan_slot plan i =
   if i < 0 || i >= Array.length plan.slots then
     invalid_arg "Gr.plan_slot: index out of range";
@@ -212,9 +211,9 @@ module Client = struct
     slot : slot;
     n : Z.t;            (* modulus N = Q0 * Q1, factorisation secret *)
     g : Z.t;            (* quasi-generator, order divisible by pi *)
-    phi : Z.t;          (* phi(N) = 4 * q0 * q1 * pi *)
-    qq0 : Z.t;          (* Q0 = 2 q0 pi + 1: the trapdoor, kept client-side *)
-    qq1 : Z.t;          (* Q1 = 2 q1 + 1 *)
+    phi : Z.t;
+      (* phi(N) = 4 * q0 * q1 * pi for Q0 = 2 q0 pi + 1, Q1 = 2 q1 + 1:
+         the trapdoor, kept client-side *)
     mont : Montgomery.t;
       (* N is odd (product of two odd primes): the quasi-generator
          check, both decode exponentiations to phi/pi and the
@@ -259,7 +258,7 @@ module Client = struct
     in
     let g = find_g () in
     let st =
-      { slot; n; g; phi; qq0; qq1; mont; metrics; solver = None }
+      { slot; n; g; phi; mont; metrics; solver = None }
     in
     Counters.user_bytes metrics (2 * ((Z.numbits n + 7) / 8));
     st, (n, g)
@@ -267,7 +266,6 @@ module Client = struct
   let modulus st = st.n
   let generator st = st.g
   let wire st = st.n, st.g
-  let factors st = st.qq0, st.qq1
 
   (* The instance-only half of [decode]: h = g^(phi/pi) plus the
      Pohlig–Hellman power/inverse/baby-step tables, all independent of

@@ -22,7 +22,6 @@ type plan
 val make_plan : ?first:int -> count:int -> block_bits:int -> unit -> plan
 
 val plan_size : plan -> int
-val plan_block_bits : plan -> int
 val plan_slot : plan -> int -> slot
 
 (** Does value [v] fit in slot [i]? *)
@@ -113,11 +112,6 @@ module Client : sig
   (** The wire query [(N, g)] of this instance, recoverable from the
       state alone (a pooled instance re-emits its query on take). *)
   val wire : state -> Z.t * Z.t
-
-  (** The trapdoor factorisation [(Q0, Q1)] of the modulus — what the
-      phi-hiding assumption keeps from the server.  Exposed so offline
-      instance builders can sanity-check and tests can cross-check. *)
-  val factors : state -> Z.t * Z.t
 
   (** Build every response-independent decode table now: the subgroup
       base [h = g{^phi/pi}], the Pohlig–Hellman power and inverse-power

@@ -61,60 +61,6 @@ module type CONFIG = sig
   val dimension : int
 end
 
-(* ---- hint cache ----
-
-   H = M * A is by far the most expensive part of [encode] — mrows * n *
-   cols word multiply-accumulates, dwarfing the byte shuffling around it
-   — yet it is fully determined by (M, A), and A by (a_seed, cols, n).
-   Re-encoding the same grid under a replayed randomness stream (the
-   differential arena, benches, a server restart from a fixed seed) used
-   to recompute the product from scratch every time.  A small bounded
-   cache keyed on a digest of those inputs returns the published hint
-   instead.  [a_seed] is still drawn from [rand] BEFORE any lookup, so
-   the backend consumes its randomness stream identically on hit and
-   miss, and a fresh seed (the honest-random case) simply misses.
-
-   The cache is shared across [Make] instantiations (the key includes
-   the dimension) and guarded by a mutex for the Domains-based servers;
-   cached rows are only ever read by their owners. *)
-
-let hint_cache_bound = 8
-let hint_cache : (string, int array) Hashtbl.t = Hashtbl.create hint_cache_bound
-let hint_cache_queue : string Queue.t = Queue.create ()
-let hint_cache_lock = Mutex.create ()
-let hint_cache_hits = ref 0
-let hint_cache_misses = ref 0
-
-let hint_cache_key ~a_seed ~n ~cols ~mrows (m : Bytes.t) =
-  Printf.sprintf "%d:%d:%d:%s:%s" n cols mrows
-    (Digest.to_hex (Digest.string a_seed))
-    (Digest.to_hex (Digest.bytes m))
-
-(* (hits, misses) since start — observability for tests and benches. *)
-let hint_cache_stats () = (!hint_cache_hits, !hint_cache_misses)
-
-(* Lookup outside the compute: a concurrent duplicate compute of the
-   same key is possible and harmless (last insert wins, values equal). *)
-let with_hint_cache key compute =
-  let cached =
-    Mutex.protect hint_cache_lock (fun () -> Hashtbl.find_opt hint_cache key)
-  in
-  match cached with
-  | Some h ->
-    Mutex.protect hint_cache_lock (fun () -> incr hint_cache_hits);
-    h
-  | None ->
-    let h = compute () in
-    Mutex.protect hint_cache_lock (fun () ->
-        incr hint_cache_misses;
-        if not (Hashtbl.mem hint_cache key) then begin
-          if Queue.length hint_cache_queue >= hint_cache_bound then
-            Hashtbl.remove hint_cache (Queue.pop hint_cache_queue);
-          Queue.push key hint_cache_queue;
-          Hashtbl.add hint_cache key h
-        end);
-    h
-
 module Make (C : CONFIG) : B.S = struct
   let name = "lwe"
   let mult_kind = B.Word_mul
@@ -129,10 +75,7 @@ module Make (C : CONFIG) : B.S = struct
     mrows : int;                  (* rows * block_len *)
     m : Bytes.t;                  (* M, mrows x cols, byte entries *)
     a_seed : string;
-    mutable hint : int array;     (* H = M * A, mrows x n, row-major *)
-    mutable hint_owned : bool;
-      (* false while [hint] may be shared through the encode-time cache;
-         [update] copies before its first in-place patch *)
+    hint : int array;             (* H = M * A, mrows x n, row-major *)
     mutable a : int array option;
       (* expanded public matrix, cached on first update (cols x n) *)
     metrics : Counters.t;
@@ -190,23 +133,19 @@ module Make (C : CONFIG) : B.S = struct
     let a_seed = rand seed_len in
     (* H[i][k] = sum_j M[i][j] * A[j][k].  Products are < 2^42 and
        cols <= 32896 < 2^16, so a full row accumulates inside 2^58 —
-       well within 63 bits — and one final mask suffices.  Computed at
-       most once per (M, A): the hint cache serves repeats of the same
-       grid under the same seed. *)
+       well within 63 bits — and one final mask suffices. *)
+    let a = expand_a ~a_seed ~cols in
     let hint =
-      with_hint_cache (hint_cache_key ~a_seed ~n ~cols ~mrows m) (fun () ->
-          let a = expand_a ~a_seed ~cols in
-          Array.init (mrows * n) (fun ik ->
-              let i = ik / n and k = ik mod n in
-              let acc = ref 0 in
-              for j = 0 to cols - 1 do
-                acc := !acc + (Char.code (Bytes.unsafe_get m ((i * cols) + j))
-                               * Array.unsafe_get a ((j * n) + k))
-              done;
-              !acc land q_mask))
+      Array.init (mrows * n) (fun ik ->
+          let i = ik / n and k = ik mod n in
+          let acc = ref 0 in
+          for j = 0 to cols - 1 do
+            acc := !acc + (Char.code (Bytes.unsafe_get m ((i * cols) + j))
+                           * Array.unsafe_get a ((j * n) + k))
+          done;
+          !acc land q_mask)
     in
-    { rows; cols; block_len; mrows; m; a_seed; hint; hint_owned = false;
-      a = None; metrics }
+    { rows; cols; block_len; mrows; m; a_seed; hint; a = None; metrics }
 
   let rows (t : server) = t.rows
   let cols (t : server) = t.cols
@@ -442,9 +381,7 @@ module Make (C : CONFIG) : B.S = struct
      wraps mod 2^63 and 2^34 | 2^63, so masking the (possibly negative)
      adjusted word is a faithful mod-q reduction, and the patched hint
      equals a fresh encode's word for word.  [A] is expanded once, on
-     the first update; the cached-hint array is copied before the first
-     in-place patch because the encode-time cache may share it with
-     other servers (and its key digests M, which just changed). *)
+     the first update. *)
   let update (t : server) ~row ~col ~(block : string) =
     if row < 0 || row >= t.rows || col < 0 || col >= t.cols then
       invalid_arg "Lwe_backend.update: target out of range";
@@ -458,10 +395,6 @@ module Make (C : CONFIG) : B.S = struct
         t.a <- Some a;
         a
     in
-    if not t.hint_owned then begin
-      t.hint <- Array.copy t.hint;
-      t.hint_owned <- true
-    end;
     let hint = t.hint in
     for k = 0 to t.block_len - 1 do
       let i = (row * t.block_len) + k in

@@ -387,39 +387,6 @@ let test_even_modulus (_ : Counters.t) =
       (* qr: u32 el ^ u32 cols ^ N ^ ys, N padded to el bytes *)
       ("qr", (fun w -> 8 + B.read_u32 w 0 - 1), "qr modulus") ]
 
-(* The hint H = M * A is the dominant cost of [encode]; re-encoding the
-   same grid under a replayed randomness stream (same a_seed, same M)
-   must be served from the bounded cache, a different grid must miss,
-   and a cache-served server must be byte-identical on the wire and
-   still decode correctly. *)
-let test_lwe_hint_cache (_ : Counters.t) =
-  let module M = (val lwe) in
-  Fixture.with_metrics (fun metrics ->
-      let rows = 2 and cols = 3 and len = 2 in
-      let blocks = oracle_blocks ~rows ~cols ~len () in
-      let fresh_rand () = Drbg.rand (Drbg.create ~seed:"lwe-hint-cache" ()) in
-      let _, m0 = Lwe_backend.hint_cache_stats () in
-      let s1 = M.encode ~metrics ~rand:(fresh_rand ()) blocks in
-      let h1, m1 = Lwe_backend.hint_cache_stats () in
-      Alcotest.(check int) "first encode misses" (m0 + 1) m1;
-      let s2 = M.encode ~metrics ~rand:(fresh_rand ()) blocks in
-      let h2, m2 = Lwe_backend.hint_cache_stats () in
-      Alcotest.(check int) "replayed encode hits" (h1 + 1) h2;
-      Alcotest.(check int) "replayed encode does not recompute" m1 m2;
-      Alcotest.(check string) "cached server publishes identical bytes"
-        (M.public s1) (M.public s2);
-      (* A different grid under the same stream is a different M. *)
-      let blocks' = oracle_blocks ~tag:1 ~rows ~cols ~len () in
-      let _ = M.encode ~metrics ~rand:(fresh_rand ()) blocks' in
-      let _, m3 = Lwe_backend.hint_cache_stats () in
-      Alcotest.(check int) "different grid misses" (m2 + 1) m3;
-      (* End to end through the cache-served server. *)
-      let qrand = rand_for ~name:"lwe-hint-cache-q" ~rows ~cols ~len in
-      let public = M.public s2 in
-      let client, q = M.query ~metrics ~rand:qrand ~public ~row:1 ~col:2 () in
-      let out = M.decode client (M.respond s2 q) in
-      Alcotest.(check string) "cached server still decodes" blocks.(1).(2) out)
-
 (* PR 8 lifted q from 2^30 to 2^34: the rounding bound
    cols * 255 * noise_max < delta / 2 now admits 32896 columns, 16x the
    old 2056.  Exercise the exact boundary with a tiny LWE dimension
@@ -568,7 +535,6 @@ let () =
        [ Fixture.case "garbage frames" test_garbage_frames;
          Fixture.case "lwe malformed frames" test_lwe_malformed_frames;
          Fixture.case "even modulus refused" test_even_modulus ]);
-      ("hint-cache", [ Fixture.case "lwe hint cache" test_lwe_hint_cache ]);
       ("boundary",
        [ Fixture.case "lwe max_cols ceiling" test_lwe_max_cols_boundary ]);
       ("properties", props) ]

@@ -157,13 +157,10 @@ let test_cold_take_counts_miss_and_steal () =
       let got = snd (Keypool.take pool ~index:1) in
       check_wire "cold take = reference" got
         (reference ~seed ~index:1 ~generation:0);
-      let s = Keypool.stats pool in
-      Alcotest.(check int) "hits" 0 s.Keypool.hits;
-      Alcotest.(check int) "misses" 1 s.Keypool.misses;
-      Alcotest.(check int) "steals" 1 s.Keypool.steals;
       let c = Counters.snapshot metrics in
-      Alcotest.(check int) "Counters.pool_misses" 1 c.Counters.pool_misses;
-      Alcotest.(check int) "Counters.pool_steals" 1 c.Counters.pool_steals)
+      Alcotest.(check int) "hits" 0 c.Counters.pool_hits;
+      Alcotest.(check int) "misses" 1 c.Counters.pool_misses;
+      Alcotest.(check int) "steals" 1 c.Counters.pool_steals)
 
 let test_take_waits_for_inflight_build () =
   (* One worker, capacity 3, no prewarm.  The first take steals stripe
@@ -178,7 +175,7 @@ let test_take_waits_for_inflight_build () =
   let seed = "cache-inflight" in
   let last = cells - 1 in
   let metrics = Counters.create () in
-  let taken, stats =
+  let taken, depth =
     Keypool.with_pool ~metrics
       ~config:{ Keypool.capacity = 3; low_watermark = 0 }
       ~domains:1 ~seed ~plan ~q_bits
@@ -186,7 +183,7 @@ let test_take_waits_for_inflight_build () =
         let first = snd (Keypool.take pool ~index:0) in
         let second = snd (Keypool.take pool ~index:last) in
         Keypool.drain pool;
-        ([ (0, first); (last, second) ], Keypool.stats pool))
+        ([ (0, first); (last, second) ], Keypool.depth pool))
   in
   List.iter
     (fun (index, got) ->
@@ -195,11 +192,12 @@ let test_take_waits_for_inflight_build () =
         got
         (reference ~seed ~index ~generation:0))
     taken;
-  Alcotest.(check int) "only the first take steals" 1 stats.Keypool.steals;
+  Alcotest.(check int) "only the first take steals" 1
+    (Counters.snapshot metrics).Counters.pool_steals;
   let expect = Counters.create () in
   for index = 0 to cells - 1 do
     let built =
-      stats.Keypool.depth.(index) + if List.mem_assoc index taken then 1 else 0
+      depth.(index) + if List.mem_assoc index taken then 1 else 0
     in
     for generation = 0 to built - 1 do
       ignore
@@ -220,24 +218,19 @@ let test_prewarm_hit_and_depth () =
     ~seed:"cache-warm" ~plan ~q_bits
     (fun pool ->
       Keypool.prewarm pool;
-      let s = Keypool.stats pool in
+      let refills () = (Counters.snapshot metrics).Counters.pool_refills in
       Alcotest.(check (array int))
         "depth at capacity after prewarm"
-        (Array.make cells 1) s.Keypool.depth;
-      Alcotest.(check int) "one refill per stripe" cells s.Keypool.refills;
+        (Array.make cells 1) (Keypool.depth pool);
+      Alcotest.(check int) "one refill per stripe" cells (refills ());
       (* Idempotent: a second prewarm builds nothing. *)
       Keypool.prewarm pool;
-      Alcotest.(check int) "prewarm idempotent" cells
-        (Keypool.stats pool).Keypool.refills;
+      Alcotest.(check int) "prewarm idempotent" cells (refills ());
       ignore (Keypool.take pool ~index:0);
-      let s = Keypool.stats pool in
-      Alcotest.(check int) "warm take is a hit" 1 s.Keypool.hits;
-      Alcotest.(check int) "no miss" 0 s.Keypool.misses;
-      Alcotest.(check int) "stripe drained" 0 s.Keypool.depth.(0);
       let c = Counters.snapshot metrics in
-      Alcotest.(check int) "Counters.pool_hits" 1 c.Counters.pool_hits;
-      Alcotest.(check int) "Counters.pool_refills" cells
-        c.Counters.pool_refills)
+      Alcotest.(check int) "warm take is a hit" 1 c.Counters.pool_hits;
+      Alcotest.(check int) "no miss" 0 c.Counters.pool_misses;
+      Alcotest.(check int) "stripe drained" 0 (Keypool.depth pool).(0))
 
 let test_errors_and_shutdown () =
   let pool = Keypool.create ~seed:"cache-errors" ~plan ~q_bits () in

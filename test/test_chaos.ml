@@ -44,37 +44,52 @@ let position = Coord.make ~x:700. ~y:2600.
 (* Chaos: deterministic schedule                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Same seed, same frame stream -> bit-identical verdicts and stats. *)
+(* The fault a verdict shows for [frame]: a lost frame (drop or
+   reorder), a bit flip, a truncation, a duplicate, a spike, or none. *)
+type fault = Lost | Flipped | Truncated | Duplicated | Spiked | Clean
+
+let fault_of frame (v : Chaos.verdict) =
+  match v.Chaos.delivered with
+  | None -> Lost
+  | Some b when String.length b < String.length frame -> Truncated
+  | Some b when not (String.equal b frame) -> Flipped
+  | Some _ when v.Chaos.copies = 2 -> Duplicated
+  | Some _ when v.Chaos.extra_s > 0. -> Spiked
+  | Some _ -> Clean
+
+let count fault faults = List.length (List.filter (( = ) fault) faults)
+
+(* Same seed, same frame stream -> bit-identical verdicts. *)
 let test_chaos_reproducible () =
   let mk () = Chaos.create ~config:(Chaos.mixed ~p:0.3 ()) ~seed:"sched" () in
   let c1 = mk () and c2 = mk () in
   let drbg = Drbg.create ~seed:"chaos-frames" () in
-  for i = 0 to 499 do
-    let frame = Drbg.bytes drbg (1 + Drbg.int drbg 300) in
-    let v1 = Chaos.next c1 frame and v2 = Chaos.next c2 frame in
-    Alcotest.(check bool)
-      (Printf.sprintf "verdict %d identical" i)
-      true
-      (v1.Chaos.delivered = v2.Chaos.delivered
-       && v1.Chaos.copies = v2.Chaos.copies
-       && v1.Chaos.extra_s = v2.Chaos.extra_s)
-  done;
-  let s1 = Chaos.stats c1 and s2 = Chaos.stats c2 in
-  Alcotest.(check int) "frames" 500 s1.Chaos.frames;
-  Alcotest.(check bool) "stats identical" true (s1 = s2);
+  let faults =
+    List.init 500 (fun i ->
+        let frame = Drbg.bytes drbg (1 + Drbg.int drbg 300) in
+        let v1 = Chaos.next c1 frame and v2 = Chaos.next c2 frame in
+        Alcotest.(check bool)
+          (Printf.sprintf "verdict %d identical" i)
+          true
+          (v1.Chaos.delivered = v2.Chaos.delivered
+           && v1.Chaos.copies = v2.Chaos.copies
+           && v1.Chaos.extra_s = v2.Chaos.extra_s);
+        fault_of frame v1)
+  in
   Alcotest.(check bool) "schedule actually faulty" true
-    (Chaos.total_faults s1 > 0)
+    (count Clean faults < 500)
 
 (* A different seed gives a different schedule. *)
 let test_chaos_seed_sensitive () =
   let run seed =
     let c = Chaos.create ~config:(Chaos.mixed ~p:0.3 ()) ~seed () in
     let drbg = Drbg.create ~seed:"chaos-frames" () in
-    for _ = 0 to 199 do
-      ignore (Chaos.next c (Drbg.bytes drbg 64))
-    done;
-    let s = Chaos.stats c in
-    (s.Chaos.drops, s.Chaos.corruptions, s.Chaos.duplicates, s.Chaos.spikes)
+    let faults =
+      List.init 200 (fun _ ->
+          let frame = Drbg.bytes drbg 64 in
+          fault_of frame (Chaos.next c frame))
+    in
+    List.map (fun f -> count f faults) [ Lost; Flipped; Duplicated; Spiked ]
   in
   Alcotest.(check bool) "seeds differ" true (run "seed-a" <> run "seed-b")
 
@@ -160,32 +175,34 @@ let fault_free_round ~seed =
 
 (* Under p = 0.1 drop+corruption every round completes, returns exactly
    the fault-free result, and the retries equal the frames the fault
-   model lost — checked per round and in aggregate over many seeds. *)
+   model lost (the relay's [drops]) — checked per round and in
+   aggregate over many seeds. *)
 let test_round_under_faults () =
   let baseline, _ = fault_free_round ~seed:"round-seed" in
   let total_retries = ref 0 and total_lost = ref 0 in
   for i = 0 to 14 do
     let seed = Printf.sprintf "chaos-round-%d" i in
     let chaos = Chaos.create ~config:(Chaos.drop_corrupt ~p:0.1) ~seed () in
-    let relay = Relay.create ~chaos ~link:Link.wifi () in
+    let metrics = Counters.create () in
+    let relay = Relay.create ~chaos ~metrics ~link:Link.wifi () in
     let client = Client.create ~seed:"round-seed" info in
     let result, stats =
       Session.run_round ~retry:Retry.default ~jitter_seed:seed relay client
         server ~position
     in
-    let cs = Chaos.stats chaos in
+    let lost = (Counters.snapshot metrics).Counters.drops in
     Alcotest.(check (list poit))
       (Printf.sprintf "round %d result identical to fault-free" i)
       baseline.Protocol.pois result.Protocol.pois;
     Alcotest.(check int)
       (Printf.sprintf "round %d retries = lost frames" i)
-      (Chaos.lost_frames cs) stats.Session.retries;
+      lost stats.Session.retries;
     Alcotest.(check bool)
       (Printf.sprintf "round %d retries bounded" i)
       true
       (stats.Session.retries <= 2 * (Retry.default.Retry.max_attempts - 1));
     total_retries := !total_retries + stats.Session.retries;
-    total_lost := !total_lost + Chaos.lost_frames cs
+    total_lost := !total_lost + lost
   done;
   Alcotest.(check int) "aggregate retries = aggregate lost frames"
     !total_lost !total_retries;
@@ -199,13 +216,16 @@ let test_faulty_round_reproducible () =
     in
     let relay = Relay.create ~chaos ~link:Link.gprs () in
     let client = Client.create ~seed:"replay-user" info in
-    let _, stats =
+    let result, stats =
       Session.run_round ~retry:Retry.default ~jitter_seed:"replay" relay
         client server ~position
     in
+    let bytes direction =
+      Protocol.transcript_bytes ~direction result.Protocol.transcript
+    in
     ( Relay.view_fingerprint relay, stats.Session.retries,
-      stats.Session.network_s, stats.Session.bytes_up,
-      stats.Session.bytes_down )
+      stats.Session.network_s, bytes Protocol.User_to_server,
+      bytes Protocol.Server_to_user )
   in
   let f1, r1, n1, u1, d1 = run () in
   let f2, r2, n2, u2, d2 = run () in
@@ -226,10 +246,13 @@ let test_no_retry_preserves_failfast () =
   (match Session.run_round relay client server ~position with
    | _ -> Alcotest.fail "dropped frame accepted without retries"
    | exception Session.Network_error _ -> ());
-  (* The legacy one-shot corruption hook behaves the same. *)
-  let relay = Relay.create ~link:Link.wifi () in
+  (* A corrupted frame fails the round the same way. *)
+  let chaos =
+    Chaos.create ~config:{ Chaos.calm with Chaos.corrupt = 1.0 }
+      ~seed:"kill-corrupt" ()
+  in
+  let relay = Relay.create ~chaos ~link:Link.wifi () in
   let client = Client.create ~seed:"ff2" info in
-  Relay.corrupt_next_frame relay;
   (match Session.run_round relay client server ~position with
    | _ -> Alcotest.fail "corrupted frame accepted without retries"
    | exception Session.Network_error _ -> ())
@@ -240,8 +263,8 @@ let test_budget_exhaustion () =
   let chaos =
     Chaos.create ~config:{ Chaos.calm with Chaos.drop = 1.0 } ~seed:"dead" ()
   in
-  let relay = Relay.create ~chaos ~link:Link.wifi () in
   let metrics = Counters.create () in
+  let relay = Relay.create ~chaos ~metrics ~link:Link.wifi () in
   let client = Client.create ~metrics ~seed:"dead-user" info in
   let policy = Retry.make ~max_attempts:3 ~timeout_s:0.01 ~jitter:0. () in
   (match Session.run_round ~retry:policy relay client server ~position with
@@ -249,15 +272,17 @@ let test_budget_exhaustion () =
    | exception Session.Network_error m ->
      Alcotest.(check bool) "names the budget" true
        (contains ~needle:"exhausted" m));
-  let cs = Chaos.stats chaos in
-  Alcotest.(check int) "all attempts dropped" 3 cs.Chaos.drops;
-  Alcotest.(check int) "client retries counter" 2 (Counters.snapshot metrics).Counters.retries
+  let c = Counters.snapshot metrics in
+  Alcotest.(check int) "all attempts dropped" 3 c.Counters.drops;
+  Alcotest.(check int) "client retries counter" 2 c.Counters.retries
 
 (* Duplicates and latency spikes are delivered faults: the round
    completes with zero retries; duplicates double frames and bytes,
    spikes stretch the virtual clock. *)
 let test_delivered_faults () =
-  let _, base = fault_free_round ~seed:"dup-seed" in
+  let base_result, base = fault_free_round ~seed:"dup-seed" in
+  let frames r = List.length r.Protocol.transcript in
+  let bytes r = Protocol.transcript_bytes r.Protocol.transcript in
   let chaos =
     Chaos.create ~config:{ Chaos.calm with Chaos.duplicate = 1.0 }
       ~seed:"dup" ()
@@ -268,11 +293,10 @@ let test_delivered_faults () =
     Session.run_round ~retry:Retry.default relay client server ~position
   in
   Alcotest.(check int) "no retries" 0 stats.Session.retries;
-  Alcotest.(check int) "every frame doubled" (2 * base.Session.frames)
-    stats.Session.frames;
-  Alcotest.(check int) "bytes doubled"
-    (2 * (base.Session.bytes_up + base.Session.bytes_down))
-    (stats.Session.bytes_up + stats.Session.bytes_down);
+  Alcotest.(check int) "every frame doubled" (2 * frames base_result)
+    (frames result);
+  Alcotest.(check int) "bytes doubled" (2 * bytes base_result)
+    (bytes result);
   Alcotest.(check bool) "result still correct" true
     (result.Protocol.pois <> []);
   let spiky =
@@ -289,7 +313,7 @@ let test_delivered_faults () =
   Alcotest.(check bool) "clock stretched" true
     (stats.Session.network_s
      >= base.Session.network_s
-        +. (0.05 *. float_of_int base.Session.frames)
+        +. (0.05 *. float_of_int (frames base_result))
         -. 1e-9)
 
 (* Privacy under faults: every (direction, kind, size) triple the SP sees

@@ -395,7 +395,8 @@ let test_pooled_rounds_fresh_moduli () =
      (successive pool generations), unlike reuse:true. *)
   let pool_client = Client.create ~seed:"pooler" public in
   let position = Coord.make ~x:2500. ~y:500. in
-  Client.Keypool.with_pool ~seed:"core-pool" ~plan:public.Server.plan
+  let metrics = Counters.create () in
+  Client.Keypool.with_pool ~metrics ~seed:"core-pool" ~plan:public.Server.plan
     ~q_bits:params.Params.q_bits
     (fun pool ->
       let r1 = Protocol.run_round ~pool pool_client server ~position in
@@ -404,10 +405,10 @@ let test_pooled_rounds_fresh_moduli () =
         r1.Protocol.pois;
       Alcotest.(check (list poit)) "pooled round 2" (expected_pois position)
         r2.Protocol.pois;
-      let s = Client.Keypool.stats pool in
+      let s = Counters.snapshot metrics in
       (* No workers and no prewarm: both takes were cold steals. *)
-      Alcotest.(check int) "cold takes" 2 s.Client.Keypool.misses;
-      Alcotest.(check int) "built by the caller" 2 s.Client.Keypool.steals)
+      Alcotest.(check int) "cold takes" 2 s.Counters.pool_misses;
+      Alcotest.(check int) "built by the caller" 2 s.Counters.pool_steals)
 
 let test_pooled_round_rejects_mismatched_pool () =
   (* A pool built for another deployment (different q_bits) must be

@@ -116,7 +116,8 @@ let test_bootstrap_roundtrip () =
   let result, stats = Session.run_round relay client server ~position in
   Alcotest.(check (list poit)) "round over network" (expected_pois position)
     result.Protocol.pois;
-  Alcotest.(check int) "four frames" 4 stats.Session.frames;
+  Alcotest.(check int) "four frames" 4
+    (List.length result.Protocol.transcript);
   Alcotest.(check bool) "network time positive" true (stats.Session.network_s > 0.)
 
 let test_public_info_wire_roundtrip () =
@@ -154,9 +155,12 @@ let test_sp_view_independent_of_cell () =
   Alcotest.(check string) "cells 1/3" v1 v3
 
 let test_corruption_detected () =
-  let relay = Relay.create ~link:Link.wifi () in
+  let chaos =
+    Chaos.create ~config:{ Chaos.calm with Chaos.corrupt = 1.0 }
+      ~seed:"corrupt" ()
+  in
+  let relay = Relay.create ~chaos ~link:Link.wifi () in
   let client = Client.create ~seed:"corrupt" (Server.public_info server) in
-  Relay.corrupt_next_frame relay;
   (match Session.run_round relay client server
            ~position:(Coord.make ~x:100. ~y:100.) with
    | _ -> Alcotest.fail "corrupted frame accepted"

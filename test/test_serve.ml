@@ -231,7 +231,7 @@ let test_admission_control () =
       | Service.Accepted _ -> ()
       | Service.Shed _ -> Alcotest.fail "drained queue must accept");
       Alcotest.(check int) "latency histogram sampled" 3
-        (Histogram.count (Service.latency svc));
+        (Histogram.count (Histogram.merge (Service.shard_latencies svc)));
       (* a hostile PIR query (even N) is served as the same typed
          rejection the oracle gives *)
       let _, (n, g) =
@@ -696,7 +696,9 @@ let test_pooled_instance_survives_update () =
   let shards = 2 and idq = 4 in
   let fresh = cell_payload part idq ~id:900_201 in
   let client = Client.create ~seed:"pool-update" pub in
-  Keypool.with_pool ~config:{ Keypool.capacity = 1; low_watermark = 0 }
+  let pool_metrics = Counters.create () in
+  Keypool.with_pool ~metrics:pool_metrics
+    ~config:{ Keypool.capacity = 1; low_watermark = 0 }
     ~seed:"pool-update" ~plan:pub.Server.plan ~q_bits:params.Params.q_bits
     (fun pool ->
       Keypool.prewarm pool;
@@ -711,7 +713,7 @@ let test_pooled_instance_survives_update () =
             (Client.credential_idq cred);
           let st2, (n, g) = Client.stage2_query ~pool client cred in
           Alcotest.(check int) "instance taken warm" 1
-            (Keypool.stats pool).Keypool.hits;
+            (Counters.snapshot pool_metrics).Counters.pool_hits;
           ignore (Service.submit_update svc [ (idq, fresh) ]);
           ignore (Service.pump svc);
           Alcotest.(check int) "update applied" 1 (Service.applied_epoch svc);
@@ -883,6 +885,64 @@ let test_fleet_under_chaos () =
                (Server.trusted_cell_key core_server e.Fleet.idq) e.Fleet.key))
         outcome.Fleet.transcripts)
 
+(* ------------------------------------------------------------------ *)
+(* The unmeasured sink                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Callers that pass no [metrics] share [Counters.null], whose bump
+   sites skip on physical equality so unmeasured callers neither race
+   on nor pay for one shared set of cells.  After a round, a faulty
+   session, keypool takes and a batched pump, all on default metrics,
+   every cell of [null] must still read 0. *)
+let test_null_counters_stay_zero () =
+  let position = Coord.make ~x:1200. ~y:2300. in
+  let r =
+    Protocol.run_round (Client.create ~seed:"null-round" public) core_server
+      ~position
+  in
+  Alcotest.(check bool) "round decodes" true (r.Protocol.pois <> []);
+  let chaos =
+    Chaos.create ~config:(Chaos.drop_corrupt ~p:0.5) ~seed:"null-chaos" ()
+  in
+  let relay = Lbq_net.Relay.create ~chaos ~link:Lbq_net.Link.wifi () in
+  let _, stats =
+    Lbq_net.Session.run_round ~retry:Lbq_net.Retry.default
+      ~jitter_seed:"null-chaos" relay
+      (Client.create ~seed:"null-session" public)
+      core_server ~position
+  in
+  Alcotest.(check bool) "session retried" true
+    (stats.Lbq_net.Session.retries > 0);
+  Keypool.with_pool ~config:{ Keypool.capacity = 1; low_watermark = 0 }
+    ~seed:"null-pool" ~plan:public.Server.plan ~q_bits:params.Params.q_bits
+    (fun pool ->
+      Keypool.prewarm pool;
+      (* a hit, then a miss the caller steals and builds *)
+      ignore (Keypool.take pool ~index:0);
+      ignore (Keypool.take pool ~index:0));
+  Service.with_service ~queue_depth:8 ~batch:4 ~spawn:false ~shards:1
+    core_server (fun svc ->
+      let rand = Drbg.rand (Drbg.create ~seed:"null-batch" ()) in
+      for seq = 0 to 3 do
+        let request =
+          if seq mod 2 = 0 then some_ot_query ()
+          else begin
+            let _, (n, g) =
+              Gr.Client.query ~plan:public.Server.plan ~index:seq
+                ~q_bits:params.Params.q_bits rand
+            in
+            Service.Pir_query { shard = 0; n; g }
+          end
+        in
+        match Service.submit svc ~tenant:0 ~seq request with
+        | Service.Accepted _ -> ()
+        | Service.Shed _ -> Alcotest.fail "unexpected shed"
+      done;
+      Alcotest.(check int) "one batch served" 4 (Service.pump svc));
+  if Counters.snapshot Counters.null <> Counters.snapshot (Counters.create ())
+  then
+    Alcotest.failf "Counters.null was written: %a" Counters.pp Counters.null
+
 let () =
   Alcotest.run "lbq_serve"
     [ ("histogram",
@@ -923,4 +983,7 @@ let () =
            `Quick test_update_cell_after_hand_off ]);
       ("chaos",
        [ Alcotest.test_case "rounds complete under packet loss" `Quick
-           test_fleet_under_chaos ]) ]
+           test_fleet_under_chaos ]);
+      ("metrics",
+       [ Alcotest.test_case "Counters.null stays zero" `Quick
+           test_null_counters_stay_zero ]) ]
