@@ -362,10 +362,9 @@ let serve_cmd =
   in
   let batch =
     Arg.(value & opt int 1 & info [ "batch" ] ~docv:"K"
-           ~doc:"Requests a worker drains per dispatch; a drained batch's \
-                 PIR queries share one walk of the shard's cached exponent \
-                 schedule (replies stay byte-identical to sequential \
-                 serving).")
+           ~doc:"Requests a worker drains per dispatch under one lock \
+                 acquisition; each is answered on its own, so replies \
+                 stay byte-identical to sequential serving.")
   in
   let loss =
     Arg.(value & opt float 0. & info [ "loss" ] ~docv:"P"

@@ -610,16 +610,6 @@ let powm_sched t (base_ : Z.t) (s : Wexp.t) : Z.t =
   if s.Wexp.first = 0 then one_z t
   else of_window t (pow_window t (to_window t base_) s)
 
-(* k bases, each with its own context, through one shared schedule:
-   k independent [powm_sched] ladders, so results and per-context tick
-   counts are theirs.  Raises [Invalid_argument] on a ts/bases length
-   mismatch. *)
-let powm_sched_batch (ts : t array) (bases : Z.t array) (s : Wexp.t)
-    : Z.t array =
-  if Array.length bases <> Array.length ts then
-    invalid_arg "Montgomery.powm_sched_batch: ts/bases length mismatch";
-  Array.map2 (fun t b -> powm_sched t b s) ts bases
-
 (* Sliding-window modular exponentiation: recode once, then replay. *)
 let powm t (base_ : Z.t) (e : Z.t) : Z.t =
   if Z.sign e < 0 then invalid_arg "Montgomery.powm: negative exponent";

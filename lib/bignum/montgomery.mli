@@ -1,6 +1,6 @@
 (** Montgomery modular arithmetic (REDC) for odd moduli — the one
     modular-arithmetic engine of the codebase, since every modulus it
-    works with is odd: the stage-2 server ({!powm_sched_batch}; honest
+    works with is odd: the stage-2 server ({!powm_sched}; honest
     moduli N = Q0·Q1 are odd, even ones are refused before any work),
     the stage-2 client decode (Pohlig–Hellman on {!window}s), the
     stage-1 Schnorr group (the table kernels below), Miller–Rabin, and
@@ -45,13 +45,6 @@ val powm : t -> Z.t -> Z.t -> Z.t
     — the stage-2 per-query fast path with the database exponent's
     schedule cached server-side. *)
 val powm_sched : t -> Z.t -> Wexp.t -> Z.t
-
-(** [powm_sched_batch ts bases s] serves [bases.(q){^e} mod modulus
-    ts.(q)] for every [q] through one shared schedule [s], as k
-    independent {!powm_sched} calls (same results, same per-context
-    tick counts).  Raises [Invalid_argument] when [ts] and [bases]
-    differ in length. *)
-val powm_sched_batch : t array -> Z.t array -> Wexp.t -> Z.t array
 
 (** One-shot modular product [a * b mod n] on two sweeps (the second
     against [R{^2}] cancels the first's [R{^-1}], so no exit REDC).

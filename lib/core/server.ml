@@ -241,27 +241,19 @@ let pir_query_rejection t =
     else if Z.geq g (Z.pred n) then Some (Pir_base_degenerate "g >= N - 1")
     else None
 
-(* Validated, batched stage-2 handler against [pir] (the main database
-   or one shard of {!pir_shards}): check every query (invalid ones become
-   typed rejections, with [rejects] bumped per query), then serve all
-   the valid ones through ONE walk of the cached schedule
-   ({!Gr.Server.respond_batch}).  Results are positional. *)
+(* Validated stage-2 handler against [pir] (the main database or one
+   shard of {!pir_shards}), query by query: an invalid query becomes a
+   typed rejection (bumping [rejects]), a valid one is answered by
+   {!Gr.Server.respond}.  Results are positional. *)
 let pir_respond_shard_checked_batch t (pir : Gr.Server.t)
     (queries : (Z.t * Z.t) array) : (Z.t, rejection) result array =
-  let verdicts = Array.map (pir_query_rejection t) queries in
-  let valid =
-    List.filter (fun i -> verdicts.(i) = None)
-      (List.init (Array.length queries) Fun.id)
-    |> Array.of_list
-  in
-  let answers =
-    Gr.Server.respond_batch pir (Array.map (fun i -> queries.(i)) valid)
-  in
-  let out =
-    Array.map (function Some r -> reject t r | None -> Ok Z.zero) verdicts
-  in
-  Array.iteri (fun j i -> out.(i) <- Ok answers.(j)) valid;
-  out
+  let rejection = pir_query_rejection t in
+  Array.map
+    (fun ((n, g) as q) ->
+      match rejection q with
+      | Some r -> reject t r
+      | None -> Ok (Gr.Server.respond pir ~n ~g))
+    queries
 
 let pir_respond_checked t ~(n : Z.t) ~(g : Z.t) : (Z.t, rejection) result =
   (pir_respond_shard_checked_batch t (master_pir t) [| (n, g) |]).(0)

@@ -94,12 +94,12 @@ val pir_respond : t -> n:Z.t -> g:Z.t -> Z.t
     come from the plan alone, so the check never reads an encode. *)
 val pir_respond_checked : t -> n:Z.t -> g:Z.t -> (Z.t, rejection) result
 
-(** Batched validated handler against the given sub-server (one shard
-    of {!pir_shards}): every [(N, g)] is checked exactly as in
-    {!pir_respond_checked} (invalid queries yield the same typed
-    rejections, each bumping [rejects]), then all valid ones are
-    answered [g{^e_d} mod N] through one walk of the shard's cached
-    schedule ({!Gr.Server.respond_batch}).  Results are positional. *)
+(** Validated handler against the given sub-server (one shard of
+    {!pir_shards}), one query at a time: every [(N, g)] is checked
+    exactly as in {!pir_respond_checked} (invalid queries yield the same
+    typed rejections, each bumping [rejects]) and every valid one is
+    answered [g{^e_d} mod N] on the shard's cached schedule
+    ({!Gr.Server.respond}).  Results are positional. *)
 val pir_respond_shard_checked_batch :
   t -> Gr.Server.t -> (Z.t * Z.t) array -> (Z.t, rejection) result array
 

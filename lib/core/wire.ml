@@ -89,16 +89,21 @@ let pir_query_encode ((n, g) : Z.t * Z.t) : string =
    server allocate or exponentiate at megabyte widths. *)
 let max_pir_int_len = 1 lsl 20
 
+(* Only the encoder's own output is accepted: [Z.to_bytes_be] writes no
+   leading zero byte (and zero as the empty string, which the length
+   check refuses), so a decoded query re-encodes to identical bytes. *)
 let pir_query_decode (s : string) : Z.t * Z.t =
   let nlen = read_u32 s 0 in
   if nlen = 0 || nlen > max_pir_int_len then
     raise (Malformed "pir query N length");
   if 4 + nlen + 4 > String.length s then raise (Malformed "pir query N");
+  if s.[4] = '\000' then raise (Malformed "pir query N not canonical");
   let nb = String.sub s 4 nlen in
   let glen = read_u32 s (4 + nlen) in
   if glen = 0 || glen > max_pir_int_len then
     raise (Malformed "pir query g length");
   if 8 + nlen + glen <> String.length s then raise (Malformed "pir query length");
+  if s.[8 + nlen] = '\000' then raise (Malformed "pir query g not canonical");
   let gb = String.sub s (8 + nlen) glen in
   Z.of_bytes_be nb, Z.of_bytes_be gb
 

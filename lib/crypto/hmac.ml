@@ -2,7 +2,6 @@
 
 type hash = { f : string -> string; block_size : int; size : int }
 
-let sha1 : hash = { f = Sha1.digest; block_size = 64; size = Sha1.digest_size }
 let sha256 : hash = { f = Sha256.digest; block_size = 64; size = Sha256.digest_size }
 
 let mac (h : hash) ~key (msg : string) : string =
@@ -12,5 +11,4 @@ let mac (h : hash) ~key (msg : string) : string =
   let opad = String.map (fun c -> Char.chr (Char.code c lxor 0x5c)) key in
   h.f (opad ^ h.f (ipad ^ msg))
 
-let sha1_mac ~key msg = mac sha1 ~key msg
 let sha256_mac ~key msg = mac sha256 ~key msg

@@ -2,9 +2,7 @@
 
 type hash = { f : string -> string; block_size : int; size : int }
 
-val sha1 : hash
 val sha256 : hash
 
 val mac : hash -> key:string -> string -> string
-val sha1_mac : key:string -> string -> string
 val sha256_mac : key:string -> string -> string

@@ -179,15 +179,3 @@ let associate (p : lattice) (part : partition) (c : cell) : int =
                                  ~max:(Coord.Rect.max part.q.area)) centre)
   then invalid_arg "Grid.associate: public grid outside the private area";
   q_index part (cell_of_coord part.q centre)
-
-(* Sanity predicate used by tests: every public cell maps somewhere. *)
-let total_association (p : lattice) (part : partition) : bool =
-  let ok = ref true in
-  for row = 0 to p.rows - 1 do
-    for col = 0 to p.cols - 1 do
-      match associate p part { row; col } with
-      | idx -> if idx < 0 || idx >= cell_count part then ok := false
-      | exception Invalid_argument _ -> ok := false
-    done
-  done;
-  !ok

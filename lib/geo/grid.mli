@@ -68,6 +68,3 @@ val partition :
 (** The private cell backing public cell [c]: the Q cell containing its
     centre (the key table's geometry, Figure 4). *)
 val associate : lattice -> partition -> cell -> int
-
-(** Every public cell maps to a valid private cell (test predicate). *)
-val total_association : lattice -> partition -> bool

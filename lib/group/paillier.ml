@@ -67,8 +67,3 @@ let scale pk c k = Montgomery.powm pk.ctx c (Z.erem k pk.n)
 let add_plain pk c b =
   let b = Z.erem b pk.n in
   Montgomery.mulmod pk.ctx c (Z.succ (Z.mul b pk.n))
-
-(* Fresh randomness so a transformed ciphertext is unlinkable. *)
-let rerandomize pk ~rand c =
-  let r = Z.random_unit ~bound:pk.n rand in
-  Montgomery.mulmod pk.ctx c (Montgomery.powm pk.ctx r pk.n)

@@ -30,6 +30,3 @@ val scale : public_key -> Z.t -> Z.t -> Z.t
 
 (** [add_plain pk c b] encrypts [plaintext(c) + b]. *)
 val add_plain : public_key -> Z.t -> Z.t -> Z.t
-
-(** Refresh the randomness of a ciphertext (unlinkability). *)
-val rerandomize : public_key -> rand:(int -> string) -> Z.t -> Z.t

@@ -30,7 +30,8 @@
      interleaving of any number of workers is byte-identical to the
      {!respond_reference} sequential oracle, and a retried (tenant,
      seq) re-derives the same reply (idempotent round resume, as in
-     {!Session}).
+     {!Session}).  Workers answer every request, drained alone or in a
+     batch, through the same function as that oracle.
 
    Concurrency skeleton: one mutex guards every queue; workers sleep on
    [work], completion consumers on [done_c].  All cryptographic work
@@ -218,13 +219,12 @@ let apply_updates t d (a : apply) =
 (* Service one drained batch on shard [d] (worker domain or pump): all
    crypto outside the lock, then publish the replies and wake consumers.
 
-   The PIR tickets in the batch fuse through the shard's batched
-   cached-schedule kernel ({!Server.pir_respond_shard_checked_batch} —
-   [submit] routes a PIR query to the shard it names, so every PIR
-   ticket on queue [d] addresses shard [d]); OT tickets keep their
-   per-(tenant, seq) DRBG forks and are answered individually.  Either
-   way each reply is byte-identical to [respond_reference] for its
-   (tenant, seq, request).
+   Every ticket is answered by [handle], the function behind
+   [respond_reference], so each reply is byte-identical to the
+   sequential oracle's for its (tenant, seq, request) by construction.
+   Two stage-2 queries share no modular arithmetic (each has its own
+   N), so a batch gains nothing from fusing them; draining a batch
+   still amortises the lock and the wake-ups.
 
    The shard's EWMA takes the batch's amortised per-request time — the
    rate at which a backlog actually drains under batching, which is
@@ -234,29 +234,8 @@ let complete_batch t d (tks : ticket array) =
   if k = 0 then ()
   else begin
     let start_s = t.clock () in
-    let pir = ref [] in
-    Array.iteri
-      (fun i tk ->
-        match tk.request with
-        | Pir_query { n; g; _ } -> pir := (i, (n, g)) :: !pir
-        | Ot_query _ -> ())
-      tks;
-    let pir = Array.of_list (List.rev !pir) in
-    let pir_replies =
-      if Array.length pir = 0 then [||]
-      else
-        Server.pir_respond_shard_checked_batch t.server t.shards.(d)
-          (Array.map snd pir)
-    in
-    let lookup = Array.make k None in
-    Array.iteri (fun j (i, _) -> lookup.(i) <- Some pir_replies.(j)) pir;
     let replies =
-      Array.mapi
-        (fun i tk ->
-          match lookup.(i) with
-          | Some r -> Pir_reply r
-          | None -> handle t ~tenant:tk.tenant ~seq:tk.seq tk.request)
-        tks
+      Array.map (fun tk -> handle t ~tenant:tk.tenant ~seq:tk.seq tk.request) tks
     in
     let now = t.clock () in
     let own = (now -. start_s) /. float_of_int k in

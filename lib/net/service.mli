@@ -49,12 +49,10 @@ type t
     [shards]: worker domains / database stripes (1–64; also bounded by
     the private cell count).  [queue_depth]: per-shard bounded-queue
     high watermark (default 64).  [batch]: how many queued requests a
-    worker drains per dispatch (default 1 — sequential serving).  The
-    PIR requests of one drained batch share a single walk of the
-    shard's cached exponent schedule
-    ({!Lbq_core.Server.pir_respond_shard_checked_batch}); OT requests
-    keep their per-(tenant, seq) DRBG forks, so every reply stays
-    byte-identical to {!respond_reference} at any batch size.
+    worker drains per dispatch under one lock acquisition (default 1 —
+    one request per dispatch).  Every drained request is answered one
+    at a time by the function behind {!respond_reference}, so every
+    reply is byte-identical to it at any batch size.
     [spawn:false] starts no domains — requests queue until {!pump}
     serves them inline on the calling domain (deterministic mode for
     the admission tests).  [ot_seed] overrides the per-request blinding

@@ -24,7 +24,6 @@
      frame, which the client surfaces as a non-retryable error. *)
 
 open Lbq_core
-module Gr = Lbq_pir.Gr
 module Counters = Lbq_metrics.Counters
 module Drbg = Lbq_crypto.Drbg
 
@@ -43,17 +42,6 @@ type stats = {
 (* ------------------------------------------------------------------ *)
 (* Padding                                                              *)
 (* ------------------------------------------------------------------ *)
-
-(* Upper bound on the PIR modulus width for any cell of [plan]:
-   |Q0| <= |pi| + q_bits + 2 and |Q1| <= q_bits + 2. *)
-let max_n_bytes (plan : Gr.plan) ~q_bits =
-  let max_pi_bits = ref 0 in
-  for i = 0 to Gr.plan_size plan - 1 do
-    max_pi_bits :=
-      max !max_pi_bits (Lbq_bignum.Z.numbits (Gr.plan_slot plan i).Gr.pi)
-  done;
-  let n_bits = !max_pi_bits + q_bits + 2 + (q_bits + 2) in
-  ((n_bits + 7) / 8) + 1
 
 let pad_to (target : int) (payload : string) : string =
   if String.length payload > target then
@@ -167,8 +155,9 @@ let run_round ?(reuse = false) ?(retry = Retry.none)
   : Protocol.round_result * stats =
   let params = Server.params server in
   let group = params.Params.group in
-  let plan = (Server.public_info server).Server.plan in
-  let pad_n = max_n_bytes plan ~q_bits:params.Params.q_bits in
+  (* PIR frames pad to the widest modulus a legitimate query can use,
+     so their lengths do not depend on the cell. *)
+  let pad_n = (Server.pir_max_modulus_bits server + 7) / 8 in
   let pad_query = 4 + (8 + (2 * pad_n)) in
   let pad_resp = 4 + pad_n in
   let user_cpu = ref 0. and server_cpu = ref 0. in

@@ -20,9 +20,6 @@ type stats = {
   retries : int;       (* exchange attempts repeated after a fault *)
 }
 
-(** Plan-wide bound on the PIR modulus width (padding target). *)
-val max_n_bytes : Lbq_pir.Gr.plan -> q_bits:int -> int
-
 (** One-time public-info download through the SP; returns the info and
     the frame size.  Fail-fast (no retry). *)
 val bootstrap : Relay.t -> Server.t -> Server.public_info * int

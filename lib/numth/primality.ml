@@ -1,4 +1,4 @@
-(* Primality testing: trial division, Fermat, Miller–Rabin, and a
+(* Primality testing: trial division, Miller–Rabin, and a
    Pocklington–Lehmer certificate for candidates whose n - 1 has a known
    factored part.  Deterministic witness sets cover everything below
    3.3 * 10^24; larger candidates use random bases drawn from the
@@ -169,25 +169,3 @@ let pocklington ?(metrics = Lbq_metrics.Counters.null) ~p ~f (n : Z.t) =
       end
   in
   go pocklington_bases
-
-(* Fermat test (base-a compositeness check) for odd [n]; kept because
-   the paper cites it as an alternative to Miller–Rabin for the
-   semi-safe prime search. *)
-let fermat_witness n a =
-  if Z.leq n (Z.of_int 3) then invalid_arg "Primality.fermat_witness: n <= 3";
-  let ctx = Montgomery.create n in
-  Z.equal (Montgomery.powm ctx a (Z.pred n)) Z.one
-
-let fermat ?(rounds = 10) ~rand n =
-  if Z.lt n Z.two then false
-  else if Z.equal n Z.two then true
-  else if Z.is_even n then false
-  else begin
-    let n3 = Z.sub n (Z.of_int 3) in
-    let rec go i =
-      i = 0
-      || (let a = Z.add Z.two (Z.random_below ~bound:n3 rand) in
-          fermat_witness n a && go (i - 1))
-    in
-    Z.leq n (Z.of_int 3) || go rounds
-  end

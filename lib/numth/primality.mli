@@ -47,11 +47,3 @@ val is_prime :
     [f{^2} > n] fails. *)
 val pocklington :
   ?metrics:Lbq_metrics.Counters.t -> p:int -> f:Z.t -> Z.t -> result option
-
-(** One Fermat check with an explicit base (paper mentions the Fermat test
-    as an alternative for the semi-safe prime search).  [n] must be odd
-    and greater than 3; raises [Invalid_argument] otherwise. *)
-val fermat_witness : Z.t -> Z.t -> bool
-
-(** Probabilistic Fermat test with random bases. *)
-val fermat : ?rounds:int -> rand:(int -> string) -> Z.t -> bool

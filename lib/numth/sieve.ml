@@ -129,14 +129,3 @@ let least_odd_factor (n : Z.t) =
     else go (i + 1)
   in
   go 0
-
-let is_small_prime (n : int) : bool =
-  if n < 2 then false
-  else begin
-    let rec go d =
-      if d * d > n then true
-      else if n mod d = 0 then false
-      else go (d + 1)
-    in
-    go 2
-  end

@@ -10,9 +10,6 @@ val primes_below : int -> int list
     The PIR database uses "the first 225 primes starting at 3". *)
 val first_primes : ?from:int -> int -> int list
 
-(** Trial-division primality for machine ints (testing helper). *)
-val is_small_prime : int -> bool
-
 (** {2 Segment sieve}
 
     A prime search walks [x, x + step, x + 2*step, ...] and sends to a

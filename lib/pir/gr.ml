@@ -162,44 +162,42 @@ module Server = struct
 
   let max_modulus_bits t ~q_bits = plan_max_modulus_bits t.plan ~q_bits
 
-  (* Answer k queries (N, g) with g^e mod N on the schedule recoded at
-     creation.  Honest moduli N = Q0*Q1 are odd, so every query goes
-     through {!Montgomery.powm_sched_batch} — the fused CIOS sweeps put
-     Montgomery ~3x ahead of the pre-rewrite engines on this workload
-     (bench powm) — with a per-query context and counter.  Every query is
-     validated before any work (an even or [<= 1] modulus, an oversized
-     one, [g] out of range); the measured multiplication count is
-     attached to the metrics (Table II server cost). *)
-  let respond_batch ?max_n_bits t (queries : (Z.t * Z.t) array) : Z.t array =
-    Array.iter
-      (fun ((n : Z.t), (g : Z.t)) ->
-        if Z.leq n Z.one || Z.is_even n then
-          invalid_arg "Gr.Server.respond: bad modulus";
-        (match max_n_bits with
-         | Some bound when Z.numbits n > bound ->
-           invalid_arg "Gr.Server.respond: modulus exceeds the deployment bound"
-         | _ -> ());
-        if Z.leq g Z.one || Z.geq g n then
-          invalid_arg "Gr.Server.respond: generator out of range")
-      queries;
-    let ctxs = Array.map (fun (n, _) -> Montgomery.create n) queries in
-    let counts = Array.map (fun _ -> ref 0) ctxs in
-    Array.iteri
-      (fun i ctx -> Montgomery.set_counter ctx (Some counts.(i)))
-      ctxs;
-    let out =
-      Montgomery.powm_sched_batch ctxs (Array.map snd queries) t.e_sched
-    in
-    Array.iteri
-      (fun i (n, _) ->
-        Counters.server_mult t.metrics !(counts.(i));
-        Counters.server_bytes t.metrics ((Z.numbits n + 7) / 8))
-      queries;
-    out
+  (* Refuse a query before any work: an even or [<= 1] modulus, an
+     oversized one when [max_n_bits] is given, [g] out of range. *)
+  let check ?max_n_bits ((n : Z.t), (g : Z.t)) =
+    if Z.leq n Z.one || Z.is_even n then
+      invalid_arg "Gr.Server.respond: bad modulus";
+    (match max_n_bits with
+     | Some bound when Z.numbits n > bound ->
+       invalid_arg "Gr.Server.respond: modulus exceeds the deployment bound"
+     | _ -> ());
+    if Z.leq g Z.one || Z.geq g n then
+      invalid_arg "Gr.Server.respond: generator out of range"
 
-  (* One query is a batch of one. *)
+  (* The stage-2 ladder for one checked query: g^e mod N on the schedule
+     recoded at creation, on a fresh Montgomery context for N (honest
+     moduli N = Q0*Q1 are odd) with its own counter; the measured
+     multiplication count and |N| go to the metrics (Table II server
+     cost). *)
+  let ladder t ((n : Z.t), (g : Z.t)) : Z.t =
+    let ctx = Montgomery.create n in
+    let count = ref 0 in
+    Montgomery.set_counter ctx (Some count);
+    let ge = Montgomery.powm_sched ctx g t.e_sched in
+    Counters.server_mult t.metrics !count;
+    Counters.server_bytes t.metrics ((Z.numbits n + 7) / 8);
+    ge
+
   let respond ?max_n_bits t ~(n : Z.t) ~(g : Z.t) : Z.t =
-    (respond_batch ?max_n_bits t [| (n, g) |]).(0)
+    check ?max_n_bits (n, g);
+    ladder t (n, g)
+
+  (* k queries share no modular arithmetic (each has its own N), so a
+     batch is k ladders — after every query is checked, so one bad query
+     refuses the whole batch before any work. *)
+  let respond_batch ?max_n_bits t (queries : (Z.t * Z.t) array) : Z.t array =
+    Array.iter (check ?max_n_bits) queries;
+    Array.map (ladder t) queries
 end
 
 (* ------------------------------------------------------------------ *)

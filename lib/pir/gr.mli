@@ -80,17 +80,19 @@ module Server : sig
   (** {!plan_max_modulus_bits} of this server's plan. *)
   val max_modulus_bits : t -> q_bits:int -> int
 
-  (** Answer k queries [(N, g)] with [g^e mod N] on the cached
-      schedule ({!Lbq_bignum.Montgomery.powm_sched_batch}) —
-      the Table II server cost, measured per query through the engine
-      counter.  Honest moduli [N = Q0·Q1] are odd and served by
-      Montgomery REDC.  Every query is validated before any work: an
-      even or [<= 1] modulus, [g] out of range and, when [max_n_bits]
-      is given, an oversized modulus raise [Invalid_argument]. *)
-  val respond_batch : ?max_n_bits:int -> t -> (Z.t * Z.t) array -> Z.t array
-
-  (** Answer one query: [respond_batch] on [[| (n, g) |]]. *)
+  (** Answer one query [(N, g)] with [g^e mod N] on the cached schedule
+      ({!Lbq_bignum.Montgomery.powm_sched} on a fresh context for [N])
+      — the Table II server cost, measured through the engine counter.
+      Honest moduli [N = Q0·Q1] are odd and served by Montgomery REDC.
+      The query is validated before any work: an even or [<= 1]
+      modulus, [g] out of range and, when [max_n_bits] is given, an
+      oversized modulus raise [Invalid_argument]. *)
   val respond : ?max_n_bits:int -> t -> n:Z.t -> g:Z.t -> Z.t
+
+  (** Answer k queries as k {!respond} ladders (every query has its own
+      modulus, so nothing is shared), after validating all of them: one
+      invalid query raises before any work. *)
+  val respond_batch : ?max_n_bits:int -> t -> (Z.t * Z.t) array -> Z.t array
 end
 
 module Client : sig

@@ -105,9 +105,10 @@ module type S = sig
      must produce exactly [Array.map (respond t) qs] — same responses,
      same counter totals, same {!Malformed} on the first invalid query
      — while fusing whatever per-query work the backend can share
-     (exponent-schedule walks, database scans, matrix panels).  An
+     (lwe: matrix panels; qr: one traversal of the database bits).  An
      empty batch returns [[||]].  Backends without a fused kernel use
-     {!respond_batch_sequential}. *)
+     {!respond_batch_sequential}; gr answers k queries as k ladders,
+     since their moduli share no arithmetic. *)
   val respond_batch : server -> query array -> response array
 
   (* ---- live updates ---- *)

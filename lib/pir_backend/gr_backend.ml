@@ -96,10 +96,11 @@ module Make (C : CONFIG) : B.S = struct
     in
     { pad = (Z.numbits q.n + 7) / 8; ge }
 
-  (* Fused batch: all k bases ride one walk of the server's cached
-     exponent schedule ({!Gr.Server.respond_batch} over the multi-powm
-     kernel).  Responses, validation and per-query counter bumps match
-     k sequential [respond]s exactly. *)
+  (* k ladders on the server's cached exponent schedule
+     ({!Gr.Server.respond_batch}): the queries' moduli share no
+     arithmetic, so there is nothing to fuse.  Every query is validated
+     before any work; responses and per-query counter bumps match k
+     sequential [respond]s exactly. *)
   let respond_batch (t : server) (qs : query array) : response array =
     let max_n_bits = Gr.Server.max_modulus_bits t.gr ~q_bits:C.q_bits in
     let ges =
@@ -138,8 +139,9 @@ module Make (C : CONFIG) : B.S = struct
     let len = String.length b in
     if len = 0 || len > max_int_len then B.malformed (what ^ " length");
     (* Reject padded (non-minimal) encodings: round-trip must be the
-       identity, and a re-encode strips leading zero bytes. *)
-    if len > 1 && b.[0] = '\000' then B.malformed (what ^ " not canonical");
+       identity, and a re-encode strips leading zero bytes (zero itself
+       re-encodes as the empty field). *)
+    if b.[0] = '\000' then B.malformed (what ^ " not canonical");
     Z.of_bytes_be b, off'
 
   let query_encode (q : query) : string = int_field q.n ^ int_field q.g
@@ -148,7 +150,6 @@ module Make (C : CONFIG) : B.S = struct
     let n, off = read_int_field ~what:"gr query N" s 0 in
     let g, off = read_int_field ~what:"gr query g" s off in
     if off <> String.length s then B.malformed "gr query length";
-    if Z.is_zero n then B.malformed "gr query N zero";
     { n; g }
 
   let response_encode (r : response) : string =

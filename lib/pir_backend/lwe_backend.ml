@@ -76,8 +76,7 @@ module Make (C : CONFIG) : B.S = struct
     m : Bytes.t;                  (* M, mrows x cols, byte entries *)
     a_seed : string;
     hint : int array;             (* H = M * A, mrows x n, row-major *)
-    mutable a : int array option;
-      (* expanded public matrix, cached on first update (cols x n) *)
+    a : int array;                (* A expanded from a_seed, cols x n *)
     metrics : Counters.t;
   }
 
@@ -145,7 +144,7 @@ module Make (C : CONFIG) : B.S = struct
           done;
           !acc land q_mask)
     in
-    { rows; cols; block_len; mrows; m; a_seed; hint; a = None; metrics }
+    { rows; cols; block_len; mrows; m; a_seed; hint; a; metrics }
 
   let rows (t : server) = t.rows
   let cols (t : server) = t.cols
@@ -380,22 +379,14 @@ module Make (C : CONFIG) : B.S = struct
      — never the mrows * n * cols full product.  OCaml int arithmetic
      wraps mod 2^63 and 2^34 | 2^63, so masking the (possibly negative)
      adjusted word is a faithful mod-q reduction, and the patched hint
-     equals a fresh encode's word for word.  [A] is expanded once, on
-     the first update. *)
+     equals a fresh encode's word for word.  [A] is the one [encode]
+     expanded for the hint. *)
   let update (t : server) ~row ~col ~(block : string) =
     if row < 0 || row >= t.rows || col < 0 || col >= t.cols then
       invalid_arg "Lwe_backend.update: target out of range";
     if String.length block <> t.block_len then
       invalid_arg "Lwe_backend.update: block length";
-    let a =
-      match t.a with
-      | Some a -> a
-      | None ->
-        let a = expand_a ~a_seed:t.a_seed ~cols:t.cols in
-        t.a <- Some a;
-        a
-    in
-    let hint = t.hint in
+    let a = t.a and hint = t.hint in
     for k = 0 to t.block_len - 1 do
       let i = (row * t.block_len) + k in
       let old = Char.code (Bytes.get t.m ((i * t.cols) + col)) in

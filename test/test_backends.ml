@@ -282,7 +282,9 @@ let check_malformed name f =
 let u32 v = String.init 4 (fun k -> Char.chr ((v lsr ((3 - k) * 8)) land 0xff))
 let u64 v = String.init 8 (fun k -> Char.chr ((v lsr ((7 - k) * 8)) land 0xff))
 
-(* Every backend must refuse garbage and truncations at the frame layer. *)
+(* Every backend must refuse garbage and truncations at the frame layer.
+   The last frame is gr's (N, g) = (3, 0) with g spelt as one zero byte,
+   which would re-encode as an empty field. *)
 let test_garbage_frames (_ : Counters.t) =
   List.iter
     (fun (module M : B.S) ->
@@ -292,7 +294,8 @@ let test_garbage_frames (_ : Counters.t) =
               M.query_decode frame);
           check_malformed (M.name ^ " response garbage") (fun () ->
               M.response_decode frame))
-        [ ""; "\x00"; "abc"; u32 7; String.make 3 '\xff' ])
+        [ ""; "\x00"; "abc"; u32 7; String.make 3 '\xff';
+          u32 1 ^ "\x03" ^ u32 1 ^ "\x00" ])
     backends
 
 (* The lattice backend's frame validation, adversarially: each mutation

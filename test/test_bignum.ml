@@ -670,46 +670,6 @@ let props =
           && (Z.is_zero e || !r = Wexp.cost s + 1)
         in
         agree m && List.for_all agree limb_boundary_moduli);
-    prop "powm_sched_batch = k independent powm_sched" 25
-      (QCheck.make
-         QCheck.Gen.(pair gen_big
-                       (list_size (int_range 0 6) (pair gen_huge gen_huge))))
-      (fun (e, qs) ->
-        let e = Z.abs e in
-        let s = Wexp.recode (Z.to_nat e) in
-        (* k contexts with distinct odd moduli (different limb widths)
-           sharing one recoded schedule: the batch must reproduce each
-           context's own powm_sched value AND its exact per-context
-           multiplication count. *)
-        let qs =
-          List.map
-            (fun (b_, m) ->
-              let m = if Z.is_even m then Z.succ m else m in
-              QCheck.assume (Z.gt m Z.one);
-              b_, m)
-            qs
-        in
-        let ctxs =
-          Array.of_list (List.map (fun (_, m) -> Montgomery.create m) qs)
-        in
-        let bases = Array.of_list (List.map fst qs) in
-        let batch_ticks = Array.map (fun _ -> ref 0) ctxs in
-        Array.iteri
-          (fun i ctx -> Montgomery.set_counter ctx (Some batch_ticks.(i)))
-          ctxs;
-        let batch = Montgomery.powm_sched_batch ctxs bases s in
-        Array.iter (fun ctx -> Montgomery.set_counter ctx None) ctxs;
-        Array.length batch = Array.length ctxs
-        && Array.for_all Fun.id
-             (Array.mapi
-                (fun i ctx ->
-                  let r = ref 0 in
-                  let solo =
-                    Montgomery.counting ctx r (fun () ->
-                        Montgomery.powm_sched ctx bases.(i) s)
-                  in
-                  Z.equal batch.(i) solo && !(batch_ticks.(i)) = !r)
-                ctxs));
     prop "toom3 mul = schoolbook (random huge)" 30
       (QCheck.make QCheck.Gen.(pair gen_huge gen_huge))
       (fun (a, b) ->

@@ -428,23 +428,45 @@ let test_pooled_round_rejects_mismatched_pool () =
 (* Wire fuzzing                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Mutated protocol bytes must either parse (harmlessly) or raise
-   [Wire.Malformed] - never crash with anything else. *)
+(* Mutated protocol bytes must either parse or raise [Wire.Malformed] -
+   never crash with anything else - and every input a decoder accepts
+   must re-encode to the same bytes: a codec that accepted two spellings
+   of one message would let a relay re-spell it unseen. *)
 let test_wire_fuzz () =
   let group = params.Params.group in
   let drbg = Lbq_crypto.Drbg.create ~seed:"fuzz" () in
   let position = Coord.make ~x:321. ~y:654. in
   let cell = Client.locate client position in
-  let _, q1 = Client.stage1_query client cell in
+  let st1, q1 = Client.stage1_query client cell in
   let resp = Server.ot_respond server q1 in
+  let _, pq = Client.stage2_query client (Client.stage1_decode client st1 resp) in
   let samples =
-    [ (fun s -> ignore (Wire.ot_query_decode group s)),
+    [ (fun s -> Wire.ot_query_encode group (Wire.ot_query_decode group s)),
       Wire.ot_query_encode group q1;
-      (fun s -> ignore (Wire.ot_response_decode group s)),
-      Wire.ot_response_encode group resp ]
+      (fun s ->
+        Wire.ot_response_encode group (Wire.ot_response_decode group s)),
+      Wire.ot_response_encode group resp;
+      (fun s -> Wire.pir_query_encode (Wire.pir_query_decode s)),
+      Wire.pir_query_encode pq ]
+  in
+  (* A leading zero byte on N or g spells the same integers differently. *)
+  let padded =
+    let lp b =
+      let len = String.length b in
+      String.init 4 (fun k -> Char.chr ((len lsr ((3 - k) * 8)) land 0xff))
+      ^ b
+    in
+    let nb = Z.to_bytes_be (fst pq) and gb = Z.to_bytes_be (snd pq) in
+    [ "N", lp ("\000" ^ nb) ^ lp gb; "g", lp nb ^ lp ("\000" ^ gb) ]
   in
   List.iter
-    (fun (decode, good) ->
+    (fun (what, s) ->
+      match Wire.pir_query_decode s with
+      | _ -> Alcotest.failf "leading-zero %s accepted" what
+      | exception Wire.Malformed _ -> ())
+    padded;
+  List.iter
+    (fun (roundtrip, good) ->
       for _ = 1 to 200 do
         let b = Bytes.of_string good in
         (* Mutate 1-4 random bytes, sometimes truncate. *)
@@ -458,8 +480,10 @@ let test_wire_fuzz () =
             Bytes.sub_string b 0 (Lbq_crypto.Drbg.int drbg (Bytes.length b))
           else Bytes.to_string b
         in
-        match decode s with
-        | () -> ()
+        match roundtrip s with
+        | s' ->
+          if s' <> s then
+            Alcotest.failf "accepted input re-encodes differently: %S" s
         | exception Wire.Malformed _ -> ()
         | exception e ->
           Alcotest.failf "fuzz crash: %s" (Printexc.to_string e)

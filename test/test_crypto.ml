@@ -39,10 +39,6 @@ let test_sha256 () =
 
 let test_hmac () =
   let key20 = String.make 20 '\x0b' in
-  hexs "hmac-sha1 rfc2202 tc1" "b617318655057264e28bc0b6fb378c8ef146be00"
-    (Bytes_util.to_hex (Hmac.sha1_mac ~key:key20 "Hi There"));
-  hexs "hmac-sha1 rfc2202 tc2" "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79"
-    (Bytes_util.to_hex (Hmac.sha1_mac ~key:"Jefe" "what do ya want for nothing?"));
   hexs "hmac-sha256 rfc4231 tc1"
     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
     (Bytes_util.to_hex (Hmac.sha256_mac ~key:key20 "Hi There"));

@@ -164,7 +164,14 @@ let test_partition_dummy_ids_distinct () =
 let test_association_total () =
   let part = Grid.partition ~area ~rows:5 ~cols:5 some_pois in
   let p = Grid.lattice ~area ~rows:25 ~cols:25 in
-  Alcotest.(check bool) "total" true (Grid.total_association p part);
+  (* Every public cell maps to a valid private cell. *)
+  for row = 0 to 24 do
+    for col = 0 to 24 do
+      let idx = Grid.associate p part { Grid.row; col } in
+      if idx < 0 || idx >= Grid.cell_count part then
+        Alcotest.failf "cell (%d, %d) maps to %d" row col idx
+    done
+  done;
   (* A public cell's centre lies inside the private cell it maps to. *)
   let c = { Grid.row = 13; col = 7 } in
   let idx = Grid.associate p part c in
