@@ -52,7 +52,7 @@
                      per backend and batch size k, byte- and
                      counter-identity gated; emits BENCH_batch.json
      update          Streaming updates: incremental CRT fix-up
-                     (one CRT product + schedule refresh) vs full
+                     (one CRT product + schedule rebuild) vs full
                      rebuild, with byte-identity gates against
                      fresh-encode oracles (gr core and every backend)
                      before any timing; >= 10x asserted at the default
@@ -330,14 +330,21 @@ let table3 trials =
   row4 "Query" (mean t_query) (stddev t_query) 0.00484;
   row4 "Response" (mean t_resp) (stddev t_resp) 0.11495;
   row4 "Decode" (mean t_dec) (stddev t_dec) 0.00031;
+  let ms xs = 1000. *. mean xs in
   Format.printf
-    "@.  Shape: server-side work (Init, Response) is hundreds of ms; user-side@.";
+    "@.  Shape: server-side work (Init %.1f ms, Response %.1f ms) against@."
+    (ms t_init) (ms t_resp);
   Format.printf
-    "  work (Query, Decode) is milliseconds - the paper's headline point that@.";
+    "  user-side work (Query %.2f ms, Decode %.2f ms) - the paper's headline@."
+    (ms t_query) (ms t_dec);
   Format.printf
-    "  the user stays cheap.  (The paper measured Init > Response; our Response@.";
+    "  point that the user stays cheap.  Paper / measured: Init %.1fx,@."
+    (0.28829 /. mean t_init);
   Format.printf
-    "  is the larger of the two - see EXPERIMENTS.md for the discussion.)@.@."
+    "  Response %.1fx.  The paper measured Init > Response; here Response /@."
+    (0.11495 /. mean t_resp);
+  Format.printf "  Init = %.1f (see EXPERIMENTS.md for the discussion).@.@."
+    (mean t_resp /. mean t_init)
 
 (* ------------------------------------------------------------------ *)
 (* Table IV — PIR component timings                                     *)
@@ -377,14 +384,14 @@ let table4 trials =
   row4 "Response" (mean t_resp) (stddev t_resp) 4.57127;
   row4 "Decode" (mean t_dec) (stddev t_dec) 0.25451;
   Format.printf
-    "@.  Shape: Query and Response are seconds-scale, Decode is the smallest -@.";
+    "@.  Shape: Decode is the smallest, as in the paper.  Paper / measured:@.";
+  Format.printf "  Query %.1fx, Response %.1fx, Decode %.1fx.  Query is the@."
+    (9.64984 /. mean t_query) (4.57127 /. mean t_resp)
+    (0.25451 /. mean t_dec);
   Format.printf
-    "  as in the paper.  Our Query undercuts the paper's 9.6 s because the@.";
+    "  segment-sieved, Pocklington-certified semi-safe prime search;@.";
   Format.printf
-    "  semi-safe-prime search trial-divides by small primes before each@.";
-  Format.printf
-    "  Miller-Rabin round; Response and Decode land within ~15%% of the paper@.";
-  Format.printf "  despite the different machine (see EXPERIMENTS.md).@.@."
+    "  Response is |e| Montgomery squarings (see EXPERIMENTS.md).@.@."
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                            *)
@@ -1968,7 +1975,7 @@ let batch_bench ?(out = "BENCH_batch.json") ?(rows = 8) ?(cols = 8)
      randomness.
 
    Then the costs: one incremental [Gr.Server.update_block]
-   (one CRT product + cached-schedule refresh) vs one full
+   (one CRT product + cached-schedule rebuild) vs one full
    [Gr.Server.create] (remainder-tree CRT encode with its leaf-width
    inversions, recode), plus per-backend in-place patch (best
    per-patch mean over batches that each span at least a millisecond)
@@ -1979,7 +1986,7 @@ let batch_bench ?(out = "BENCH_batch.json") ?(rows = 8) ?(cols = 8)
 (* The update path a Service runs against the standalone one, on one
    server and one churn stream: the first [samples] updates through
    {!Server.update_cell} (content restage plus the master's CRT repair
-   and schedule refresh), then [samples] each through
+   and schedule rebuild), then [samples] each through
    {!Service.submit_update} on a pump-mode Service at two shards (the
    master keeps its encode until the first update drops it) and at one
    (the Service takes the master's encode).  Each fence is pumped
@@ -1987,8 +1994,12 @@ let batch_bench ?(out = "BENCH_batch.json") ?(rows = 8) ?(cols = 8)
    each Service's samples: its fence-repaired shard and a fresh encode
    of the same stripe answer a query for the last updated cell
    byte-identically, and the answer decodes that cell's new block.
-   Returns the update_cell median and the submit_update median per
-   shard count. *)
+   Last, [samples] more updates split update_cell into its three parts,
+   each timed apart: {!Server.restage_cell}, then
+   {!Crt.Tree.update_leaf} and the schedule rebuild ([Wexp.refresh] of
+   the new [e]) on a bench-owned CRT tree over the restaged blocks.
+   Returns the update_cell median, the three parts' medians and the
+   submit_update median per shard count. *)
 let service_update_row (params : Params.t) ~samples =
   let cols = params.Params.private_cols in
   let side = 1000. *. float_of_int cols in
@@ -2011,7 +2022,7 @@ let service_update_row (params : Params.t) ~samples =
     Array.of_list
       (Synth.churn ~seed:"bench-update-service"
          ~partition:(Server.partition server)
-         ~steps:((1 + List.length shard_counts) * samples) ())
+         ~steps:((2 + List.length shard_counts) * samples) ())
   in
   let median xs =
     let a = Array.copy xs in
@@ -2063,7 +2074,37 @@ let service_update_row (params : Params.t) ~samples =
             (Z.of_bytes_be (Server.cell_ciphertext server idq)));
         (shards, median submit_s))
   in
-  (median update_cell_s, List.mapi submit_s shard_counts)
+  let submits = List.mapi submit_s shard_counts in
+  let plan = (Server.public_info server).Server.plan in
+  let tree =
+    Crt.Tree.build
+      (List.init (Gr.plan_size plan) (fun i ->
+           ( Z.of_bytes_be (Server.cell_ciphertext server i),
+             (Gr.plan_slot plan i).Gr.pi )))
+  in
+  let sched = ref (Wexp.recode (Z.to_nat (Crt.Tree.solve tree))) in
+  let first = (1 + List.length shard_counts) * samples in
+  let parts =
+    Array.init samples (fun i ->
+        let u = stream.(first + i) in
+        let idq = u.Poi_file.cell in
+        let (), restage =
+          time (fun () -> Server.restage_cell server ~idq u.Poi_file.pois)
+        in
+        let block = Z.of_bytes_be (Server.cell_ciphertext server idq) in
+        let (), leaf = time (fun () -> Crt.Tree.update_leaf tree idq block) in
+        let (), rebuild =
+          time (fun () ->
+              sched := Wexp.refresh !sched (Z.to_nat (Crt.Tree.solve tree)))
+        in
+        (restage, leaf, rebuild))
+  in
+  let part f = median (Array.map f parts) in
+  ( median update_cell_s,
+    ( part (fun (r, _, _) -> r),
+      part (fun (_, l, _) -> l),
+      part (fun (_, _, b) -> b) ),
+    submits )
 
 let update_bench ?(out = "BENCH_update.json")
     ?(grids = [ (8, 8, 512); (15, 15, 1024) ]) ?(q_bits = 64)
@@ -2257,13 +2298,18 @@ let update_bench ?(out = "BENCH_update.json")
         :: !rows_out)
     grids;
   let samples = max 40 (10 * reps) in
-  let update_cell_s, submits = service_update_row service_params ~samples in
+  let update_cell_s, (restage_s, leaf_s, rebuild_s), submits =
+    service_update_row service_params ~samples
+  in
   Format.printf
     "@.  one-cell update on a %dx%d-cell server (median of %d each):@."
     service_params.Params.private_rows service_params.Params.private_cols
     samples;
   Format.printf "    Server.update_cell:                 %10.6f s@."
     update_cell_s;
+  Format.printf "      restage (Server.restage_cell):    %10.6f s@." restage_s;
+  Format.printf "      Crt.Tree.update_leaf:             %10.6f s@." leaf_s;
+  Format.printf "      schedule rebuild (Wexp.refresh):  %10.6f s@." rebuild_s;
   List.iter
     (fun (shards, s) ->
       Format.printf
@@ -2284,6 +2330,11 @@ let update_bench ?(out = "BENCH_update.json")
                 "private_cols", J.Int service_params.Params.private_cols;
                 "samples", J.Int samples;
                 "update_cell_s", J.Float update_cell_s;
+                ( "update_cell_parts",
+                  J.Obj
+                    [ "restage_s", J.Float restage_s;
+                      "update_leaf_s", J.Float leaf_s;
+                      "schedule_rebuild_s", J.Float rebuild_s ] );
                 ( "submit_update",
                   J.List
                     (List.map

@@ -581,17 +581,21 @@ let odd_powers_w t (bm : window) ~max_odd : window array =
   end;
   tbl
 
-(* Replay a schedule's ops tape against a built table into a fresh
-   accumulator ({!Wexp.replay_cost} ticks); the sweeps update the
-   accumulator in place and never write the table. *)
+(* Replay a window schedule against a built table into a fresh
+   accumulator ({!Wexp.replay_cost} ticks): per window its run of
+   squarings, then its multiplication, then the trailing squarings.  The
+   sweeps update the accumulator in place and never write the table. *)
 let replay t (tbl : window array) (s : Wexp.t) : window =
   let acc = Array.copy tbl.(s.Wexp.first lsr 1) in
-  Array.iter
-    (fun op ->
+  let square n =
+    for _ = 1 to n do
       tick t;
-      if op < 0 then sqr_into t acc acc
-      else cios_into t acc acc tbl.(op lsr 1))
-    s.Wexp.ops;
+      sqr_into t acc acc
+    done
+  in
+  Wexp.iter s ~square ~multiply:(fun v ->
+      tick t;
+      cios_into t acc acc tbl.(v lsr 1));
   acc
 
 (* [b^e] for a window base and a recoded exponent: {!Wexp.cost} ticks

@@ -1,14 +1,13 @@
 (* Per-domain reusable limb workspaces for the bignum engine.
 
-   The limb-level kernels (CIOS Montgomery, Wexp recoding) each need a
-   handful of temporary buffers per operation.
-   Allocating them per call is what drove the ~10^10 minor GC words per
-   run that BENCH_keypool.json exposed, so instead every domain owns a
-   small pool of growable [int array] slots, reached through
-   [Domain.DLS].  A single global key (rather than one key per context)
-   keeps the DLS table bounded no matter how many Montgomery contexts a
-   server creates, and per-domain storage makes the engines
-   safe under {!Lbq_net.Service}, whose worker domains run responds
+   The limb-level Montgomery kernels each need a handful of temporary
+   buffers per operation.  Allocating them per call is what drove the
+   ~10^10 minor GC words per run that BENCH_keypool.json exposed, so
+   instead every domain owns a small pool of growable [int array]
+   slots, reached through [Domain.DLS].  A single global key (rather
+   than one key per context) keeps the DLS table bounded no matter how
+   many Montgomery contexts a server creates, and per-domain storage
+   makes the engines safe under {!Lbq_net.Service}, whose worker domains run responds
    concurrently against one shared server.
 
    Slot discipline:
@@ -23,19 +22,14 @@
    - Returned buffers carry stale contents from previous borrows;
      callers overwrite or [Array.fill] the window they use. *)
 
-let slot_count = 5
+let slot_count = 3
 
 (* Slot registry — the single place documenting which buffers coexist.
    Montgomery's CIOS core holds [mont_acc] while [mulmod]'s second
-   operand may sit in [mont_op_b]; the exit REDC holds [mont_prod].  Wexp recoding holds its bit table and ops tape at
-   once.  No Montgomery op calls into Wexp (and vice versa) while
-   holding a borrow, but the ids are kept globally distinct anyway so
-   the invariant is structural rather than behavioural. *)
+   operand may sit in [mont_op_b]; the exit REDC holds [mont_prod]. *)
 let mont_acc = 0
 let mont_prod = 1
 let mont_op_b = 2
-let wexp_bits = 3
-let wexp_ops = 4
 
 let key : int array array Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Array.make slot_count [||])

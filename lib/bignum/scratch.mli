@@ -1,8 +1,8 @@
 (** Per-domain reusable limb workspaces for the bignum engine.
 
     One global [Domain.DLS] key holds a small pool of growable
-    [int array] slots per domain, so the steady-state hot paths (CIOS
-    Montgomery, Wexp recoding) run without per-operation allocation
+    [int array] slots per domain, so the steady-state CIOS Montgomery
+    hot paths run without per-operation allocation
     while staying safe under the Domains worker pool.
 
     Discipline: a borrow is valid until the next {!get} of the same
@@ -18,8 +18,6 @@ val slot_count : int
 val mont_acc : int
 val mont_prod : int
 val mont_op_b : int
-val wexp_bits : int
-val wexp_ops : int
 
 (** [get ~slot len] borrows this domain's buffer for [slot], grown to at
     least [len] limbs.  Stale contents; valid until the next [get] of

@@ -1,19 +1,23 @@
 (* Sliding-window exponent recoding for the Montgomery exponentiation
    ladders.
 
-   A schedule is computed once from the exponent's limbs — a single pass
-   builds an explicit bit table, so the scan never pays the per-bit
-   div/mod that [Z.testbit] does — and is then executed by an engine as a
-   straight-line sequence of modular squarings and multiplications by
-   precomputed odd powers of the base.  Because the Gentry–Ramzan server
-   raises every query's base to the SAME database exponent e, [Gr.Server]
-   recodes e once at creation and replays the schedule for every query. *)
+   A schedule is computed once from the exponent's limbs in one scan —
+   each window is read out of at most two limbs, so the scan never pays
+   the per-bit div/mod that [Z.testbit] does — and is then executed by
+   an engine as runs of modular squarings, each closed by one
+   multiplication by a precomputed odd power of the base.  Because the
+   Gentry–Ramzan server raises every query's base to the SAME database
+   exponent e, [Gr.Server] recodes e once per epoch and replays the
+   schedule for every query. *)
 
 type t = {
   width : int;  (* window width in bits, 1..7 *)
   first : int;  (* odd value of the leading window; 0 iff the exponent is 0 *)
   max_odd : int;  (* largest odd multiplier used: the table holds base^1 .. base^max_odd *)
-  ops : int array;  (* -1 = square; odd v >= 1 = multiply by base^v *)
+  wins : int array;
+    (* (gap lsl 8) lor v per later window: gap squarings, then multiply
+       by base^v (v odd, < 2^7) *)
+  tail : int;  (* squarings after the last window *)
   ebits : int;  (* significant bits of the exponent *)
 }
 
@@ -29,9 +33,17 @@ let width_for nb =
   else if nb <= 2304 then 6
   else 7
 
+(* Bit length and trailing-zero count of every window value below 2^7:
+   the scan reads them instead of branching bit by bit. *)
+let bit_len =
+  let rec len v = if v = 0 then 0 else 1 + len (v lsr 1) in
+  Array.init 128 len
+let low_zeros = Array.init 128 (fun v -> if v = 0 then 0 else bit_len.(v land -v) - 1)
+
 let recode ?width (e : Nat.t) : t =
   let nb = Nat.numbits e in
-  if nb = 0 then { width = 1; first = 0; max_odd = 1; ops = [||]; ebits = 0 }
+  if nb = 0 then
+    { width = 1; first = 0; max_odd = 1; wins = [||]; tail = 0; ebits = 0 }
   else begin
     let w =
       match width with
@@ -39,137 +51,117 @@ let recode ?width (e : Nat.t) : t =
       | Some w when 1 <= w && w <= 7 -> w
       | Some _ -> invalid_arg "Wexp.recode: width out of [1, 7]"
     in
-    (* Explicit bit table, filled limb by limb, in a Scratch slot: the
-       table only lives for this scan, so recoding allocates nothing
-       beyond the returned schedule. *)
-    let bits = Scratch.get ~slot:Scratch.wexp_bits nb in
-    Array.fill bits 0 nb 0;
-    Array.iteri
-      (fun li limb ->
-        let base_idx = li * Nat.limb_bits in
-        let top = min Nat.limb_bits (nb - base_idx) in
-        for b = 0 to top - 1 do
-          if (limb lsr b) land 1 = 1 then
-            Array.unsafe_set bits (base_idx + b) 1
-        done)
-      e;
-    let bit i = Array.unsafe_get bits i = 1 in
-    (* Window topped at set bit [i]: up to [w] bits scanning down, with
-       trailing zeros stripped so every multiplier stays odd. *)
-    let max_odd = ref 1 in
-    let take i =
-      let l = ref (min w (i + 1)) in
-      let v = ref 0 in
-      for j = i downto i - !l + 1 do
-        v := (!v lsl 1) lor (if bit j then 1 else 0)
-      done;
-      while !v land 1 = 0 do
-        v := !v lsr 1;
-        decr l
-      done;
-      if !v > !max_odd then max_odd := !v;
-      (!v, !l)
+    (* Bits [lo, lo + len) of e for len <= 7 < limb_bits: at most two
+       limbs, the second only when the field straddles a limb edge. *)
+    let field lo len =
+      let li = lo / Nat.limb_bits and off = lo mod Nat.limb_bits in
+      let x = Array.unsafe_get e li lsr off in
+      let x =
+        if off + len > Nat.limb_bits then
+          x lor (Array.unsafe_get e (li + 1) lsl (Nat.limb_bits - off))
+        else x
+      in
+      x land ((1 lsl len) - 1)
     in
-    (* Worst case (w = 1, all bits set): every remaining bit emits one
-       squaring and one multiplication.  Staged in a Scratch slot; only
-       the trimmed copy below escapes. *)
-    let ops = Scratch.get ~slot:Scratch.wexp_ops (2 * nb) in
-    let nops = ref 0 in
-    let emit v =
-      ops.(!nops) <- v;
-      incr nops
-    in
-    let first, l0 = take (nb - 1) in
-    let i = ref (nb - 1 - l0) in
+    (* Up to [w] bits from bit [i] down: the raw window topped at [i]. *)
+    let span i = if w <= i + 1 then w else i + 1 in
+    let l0 = span (nb - 1) in
+    let c0 = field (nb - l0) l0 in
+    let first = c0 lsr low_zeros.(c0) in
+    (* A full-width window ends on a zero or the next window, so window
+       tops sit at least [w] bits apart: ceil(nb / w) bounds the count. *)
+    let wins = Array.make ((nb + w - 1) / w) 0 in
+    let n = ref 0 and max_odd = ref first and gap = ref 0 in
+    let i = ref (nb - 1 - (l0 - low_zeros.(c0))) in
     while !i >= 0 do
-      if not (bit !i) then begin
-        emit (-1);
-        decr i
-      end
-      else begin
-        let v, l = take !i in
-        for _ = 1 to l do
-          emit (-1)
-        done;
-        emit v;
+      (* The next bits down from [i] are all zero, or the top set bit
+         among them starts a window, trailing zeros stripped so every
+         multiplier stays odd. *)
+      let l = span !i in
+      let c = field (!i - l + 1) l in
+      let lz = l - Array.unsafe_get bit_len c in
+      if lz = l then begin
+        gap := !gap + l;
         i := !i - l
       end
+      else begin
+        let top = !i - lz in
+        let l = span top in
+        let c = if lz = 0 then c else field (top - l + 1) l in
+        let v = c lsr Array.unsafe_get low_zeros c in
+        let len = l - Array.unsafe_get low_zeros c in
+        if v > !max_odd then max_odd := v;
+        Array.unsafe_set wins !n (((!gap + lz + len) lsl 8) lor v);
+        incr n;
+        gap := 0;
+        i := top - len
+      end
     done;
-    { width = w; first; max_odd = !max_odd; ops = Array.sub ops 0 !nops; ebits = nb }
+    { width = w; first; max_odd = !max_odd; wins = Array.sub wins 0 !n;
+      tail = !gap; ebits = nb }
   end
 
 (* Recode a NEW exponent under an existing schedule's window width: the
-   incremental-update path refreshes the cached database schedule after
+   incremental-update path rebuilds the cached database schedule after
    a CRT fix-up, and pinning the width keeps the replay-cost profile
    stable across epochs (a near-boundary bit-length change would
    otherwise flip the width and shift predicted costs mid-run). *)
 let refresh (old : t) (e : Nat.t) : t = recode ~width:old.width e
 
-(* Modular multiplications an engine performs replaying this schedule,
-   odd-powers table included: when any multiplier above 1 occurs the
-   table costs one squaring (base^2) plus (max_odd - 1)/2 products, and
-   then every schedule entry is exactly one squaring or multiplication. *)
-let cost t =
-  if t.first = 0 then 0
-  else
-    (if t.max_odd >= 3 then 1 + ((t.max_odd - 1) / 2) else 0)
-    + Array.length t.ops
+(* The ladder after the leading window: per later window its run of
+   squarings, then its multiplication; then the trailing squarings. *)
+let iter t ~square ~multiply =
+  Array.iter
+    (fun wv ->
+      square (wv lsr 8);
+      multiply (wv land 0xff))
+    t.wins;
+  square t.tail
 
-(* The exponent this schedule computes, replayed additively over the
-   exponent of the accumulator (test oracle for [recode]). *)
-let to_exponent t =
-  if t.first = 0 then Z.zero
-  else
-    Array.fold_left
-      (fun acc op ->
-        if op < 0 then Z.shift_left acc 1 else Z.add acc (Z.of_int op))
-      (Z.of_int t.first) t.ops
+(* Bit position of the leading window's low end: the squarings a replay
+   performs after it, [ebits] less the leading window's own length. *)
+let lead_pos t = t.ebits - bit_len.(t.first)
 
 (* Cost of replaying a schedule against an odd-powers table that already
-   exists (fixed base): the table build is amortised away and only the
-   straight-line ops remain. *)
-let replay_cost t = if t.first = 0 then 0 else Array.length t.ops
+   exists (fixed base): one squaring per bit below the leading window
+   plus one multiplication per later window. *)
+let replay_cost t = if t.first = 0 then 0 else lead_pos t + Array.length t.wins
 
 (* Modular multiplications spent building an odd-powers table
    base^1, base^3, .., base^max_odd: one squaring for base^2 plus one
    product per further odd entry.  Zero when only base^1 is needed. *)
 let table_cost ~max_odd = if max_odd >= 3 then 1 + ((max_odd - 1) / 2) else 0
 
+(* Modular multiplications an engine performs replaying this schedule,
+   odd-powers table included. *)
+let cost t = if t.first = 0 then 0 else table_cost ~max_odd:t.max_odd + replay_cost t
+
 (* ------------------------------------------------------------------ *)
 (* Positioned sliding windows, for Straus/Shamir interleaving.         *)
 (* ------------------------------------------------------------------ *)
 
-(* Same scan as [recode], but instead of a square/multiply tape it emits
-   (pos, v) pairs with v odd, such that e = sum_k v_k * 2^pos_k and the
-   windows' bit spans are disjoint.  An interleaved-exponentiation engine
-   multiplies by base^v when its shared squaring ladder reaches bit
-   [pos]. *)
+(* The same windows as [recode], positioned: (pos, v) pairs with v odd,
+   such that e = sum_k v_k * 2^pos_k and the windows' bit spans are
+   disjoint.  An interleaved-exponentiation engine multiplies by base^v
+   when its shared squaring ladder reaches bit [pos].  Each window sits
+   its gap below the previous one. *)
 let windows ?width (e : Nat.t) : (int * int) array =
   let t = recode ?width e in
   if t.first = 0 then [||]
   else begin
-    (* Replay the tape: track the current shift of the accumulator's
-       exponent; every multiply lands a window whose final position is
-       pos = (squarings still to come). *)
-    let remaining_shifts = Array.fold_left (fun n op -> if op < 0 then n + 1 else n) 0 t.ops in
-    let wins = ref [ (remaining_shifts, t.first) ] in
-    let sh = ref remaining_shifts in
-    Array.iter
-      (fun op ->
-        if op < 0 then decr sh else wins := (!sh, op) :: !wins)
-      t.ops;
-    Array.of_list (List.rev !wins)
+    let pos = ref (lead_pos t) in
+    let ws = Array.make (1 + Array.length t.wins) (!pos, t.first) in
+    Array.iteri
+      (fun k wv ->
+        pos := !pos - (wv lsr 8);
+        ws.(k + 1) <- (!pos, wv land 0xff))
+      t.wins;
+    ws
   end
 
 (* Largest odd multiplier across a window decomposition (sizes the
    odd-powers table an engine must build). *)
 let windows_max_odd ws = Array.fold_left (fun m (_, v) -> max m v) 1 ws
-
-(* Exponent computed by a window decomposition (test oracle). *)
-let windows_to_exponent ws =
-  Array.fold_left
-    (fun acc (pos, v) -> Z.add acc (Z.shift_left (Z.of_int v) pos))
-    Z.zero ws
 
 (* Exact group multiplications of the interleaved (Straus/Shamir) ladder
    over two window streams, tables NOT included: the ladder starts at the
@@ -233,17 +225,6 @@ let comb_digits (c : comb) (e : Nat.t) : int array =
       done)
     e;
   d
-
-(* Exponent a digit vector encodes (test oracle for [comb_digits]). *)
-let comb_to_exponent (c : comb) (d : int array) =
-  let acc = ref Z.zero in
-  for j = Array.length d - 1 downto 0 do
-    for i = 0 to c.teeth - 1 do
-      if (d.(j) lsr i) land 1 = 1 then
-        acc := Z.add !acc (Z.shift_left Z.one ((i * c.cols) + j))
-    done
-  done;
-  !acc
 
 (* Exact group multiplications executing a comb exponentiation against a
    prebuilt table: the ladder starts at the highest nonzero column,

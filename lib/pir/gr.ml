@@ -139,10 +139,10 @@ module Server = struct
 
   (* Replace record [idx] and re-derive [e] incrementally: one
      {!Crt.Tree.update_leaf} (a leaf-width product times M / pi_idx, no
-     inversion) plus a schedule refresh at the old schedule's window
-     width.  Everything a [respond] reads — [e_sched] — is swapped in
-     one store, so a concurrent respond sees either the old epoch's
-     schedule or the new one, never a mix. *)
+     inversion) plus one limb scan rebuilding the window schedule at the
+     old schedule's width.  Everything a [respond] reads — [e_sched] —
+     is swapped in one store, so a concurrent respond sees either the
+     old epoch's schedule or the new one, never a mix. *)
   let update_block t ~idx ~(block : Z.t) =
     if idx < 0 || idx >= plan_size t.plan then
       invalid_arg "Gr.Server.update_block: index out of range";

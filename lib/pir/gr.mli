@@ -66,8 +66,8 @@ module Server : sig
       and re-derives [e] incrementally: one
       {!Lbq_numth.Crt.Tree.update_leaf} ([e + d * (M / pi_idx) mod M]
       for a leaf-width [d], no inversion) plus a
-      {!Lbq_bignum.Wexp.refresh} of the cached schedule, instead of a
-      full re-encode.  Bumps {!epoch}.  Raises [Invalid_argument] when [idx] is out of range or
+      {!Lbq_bignum.Wexp.refresh} of the cached window schedule (one scan
+      of [e]'s limbs), instead of a full re-encode.  Bumps {!epoch}.  Raises [Invalid_argument] when [idx] is out of range or
       [block] exceeds slot [idx]'s prime-power capacity. *)
   val update_block : t -> idx:int -> block:Z.t -> unit
 

@@ -64,10 +64,11 @@ let powm_sched t (base_ : Z.t) (s : Wexp.t) : Z.t =
       done
     end;
     let r = ref tbl.(s.Wexp.first lsr 1) in
-    Array.iter
-      (fun op ->
-        if op < 0 then r := mont_sqr t !r
-        else r := mont_mul t !r tbl.(op lsr 1))
-      s.Wexp.ops;
+    let square n =
+      for _ = 1 to n do
+        r := mont_sqr t !r
+      done
+    in
+    Wexp.iter s ~square ~multiply:(fun v -> r := mont_mul t !r tbl.(v lsr 1));
     of_mont t !r
   end

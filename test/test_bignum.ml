@@ -4,6 +4,7 @@
 
 open Lbq_bignum
 module Mont_ladder = Lbq_oracle.Mont_ladder
+module Wexp_exponent = Lbq_oracle.Wexp_exponent
 
 let z = Alcotest.testable Z.pp Z.equal
 
@@ -346,7 +347,7 @@ let test_wexp_edges () =
   let s0 = Wexp.recode Nat.zero in
   Alcotest.(check int) "e=0 first" 0 s0.Wexp.first;
   Alcotest.(check int) "e=0 cost" 0 (Wexp.cost s0);
-  Alcotest.check z "e=0 replay" Z.zero (Wexp.to_exponent s0);
+  Alcotest.check z "e=0 replay" Z.zero (Wexp_exponent.to_exponent s0);
   let m = Z.of_string "100000000000000000763" in
   let ctx = Montgomery.create m in
   Alcotest.check z "powm e=0" Z.one (Montgomery.powm ctx (Z.of_int 7) Z.zero);
@@ -363,7 +364,7 @@ let test_wexp_edges () =
               let s = Wexp.recode ~width (Z.to_nat e) in
               Alcotest.check z
                 (Printf.sprintf "replay w=%d k=%d" width k)
-                e (Wexp.to_exponent s);
+                e (Wexp_exponent.to_exponent s);
               Alcotest.check z
                 (Printf.sprintf "powm_sched w=%d k=%d" width k)
                 (Z.mod_pow_naive (Z.of_int 3) e m)
@@ -465,7 +466,7 @@ let test_comb_straus_edges () =
               Alcotest.check z
                 (Printf.sprintf "comb digits replay t=%d" teeth)
                 e
-                (Wexp.comb_to_exponent comb (Wexp.comb_digits comb en));
+                (Wexp_exponent.comb_to_exponent comb (Wexp.comb_digits comb en));
               let r = ref 0 in
               let v =
                 Montgomery.counting ctx r (fun () ->
@@ -690,7 +691,7 @@ let props =
       (QCheck.make QCheck.Gen.(pair gen_big (int_range 1 7)))
       (fun (e, width) ->
         let e = Z.abs e in
-        Z.equal e (Wexp.to_exponent (Wexp.recode ~width (Z.to_nat e))));
+        Z.equal e (Wexp_exponent.to_exponent (Wexp.recode ~width (Z.to_nat e))));
     prop "sliding powm = naive at every width" 60
       (QCheck.make
          QCheck.Gen.(quad gen_big gen_big gen_big (int_range 1 7)))
@@ -707,7 +708,7 @@ let props =
         let e = Z.abs e in
         let comb = Wexp.make_comb ~bits:(max 1 (Z.numbits e)) ~teeth in
         Z.equal e
-          (Wexp.comb_to_exponent comb (Wexp.comb_digits comb (Z.to_nat e))));
+          (Wexp_exponent.comb_to_exponent comb (Wexp.comb_digits comb (Z.to_nat e))));
     prop "fixed-base comb powm = naive" 60
       (QCheck.make
          QCheck.Gen.(quad gen_big gen_big gen_big (int_range 1 8)))
@@ -743,7 +744,7 @@ let props =
       (fun (e, width) ->
         let e = Z.abs e in
         Z.equal e
-          (Wexp.windows_to_exponent (Wexp.windows ~width (Z.to_nat e))));
+          (Wexp_exponent.windows_to_exponent (Wexp.windows ~width (Z.to_nat e))));
     prop "straus powm2 = two naive powms" 60
       (QCheck.make
          QCheck.Gen.(

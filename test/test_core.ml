@@ -319,6 +319,44 @@ let test_cellcrypt_failures () =
    | exception Cellcrypt.Authentication_failure -> ()
    | _ -> Alcotest.fail "wrong key accepted")
 
+(* Two blocks under one key: the ciphertext bodies (tag stripped) must
+   not XOR to the plaintexts' XOR, or one fetch of each reveals
+   pt_1 xor pt_2. *)
+let check_no_keystream_reuse what (pt1, blob1) (pt2, blob2) =
+  let body b = String.sub b 0 (String.length b - Cellcrypt.tag_len) in
+  Alcotest.(check bool) (what ^ ": plaintexts differ") false (String.equal pt1 pt2);
+  Alcotest.(check bool) (what ^ ": body xor is not plaintext xor") false
+    (String.equal
+       (Lbq_crypto.Bytes_util.xor (body blob1) (body blob2))
+       (Lbq_crypto.Bytes_util.xor pt1 pt2))
+
+let test_cellcrypt_distinct_keystreams () =
+  let key = String.init 16 Char.chr in
+  let pt1 = String.make 64 'a' and pt2 = "b" ^ String.make 63 'a' in
+  let enc pt = (pt, Cellcrypt.encrypt ~cell_key:key pt) in
+  check_no_keystream_reuse "one key" (enc pt1) (enc pt2);
+  Alcotest.(check string) "deterministic" (snd (enc pt1)) (snd (enc pt1))
+
+(* A POI update re-encrypts the cell under the same key; the cell's
+   blocks at the two epochs must not share a keystream. *)
+let test_restage_distinct_keystreams () =
+  let s = Server.create params ~area pois in
+  let idq = 4 in
+  let epoch_block () =
+    ( Poi.encode_block (Grid.cell_pois (Server.partition s) idq),
+      Server.cell_ciphertext s idq )
+  in
+  let before = epoch_block () in
+  let moved =
+    List.map
+      (fun p ->
+        Poi.make ~id:(Poi.id p) ~position:(Poi.position p)
+          ~category:(Poi.category p) ~name:(Poi.name p ^ "-new"))
+      (Server.trusted_cell_pois s idq |> List.filter (fun p -> not (Poi.is_dummy p)))
+  in
+  Server.restage_cell s ~idq moved;
+  check_no_keystream_reuse "restaged cell" before (epoch_block ())
+
 (* ------------------------------------------------------------------ *)
 (* PIR instance reuse (S VI repeated rounds)                            *)
 (* ------------------------------------------------------------------ *)
@@ -824,7 +862,11 @@ let () =
          Alcotest.test_case "malformed" `Quick test_wire_malformed ]);
       ("cellcrypt",
        [ Alcotest.test_case "roundtrip" `Quick test_cellcrypt_roundtrip;
-         Alcotest.test_case "failures" `Quick test_cellcrypt_failures ]);
+         Alcotest.test_case "failures" `Quick test_cellcrypt_failures;
+         Alcotest.test_case "distinct keystreams" `Quick
+           test_cellcrypt_distinct_keystreams;
+         Alcotest.test_case "restaged cell keystreams" `Quick
+           test_restage_distinct_keystreams ]);
       ("reuse",
        [ Alcotest.test_case "correct and cached" `Quick
            test_reuse_correct_and_cached;

@@ -219,6 +219,43 @@ let test_gr_metrics (metrics : Counters.t) =
   Alcotest.(check bool) "user mults > 2 exponentiations' worth" true
     ((Counters.snapshot metrics).Counters.user_mult > 0)
 
+(* A seeded walk of single-record updates on a database whose [e] is
+   wide enough (> 2304 bits) for width-7 windows: every epoch keeps the
+   pinned width and the exact closed form, and the final server answers
+   byte-identically to a fresh encode of the final records. *)
+let test_gr_update_walk_width7 () =
+  let count = 8 in
+  let plan = Gr.make_plan ~count ~block_bits:320 () in
+  let walk = Drbg.rand (Drbg.create ~seed:"test-pir-update-walk" ()) in
+  let record i = Z.random_below ~bound:(Gr.plan_slot plan i).Gr.pi walk in
+  let records = Array.init count record in
+  let metrics = Counters.create () in
+  let server = Gr.Server.create ~metrics plan records in
+  Alcotest.(check bool) "|e| > 2304 bits" true (Gr.Server.e_bits server > 2304);
+  Alcotest.(check int) "width 7" 7 (Gr.Server.schedule server).Wexp.width;
+  let queries =
+    Array.init count (fun index -> snd (Gr.Client.query ~plan ~index ~q_bits:24 rand))
+  in
+  for step = 1 to 24 do
+    let idx = Z.to_int (Z.random_below ~bound:(Z.of_int count) walk) in
+    records.(idx) <- record idx;
+    Gr.Server.update_block server ~idx ~block:records.(idx);
+    Alcotest.(check int) (Printf.sprintf "step %d: width pinned" step) 7
+      (Gr.Server.schedule server).Wexp.width;
+    Counters.reset metrics;
+    let n, g = queries.(step mod count) in
+    ignore (Gr.Server.respond server ~n ~g);
+    Alcotest.(check int) (Printf.sprintf "step %d: predicted = measured" step)
+      (Gr.Server.predicted_mults server)
+      (Counters.snapshot metrics).Counters.server_mult
+  done;
+  let fresh = Gr.Server.create plan records in
+  Array.iteri
+    (fun i (n, g) ->
+      Alcotest.check z (Printf.sprintf "reply %d = fresh encode" i)
+        (Gr.Server.respond fresh ~n ~g) (Gr.Server.respond server ~n ~g))
+    queries
+
 (* Plan-level edge shapes (the arena drives the same shapes through the
    backend signature; these pin them at the raw scheme level). *)
 
@@ -306,7 +343,9 @@ let () =
          Alcotest.test_case "e satisfies congruences" `Quick
            test_gr_e_satisfies_congruences;
          Alcotest.test_case "tamper detection" `Quick test_gr_tamper_detection;
-         Fixture.case "metrics" test_gr_metrics ]);
+         Fixture.case "metrics" test_gr_metrics;
+         Alcotest.test_case "width-7 update walk = fresh encode" `Quick
+           test_gr_update_walk_width7 ]);
       ("edges",
        [ Alcotest.test_case "single-slot plan" `Quick test_gr_edge_single_slot;
          Alcotest.test_case "empty record" `Quick test_gr_edge_empty_record ]);
