@@ -35,13 +35,8 @@ type t = {
   instances : (string * Instance.t) list;  (* registration order *)
 }
 
-let create ?(metrics = Counters.null) ?(seed = "lbq-arena") ?backends
-    (server : Server.t) : t =
-  let backends =
-    match backends with
-    | Some bs -> bs
-    | None -> deployment_backends (Server.params server)
-  in
+let create ?(metrics = Counters.null) ?(seed = "lbq-arena") (server : Server.t)
+    : t =
   let blocks = Server.cipher_blocks server in
   let drbg = Drbg.create ~domain:"lbq-arena" ~seed () in
   let instances =
@@ -49,7 +44,7 @@ let create ?(metrics = Counters.null) ?(seed = "lbq-arena") ?backends
       (fun backend ->
         let module M = (val backend : B.S) in
         (M.name, Instance.create ~metrics ~rand:(Drbg.rand drbg) backend blocks))
-      backends
+      (deployment_backends (Server.params server))
   in
   { server; instances }
 
@@ -76,16 +71,4 @@ let fetch ?clock ?(metrics = Counters.null) ~rand ~backend t
     Instance.fetch ?clock ~metrics ~rand ~row:(idq / cols) ~col:(idq mod cols)
       inst
   in
-  let plaintext =
-    try
-      Cellcrypt.decrypt ~cell_key:(Client.credential_key cred)
-        round.Instance.block
-    with Cellcrypt.Authentication_failure ->
-      raise (Client.Protocol_error "arena stage 2: authentication failure")
-  in
-  let pois =
-    try Poi.decode_block plaintext
-    with Invalid_argument _ ->
-      raise (Client.Protocol_error "arena stage 2: corrupt block")
-  in
-  (List.filter (fun p -> not (Poi.is_dummy p)) pois, round)
+  (Client.decrypt_block cred round.Instance.block, round)

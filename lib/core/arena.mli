@@ -10,19 +10,13 @@ module Registry = Lbq_pir_backend.Registry
 module Instance = Registry.Instance
 module Counters = Lbq_metrics.Counters
 
-(** The arena backend set for a deployment: Gentry–Ramzan at the
-    deployment's [q_bits], plus the QR and LWE registry defaults. *)
-val deployment_backends : Params.t -> B.backend list
-
 type t
 
-(** Encode the server's {!Server.cipher_blocks} under each backend
-    (defaults to {!deployment_backends}).  [metrics] receives every
-    instance's server-side counters; [seed] drives backend-internal
-    encoding randomness. *)
-val create :
-  ?metrics:Counters.t -> ?seed:string -> ?backends:B.backend list ->
-  Server.t -> t
+(** Encode the server's {!Server.cipher_blocks} under each backend:
+    Gentry–Ramzan at the deployment's [q_bits], plus the QR and LWE
+    registry defaults.  [metrics] receives every instance's server-side
+    counters; [seed] drives backend-internal encoding randomness. *)
+val create : ?metrics:Counters.t -> ?seed:string -> Server.t -> t
 
 val server : t -> Server.t
 

@@ -161,8 +161,21 @@ let stage2_query ?(reuse = false) ?pool t (cred : credential)
     if reuse then cache_store t cred.idq pir wire;
     { pir; cred }, wire
 
-(* Decrypt and decode the block; authentication failure means either a
-   tampered response or a key/cell mismatch (a cheating user). *)
+(* Decrypt and decode a cell's ciphertext block, whichever PIR carried
+   it; authentication failure means either a tampered response or a
+   key/cell mismatch (a cheating user). *)
+let decrypt_block (cred : credential) (blob : string) : Poi.t list =
+  let plaintext =
+    try Cellcrypt.decrypt ~cell_key:cred.cell_key blob
+    with Cellcrypt.Authentication_failure ->
+      raise (Protocol_error "stage 2: authentication failure")
+  in
+  let pois =
+    try Poi.decode_block plaintext
+    with Invalid_argument _ -> raise (Protocol_error "stage 2: corrupt block")
+  in
+  List.filter (fun p -> not (Poi.is_dummy p)) pois
+
 let stage2_decode t (st : stage2) (ge : Z.t) : Poi.t list =
   let ci =
     try Gr.Client.decode st.pir ge
@@ -172,13 +185,4 @@ let stage2_decode t (st : stage2) (ge : Z.t) : Poi.t list =
     try Z.to_bytes_be_padded ci ~len:(Params.cell_cipher_bytes t.params)
     with Invalid_argument _ -> raise (Protocol_error "stage 2: block too large")
   in
-  let plaintext =
-    try Cellcrypt.decrypt ~cell_key:st.cred.cell_key blob
-    with Cellcrypt.Authentication_failure ->
-      raise (Protocol_error "stage 2: authentication failure")
-  in
-  let pois =
-    try Poi.decode_block plaintext
-    with Invalid_argument _ -> raise (Protocol_error "stage 2: corrupt block")
-  in
-  List.filter (fun p -> not (Poi.is_dummy p)) pois
+  decrypt_block st.cred blob

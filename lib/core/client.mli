@@ -55,7 +55,10 @@ type stage2
 val stage2_query :
   ?reuse:bool -> ?pool:Keypool.t -> t -> credential -> stage2 * (Z.t * Z.t)
 
-(** Decrypt, authenticate and decode the block; dummy records are
-    filtered out.  Raises {!Protocol_error} on tampering or key
-    mismatch. *)
+(** Recover the block from the PIR reply, then {!decrypt_block} it. *)
 val stage2_decode : t -> stage2 -> Z.t -> Poi.t list
+
+(** Decrypt, authenticate and decode a cell's ciphertext block under the
+    credential's key; dummy records are filtered out.  Raises
+    {!Protocol_error} on tampering or key mismatch. *)
+val decrypt_block : credential -> string -> Poi.t list

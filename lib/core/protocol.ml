@@ -1,4 +1,4 @@
-(* Message-passing driver for one protocol round (Figure 2).
+(* One protocol round (Figure 2), and its message-passing driver.
 
    Every message crosses the client/server boundary as actual wire bytes
    (encoded and re-decoded through [Wire]), so the recorded transcript is
@@ -41,10 +41,19 @@ let pp_message fmt m =
 let pp_transcript fmt tr =
   Format.pp_print_list ~pp_sep:Format.pp_print_newline pp_message fmt tr
 
+(* The one round sequence; the caller's [ot] and [pir] carry the two
+   exchanges.  [reuse] and [pool] forward to {!Client.stage2_query}. *)
+let round ?(reuse = false) ?pool (client : Client.t) ~(position : Coord.t)
+    ~ot ~pir : Poi.t list * Client.credential =
+  let cell = Client.locate client position in
+  let st1, ot_query = Client.stage1_query client cell in
+  let credential = Client.stage1_decode client st1 (ot ot_query) in
+  let st2, pir_query = Client.stage2_query ~reuse ?pool client credential in
+  (Client.stage2_decode client st2 (pir credential pir_query), credential)
+
 (* One full round for a user standing at [position].  All four protocol
-   messages are serialized, "sent", and parsed on the other side.
-   [reuse] and [pool] forward to {!Client.stage2_query}. *)
-let run_round ?(reuse = false) ?pool (client : Client.t) (server : Server.t)
+   messages are serialized, "sent", and parsed on the other side. *)
+let run_round ?reuse ?pool (client : Client.t) (server : Server.t)
     ~(position : Coord.t) : round_result =
   let group = (Server.params server).Params.group in
   let tr = ref [] in
@@ -52,31 +61,23 @@ let run_round ?(reuse = false) ?pool (client : Client.t) (server : Server.t)
     tr := { direction; label; bytes = String.length bytes } :: !tr;
     bytes
   in
-  (* Stage 1: oblivious transfer. *)
-  let cell = Client.locate client position in
-  let st1, ot_query = Client.stage1_query client cell in
-  let ot_query_wire =
-    send User_to_server "OT query (C1, C2)" (Wire.ot_query_encode group ot_query)
+  let ot q =
+    let q_wire =
+      send User_to_server "OT query (C1, C2)" (Wire.ot_query_encode group q)
+    in
+    let resp = Server.ot_respond server (Wire.ot_query_decode group q_wire) in
+    Wire.ot_response_decode group
+      (send Server_to_user "OT response (C'_1, C'_2)"
+         (Wire.ot_response_encode group resp))
   in
-  let ot_resp = Server.ot_respond server (Wire.ot_query_decode group ot_query_wire) in
-  let ot_resp_wire =
-    send Server_to_user "OT response (C'_1, C'_2)"
-      (Wire.ot_response_encode group ot_resp)
+  let pir _ q =
+    let n, g =
+      Wire.pir_query_decode
+        (send User_to_server "PIR query (N, g)" (Wire.pir_query_encode q))
+    in
+    Wire.pir_response_decode
+      (send Server_to_user "PIR response (g^e)"
+         (Wire.pir_response_encode ~n (Server.pir_respond server ~n ~g)))
   in
-  let credential =
-    Client.stage1_decode client st1 (Wire.ot_response_decode group ot_resp_wire)
-  in
-  (* Stage 2: private information retrieval. *)
-  let st2, pir_query = Client.stage2_query ~reuse ?pool client credential in
-  let pir_query_wire =
-    send User_to_server "PIR query (N, g)" (Wire.pir_query_encode pir_query)
-  in
-  let n, g = Wire.pir_query_decode pir_query_wire in
-  let ge = Server.pir_respond server ~n ~g in
-  let pir_resp_wire =
-    send Server_to_user "PIR response (g^e)" (Wire.pir_response_encode ~n ge)
-  in
-  let pois =
-    Client.stage2_decode client st2 (Wire.pir_response_decode pir_resp_wire)
-  in
+  let pois, credential = round ?reuse ?pool client ~position ~ot ~pir in
   { pois; credential; transcript = List.rev !tr }

@@ -18,12 +18,12 @@ let default_categories =
   [| "atm"; "cafe"; "fuel"; "hospital"; "police"; "pharmacy"; "hotel"; "parking" |]
 
 let city ?(side = 10_000.) ?(count = 2_000) ?(clusters = 8)
-    ?(cluster_fraction = 0.7) ?(cluster_radius = 400.)
-    ?(categories = default_categories) () =
+    ?(cluster_fraction = 0.7) () =
   { area =
       Coord.Rect.make ~min:(Coord.make ~x:0. ~y:0.)
         ~max:(Coord.make ~x:side ~y:side);
-    count; clusters; cluster_fraction; cluster_radius; categories }
+    count; clusters; cluster_fraction; cluster_radius = 400.;
+    categories = default_categories }
 
 (* Uniform float in [0, 1) from 8 DRBG bytes. *)
 let uniform drbg =
@@ -78,20 +78,18 @@ let generate ?(seed = "lbq-synth") (spec : spec) : Poi.t list =
 (* A deterministic update stream over an existing partition: each step
    picks a cell and replaces its real records with a fresh draw of
    [0, rmax] POIs placed inside that cell — the churn a live OSM-style
-   feed would produce.  Ids count up from [base_id] so they never
+   feed would produce.  Ids count up from 1_000_000 so they never
    collide with the build-time database (whose ids are list indices).
    Points are inset from the cell edges so float rounding can never
    re-bucket one into a neighbour. *)
-let churn ?(seed = "lbq-churn") ?(base_id = 1_000_000)
-    ?(categories = default_categories) ~(partition : Grid.partition)
-    ~steps () : Poi_file.update list =
+let churn ?(seed = "lbq-churn") ~(partition : Grid.partition) ~steps ()
+    : Poi_file.update list =
   if steps <= 0 then invalid_arg "Synth.churn: steps <= 0";
-  if Array.length categories = 0 then invalid_arg "Synth.churn: no categories";
   let drbg = Drbg.create ~domain:"churn" ~seed () in
   let q = Grid.q_lattice partition in
   let cells = Grid.cell_count partition in
   let rmax = Grid.rmax partition in
-  let next_id = ref base_id in
+  let next_id = ref 1_000_000 in
   List.init steps (fun _ ->
       let cell = Drbg.int drbg cells in
       let rect = Grid.cell_rect q (Grid.cell_of_index partition cell) in
@@ -108,7 +106,8 @@ let churn ?(seed = "lbq-churn") ?(base_id = 1_000_000)
                 ~x:(inset (Coord.x minc) w (uniform drbg))
                 ~y:(inset (Coord.y minc) h (uniform drbg))
             in
-            let category = categories.(Drbg.int drbg (Array.length categories)) in
+            let pick = Drbg.int drbg (Array.length default_categories) in
+            let category = default_categories.(pick) in
             Poi.make ~id ~position ~category
               ~name:(Printf.sprintf "%s-%04d" category id))
       in

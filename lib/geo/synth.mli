@@ -11,24 +11,22 @@ type spec = {
   categories : string array;
 }
 
-val default_categories : string array
-
 (** A [side]-metre square city. *)
 val city :
   ?side:float -> ?count:int -> ?clusters:int -> ?cluster_fraction:float ->
-  ?cluster_radius:float -> ?categories:string array -> unit -> spec
+  unit -> spec
 
 (** Deterministic in [seed]. *)
 val generate : ?seed:string -> spec -> Poi.t list
 
 (** Deterministic churn stream over an existing partition: [steps]
     cell-replacement updates, each a fresh draw of [0, rmax] POIs placed
-    strictly inside the chosen cell, with ids counting up from [base_id]
-    (default 1_000_000) so they never collide with build-time ids.
+    strictly inside the chosen cell, with ids counting up from 1_000_000
+    so they never collide with build-time ids.
     Suitable for [Server.update_cell] replay and the update bench. *)
 val churn :
-  ?seed:string -> ?base_id:int -> ?categories:string array ->
-  partition:Grid.partition -> steps:int -> unit -> Poi_file.update list
+  ?seed:string -> partition:Grid.partition -> steps:int -> unit ->
+  Poi_file.update list
 
 (** Random walk of [steps] positions, [stride] metres apart. *)
 val walk :

@@ -74,37 +74,11 @@ let pow2_g_cost t e1 e2 =
   1 + Wexp.table_cost ~max_odd:(Wexp.windows_max_odd ws2)
   + Wexp.straus_cost ws1 ws2
 
-(* Per-query fixed-base material: an odd-powers table for an arbitrary
-   group element reused across many exponentiations (the OT server
-   raises the SAME ciphertext component c.a to a fresh exponent on
-   every row of an axis). *)
-type base_tbl = { tbl : Montgomery.table; bwidth : int }
-
-let base_tbl t b =
-  let w = t.g_width in
-  { tbl = Montgomery.odd_powers t.mont b ~max_odd:((1 lsl w) - 1);
-    bwidth = w }
-
-let pow_tbl_counted t bt e =
-  let s = Wexp.recode ~width:bt.bwidth (Z.to_nat (Z.erem e t.q)) in
-  (Montgomery.powm_tbl t.mont bt.tbl s, Wexp.replay_cost s)
-
-let pow_tbl t bt e = fst (pow_tbl_counted t bt e)
-
-(* One-time multiplications of [base_tbl]: the entry conversion plus the
-   full table for the cached window width. *)
-let base_tbl_cost t = 1 + Wexp.table_cost ~max_odd:((1 lsl t.g_width) - 1)
-
-(* Per-call multiplications of [pow_tbl] (table already paid for). *)
-let pow_tbl_cost t e =
-  Wexp.replay_cost (Wexp.recode ~width:t.g_width (Z.to_nat (Z.erem e t.q)))
-
-(* Heavier per-query fixed-base material: a full Lim-Lee comb for an
-   arbitrary group element, with the same geometry as the cached
-   generator comb (sized for exponents < q).  Costs more to build than
-   [base_tbl] but each exponentiation is ~q_bits/teeth squarings, so it
-   wins once the same base is raised to a handful of fresh exponents —
-   exactly the OT server's per-axis c.a. *)
+(* Per-query fixed-base material: a full Lim-Lee comb for an arbitrary
+   group element, with the same geometry as the cached generator comb
+   (sized for exponents < q).  Each exponentiation is ~q_bits/teeth
+   squarings, which pays back the build once the same base is raised to
+   several fresh exponents — exactly the OT server's per-axis c.a. *)
 type base_comb = Montgomery.fixed_base
 
 let base_comb t b =

@@ -54,34 +54,13 @@ val pow2_g_cost : t -> Z.t -> Z.t -> int
     the exponents once). *)
 val pow2_g_counted : t -> Z.t -> Z.t -> Z.t -> Z.t * int
 
-(** {2 Per-query fixed-base material}
-
-    An odd-powers table for an arbitrary group element, built once and
-    reused across many exponentiations of that base (the OT server
-    raises the same ciphertext component to a fresh exponent on every
-    row of an axis). *)
-
-type base_tbl
-
-val base_tbl : t -> Z.t -> base_tbl
-val pow_tbl : t -> base_tbl -> Z.t -> Z.t
-
-(** [pow_tbl] plus its exact multiplication count. *)
-val pow_tbl_counted : t -> base_tbl -> Z.t -> Z.t * int
-
-(** One-time multiplications of {!base_tbl} (entry conversion plus
-    table). *)
-val base_tbl_cost : t -> int
-
-(** Per-call multiplications of {!pow_tbl} on this exponent. *)
-val pow_tbl_cost : t -> Z.t -> int
-
 (** {2 Per-query fixed-base combs}
 
     A full Lim-Lee comb for an arbitrary group element, same geometry as
-    the cached generator comb.  More expensive to build than
-    {!base_tbl}, much cheaper per exponentiation; wins once the base is
-    raised to roughly three or more fresh exponents. *)
+    the cached generator comb, built once and reused across many
+    exponentiations of that base (the OT server raises the same
+    ciphertext component to a fresh exponent on every row of an
+    axis). *)
 
 type base_comb
 

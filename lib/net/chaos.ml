@@ -58,12 +58,13 @@ let check_config c =
 let drop_corrupt ~p =
   check_config { calm with drop = p /. 2.; corrupt = p /. 2. }
 
-(* All six fault kinds, total per-frame fault rate p (bench sweeps). *)
-let mixed ?(spike_s = 0.25) ~p () =
+(* All six fault kinds, total per-frame fault rate p (bench sweeps);
+   a spike adds 0.25 s. *)
+let mixed ~p () =
   check_config
     { drop = p *. 0.35; corrupt = p *. 0.25; truncate = p *. 0.10;
       duplicate = p *. 0.10; reorder = p *. 0.10; spike = p *. 0.10;
-      spike_s }
+      spike_s = 0.25 }
 
 type t = { config : config; drbg : Drbg.t }
 

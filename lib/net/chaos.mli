@@ -20,8 +20,9 @@ val calm : config
 (** Drop + corruption only, [p/2] each (total fault rate [p]). *)
 val drop_corrupt : p:float -> config
 
-(** All six fault kinds with total per-frame fault rate [p]. *)
-val mixed : ?spike_s:float -> p:float -> unit -> config
+(** All six fault kinds with total per-frame fault rate [p]; a spike
+    adds 0.25 s. *)
+val mixed : p:float -> unit -> config
 
 type t
 

@@ -6,9 +6,12 @@
    (seeded from a [Drbg.split] child of the fleet seed, so every
    tenant's query stream is independent and replayable), its own
    position stream, its own {!Counters} — and optionally shares the
-   deployment {!Keypool} for warm stage-2 instances.  A round is the
-   paper's two exchanges: OT the credential for the located cell, then
-   PIR the cell block from the shard its IDQ stripes to, then decrypt.
+   deployment {!Keypool} for warm stage-2 instances.  A round is
+   {!Lbq_core.Protocol.round}, the one round every driver runs: OT the
+   credential for the located cell, then PIR the cell block from the
+   shard its IDQ stripes to, then decrypt.  Each tenant runs rounds in a
+   straight-line loop inside an effect fiber, which [run] suspends while
+   its exchange is at the service or it backs off.
 
    The driver is closed-loop: one exchange in flight per tenant, the
    next submitted from the completion of the previous, so offered load
@@ -20,9 +23,9 @@
    judges each request and response frame.  A lost request never
    reaches the service (the retry just waits); a lost response wastes
    the server work already spent — that asymmetry is what the
-   throughput-under-loss bench row measures.  Sheds and losses both
-   consume the same {!Retry} budget, with the shed's retry-after hint
-   taking precedence over the backoff curve when it is longer.
+   throughput-under-loss bench row measures.  Each exchange runs under
+   {!Retry.run}: sheds and losses consume the same budget, and a shed's
+   retry-after hint is the least wait before the retry.
 
    Determinism: with chaos off and no shared keypool, every tenant's
    round sequence — positions, queries, blinding, replies — is a pure
@@ -36,7 +39,7 @@ module Client = Lbq_core.Client
 module Server = Lbq_core.Server
 module Params = Lbq_core.Params
 module Wire = Lbq_core.Wire
-module Ot = Lbq_ot.Ot
+module Protocol = Lbq_core.Protocol
 module Keypool = Lbq_cache.Keypool
 module Drbg = Lbq_crypto.Drbg
 module Counters = Lbq_metrics.Counters
@@ -93,13 +96,8 @@ type outcome = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Tenant state machine                                                 *)
+(* Tenants                                                              *)
 (* ------------------------------------------------------------------ *)
-
-type pending =
-  | P_ot of { st1 : Client.stage1; q : Ot.query }
-  | P_pir of { st2 : Client.stage2; n : Lbq_bignum.Z.t; g : Lbq_bignum.Z.t;
-               shard : int; idq : int; key : string }
 
 type tenant = {
   id : int;
@@ -108,13 +106,9 @@ type tenant = {
   jitter : Drbg.t;             (* backoff jitter stream *)
   chaos : Chaos.t option;
   metrics : Counters.t;
-  mutable seq : int;           (* exchange counter; stable across retries *)
-  mutable started : int;       (* rounds begun *)
+  mutable seq : int;           (* next exchange id; stable across retries *)
   mutable rounds : int;        (* rounds completed *)
   mutable failed : int;        (* rounds abandoned *)
-  mutable failures : int;      (* consecutive failures, current exchange *)
-  mutable round_started_s : float;
-  mutable pending : pending option;
   mutable log : entry list;    (* reverse round order *)
 }
 
@@ -135,18 +129,12 @@ let make_tenant ~public ~chaos ~base id =
         chaos;
     metrics = Counters.create ();
     seq = 0;
-    started = 0;
     rounds = 0;
     failed = 0;
-    failures = 0;
-    round_started_s = 0.;
-    pending = None;
     log = [];
   }
 
-(* Uniform position in the service area (a fresh placement per round —
-   the mobility scenario pack on the ROADMAP will refine this into real
-   trajectories). *)
+(* Uniform position in the service area, a fresh placement per round. *)
 let draw_position area walk =
   let frac d = float_of_int (Drbg.int d 1_000_000) /. 1e6 in
   let lo = Coord.Rect.min area and hi = Coord.Rect.max area in
@@ -168,22 +156,23 @@ let frame_lost tenant frame =
      | Some bytes when String.equal bytes frame -> false
      | _ -> true)
 
-let request_frame ~group tenant =
-  match tenant.pending with
-  | Some (P_ot { q; _ }) -> Wire.ot_query_encode group q
-  | Some (P_pir { n; g; _ }) -> Wire.pir_query_encode (n, g)
-  | None -> invalid_arg "Fleet.request_frame: no pending exchange"
-
-let reply_frame ~group tenant (reply : Service.reply) =
-  match tenant.pending, reply with
-  | _, Service.Ot_reply (Ok resp) -> Wire.ot_response_encode group resp
-  | Some (P_pir { n; _ }), Service.Pir_reply (Ok ge) ->
-    Wire.pir_response_encode ~n ge
-  | _, _ -> ""
-
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
+
+(* A tenant fiber suspends on [Await] after a submit, until the service
+   completes the ticket, and on [Sleep_until] to back off. *)
+type _ Effect.t +=
+  | Await : Service.ticket -> Service.reply Effect.t
+  | Sleep_until : float -> unit Effect.t
+
+(* The round is given up: the retry budget ran out, or validation
+   rejected an honest query (only possible under corruption that slipped
+   the frame check). *)
+exception Abandoned
+
+(* A tenant backing off past the [Duration] deadline is discontinued. *)
+exception Past_deadline
 
 let run ?pool ?clock (service : Service.t) (config : config) : outcome =
   if config.tenants < 1 then invalid_arg "Fleet.run: tenants < 1";
@@ -201,148 +190,148 @@ let run ?pool ?clock (service : Service.t) (config : config) : outcome =
     Array.init config.tenants (make_tenant ~public ~chaos:config.chaos ~base)
   in
   let round_latency = Histogram.create () in
-  let in_flight = ref 0 in
-  let backoffs = ref ([] : (float * tenant) list) in
   let started_s = clock () in
   let deadline =
     match config.stop with
     | Duration d -> Some (started_s +. d)
     | Rounds _ -> None
   in
-  let may_start tenant now =
-    (match deadline with Some d -> now < d | None -> true)
-    && (match config.stop with
-        | Rounds r -> tenant.started < r
-        | Duration _ -> true)
+  let past_deadline now =
+    match deadline with Some d -> now >= d | None -> false
   in
-  let schedule tenant resume_s =
-    backoffs := (resume_s, tenant) :: !backoffs
-  in
-  (* Forward references: dispatch / abandon / start_round call into each
-     other around the retry loop. *)
-  let rec start_round tenant now =
-    tenant.started <- tenant.started + 1;
-    tenant.failures <- 0;
-    tenant.round_started_s <- now;
-    let position = draw_position public.Server.area tenant.walk in
-    let cell = Client.locate tenant.client position in
-    let st1, q = Client.stage1_query tenant.client cell in
-    tenant.pending <- Some (P_ot { st1; q });
-    dispatch tenant now
-  (* The current exchange failed once more (shed or lost frame): retry
-     within the budget — honouring a shed's retry-after hint when it
-     exceeds the backoff curve — or abandon the round. *)
-  and back_off tenant now ~min_wait_s =
-    tenant.failures <- tenant.failures + 1;
-    Counters.retries tenant.metrics 1;
-    if tenant.failures >= config.policy.Retry.max_attempts then
-      abandon tenant now
-    else begin
-      let wait =
-        Retry.wait_s config.policy ~failures:tenant.failures
-          ~rand:(fun bound -> Drbg.int tenant.jitter bound)
-      in
-      schedule tenant (now +. Float.max wait min_wait_s)
-    end
-  and abandon tenant now =
-    tenant.failed <- tenant.failed + 1;
-    tenant.pending <- None;
-    (* fresh exchange id for the next round: never reuse a stream that
-       may still have a reply in flight somewhere *)
-    tenant.seq <- tenant.seq + 1;
-    if may_start tenant now then start_round tenant now
-  and dispatch tenant now =
-    if frame_lost tenant (fun () -> request_frame ~group tenant) then begin
-      (* the request never reached the service: no server work burned *)
-      Counters.drops tenant.metrics 1;
-      back_off tenant now ~min_wait_s:0.
-    end
-    else begin
-      let request =
-        match tenant.pending with
-        | Some (P_ot { q; _ }) -> Service.Ot_query q
-        | Some (P_pir { n; g; shard; _ }) -> Service.Pir_query { shard; n; g }
-        | None -> assert false
-      in
-      match Service.submit service ~tenant:tenant.id ~seq:tenant.seq request with
-      | Service.Accepted _ -> incr in_flight
-      | Service.Shed { retry_after_s } ->
-        Counters.sheds tenant.metrics 1;
-        back_off tenant now ~min_wait_s:retry_after_s
-    end
-  in
-  let complete_round tenant now entry =
-    tenant.rounds <- tenant.rounds + 1;
-    Histogram.record_s round_latency (now -. tenant.round_started_s);
-    if config.record then tenant.log <- entry :: tenant.log;
-    tenant.pending <- None;
-    tenant.seq <- tenant.seq + 1;
-    tenant.failures <- 0;
-    if may_start tenant now then start_round tenant now
-  in
-  let handle_completion tk now =
-    decr in_flight;
-    let tenant = tenants.(Service.ticket_tenant tk) in
-    let reply =
-      match Service.ticket_reply tk with Some r -> r | None -> assert false
+  (* One exchange under the retry budget.  A lost request never reaches
+     the service (no server work burned); a lost response wastes the
+     work already spent, and the retry resubmits the same (tenant, seq),
+     for which the service re-derives identical bytes.  A shed's
+     retry-after hint is the least wait before the retry. *)
+  let exchange tenant request ~req_frame ~accept ~frame =
+    let seq = tenant.seq in
+    tenant.seq <- seq + 1;
+    let hint_s = ref 0. in
+    let attempt () =
+      if frame_lost tenant req_frame then begin
+        Counters.drops tenant.metrics 1;
+        Error "request lost"
+      end
+      else
+        match Service.submit service ~tenant:tenant.id ~seq request with
+        | Service.Shed { retry_after_s } ->
+          Counters.sheds tenant.metrics 1;
+          hint_s := retry_after_s;
+          Error "shed"
+        | Service.Accepted tk ->
+          let reply = accept (Effect.perform (Await tk)) in
+          let reply_frame () = Option.fold ~none:"" ~some:frame reply in
+          if frame_lost tenant reply_frame then begin
+            Counters.drops tenant.metrics 1;
+            Error "response lost"
+          end
+          else Ok reply
     in
-    if Service.ticket_seq tk <> tenant.seq then
-      (* a reply from an exchange this tenant already abandoned *)
-      ()
-    else if frame_lost tenant (fun () -> reply_frame ~group tenant reply)
-    then begin
-      (* response lost: the server work is spent; resubmit the same
-         (tenant, seq) — the service re-derives identical bytes *)
-      Counters.drops tenant.metrics 1;
-      back_off tenant now ~min_wait_s:0.
-    end
-    else
-      match tenant.pending, reply with
-      | Some (P_ot { st1; _ }), Service.Ot_reply (Ok resp) ->
-        let cred = Client.stage1_decode tenant.client st1 resp in
-        let idq = Client.credential_idq cred in
-        let st2, (n, g) =
-          Client.stage2_query ~reuse:config.reuse ?pool tenant.client cred
-        in
-        tenant.seq <- tenant.seq + 1;
-        tenant.failures <- 0;
-        tenant.pending <-
-          Some
-            (P_pir
-               { st2; n; g; shard = Server.shard_of_cell ~shards idq; idq;
-                 key = Client.credential_key cred });
-        dispatch tenant now
-      | Some (P_pir { st2; idq; key; _ }), Service.Pir_reply (Ok ge) ->
-        let pois = Client.stage2_decode tenant.client st2 ge in
-        complete_round tenant now { idq; key; ge; pois = List.length pois }
-      | _, (Service.Ot_reply (Error _) | Service.Pir_reply (Error _)) ->
-        (* validation rejected an honest query: only possible under
-           corruption that slipped the frame check — abandon *)
-        abandon tenant now
-      | _ -> assert false
+    (* counted once the wait is over: a tenant discontinued at the
+       deadline never makes the re-attempt *)
+    let on_retry ~failures:_ ~wait_s =
+      let wait_s = Float.max wait_s !hint_s in
+      hint_s := 0.;
+      Effect.perform (Sleep_until (clock () +. wait_s));
+      Counters.retries tenant.metrics 1
+    in
+    match
+      Retry.run config.policy ~rand:(Drbg.int tenant.jitter) ~on_retry attempt
+    with
+    | Ok (Some v) -> v
+    | Ok None | Error _ -> raise Abandoned
   in
-  (* main loop: release due backoffs, then block on the next completion
-     when work is in flight, else sleep to the earliest resume. *)
+  let play tenant =
+    let ge = ref Lbq_bignum.Z.zero in
+    let ot q =
+      exchange tenant (Service.Ot_query q)
+        ~req_frame:(fun () -> Wire.ot_query_encode group q)
+        ~accept:(function Service.Ot_reply (Ok r) -> Some r | _ -> None)
+        ~frame:(Wire.ot_response_encode group)
+    in
+    let pir cred (n, g) =
+      let shard = Server.shard_of_cell ~shards (Client.credential_idq cred) in
+      ge :=
+        exchange tenant (Service.Pir_query { shard; n; g })
+          ~req_frame:(fun () -> Wire.pir_query_encode (n, g))
+          ~accept:(function Service.Pir_reply (Ok ge) -> Some ge | _ -> None)
+          ~frame:(Wire.pir_response_encode ~n);
+      !ge
+    in
+    let rec rounds started =
+      let more =
+        (not (past_deadline (clock ())))
+        && (match config.stop with
+            | Rounds r -> started < r
+            | Duration _ -> true)
+      in
+      if more then begin
+        let t0 = clock () in
+        let position = draw_position public.Server.area tenant.walk in
+        (match
+           Protocol.round ~reuse:config.reuse ?pool tenant.client ~position
+             ~ot ~pir
+         with
+         | pois, cred ->
+           tenant.rounds <- tenant.rounds + 1;
+           Histogram.record_s round_latency (clock () -. t0);
+           if config.record then
+             tenant.log <-
+               { idq = Client.credential_idq cred;
+                 key = Client.credential_key cred; ge = !ge;
+                 pois = List.length pois }
+               :: tenant.log
+         | exception Abandoned -> tenant.failed <- tenant.failed + 1);
+        rounds (started + 1)
+      end
+    in
+    try rounds 0 with Past_deadline -> tenant.failed <- tenant.failed + 1
+  in
+  (* The scheduler: the continuation each tenant awaits its ticket in,
+     and the tenants sleeping out a backoff with their wake-up time. *)
+  let awaiting : (Service.reply, unit) Effect.Deep.continuation option array =
+    Array.make config.tenants None
+  in
+  let sleepers : (float * (unit, unit) Effect.Deep.continuation) list ref =
+    ref []
+  in
+  let spawn tenant =
+    Effect.Deep.try_with play tenant
+      { Effect.Deep.effc =
+          (fun (type a) (eff : a Effect.t) ->
+            match eff with
+            | Await _ ->
+              Some (fun (k : (a, _) Effect.Deep.continuation) ->
+                  awaiting.(tenant.id) <- Some k)
+            | Sleep_until at ->
+              Some (fun (k : (a, _) Effect.Deep.continuation) ->
+                  sleepers := (at, k) :: !sleepers)
+            | _ -> None) }
+  in
+  (* main loop: wake due sleepers, then block on the next completion
+     when work is in flight, else sleep to the earliest wake-up. *)
   let rec loop () =
     let now = clock () in
-    let due, later = List.partition (fun (at, _) -> at <= now) !backoffs in
-    backoffs := later;
+    let due, later = List.partition (fun (at, _) -> at <= now) !sleepers in
+    sleepers := later;
     List.iter
-      (fun (_, tenant) ->
-        if tenant.pending <> None then
-          if (match deadline with Some d -> now >= d | None -> false) then begin
-            tenant.failed <- tenant.failed + 1;
-            tenant.pending <- None
-          end
-          else dispatch tenant now)
+      (fun (_, k) ->
+        if past_deadline now then Effect.Deep.discontinue k Past_deadline
+        else Effect.Deep.continue k ())
       due;
-    if !in_flight > 0 then begin
+    if Array.exists Option.is_some awaiting then begin
       match Service.next_done service with
-      | Some tk -> handle_completion tk (clock ()); loop ()
+      | Some tk ->
+        let id = Service.ticket_tenant tk in
+        let k = Option.get awaiting.(id) in
+        awaiting.(id) <- None;
+        Effect.Deep.continue k (Option.get (Service.ticket_reply tk));
+        loop ()
       | None -> ()
     end
     else
-      match !backoffs with
+      match !sleepers with
       | [] -> () (* every tenant is done *)
       | waiting ->
         let earliest =
@@ -352,8 +341,7 @@ let run ?pool ?clock (service : Service.t) (config : config) : outcome =
         if wait > 0. then Unix.sleepf (Float.min wait 0.05);
         loop ()
   in
-  let now0 = clock () in
-  Array.iter (fun tenant -> start_round tenant now0) tenants;
+  Array.iter spawn tenants;
   loop ();
   let finished_s = clock () in
   let duration_s = Float.max 1e-9 (finished_s -. started_s) in

@@ -5,9 +5,10 @@
     Each tenant owns an independent client session seeded from a
     [Drbg.split] child of the fleet seed, its own position and jitter
     streams, its own counters, and optionally a shared deployment
-    {!Lbq_cache.Keypool}.  Per-tenant {!Chaos} judges request and
-    response frames; sheds and losses consume one {!Retry} budget, a
-    shed's retry-after hint overriding the backoff curve when longer.
+    {!Lbq_cache.Keypool}, and loops {!Lbq_core.Protocol.round}.
+    Per-tenant {!Chaos} judges request and response frames; sheds and
+    losses consume one {!Retry.run} budget, a shed's retry-after hint
+    being the least wait before the retry.
 
     With chaos off and no shared keypool, a fleet run's transcripts are
     a pure function of (fleet seed, deployment) — independent of shard

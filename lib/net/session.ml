@@ -148,7 +148,9 @@ let bootstrap (relay : Relay.t) (server : Server.t) : Server.public_info * int =
    with Wire.Malformed m -> raise (Network_error ("bootstrap: " ^ m))),
   Frame.overhead + String.length resp.Frame.payload
 
-(* One full round through the relay. *)
+(* One full round through the relay: {!Protocol.round} over two framed
+   exchanges.  User CPU is the round's wall time minus the time spent
+   inside the exchanges (where the server's time is ticked on its own). *)
 let run_round ?(reuse = false) ?(retry = Retry.none)
     ?(jitter_seed = "lbq-retry") (relay : Relay.t) (client : Client.t)
     (server : Server.t) ~(position : Lbq_geo.Coord.t)
@@ -160,7 +162,7 @@ let run_round ?(reuse = false) ?(retry = Retry.none)
   let pad_n = (Server.pir_max_modulus_bits server + 7) / 8 in
   let pad_query = 4 + (8 + (2 * pad_n)) in
   let pad_resp = 4 + pad_n in
-  let user_cpu = ref 0. and server_cpu = ref 0. in
+  let exchange_s = ref 0. and server_cpu = ref 0. in
   let tick acc f =
     let t0 = now () in
     let v = f () in
@@ -171,85 +173,75 @@ let run_round ?(reuse = false) ?(retry = Retry.none)
   let rand bound = Drbg.int jitter_drbg bound in
   let retries = ref 0 in
   let retry_metrics = Client.metrics client in
-  let exchange = exchange relay retry ~rand ~retries ~retry_metrics in
+  let exchange ~req ~resp_kind ~serve =
+    tick exchange_s (fun () ->
+        exchange relay retry ~rand ~retries ~retry_metrics ~req ~resp_kind
+          ~serve)
+  in
   Relay.reset_clock relay;
   let start_observations = List.length (Relay.observations relay) in
-  (* Stage 1 — the OT query is built and encoded once; retries resend
-     the identical frame. *)
-  let st1, ot_q =
-    tick user_cpu (fun () ->
-        let cell = Client.locate client position in
-        Client.stage1_query client cell)
-  in
-  let ot_resp_payload =
-    exchange
-      ~req:{ Frame.kind = Frame.Ot_query;
-             payload = Wire.ot_query_encode group ot_q }
-      ~resp_kind:Frame.Ot_response
-      ~serve:(fun payload ->
-          tick server_cpu (fun () ->
-              match Wire.ot_query_decode group payload with
-              | exception Wire.Malformed m ->
-                Result.map_error Server.rejection_message
-                  (Server.reject server (Server.Ot_query_malformed m))
-              | q ->
-                (match Server.ot_respond_checked server q with
-                 | Ok r ->
-                   Ok { Frame.kind = Frame.Ot_response;
-                        payload = Wire.ot_response_encode group r }
-                 | Error r -> Error (Server.rejection_message r))))
-  in
-  let credential =
-    tick user_cpu (fun () ->
-        let resp =
-          try Wire.ot_response_decode group ot_resp_payload
-          with Wire.Malformed m -> raise (Network_error ("ot response: " ^ m))
-        in
-        Client.stage1_decode client st1 resp)
+  let started = now () in
+  (* Stage 1: the OT query is encoded once; retries resend the identical
+     frame. *)
+  let ot ot_q =
+    let payload =
+      exchange
+        ~req:{ Frame.kind = Frame.Ot_query;
+               payload = Wire.ot_query_encode group ot_q }
+        ~resp_kind:Frame.Ot_response
+        ~serve:(fun payload ->
+            tick server_cpu (fun () ->
+                match Wire.ot_query_decode group payload with
+                | exception Wire.Malformed m ->
+                  Result.map_error Server.rejection_message
+                    (Server.reject server (Server.Ot_query_malformed m))
+                | q ->
+                  (match Server.ot_respond_checked server q with
+                   | Ok r ->
+                     Ok { Frame.kind = Frame.Ot_response;
+                          payload = Wire.ot_response_encode group r }
+                   | Error r -> Error (Server.rejection_message r))))
+    in
+    try Wire.ot_response_decode group payload
+    with Wire.Malformed m -> raise (Network_error ("ot response: " ^ m))
   in
   (* Stage 2, padded frames.  The (N, g) instance is built once: a retry
      reuses it rather than regenerating, which keeps the round idempotent
      and the SP's traffic view uniform. *)
-  let st2, pir_q =
-    tick user_cpu (fun () -> Client.stage2_query ~reuse client credential)
+  let pir _ pir_q =
+    let payload =
+      exchange
+        ~req:{ Frame.kind = Frame.Pir_query;
+               payload = pad_to pad_query (Wire.pir_query_encode pir_q) }
+        ~resp_kind:Frame.Pir_response
+        ~serve:(fun payload ->
+            tick server_cpu (fun () ->
+                match unpad payload with
+                | Error m ->
+                  Result.map_error Server.rejection_message
+                    (Server.reject server (Server.Pir_query_malformed m))
+                | Ok payload ->
+                  (match Wire.pir_query_decode payload with
+                   | exception Wire.Malformed m ->
+                     Result.map_error Server.rejection_message
+                       (Server.reject server (Server.Pir_query_malformed m))
+                   | n, g ->
+                     (match Server.pir_respond_checked server ~n ~g with
+                      | Ok ge ->
+                        Ok { Frame.kind = Frame.Pir_response;
+                             payload =
+                               pad_to pad_resp
+                                 (Wire.pir_response_encode ~n ge) }
+                      | Error r -> Error (Server.rejection_message r)))))
+    in
+    match unpad payload with
+    | Error m -> raise (Network_error ("pir response: " ^ m))
+    | Ok p ->
+      (try Wire.pir_response_decode p
+       with Wire.Malformed m -> raise (Network_error ("pir response: " ^ m)))
   in
-  let pir_resp_payload =
-    exchange
-      ~req:{ Frame.kind = Frame.Pir_query;
-             payload = pad_to pad_query (Wire.pir_query_encode pir_q) }
-      ~resp_kind:Frame.Pir_response
-      ~serve:(fun payload ->
-          tick server_cpu (fun () ->
-              match unpad payload with
-              | Error m ->
-                Result.map_error Server.rejection_message
-                  (Server.reject server (Server.Pir_query_malformed m))
-              | Ok payload ->
-                (match Wire.pir_query_decode payload with
-                 | exception Wire.Malformed m ->
-                   Result.map_error Server.rejection_message
-                     (Server.reject server (Server.Pir_query_malformed m))
-                 | n, g ->
-                   (match Server.pir_respond_checked server ~n ~g with
-                    | Ok ge ->
-                      Ok { Frame.kind = Frame.Pir_response;
-                           payload =
-                             pad_to pad_resp
-                               (Wire.pir_response_encode ~n ge) }
-                    | Error r -> Error (Server.rejection_message r)))))
-  in
-  let pois =
-    tick user_cpu (fun () ->
-        let ge =
-          match unpad pir_resp_payload with
-          | Error m -> raise (Network_error ("pir response: " ^ m))
-          | Ok p ->
-            (try Wire.pir_response_decode p
-             with Wire.Malformed m ->
-               raise (Network_error ("pir response: " ^ m)))
-        in
-        Client.stage2_decode client st2 ge)
-  in
+  let pois, credential = Protocol.round ~reuse client ~position ~ot ~pir in
+  let user_cpu_s = now () -. started -. !exchange_s in
   let obs = Relay.observations relay in
   let new_obs =
     List.filteri (fun i _ -> i >= start_observations) obs
@@ -266,7 +258,7 @@ let run_round ?(reuse = false) ?(retry = Retry.none)
       new_obs
   in
   { Protocol.pois; credential; transcript },
-  { user_cpu_s = !user_cpu;
+  { user_cpu_s;
     server_cpu_s = !server_cpu;
     network_s = Relay.network_time_s relay;
     retries = !retries }

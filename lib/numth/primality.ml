@@ -57,8 +57,8 @@ let trial_division n =
   in
   go small_primes
 
-(* Main entry.  [rand] supplies bytes for random bases; [rounds] is the
-   number of random Miller–Rabin rounds above the deterministic range.
+(* Main entry.  [rand] supplies bytes for random bases: 24 random
+   Miller–Rabin rounds above the deterministic range.
    [trial:false] skips the trial-division pass — for candidates that a
    sieved search (see {!Primegen}) has already cleared of small factors,
    where re-dividing by every small prime would repeat work the segment
@@ -66,7 +66,7 @@ let trial_division n =
    once per candidate that actually reaches a Miller–Rabin
    exponentiation, so sieved and generate-and-test searches are
    measured identically. *)
-let test ?(rounds = 24) ?(trial = true) ?(metrics = Lbq_metrics.Counters.null)
+let test ?(trial = true) ?(metrics = Lbq_metrics.Counters.null)
     ?rand (n : Z.t) : result =
   if Z.sign n <= 0 then Composite
   else if Z.lt n Z.two then Composite
@@ -111,12 +111,12 @@ let test ?(rounds = 24) ?(trial = true) ?(metrics = Lbq_metrics.Counters.null)
             if mr_round ctx ~sched ~one_w ~n1_w ~s a then go (i - 1) else Composite
           end
         in
-        go rounds
+        go 24
       end
   end
 
-let is_prime ?rounds ?trial ?metrics ?rand n =
-  match test ?rounds ?trial ?metrics ?rand n with
+let is_prime ?trial ?metrics ?rand n =
+  match test ?trial ?metrics ?rand n with
   | Prime | Probably_prime -> true
   | Composite -> false
 

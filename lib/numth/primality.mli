@@ -10,14 +10,13 @@ open Lbq_bignum
 type result = Prime | Composite | Probably_prime
 
 (** Full test.  [rand] is required for candidates above the deterministic
-    range; [rounds] random Miller–Rabin rounds are then used (default 24,
-    error probability <= 4{^-24}).  [trial:false] skips the leading
+    range; 24 random Miller–Rabin rounds are then used (error
+    probability <= 4{^-24}).  [trial:false] skips the leading
     trial-division pass — for candidates a sieved search has already
     cleared of small factors.  [metrics] ticks [Counters.mr_calls] once
     per candidate reaching a Miller–Rabin exponentiation (and
     {!pocklington} once per certificate verdict). *)
 val test :
-  ?rounds:int ->
   ?trial:bool ->
   ?metrics:Lbq_metrics.Counters.t ->
   ?rand:(int -> string) ->
@@ -26,7 +25,6 @@ val test :
 
 (** [is_prime n] treats [Probably_prime] as prime. *)
 val is_prime :
-  ?rounds:int ->
   ?trial:bool ->
   ?metrics:Lbq_metrics.Counters.t ->
   ?rand:(int -> string) ->

@@ -144,11 +144,8 @@ module Server = struct
 
      The arithmetic is organised around three fixed-base facts:
      - A1 is the same base for every alpha of an axis: one per-axis
-       fixed-base precomputation serves all k rows' u = A1^{r_a}.  For
-       short axes (k < 3) that is an odd-powers table
-       ([Schnorr.base_tbl]); from k = 3 up the heavier Lim-Lee comb
-       ([Schnorr.base_comb]) amortises its build and each row costs
-       only ~q_bits/teeth squarings;
+       Lim-Lee comb ([Schnorr.base_comb]) serves all k rows'
+       u = A1^{r_a}, each row costing only ~q_bits/teeth squarings;
      - g^alpha * B1 is a running product (one group multiplication per
        row) rather than a fresh exponentiation;
      - v = g^{R_alpha} * shifted^{r_a} runs both exponents on a single
@@ -171,17 +168,8 @@ module Server = struct
   let answer_axis t rand predicted (c : Elgamal.ciphertext) exps k =
     let group = t.group in
     let qord = Schnorr.q group in
-    let pow_a, setup_cost =
-      if k >= 3 then (
-        let fb = Schnorr.base_comb group c.Elgamal.a in
-        ( (fun e -> Schnorr.pow_comb_counted group fb e),
-          Schnorr.base_comb_cost group ))
-      else (
-        let bt = Schnorr.base_tbl group c.Elgamal.a in
-        ( (fun e -> Schnorr.pow_tbl_counted group bt e),
-          Schnorr.base_tbl_cost group ))
-    in
-    predicted := !predicted + setup_cost;
+    let fb = Schnorr.base_comb group c.Elgamal.a in
+    predicted := !predicted + Schnorr.base_comb_cost group;
     let shifted = ref c.Elgamal.b in
     let out = Array.make k (Z.zero, Z.zero) in
     for alpha = 0 to k - 1 do
@@ -190,7 +178,7 @@ module Server = struct
         predicted := !predicted + Schnorr.mul_cost
       end;
       let r_a = Z.random_unit ~bound:qord rand in
-      let u, cu = pow_a r_a in
+      let u, cu = Schnorr.pow_comb_counted group fb r_a in
       let v, cv = Schnorr.pow2_g_counted group exps.(alpha) !shifted r_a in
       predicted := !predicted + cu + cv;
       Counters.server_exp t.metrics 3;

@@ -35,14 +35,14 @@ type slot = {
 
 type plan = { slots : slot array; block_bits : int }
 
-(* The "predictable pattern" of §III-B: the first [count] primes starting
-   at [first] (default 3), each raised to the least power reaching
+(* The "predictable pattern" of §III-B: the first [count] odd primes,
+   each raised to the least power reaching
    [block_bits] bits of capacity — e.g. 3^647, 5^442, ..., 1429^98 for
    1024-bit blocks and 225 records. *)
-let make_plan ?(first = 3) ~count ~block_bits () =
+let make_plan ~count ~block_bits () =
   if count <= 0 then invalid_arg "Gr.make_plan: count <= 0";
   if block_bits <= 0 then invalid_arg "Gr.make_plan: block_bits <= 0";
-  let primes = Sieve.first_primes ~from:first count in
+  let primes = Sieve.first_primes ~from:3 count in
   let slots =
     List.map
       (fun p ->

@@ -16,10 +16,10 @@ type slot = { p : Z.t; c : int; pi : Z.t }
 type plan
 
 (** The "predictable pattern" of prime powers (§III-B): the first [count]
-    primes from [first] (default 3), each raised to the least power giving
+    odd primes, each raised to the least power giving
     at least [block_bits] bits of capacity.  The paper's setting is
     [make_plan ~count:225 ~block_bits:1024 ()] — 3{^647}, 5{^442}, ... *)
-val make_plan : ?first:int -> count:int -> block_bits:int -> unit -> plan
+val make_plan : count:int -> block_bits:int -> unit -> plan
 
 val plan_size : plan -> int
 val plan_slot : plan -> int -> slot

@@ -106,8 +106,8 @@ module type S = sig
      same counter totals, same {!Malformed} on the first invalid query
      — while fusing whatever per-query work the backend can share
      (lwe: matrix panels; qr: one traversal of the database bits).  An
-     empty batch returns [[||]].  Backends without a fused kernel use
-     {!respond_batch_sequential}; gr answers k queries as k ladders,
+     empty batch returns [[||]].  A backend without a fused kernel maps
+     [respond] over the batch, as gr does: its k queries are k ladders,
      since their moduli share no arithmetic. *)
   val respond_batch : server -> query array -> response array
 
@@ -138,12 +138,6 @@ module type S = sig
 end
 
 type backend = (module S)
-
-(* The documented [respond_batch] fallback for backends without a fused
-   kernel: k sequential responds, trivially byte-identical. *)
-let respond_batch_sequential ~(respond : 's -> 'q -> 'r) (t : 's)
-    (qs : 'q array) : 'r array =
-  Array.map (respond t) qs
 
 (* ------------------------------------------------------------------ *)
 (* Shared wire helpers (fixed-width big-endian, as in Lbq_core.Wire)    *)

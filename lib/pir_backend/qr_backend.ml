@@ -98,40 +98,30 @@ module Make (C : CONFIG) : B.S = struct
       r.planes;
     Qr_pir.Client.decode_block c.st r.planes ~target_row:c.row
 
-  let respond (t : server) (q : query) : response =
+  (* Strict query validation, before any work. *)
+  let check (t : server) (q : query) =
     if Array.length q.ys <> t.cols then B.malformed "qr query width";
     if Z.leq q.n Z.one || Z.is_even q.n then B.malformed "qr modulus";
     Array.iter
       (fun y ->
         if Z.sign y <= 0 || Z.geq y q.n then B.malformed "qr element out of range")
-      q.ys;
-    let planes =
-      try Qr_pir.Server.respond t.qr ~n:q.n q.ys
-      with Invalid_argument m -> B.malformed m
-    in
-    { el = q.el; planes }
+      q.ys
 
   (* Fused batch: one traversal of the database bits serves all k
      queries ({!Qr_pir.Server.respond_batch}), preserving each query's
      own multiplication order — answers and counters byte-identical to
-     k sequential [respond]s.  Validation mirrors [respond] and runs
-     for every query before any work. *)
+     k sequential [respond]s.  Every query is checked before any work. *)
   let respond_batch (t : server) (qs : query array) : response array =
-    Array.iter
-      (fun q ->
-        if Array.length q.ys <> t.cols then B.malformed "qr query width";
-        if Z.leq q.n Z.one || Z.is_even q.n then B.malformed "qr modulus";
-        Array.iter
-          (fun y ->
-            if Z.sign y <= 0 || Z.geq y q.n then
-              B.malformed "qr element out of range")
-          q.ys)
-      qs;
+    Array.iter (check t) qs;
     let planes_arr =
       try Qr_pir.Server.respond_batch t.qr (Array.map (fun q -> (q.n, q.ys)) qs)
       with Invalid_argument m -> B.malformed m
     in
     Array.mapi (fun i planes -> { el = qs.(i).el; planes }) planes_arr
+
+  (* One query is a batch of one, which {!Qr_pir.Server.respond} is too. *)
+  let respond (t : server) (q : query) : response =
+    (respond_batch t [| q |]).(0)
 
   let popcount_str s =
     let acc = ref 0 in

@@ -85,13 +85,6 @@ let test_stage1_engine () =
             (fst (Schnorr.pow2_g_counted grp e1 b2 e2)))
         [ Z.zero; Z.one; Z.pred q ])
     [ Z.zero; Z.one; Z.pred q ];
-  (* Cached base table: same results as pow, advertised costs exact. *)
-  let bt = Schnorr.base_tbl grp b2 in
-  List.iter
-    (fun e ->
-      Alcotest.check z "pow_tbl = pow" (Schnorr.pow grp b2 e)
-        (Schnorr.pow_tbl grp bt e))
-    exps;
   (* Per-base comb: same results as pow on the same edge exponents. *)
   let fb = Schnorr.base_comb grp b2 in
   List.iter
@@ -126,19 +119,6 @@ let test_stage1_costs_measured () =
         (Schnorr.mul grp (Schnorr.pow_g grp e1) (Schnorr.pow grp b2 e2)) v)
     [ (Z.zero, Z.zero); (Z.one, Z.pred q);
       (Z.random_below ~bound:q rand, Z.random_below ~bound:q rand) ];
-  let r = ref 0 in
-  let bt = Schnorr.counting grp r (fun () -> Schnorr.base_tbl grp b2) in
-  Alcotest.(check int) "base_tbl cost" (Schnorr.base_tbl_cost grp) !r;
-  List.iter
-    (fun e ->
-      let r = ref 0 in
-      let v, c =
-        Schnorr.counting grp r (fun () -> Schnorr.pow_tbl_counted grp bt e)
-      in
-      Alcotest.(check int) "pow_tbl predicted = measured" c !r;
-      Alcotest.(check int) "pow_tbl_cost agrees" (Schnorr.pow_tbl_cost grp e) c;
-      Alcotest.check z "pow_tbl counted value" (Schnorr.pow grp b2 e) v)
-    [ Z.zero; Z.one; Z.pred q; Z.random_below ~bound:q rand ];
   let r = ref 0 in
   let fb = Schnorr.counting grp r (fun () -> Schnorr.base_comb grp b2) in
   Alcotest.(check int) "base_comb cost" (Schnorr.base_comb_cost grp) !r;

@@ -120,6 +120,29 @@ let test_bootstrap_roundtrip () =
     (List.length result.Protocol.transcript);
   Alcotest.(check bool) "network time positive" true (stats.Session.network_s > 0.)
 
+let test_session_matches_protocol () =
+  (* Both drivers run the one round sequence: with the same client seed
+     and position, the in-process round and the round over a calm relay
+     return the same POIs and the same credential. *)
+  List.iter
+    (fun position ->
+      let client () = Client.create ~seed:"cross" (Server.public_info server) in
+      let local = Protocol.run_round (client ()) server ~position in
+      let relayed, _ =
+        Session.run_round (Relay.create ~link:Link.wifi ()) (client ()) server
+          ~position
+      in
+      Alcotest.(check (list poit)) "same POIs" local.Protocol.pois
+        relayed.Protocol.pois;
+      Alcotest.(check int) "same idq"
+        (Client.credential_idq local.Protocol.credential)
+        (Client.credential_idq relayed.Protocol.credential);
+      Alcotest.(check string) "same key"
+        (Client.credential_key local.Protocol.credential)
+        (Client.credential_key relayed.Protocol.credential))
+    [ Coord.make ~x:700. ~y:2600.; Coord.make ~x:2500. ~y:400.;
+      Coord.make ~x:1500. ~y:1500. ]
+
 let test_public_info_wire_roundtrip () =
   let info = Server.public_info server in
   let info' = Wire.public_info_decode (Wire.public_info_encode info) in
@@ -228,6 +251,8 @@ let () =
       ("link", [ Alcotest.test_case "timing" `Quick test_link_timing ]);
       ("session",
        [ Alcotest.test_case "bootstrap + round" `Quick test_bootstrap_roundtrip;
+         Alcotest.test_case "session round = protocol round" `Quick
+           test_session_matches_protocol;
          Alcotest.test_case "public info wire" `Quick
            test_public_info_wire_roundtrip;
          Alcotest.test_case "SP view independent of cell" `Quick

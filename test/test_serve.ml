@@ -860,30 +860,46 @@ let test_update_cell_after_hand_off () =
   Alcotest.(check int) "the rebuilt encode was repaired once" 1
     (Gr.Server.epoch master)
 
-let test_fleet_under_chaos () =
-  (* Packet loss composes: with per-tenant chaos at a heavy fault rate,
-     the fleet still completes rounds, and every re-attempt is accounted
-     for — retries = drops + sheds exactly, by construction. *)
+let fleet_under_chaos ?(stop = Fleet.Rounds 2) policy =
   let config =
     { Fleet.default_config with
-      Fleet.tenants = 3; stop = Fleet.Rounds 2; record = true;
-      seed = "fleet-chaos";
+      Fleet.tenants = 3; stop; record = true;
+      seed = "fleet-chaos"; policy;
       chaos = Some (Chaos.drop_corrupt ~p:0.3) }
   in
   Service.with_service ~ot_seed:"fleet-chaos-svc" ~queue_depth:64 ~spawn:true
     ~shards:2 core_server (fun svc ->
       let outcome = Fleet.run svc config in
-      Alcotest.(check bool) "completes rounds under loss" true
-        (outcome.Fleet.rounds > 0);
-      Alcotest.(check int) "every retry is a drop or a shed"
+      Alcotest.(check int) "every drop or shed is a retry or a failed round"
         (outcome.Fleet.drops + outcome.Fleet.sheds)
-        outcome.Fleet.retries;
+        (outcome.Fleet.retries + outcome.Fleet.failed);
       (* completed rounds decode correctly even under loss *)
       Array.iter
         (List.iter (fun (e : Fleet.entry) ->
              Alcotest.(check string) "credential key under chaos"
                (Server.trusted_cell_key core_server e.Fleet.idq) e.Fleet.key))
-        outcome.Fleet.transcripts)
+        outcome.Fleet.transcripts;
+      outcome)
+
+let test_fleet_under_chaos () =
+  (* Packet loss composes: with per-tenant chaos at a heavy fault rate,
+     the fleet still completes rounds, and every failed attempt is
+     accounted for.  A drop or shed is followed by exactly one retry,
+     unless it was the budget's last attempt, which abandons the round
+     instead: drops + sheds = retries + failed.  The default budget; a
+     1-attempt budget, on which every drop abandons its round; and a
+     deadline that finds tenants backing off, each of which fails its
+     round without making the retry it waited for. *)
+  let policy = Fleet.default_config.Fleet.policy in
+  let default = fleet_under_chaos policy in
+  Alcotest.(check bool) "completes rounds under loss" true
+    (default.Fleet.rounds > 0);
+  let tight = fleet_under_chaos { policy with Lbq_net.Retry.max_attempts = 1 } in
+  Alcotest.(check bool) "a 1-attempt budget abandons rounds" true
+    (tight.Fleet.failed > 0);
+  ignore
+    (fleet_under_chaos ~stop:(Fleet.Duration 0.5)
+       { policy with Lbq_net.Retry.timeout_s = 0.1 })
 
 (* ------------------------------------------------------------------ *)
 (* The unmeasured sink                                                  *)
