@@ -1998,7 +1998,12 @@ let batch_bench ?(out = "BENCH_batch.json") ?(rows = 8) ?(cols = 8)
    each timed apart: {!Server.restage_cell}, then
    {!Crt.Tree.update_leaf} and the schedule rebuild ([Wexp.refresh] of
    the new [e]) on a bench-owned CRT tree over the restaged blocks.
-   Returns the update_cell median, the three parts' medians and the
+   The tree caches a leaf's cofactor M / pi_i on its first update, so
+   the update_leaf samples that were a leaf's first (most of them: the
+   samples hit a fresh tree) are also reported apart, and [samples]
+   later updates write each sample's old block back.  Returns the
+   update_cell median, the three parts' medians, the first-update
+   median with its sample count and the later-update median, and the
    submit_update median per shard count. *)
 let service_update_row (params : Params.t) ~samples =
   let cols = params.Params.private_cols in
@@ -2084,26 +2089,44 @@ let service_update_row (params : Params.t) ~samples =
   in
   let sched = ref (Wexp.recode (Z.to_nat (Crt.Tree.solve tree))) in
   let first = (1 + List.length shard_counts) * samples in
+  let updated = Array.make (Gr.plan_size plan) false in
   let parts =
     Array.init samples (fun i ->
         let u = stream.(first + i) in
         let idq = u.Poi_file.cell in
+        let old_block = Z.of_bytes_be (Server.cell_ciphertext server idq) in
         let (), restage =
           time (fun () -> Server.restage_cell server ~idq u.Poi_file.pois)
         in
         let block = Z.of_bytes_be (Server.cell_ciphertext server idq) in
+        let first_update = not updated.(idq) in
+        updated.(idq) <- true;
         let (), leaf = time (fun () -> Crt.Tree.update_leaf tree idq block) in
         let (), rebuild =
           time (fun () ->
               sched := Wexp.refresh !sched (Z.to_nat (Crt.Tree.solve tree)))
         in
-        (restage, leaf, rebuild))
+        (idq, old_block, first_update, (restage, leaf, rebuild)))
   in
-  let part f = median (Array.map f parts) in
+  (* Later updates of a leaf: write each sample's old block back, so
+     every leaf here has been updated before and reuses its cofactor. *)
+  let later =
+    Array.map
+      (fun (idq, old_block, _, _) ->
+        snd (time (fun () -> Crt.Tree.update_leaf tree idq old_block)))
+      parts
+  in
+  let part f = median (Array.map (fun (_, _, _, p) -> f p) parts) in
+  let first_leaf =
+    List.filter_map
+      (fun (_, _, fresh, (_, l, _)) -> if fresh then Some l else None)
+      (Array.to_list parts)
+  in
   ( median update_cell_s,
     ( part (fun (r, _, _) -> r),
       part (fun (_, l, _) -> l),
       part (fun (_, _, b) -> b) ),
+    (median (Array.of_list first_leaf), List.length first_leaf, median later),
     submits )
 
 let update_bench ?(out = "BENCH_update.json")
@@ -2298,7 +2321,10 @@ let update_bench ?(out = "BENCH_update.json")
         :: !rows_out)
     grids;
   let samples = max 40 (10 * reps) in
-  let update_cell_s, (restage_s, leaf_s, rebuild_s), submits =
+  let ( update_cell_s,
+        (restage_s, leaf_s, rebuild_s),
+        (leaf_first_s, leaf_firsts, leaf_later_s),
+        submits ) =
     service_update_row service_params ~samples
   in
   Format.printf
@@ -2309,6 +2335,10 @@ let update_bench ?(out = "BENCH_update.json")
     update_cell_s;
   Format.printf "      restage (Server.restage_cell):    %10.6f s@." restage_s;
   Format.printf "      Crt.Tree.update_leaf:             %10.6f s@." leaf_s;
+  Format.printf "        first update of a leaf (%2d):    %10.6f s@."
+    leaf_firsts leaf_first_s;
+  Format.printf "        later update of a leaf (%2d):    %10.6f s@." samples
+    leaf_later_s;
   Format.printf "      schedule rebuild (Wexp.refresh):  %10.6f s@." rebuild_s;
   List.iter
     (fun (shards, s) ->
@@ -2334,6 +2364,9 @@ let update_bench ?(out = "BENCH_update.json")
                   J.Obj
                     [ "restage_s", J.Float restage_s;
                       "update_leaf_s", J.Float leaf_s;
+                      "update_leaf_first_s", J.Float leaf_first_s;
+                      "update_leaf_first_samples", J.Int leaf_firsts;
+                      "update_leaf_later_s", J.Float leaf_later_s;
                       "schedule_rebuild_s", J.Float rebuild_s ] );
                 ( "submit_update",
                   J.List

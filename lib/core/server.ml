@@ -327,8 +327,9 @@ let restage t ~idq (pois : Poi.t list) =
   Counters.update_blocks t.metrics 1
 
 (* Restage, then repair a current master encode in place — one
-   leaf-width product times M / pi ({!Gr.Server.update_block}), never
-   a full rebuild.  An absent encode stays absent: the next master-path
+   leaf-width product times the cached M / pi, divided out once on the
+   cell's first update ({!Gr.Server.update_block}), never a full
+   rebuild.  An absent encode stays absent: the next master-path
    read rebuilds it from the restaged ciphertexts. *)
 let update_cell t ~idq (pois : Poi.t list) : unit =
   Mutex.protect t.pir_lock (fun () ->

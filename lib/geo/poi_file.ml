@@ -13,11 +13,13 @@ let header = "# lbq-poi v1"
 
 let fail line message = raise (Parse_error { line; message })
 
+(* The characters a record field cannot hold: the field and line
+   separators, and the carriage return of a CRLF line end. *)
+let is_control c = c = '\t' || c = '\n' || c = '\r'
+
 let no_control field s =
-  String.iter
-    (fun c -> if c = '\t' || c = '\n' || c = '\r' then
-        invalid_arg ("Poi_file: " ^ field ^ " contains control characters"))
-    s;
+  if String.exists is_control s then
+    invalid_arg ("Poi_file: " ^ field ^ " contains control characters");
   s
 
 let to_line (p : Poi.t) : string =
@@ -42,6 +44,9 @@ let of_line ~line (s : string) : Poi.t =
       | _ -> fail line ("bad " ^ name)
     in
     let x = coord "x" x and y = coord "y" y in
+    (* refused here rather than by [to_line] when the record is saved *)
+    if String.exists is_control category || String.exists is_control name then
+      fail line "control character in a field";
     (try Poi.make ~id ~position:(Coord.make ~x ~y) ~category ~name
      with Invalid_argument m -> fail line m)
   | _ -> fail line "expected 5 tab-separated fields"

@@ -20,19 +20,35 @@ open Lbq_bignum
    is exactly a non-coprime pair.
 
    Only the per-leaf arrays, M and e outlive [build].  Changing residue
-   i from c to c' is one product,
-     e <- e + ((c' - c) * s_i mod pi_i) * (M / pi_i)   (mod M),
+   i from c to c' moves e by d = (c' - c) * s_i mod pi_i cofactors,
+     e <- e + d * (M / pi_i)   (mod M),
    and since both terms are below M, one conditional subtraction.  The
    result is the unique solution in [0, M), so it is byte-identical to
-   a fresh solve. *)
+   a fresh solve.  The cofactor M / pi_i is one exact division, done on
+   leaf i's first update and kept for the tree's lifetime as row i of
+   one Bigarray, one 26-bit limb per int32 and |M| limbs per row: off
+   the OCaml heap, whose major space overhead would double it, and
+   n * |M| * 32/26 bits per tree at most, allocated on the tree's first
+   update and left untouched, so not resident, until a row is filled.
+   [build] fills no row (that would put n divisions into every server's
+   set-up).  Every later update of the leaf is division-free: one fresh
+   limb array holds a copy of e, takes d * cofactor and at most one
+   subtraction of M in place, and becomes the new e. *)
 module Tree = struct
+  type limbs = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
   type t = {
     pis : Z.t array;  (* leaf moduli pi_i *)
     cs : Z.t array;  (* current residues, reduced mod pi_i *)
     ss : Z.t array;  (* s_i = (M / pi_i)^{-1} mod pi_i *)
+    mutable rows : limbs;
+      (* row i, from limb i * |M| on: M / pi_i; empty until an update *)
+    row_len : int array;  (* limbs of row i; 0 until leaf i's first update *)
     m : Z.t;  (* M = prod pi_i *)
     mutable e : Z.t;  (* the solution, in [0, M) *)
   }
+
+  let no_rows : limbs = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 0
 
   type ptree = Leaf of int | Node of Z.t * ptree * ptree
 
@@ -70,34 +86,97 @@ module Tree = struct
         Z.add (Z.mul xl (prod r)) (Z.mul xr (prod l))
     in
     match Array.length pis with
-    | 0 -> { pis; cs; ss; m = Z.one; e = Z.zero }
+    | 0 -> { pis; cs; ss; rows = no_rows; row_len = [||]; m = Z.one; e = Z.zero }
     | k ->
       let root = tree 0 k in
       let m = prod root in
       (* at the root, M mod M^2 is M itself *)
       let e = Z.erem (combine root m) m in
-      { pis; cs; ss; m; e }
-
-  let size t = Array.length t.pis
+      { pis; cs; ss; rows = no_rows; row_len = Array.make k 0; m; e }
 
   let solve t = t.e
 
-  let modulus t = t.m
+  (* Row i's offset and length in [t.rows], filled on first use. *)
+  let cofactor t i =
+    let lm = Array.length (Z.to_nat t.m) in
+    if t.row_len.(i) = 0 then begin
+      if Bigarray.Array1.dim t.rows = 0 then
+        t.rows <-
+          Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout
+            (Array.length t.pis * lm);
+      let q = Z.to_nat (Z.div t.m t.pis.(i)) in
+      Array.iteri
+        (fun k l -> Bigarray.Array1.set t.rows ((i * lm) + k) (Int32.of_int l))
+        q;
+      t.row_len.(i) <- Array.length q
+    end;
+    (i * lm, t.row_len.(i))
 
-  let leaf_modulus t i =
-    if i < 0 || i >= size t then
-      invalid_arg "Crt.Tree.leaf_modulus: index out of range";
-    t.pis.(i)
+  (* e + d * cof - (M if the sum reaches M), for e < M and d * cof < M,
+     with cof the [lc] limbs of [rows] from [off], in one fresh array of
+     |M| limbs; the sum's limb |M| (0 or 1) is kept in [top].  Every
+     partial product's limb j + k stays below |M|: |d| <= |pi_i| and
+     |pi_i| + lc - 1 <= |M|. *)
+  let shift ~(e : Nat.t) ~(d : Nat.t) ~(rows : limbs) ~off ~lc ~(m : Nat.t) :
+      Nat.t =
+    let lm = Array.length m in
+    let r = Array.make lm 0 in
+    Array.blit e 0 r 0 (Array.length e);
+    let top = ref 0 in
+    Array.iteri
+      (fun j dj ->
+        let carry = ref 0 in
+        for k = 0 to lc - 1 do
+          let s =
+            Array.unsafe_get r (j + k)
+            + (dj * Int32.to_int (Bigarray.Array1.unsafe_get rows (off + k)))
+            + !carry
+          in
+          Array.unsafe_set r (j + k) (s land Nat.mask);
+          carry := s lsr Nat.limb_bits
+        done;
+        let k = ref (j + lc) in
+        while !carry <> 0 do
+          if !k = lm then begin
+            top := !top + !carry;
+            carry := 0
+          end
+          else begin
+            let s = r.(!k) + !carry in
+            r.(!k) <- s land Nat.mask;
+            carry := s lsr Nat.limb_bits;
+            incr k
+          end
+        done)
+      d;
+    let rec below k =
+      k >= 0 && (r.(k) < m.(k) || (r.(k) = m.(k) && below (k - 1)))
+    in
+    if !top > 0 || not (below (lm - 1)) then begin
+      (* the borrow out of limb |M| - 1 cancels [top] *)
+      let borrow = ref 0 in
+      for k = 0 to lm - 1 do
+        let s = r.(k) - m.(k) - !borrow in
+        r.(k) <- s land Nat.mask;
+        borrow := (s lsr Nat.limb_bits) land 1
+      done
+    end;
+    Nat.normalize r
 
   let update_leaf t i (r : Z.t) =
-    if i < 0 || i >= size t then
+    if i < 0 || i >= Array.length t.pis then
       invalid_arg "Crt.Tree.update_leaf: index out of range";
     let pi = t.pis.(i) in
     let c = Z.erem r pi in
     let d = Z.erem (Z.mul (Z.sub c t.cs.(i)) t.ss.(i)) pi in
     t.cs.(i) <- c;
-    let e = Z.add t.e (Z.mul d (Z.div t.m pi)) in
-    t.e <- (if Z.geq e t.m then Z.sub e t.m else e)
+    if not (Z.is_zero d) then begin
+      let off, lc = cofactor t i in
+      t.e <-
+        Z.of_nat
+          (shift ~e:(Z.to_nat t.e) ~d:(Z.to_nat d) ~rows:t.rows ~off ~lc
+             ~m:(Z.to_nat t.m))
+    end
 end
 
 (* Verification helper: does [x] satisfy every congruence? *)

@@ -139,8 +139,10 @@ module Server = struct
 
   (* Replace record [idx] and re-derive [e] incrementally: one
      {!Crt.Tree.update_leaf} (a leaf-width product times M / pi_idx, no
-     inversion) plus one limb scan rebuilding the window schedule at the
-     old schedule's width.  Everything a [respond] reads — [e_sched] —
+     inversion; the cofactor is divided out on slot idx's first update
+     and cached, so later ones do no division) plus one limb scan
+     rebuilding the window schedule at the old schedule's width, now
+     the larger part.  Everything a [respond] reads — [e_sched] —
      is swapped in one store, so a concurrent respond sees either the
      old epoch's schedule or the new one, never a mix. *)
   let update_block t ~idx ~(block : Z.t) =

@@ -65,7 +65,8 @@ module Server : sig
   (** [update_block t ~idx ~block] replaces record [idx] with [block]
       and re-derives [e] incrementally: one
       {!Lbq_numth.Crt.Tree.update_leaf} ([e + d * (M / pi_idx) mod M]
-      for a leaf-width [d], no inversion) plus a
+      for a leaf-width [d], no inversion, and no division after slot
+      [idx]'s first update, which caches [M / pi_idx]) plus a
       {!Lbq_bignum.Wexp.refresh} of the cached window schedule (one scan
       of [e]'s limbs), instead of a full re-encode.  Bumps {!epoch}.  Raises [Invalid_argument] when [idx] is out of range or
       [block] exceeds slot [idx]'s prime-power capacity. *)

@@ -399,6 +399,86 @@ let test_log_errors () =
       Alcotest.(check int) "in range ok" 1
         (List.length (Poi_file.load_log ~cells:4 path)))
 
+(* Seeded byte mutations of a saved log — replacements, deletions and
+   CR/TAB/LF insertions, one to three per trial — then [load_log ~cells]
+   must either refuse the file with [Parse_error] or return updates that
+   [save_log] writes and that load back to the same saved text (the
+   format keeps coordinates to 3 decimals, so text is the equality).  No
+   other exception may escape.  The first case is a CRLF line end on a
+   POI line, which the parser used to accept with the CR kept in the
+   name, and which [save_log] then refused. *)
+let test_log_fuzz () =
+  let cells = 16 in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let write path text =
+    Out_channel.with_open_bin path (fun oc -> output_string oc text)
+  in
+  let saved updates =
+    with_temp_file (fun path ->
+        Poi_file.save_log path updates;
+        read path)
+  in
+  let original =
+    saved
+      [ mk_update 3 [ 10; 11 ]; mk_update 0 []; mk_update 7 [ 12 ];
+        mk_update 15 [ 13; 14; 15 ] ]
+  in
+  let crlf_name =
+    let i = String.index_from original (String.index original 'u') '\n' in
+    String.sub original 0 i ^ "\r" ^ String.sub original i (String.length original - i)
+  in
+  let drbg = Lbq_crypto.Drbg.create ~seed:"poi-log-fuzz" () in
+  let pick n = Lbq_crypto.Drbg.int drbg n in
+  let alphabet = "\r\t\n\r\t\n0123456789-.e#c " in
+  let mutate text =
+    let b = Bytes.of_string text in
+    let len = Bytes.length b in
+    let at = pick len in
+    let byte () =
+      if pick 2 = 0 then Char.chr (pick 256)
+      else alphabet.[pick (String.length alphabet)]
+    in
+    match pick 3 with
+    | 0 ->
+      Bytes.set b at (byte ());
+      Bytes.to_string b
+    | 1 -> Bytes.sub_string b 0 at ^ Bytes.sub_string b (at + 1) (len - at - 1)
+    | _ ->
+      let c = "\r\t\n".[pick 3] in
+      Bytes.sub_string b 0 at ^ String.make 1 c ^ Bytes.sub_string b at (len - at)
+  in
+  let refused = ref 0 and accepted = ref 0 in
+  with_temp_file (fun path ->
+      let check trial text =
+        write path text;
+        match Poi_file.load_log ~cells path with
+        | exception Poi_file.Parse_error _ -> incr refused
+        | exception e ->
+          Alcotest.failf "trial %d: %s escaped load_log on %S" trial
+            (Printexc.to_string e) text
+        | loaded ->
+          incr accepted;
+          let resaved =
+            try saved loaded
+            with e ->
+              Alcotest.failf "trial %d: save_log refused what %S loaded to: %s"
+                trial text (Printexc.to_string e)
+          in
+          write path resaved;
+          Alcotest.(check string)
+            (Printf.sprintf "trial %d: saved, loaded, saved again" trial)
+            resaved
+            (saved (Poi_file.load_log ~cells path))
+      in
+      check 0 crlf_name;
+      for trial = 1 to 2000 do
+        let rounds = 1 + pick 3 in
+        let rec go k text = if k = 0 then text else go (k - 1) (mutate text) in
+        check trial (go rounds original)
+      done);
+  Alcotest.(check bool) "some mutants refused" true (!refused > 0);
+  Alcotest.(check bool) "some mutants accepted" true (!accepted > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Synth churn                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -541,7 +621,8 @@ let () =
          Alcotest.test_case "empty log" `Quick test_log_empty;
          Alcotest.test_case "append and duplicates" `Quick test_log_append;
          Alcotest.test_case "dummies filtered" `Quick test_log_dummies_filtered;
-         Alcotest.test_case "errors" `Quick test_log_errors ]);
+         Alcotest.test_case "errors" `Quick test_log_errors;
+         Alcotest.test_case "mutated logs" `Quick test_log_fuzz ]);
       ("churn",
        [ Alcotest.test_case "stream" `Quick test_churn_stream ]);
       ("nn",

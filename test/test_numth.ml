@@ -336,17 +336,8 @@ let test_crt_tree_update () =
   let moduli = List.map Z.of_int [ 49; 121; 169; 289; 361; 23; 29 ] in
   let congruences = List.mapi (fun i m -> (Z.of_int (i * 17), m)) moduli in
   let tree = Crt.Tree.build congruences in
-  Alcotest.(check int) "size" 7 (Crt.Tree.size tree);
   Alcotest.check z "build = solve" (Lbq_oracle.Crt.solve congruences)
     (Crt.Tree.solve tree);
-  Alcotest.check z "modulus = product"
-    (List.fold_left Z.mul Z.one moduli)
-    (Crt.Tree.modulus tree);
-  List.iteri
-    (fun i m ->
-      Alcotest.check z (Printf.sprintf "leaf modulus %d" i) m
-        (Crt.Tree.leaf_modulus tree i))
-    moduli;
   let current = Array.of_list congruences in
   List.iter
     (fun (i, r) ->
@@ -362,14 +353,107 @@ let test_crt_tree_update () =
   Alcotest.check_raises "update out of range"
     (Invalid_argument "Crt.Tree.update_leaf: index out of range") (fun () ->
       Crt.Tree.update_leaf tree 7 Z.zero);
-  Alcotest.check_raises "leaf_modulus out of range"
-    (Invalid_argument "Crt.Tree.leaf_modulus: index out of range") (fun () ->
-      ignore (Crt.Tree.leaf_modulus tree (-1)));
   (* degenerate: empty tree *)
   let empty = Crt.Tree.build [] in
-  Alcotest.(check int) "empty size" 0 (Crt.Tree.size empty);
   Alcotest.check z "empty solve" Z.zero (Crt.Tree.solve empty);
-  Alcotest.check z "empty modulus" Z.one (Crt.Tree.modulus empty)
+  Alcotest.check_raises "empty update out of range"
+    (Invalid_argument "Crt.Tree.update_leaf: index out of range") (fun () ->
+      Crt.Tree.update_leaf empty 0 Z.zero)
+
+(* The cached cofactor M / pi_i: a seeded walk in which every leaf is
+   updated at least three times (its cofactor computed on the first
+   update, reused after), on the 7-leaf tree above, on 7 PIR plan slots
+   wide enough for multi-limb rows and on one leaf, whose cofactor is 1.
+   Each step must equal a fresh solve and leave an earlier [solve]
+   snapshot as it was; an update to the same residue (d = 0) must leave
+   e alone.  Since d * (M / pi_i) < M, e grows exactly when the repair
+   does not subtract M and shrinks exactly when it does, so the walk
+   asserts both exits of the fused repair. *)
+let test_crt_cofactor_cache () =
+  let walk name moduli =
+    let drbg = Drbg.create ~seed:("crt-cofactor-" ^ name) () in
+    let residue m = Z.random_bits ~bits:(Z.numbits m + 4) (Drbg.rand drbg) in
+    let current = Array.of_list (List.map (fun m -> (residue m, m)) moduli) in
+    let k = Array.length current in
+    let tree = Crt.Tree.build (Array.to_list current) in
+    let grew = ref 0 and wrapped = ref 0 in
+    let step i r =
+      let before = Crt.Tree.solve tree in
+      let frozen = Z.to_string before in
+      current.(i) <- (r, snd current.(i));
+      Crt.Tree.update_leaf tree i r;
+      let after = Crt.Tree.solve tree in
+      Alcotest.check z
+        (Printf.sprintf "%s: update leaf %d = fresh solve" name i)
+        (Lbq_oracle.Crt.solve (Array.to_list current))
+        after;
+      Alcotest.(check string) (name ^ ": earlier snapshot unchanged") frozen
+        (Z.to_string before);
+      let c = Z.compare after before in
+      if c > 0 then incr grew else if c < 0 then incr wrapped
+    in
+    for _ = 1 to 3 do
+      let order = Array.init k Fun.id in
+      for j = k - 1 downto 1 do
+        let l = Drbg.int drbg (j + 1) in
+        let t = order.(j) in
+        order.(j) <- order.(l);
+        order.(l) <- t
+      done;
+      Array.iter (fun i -> step i (residue (snd current.(i)))) order
+    done;
+    for _ = 1 to max 8 (2 * k) do
+      let i = Drbg.int drbg k in
+      step i (residue (snd current.(i)))
+    done;
+    let i = Drbg.int drbg k in
+    let r, m = current.(i) in
+    let before = Crt.Tree.solve tree in
+    step i (Z.add r m);
+    Alcotest.(check bool) (name ^ ": same residue keeps e") true
+      (Crt.Tree.solve tree == before);
+    Alcotest.(check bool) (name ^ ": e grew (no subtraction)") true (!grew > 0);
+    Alcotest.(check bool) (name ^ ": e wrapped (one subtraction)") true
+      (!wrapped > 0)
+  in
+  walk "7 leaves" (List.map Z.of_int [ 49; 121; 169; 289; 361; 23; 29 ]);
+  let plan = Lbq_pir.Gr.make_plan ~count:7 ~block_bits:600 () in
+  walk "7 plan slots"
+    (List.init 7 (fun i -> (Lbq_pir.Gr.plan_slot plan i).Lbq_pir.Gr.pi));
+  walk "one leaf" [ Z.of_int 49 ];
+  (* No division after a leaf's first update: a later update allocates
+     its new e (|M| limbs, twice if normalizing copies it) and some
+     leaf-width temporaries, where M / pi_i alone would add |M| - |pi_i|
+     words and Knuth's division several |M|-limb temporaries more.  A
+     collection inside the measured call can inflate the GC's counts,
+     so each leaf keeps the least of five updates. *)
+  let plan = Lbq_pir.Gr.make_plan ~count:32 ~block_bits:512 () in
+  let moduli =
+    List.init 32 (fun i -> (Lbq_pir.Gr.plan_slot plan i).Lbq_pir.Gr.pi)
+  in
+  let tree = Crt.Tree.build (List.map (fun m -> (Z.zero, m)) moduli) in
+  let limbs x = (Z.numbits x + 25) / 26 in
+  let m_limbs = limbs (List.fold_left Z.mul Z.one moduli) in
+  let words f =
+    let mi0, pr0, ma0 = Gc.counters () in
+    f ();
+    let mi1, pr1, ma1 = Gc.counters () in
+    int_of_float (mi1 -. mi0 +. (ma1 -. ma0) -. (pr1 -. pr0))
+  in
+  List.iteri
+    (fun i m ->
+      Crt.Tree.update_leaf tree i Z.one;
+      let least = ref max_int in
+      for j = 2 to 6 do
+        least :=
+          min !least
+            (words (fun () -> Crt.Tree.update_leaf tree i (Z.of_int j)))
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "leaf %d: later update allocates %d words" i !least)
+        true
+        (!least <= (2 * m_limbs) + (16 * limbs m) + 128))
+    moduli
 
 let test_crt_errors () =
   Alcotest.check_raises "non-coprime"
@@ -897,6 +981,7 @@ let () =
       ("crt",
        [ Alcotest.test_case "paper example (App. B)" `Quick test_crt_paper_example;
          Alcotest.test_case "retained tree updates" `Quick test_crt_tree_update;
+         Alcotest.test_case "cofactor cache walk" `Quick test_crt_cofactor_cache;
          Alcotest.test_case "errors" `Quick test_crt_errors;
          Alcotest.test_case "fault order" `Quick test_crt_fault_order ]);
       ("jacobi",
